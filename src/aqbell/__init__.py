@@ -18,14 +18,12 @@ from .scenario import (
     to_collins_gisin,
 )
 from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, check_certificate, solve
-from .aqset import aq_extremize, build_moment_structure, strictly_feasible_point
+from .aqset import SosCertificate, aq_extremize, build_moment_structure, strictly_feasible_point
 from .nbf import (
     NbfFamily,
     NbfVerdict,
-    SosCertificate,
     check_complete,
     compose,
-    nbf_constraints,
     reference_composed_functional,
     reference_functionals,
     sos_decomposition,
@@ -60,7 +58,6 @@ __all__ = [
     "evaluate",
     "from_collins_gisin",
     "make_scenario",
-    "nbf_constraints",
     "normalized_chsh",
     "quantum_value",
     "reference_composed_functional",

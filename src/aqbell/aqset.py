@@ -35,7 +35,6 @@ MAX_PARTIES = 3
 @dataclass(frozen=True, eq=False)
 class WordClass:
     word: algebra.CanonicalWord
-    cells: tuple
     monomial_index: int | None  # basis index when the word is itself a basis monomial
 
 
@@ -44,9 +43,10 @@ class MomentStructure:
     scenario: Scenario
     basis: tuple
     classes: tuple  # WordClass, identity class first
-    cell_class: np.ndarray  # (N, N) class index per cell, -1 for the zero class
+    # (N, N) class index per cell, -1 on orthogonal cells: the one stored form
+    # of the partition, read through class_sums, scatter and indicator_stack
+    cell_class: np.ndarray
     monomial_class: np.ndarray  # (N,) class index of each basis monomial
-    zero_cells: tuple
 
     @property
     def size(self) -> int:
@@ -59,13 +59,12 @@ def build_moment_structure(scenario: Scenario) -> MomentStructure:
         raise SizeGuardError(f"moment structures support up to {MAX_PARTIES} parties")
     basis = tuple(scenario_basis(scenario))
     index_of = {mono: i for i, mono in enumerate(basis)}
-    class_map, zero_cells = algebra.word_classes(scenario)
+    class_map, _ = algebra.word_classes(scenario)
 
     classes = []
     cell_class = np.full((len(basis), len(basis)), -1, dtype=int)
     for idx, (word, cells) in enumerate(class_map.items()):
-        mono_idx = index_of.get(word.letters)
-        classes.append(WordClass(word, tuple(cells), mono_idx))
+        classes.append(WordClass(word, index_of.get(word.letters)))
         rows, cols = zip(*cells)
         cell_class[rows, cols] = idx
 
@@ -83,35 +82,54 @@ def build_moment_structure(scenario: Scenario) -> MomentStructure:
         classes=tuple(classes),
         cell_class=cell_class,
         monomial_class=monomial_class,
-        zero_cells=tuple(zero_cells),
     )
 
 
-def class_indicator(structure: MomentStructure, class_index: int) -> np.ndarray:
-    mat = np.zeros((structure.size, structure.size))
-    rows, cols = zip(*structure.classes[class_index].cells)
-    mat[rows, cols] = 1.0
-    return mat
+def class_sums(structure: MomentStructure, mat: np.ndarray) -> np.ndarray:
+    """Entry sum of ``mat`` over every word class, in class order."""
+    labelled = structure.cell_class >= 0
+    return np.bincount(
+        structure.cell_class[labelled], weights=mat[labelled], minlength=len(structure.classes)
+    )
+
+
+def scatter(structure: MomentStructure, values: np.ndarray) -> np.ndarray:
+    """Matrix carrying ``values[k]`` on every cell of class k and 0 on the
+    orthogonal cells; the adjoint of :func:`class_sums`."""
+    # label -1 picks the appended zero
+    return np.append(values, 0.0)[structure.cell_class]
+
+
+def indicator_stack(structure: MomentStructure, class_row: np.ndarray, m: int) -> np.ndarray:
+    """(m, N, N) constraint stack whose row ``class_row[k]`` is the 0/1
+    indicator of class k; classes with ``class_row`` -1 get no row.  Every
+    cell belongs to at most one row, so one assignment fills the stack and no
+    second (m, N, N) array is made."""
+    n = structure.size
+    stack = np.zeros((m, n, n))
+    cell_row = np.append(class_row, -1)[structure.cell_class]
+    rows, cols = np.nonzero(cell_row >= 0)
+    stack[cell_row[rows, cols], rows, cols] = 1.0
+    return stack
 
 
 def objective_matrix(structure: MomentStructure, coeffs: np.ndarray) -> np.ndarray:
     """Scatter per-monomial objective coefficients onto their class cells, so
     that <result, Z> equals sum_g coeffs[g] * (class-g entry sum of Z)."""
-    mat = np.zeros((structure.size, structure.size))
-    for mono_idx, value in enumerate(coeffs):
-        if value != 0.0:
-            rows, cols = zip(*structure.classes[structure.monomial_class[mono_idx]].cells)
-            mat[rows, cols] = value
-    return mat
+    values = np.zeros(len(structure.classes))
+    values[structure.monomial_class] = coeffs
+    return scatter(structure, values)
 
 
-def class_sums(structure: MomentStructure, mat: np.ndarray) -> np.ndarray:
-    """Entry sum of ``mat`` over every word class, in class order."""
-    sums = np.zeros(len(structure.classes))
-    for idx, wc in enumerate(structure.classes):
-        rows, cols = zip(*wc.cells)
-        sums[idx] = mat[rows, cols].sum()
-    return sums
+@dataclass(eq=False)
+class SosCertificate:
+    """Gram matrix z certifying that ``target - lam`` is a sum of Hermitian
+    squares over the monomial basis, hence >= lam on the whole set."""
+
+    scenario: Scenario
+    target: np.ndarray
+    lam: float
+    z: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,13 +158,10 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
 
     n = structure.size
     m = len(structure.classes) - 1
-    stack = np.zeros((m, n, n))
+    # constraint k - 1 pins class k; the identity class is the objective
+    stack = indicator_stack(structure, np.arange(m + 1) - 1, m)
     b = np.zeros(m)
-    for idx, wc in enumerate(structure.classes[1:], start=1):
-        rows, cols = zip(*wc.cells)
-        stack[idx - 1, rows, cols] = 1.0
-        if wc.monomial_index is not None:
-            b[idx - 1] = target[wc.monomial_index]
+    b[structure.monomial_class[1:] - 1] = target[1:]
     c = np.zeros((n, n))
     c[0, 0] = 1.0
     problem = SdpProblem((n,), (c,), (stack,), b)
@@ -157,19 +172,13 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
 class AqExtremum:
     value: float
     behavior: Behavior
-    certificate: "SosCertificate"  # noqa: F821 - defined in aqbell.nbf
+    certificate: SosCertificate
     solution: SdpSolution
 
 
 def moment_matrix_from_solution(compiled: CompiledExtremize, solution: SdpSolution) -> np.ndarray:
     """Optimal moment matrix, assembled from the dual multipliers."""
-    structure = compiled.structure
-    gamma = np.zeros((structure.size, structure.size))
-    gamma[0, 0] = 1.0
-    for idx, wc in enumerate(structure.classes[1:], start=1):
-        rows, cols = zip(*wc.cells)
-        gamma[rows, cols] = -solution.y[idx - 1]
-    return gamma
+    return scatter(compiled.structure, np.concatenate(([1.0], -solution.y)))
 
 
 def aq_extremize(
@@ -177,8 +186,6 @@ def aq_extremize(
 ) -> AqExtremum:
     """Extremal value of a functional over the almost-quantum set, with the
     extremal behavior and the certificate matrix."""
-    from .nbf import SosCertificate
-
     structure = build_moment_structure(functional.scenario)
     compiled = compile_extremize(structure, functional, sense)
     solution = solve(compiled.problem, config)
@@ -188,10 +195,7 @@ def aq_extremize(
     bound = float(compiled.target[0] - solution.primal_objective)
     value = bound if sense == "min" else -bound
 
-    entries = np.empty(structure.size)
-    entries[0] = 1.0
-    for j in range(1, structure.size):
-        entries[j] = -solution.y[structure.monomial_class[j] - 1]
+    entries = moment_matrix_from_solution(compiled, solution)[0]
     behavior = from_collins_gisin(CGVector(functional.scenario, entries), EXTRACTION_TOL)
 
     certificate = SosCertificate(
@@ -208,28 +212,31 @@ def strictly_feasible_point(structure: MomentStructure) -> np.ndarray:
     d-dimensional tensor factor per setting per party): each word's moment
     is prod_k d^(-#distinct settings of party k in the word)."""
     d = structure.scenario.outcomes
-    gamma = np.zeros((structure.size, structure.size))
-    for wc in structure.classes:
+    values = np.empty(len(structure.classes))
+    for idx, wc in enumerate(structure.classes):
         per_party: dict[int, set] = {}
         for party, setting, _outcome in wc.word.letters:
             per_party.setdefault(party, set()).add(setting)
         value = 1.0
         for settings in per_party.values():
             value /= float(d) ** len(settings)
-        rows, cols = zip(*wc.cells)
-        gamma[rows, cols] = value
-    return gamma
+        values[idx] = value
+    return scatter(structure, values)
 
 
 def constraint_residual(structure: MomentStructure, gamma: np.ndarray) -> float:
     """Worst violation of the compiled moment constraints by a matrix:
     per-class entry spread, zero cells, symmetry and normalization."""
-    residual = abs(gamma[0, 0] - 1.0)
-    residual = max(residual, float(np.abs(gamma - gamma.T).max()))
-    for wc in structure.classes:
-        rows, cols = zip(*wc.cells)
-        values = gamma[rows, cols]
-        residual = max(residual, float(values.max() - values.min()))
-    for i, j in structure.zero_cells:
-        residual = max(residual, abs(gamma[i, j]))
-    return residual
+    labels = structure.cell_class
+    orthogonal = labels < 0
+    hi = np.full(len(structure.classes), -np.inf)
+    lo = np.full(len(structure.classes), np.inf)
+    np.maximum.at(hi, labels[~orthogonal], gamma[~orthogonal])
+    np.minimum.at(lo, labels[~orthogonal], gamma[~orthogonal])
+    # np.max, unlike the builtin, propagates a NaN entry into the residual
+    return float(np.max([
+        abs(gamma[0, 0] - 1.0),
+        np.abs(gamma - gamma.T).max(),
+        (hi - lo).max(),
+        np.abs(gamma[orthogonal]).max(initial=0.0),
+    ]))

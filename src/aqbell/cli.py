@@ -21,11 +21,9 @@ from . import __version__
 from .aqset import aq_extremize, build_moment_structure, constraint_residual, strictly_feasible_point
 from .errors import AqbellError, NoWorkError, SolverFailureError
 from .nbf import (
-    REFERENCE_THIRD_PARTY_MAP,
-    REFERENCE_THIRD_PARTY_SETTINGS,
     NbfFamily,
     certificate_to_json,
-    compose,
+    compose_on_reference_layout,
     reference_composed_functional,
     reference_functionals,
     verify_nbf,
@@ -136,11 +134,7 @@ def cmd_compose(args) -> int:
         generators = [functional_from_json(load_json(path)) for path in args.u]
         outer = functional_from_json(load_json(args.v))
         fam = NbfFamily.two_outcome(generators)
-        composed = compose(
-            outer, fam,
-            third_party_map=REFERENCE_THIRD_PARTY_MAP,
-            third_party_settings=REFERENCE_THIRD_PARTY_SETTINGS,
-        )
+        composed = compose_on_reference_layout(outer, fam)
         inputs = {"u": args.u, "v": args.v}
     else:
         composed = reference_composed_functional()
@@ -226,11 +220,7 @@ def cmd_perturb(args) -> int:
                 candidate = BellFunctional(f.scenario, f.coeffs + noise)
                 perturbed.append(_project_to_nbf(candidate, cfg) if eps > 0.0 else candidate)
             fam = NbfFamily.two_outcome(perturbed[:2])
-            composed = compose(
-                perturbed[2], fam,
-                third_party_map=REFERENCE_THIRD_PARTY_MAP,
-                third_party_settings=REFERENCE_THIRD_PARTY_SETTINGS,
-            )
+            composed = compose_on_reference_layout(perturbed[2], fam)
             value = aq_extremize(composed, "min", cfg).value
             rows.append({"epsilon": eps, "trial": trial, "minimum": value})
             print(f"epsilon={eps:.1e} trial={trial}: minimum {value:+.9f}")

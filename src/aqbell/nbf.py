@@ -14,32 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqset import MomentStructure, aq_extremize, build_moment_structure, class_sums
+from .aqset import MomentStructure, SosCertificate, aq_extremize, build_moment_structure, class_sums
 from .errors import ScenarioMismatchError, SolverFailureError
 from .scenario import (
     BellFunctional,
     Scenario,
     basis_size,
-    evaluate,
-    random_local_behavior,
     representative_table,
     functional_from_table,
     functional_from_terms,
     make_scenario,
     unit_functional,
 )
-from .sdp import SdpProblem, SolverConfig
-
-
-@dataclass(eq=False)
-class SosCertificate:
-    """Gram matrix z certifying that ``target - lam`` is a sum of Hermitian
-    squares over the monomial basis, hence >= lam on the whole set."""
-
-    scenario: Scenario
-    target: np.ndarray
-    lam: float
-    z: np.ndarray
+from .sdp import SolverConfig
 
 
 def certificate_residual(cert: SosCertificate, structure: MomentStructure | None = None) -> float:
@@ -47,16 +34,10 @@ def certificate_residual(cert: SosCertificate, structure: MomentStructure | None
     polynomial: basis words must reproduce ``target`` (minus ``lam`` on the
     identity), all other reduced words must cancel."""
     structure = structure or build_moment_structure(cert.scenario)
-    sums = class_sums(structure, cert.z)
-    residual = 0.0
-    for idx, wc in enumerate(structure.classes):
-        expected = 0.0
-        if wc.monomial_index is not None:
-            expected = cert.target[wc.monomial_index]
-            if idx == 0:
-                expected -= cert.lam
-        residual = max(residual, abs(sums[idx] - expected))
-    return residual
+    expected = np.zeros(len(structure.classes))
+    expected[structure.monomial_class] = cert.target
+    expected[0] -= cert.lam
+    return float(np.abs(class_sums(structure, cert.z) - expected).max())
 
 
 def sos_decomposition(cert: SosCertificate, structure: MomentStructure | None = None, tol: float = 1e-6):
@@ -151,9 +132,11 @@ class NbfFamily:
         return len(self.functionals[0])
 
 
-def check_complete(fam: NbfFamily, tol: float = 1e-9, samples: int = 100, seed: int = 7):
-    """Coefficient-level completeness check plus an evaluation spot check on
-    random no-signalling behaviors; returns (ok, residual)."""
+def check_complete(fam: NbfFamily, tol: float = 1e-9):
+    """Coefficient-level completeness check, sum_a W_(a|s) = 1 for every
+    setting s; returns (ok, residual).  Collins-Gisin coordinates are linear
+    and entry 0 of every normalized behavior is 1, so the identity implies
+    the sum evaluates to 1 on every behavior."""
     unit = unit_functional(fam.scenario).coeffs
     residual = 0.0
     for members in fam.functionals:
@@ -163,11 +146,6 @@ def check_complete(fam: NbfFamily, tol: float = 1e-9, samples: int = 100, seed: 
                 raise ScenarioMismatchError("family member on a foreign scenario")
             total = total + f.coeffs
         residual = max(residual, float(np.abs(total - unit).max()))
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        p = random_local_behavior(fam.scenario, rng)
-        for members in fam.functionals:
-            residual = max(residual, abs(sum(evaluate(f, p) for f in members) - 1.0))
     return residual <= tol, residual
 
 
@@ -306,76 +284,21 @@ def reference_family() -> NbfFamily:
     return NbfFamily.two_outcome([first, second])
 
 
-def reference_composed_functional() -> BellFunctional:
-    """Composition of the bundled trio on the uniform (3,3,2) scenario."""
-    _, _, outer = reference_functionals()
+def compose_on_reference_layout(outer: BellFunctional, fam: NbfFamily) -> BellFunctional:
+    """Composition on the uniform (3,3,2) scenario, with the outer
+    functional's second-party settings on the third party's settings 0, 1."""
     return compose(
         outer,
-        reference_family(),
+        fam,
         third_party_map=REFERENCE_THIRD_PARTY_MAP,
         third_party_settings=REFERENCE_THIRD_PARTY_SETTINGS,
     )
 
 
-# --- the nonnegativity cone as reusable SDP data -----------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ConeBlockSpec:
-    """Recipe for embedding "w is nonnegative over the almost-quantum set"
-    into a larger SDP: one PSD block over the monomial basis whose class
-    sums couple linearly to w's coefficients (zero for words outside the
-    basis, orthogonal cells unconstrained)."""
-
-    structure: MomentStructure
-
-    @property
-    def block_size(self) -> int:
-        return self.structure.size
-
-    def mixed_classes(self):
-        """Indices of classes whose entry sums must vanish."""
-        return [
-            idx
-            for idx, wc in enumerate(self.structure.classes)
-            if wc.monomial_index is None
-        ]
-
-    def feasibility_problem(self, coeffs: np.ndarray) -> SdpProblem:
-        """min tr(Z) subject to the class sums reproducing ``coeffs``;
-        feasible exactly when the functional is nonnegative over the set."""
-        structure = self.structure
-        n = structure.size
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (basis_size(structure.scenario),):
-            raise ValueError("coefficient vector does not match the basis")
-        m = len(structure.classes)
-        stack = np.zeros((m, n, n))
-        b = np.zeros(m)
-        for idx, wc in enumerate(structure.classes):
-            rows, cols = zip(*wc.cells)
-            stack[idx, rows, cols] = 1.0
-            if wc.monomial_index is not None:
-                b[idx] = coeffs[wc.monomial_index]
-        return SdpProblem((n,), (np.eye(n),), (stack,), b)
-
-
-def nbf_constraints(scenario: Scenario) -> ConeBlockSpec:
-    return ConeBlockSpec(build_moment_structure(scenario))
-
-
-def is_aq_nonnegative(
-    functional: BellFunctional, tol: float = 1e-7, config: SolverConfig | None = None
-) -> bool:
-    """Membership of a functional in the nonnegative cone.
-
-    Decided through the floor of the functional over the set (that problem
-    always has a strictly feasible moment side); the feasibility problem of
-    :class:`ConeBlockSpec` states the same cone but, for functionals whose
-    floor is exactly attained, admits only singular certificates and is
-    numerically on the boundary.
-    """
-    return aq_extremize(functional, "min", config).value >= -tol
+def reference_composed_functional() -> BellFunctional:
+    """Composition of the bundled trio on the uniform (3,3,2) scenario."""
+    _, _, outer = reference_functionals()
+    return compose_on_reference_layout(outer, reference_family())
 
 
 def certificate_to_json(cert: SosCertificate) -> dict:

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aqset import aq_extremize, build_moment_structure, class_sums, objective_matrix
+from .aqset import aq_extremize, build_moment_structure, class_sums, indicator_stack, objective_matrix
 from .errors import AqbellError, NoWorkError, SolverFailureError
 from .nbf import (
     REFERENCE_THIRD_PARTY_MAP,
-    REFERENCE_THIRD_PARTY_SETTINGS,
     NbfFamily,
-    compose,
+    compose,  # noqa: F401 - kept importable as seesaw.compose
+    compose_on_reference_layout,
     reference_functionals,
 )
 from .scenario import (
@@ -101,31 +101,30 @@ class SeesawTrace:
         return sum(1 for o in self.outcomes if o.failed)
 
 
-def _slice_cg_vectors(p: Behavior, z_map):
+def _slice_cg_vectors(p: Behavior):
     """Collins-Gisin vectors of the unnormalized two-party boxes obtained by
-    pinning the third party's outcome c and setting z; entry 0 is p_C(c|z)."""
+    pinning the third party's outcome c and outer setting z; entry 0 is
+    p_C(c|z)."""
     _, _, tmat, _ = _cg_maps(PAIR_SCENARIO)
     d = p.scenario.outcomes
     vectors = {}
     for c in range(d):
-        for z in range(len(z_map)):
-            q = p.table[:, :, z_map[z], :, :, c]
+        for z, setting in enumerate(REFERENCE_THIRD_PARTY_MAP):
+            q = p.table[:, :, setting, :, :, c]
             vectors[c, z] = tmat @ q.ravel()
     return vectors
 
 
-def composed_value(p: Behavior, fam: NbfFamily, outer: BellFunctional, z_map=REFERENCE_THIRD_PARTY_MAP) -> float:
-    w = compose(outer, fam, third_party_map=z_map, third_party_settings=p.scenario.settings[2])
-    return evaluate(w, p)
+def composed_value(p: Behavior, fam: NbfFamily, outer: BellFunctional) -> float:
+    return evaluate(compose_on_reference_layout(outer, fam), p)
 
 
-def step_behavior(fam: NbfFamily, outer: BellFunctional, config: SolverConfig | None = None,
-                  z_map=REFERENCE_THIRD_PARTY_MAP, z_settings: int = REFERENCE_THIRD_PARTY_SETTINGS):
+def step_behavior(fam: NbfFamily, outer: BellFunctional, config: SolverConfig | None = None):
     """Compose the current blocks and minimize over the almost-quantum set.
 
     Returns (behavior, value, composed functional).
     """
-    w = compose(outer, fam, third_party_map=z_map, third_party_settings=z_settings)
+    w = compose_on_reference_layout(outer, fam)
     ext = aq_extremize(w, "min", config)
     return ext.behavior, ext.value, w
 
@@ -136,25 +135,20 @@ def _cone_pair_problem(structure, objectives):
     linearly to the generators' coefficients."""
     n = structure.size
     n_slots = len(objectives)
-    mixed = [idx for idx, wc in enumerate(structure.classes) if wc.monomial_index is None]
+    # rows: each block's vanishing mixed-word sums, then per slot one row per
+    # monomial tying the pair's class sums to the unit functional
+    mixed = np.setdiff1d(np.arange(len(structure.classes)), structure.monomial_class)
     n_blocks = 2 * n_slots
-    m = n_blocks * len(mixed) + n_slots * n
-    stacks = [np.zeros((m, n, n)) for _ in range(n_blocks)]
-    b = np.zeros(m)
-    row = 0
+    pinned = n_blocks * len(mixed)
+    m = pinned + n_slots * n
+    stacks = []
     for blk in range(n_blocks):
-        for cls in mixed:
-            rows, cols = zip(*structure.classes[cls].cells)
-            stacks[blk][row, rows, cols] = 1.0
-            row += 1
-    for slot in range(n_slots):
-        for mono in range(n):
-            cls = structure.monomial_class[mono]
-            rows, cols = zip(*structure.classes[cls].cells)
-            stacks[2 * slot][row, rows, cols] = 1.0
-            stacks[2 * slot + 1][row, rows, cols] = 1.0
-            b[row] = 1.0 if mono == 0 else 0.0
-            row += 1
+        class_row = np.full(len(structure.classes), -1)
+        class_row[mixed] = blk * len(mixed) + np.arange(len(mixed))
+        class_row[structure.monomial_class] = pinned + (blk // 2) * n + np.arange(n)
+        stacks.append(indicator_stack(structure, class_row, m))
+    b = np.zeros(m)
+    b[pinned::n] = 1.0
     c_blocks = []
     for slot in range(n_slots):
         c_blocks.append(objective_matrix(structure, objectives[slot]))
@@ -163,15 +157,14 @@ def _cone_pair_problem(structure, objectives):
 
 
 def _extract_generator(structure, z_block):
-    sums = class_sums(structure, z_block)
-    coeffs = np.array([sums[structure.monomial_class[mono]] for mono in range(structure.size)])
+    coeffs = class_sums(structure, z_block)[structure.monomial_class]
     return BellFunctional(structure.scenario, coeffs)
 
 
-def _optimize_family(p: Behavior, outer: BellFunctional, config, z_map):
+def _optimize_family(p: Behavior, outer: BellFunctional, config):
     structure = build_moment_structure(PAIR_SCENARIO)
     outer_table = representative_table(outer)  # (xi, z, alpha, c)
-    q_vectors = _slice_cg_vectors(p, z_map)
+    q_vectors = _slice_cg_vectors(p)
     n_xi = outer.scenario.settings[0]
     d = p.scenario.outcomes
 
@@ -180,7 +173,7 @@ def _optimize_family(p: Behavior, outer: BellFunctional, config, z_map):
     for xi in range(n_xi):
         obj = np.zeros(structure.size)
         for c in range(d):
-            for z in range(len(z_map)):
+            for z in range(len(REFERENCE_THIRD_PARTY_MAP)):
                 obj += (outer_table[xi, z, 0, c] - outer_table[xi, z, 1, c]) * q_vectors[c, z]
                 constant += outer_table[xi, z, 1, c] * q_vectors[c, z][0]
         objectives.append(obj)
@@ -195,23 +188,23 @@ def _optimize_family(p: Behavior, outer: BellFunctional, config, z_map):
     return fam, float(solution.primal_objective + constant)
 
 
-def _effective_pair_box(p: Behavior, fam: NbfFamily, z_map) -> Behavior:
+def _effective_pair_box(p: Behavior, fam: NbfFamily) -> Behavior:
     """Two-party box seen by the outer functional: family outcome alpha on
     one side, the third party's outcome on the other."""
-    q_vectors = _slice_cg_vectors(p, z_map)
+    q_vectors = _slice_cg_vectors(p)
     d = p.scenario.outcomes
     table = np.zeros(OUTER_SCENARIO.table_shape)
     for xi in range(fam.n_settings):
-        for z in range(len(z_map)):
+        for z in range(len(REFERENCE_THIRD_PARTY_MAP)):
             for alpha in range(fam.n_outcomes):
                 for c in range(d):
                     table[xi, z, alpha, c] = fam.functionals[xi][alpha].coeffs @ q_vectors[c, z]
     return behavior_from_table(OUTER_SCENARIO, table, _STEP_TOL)
 
 
-def _optimize_outer(p: Behavior, fam: NbfFamily, config, z_map):
+def _optimize_outer(p: Behavior, fam: NbfFamily, config):
     structure = build_moment_structure(OUTER_SCENARIO)
-    box = _effective_pair_box(p, fam, z_map)
+    box = _effective_pair_box(p, fam)
     _, _, tmat, _ = _cg_maps(OUTER_SCENARIO)
     objective = tmat @ box.table.ravel()
     solution = solve(_cone_pair_problem(structure, [objective]), config)
@@ -222,7 +215,7 @@ def _optimize_outer(p: Behavior, fam: NbfFamily, config, z_map):
 
 
 def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: str,
-                     config: SolverConfig | None = None, z_map=REFERENCE_THIRD_PARTY_MAP):
+                     config: SolverConfig | None = None):
     """Exact minimization over one functional block with the behavior fixed.
 
     ``free`` selects the block: "family" re-optimizes the generators (each
@@ -230,10 +223,10 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
     re-optimizes the outer functional.  Returns (family, outer, value).
     """
     if free == "family":
-        fam2, value = _optimize_family(p, outer, config, z_map)
+        fam2, value = _optimize_family(p, outer, config)
         return fam2, outer, value
     if free == "outer":
-        outer2, value = _optimize_outer(p, fam, config, z_map)
+        outer2, value = _optimize_outer(p, fam, config)
         return fam, outer2, value
     raise ValueError(f"free block must be 'family' or 'outer', got {free!r}")
 
@@ -294,11 +287,7 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
                 sweep_values[-window - 1] - sweep_values[-1] < cfg.improvement_threshold
             ):
                 break
-        composed = compose(
-            outer, fam,
-            third_party_map=REFERENCE_THIRD_PARTY_MAP,
-            third_party_settings=REFERENCE_THIRD_PARTY_SETTINGS,
-        )
+        composed = compose_on_reference_layout(outer, fam)
         return RestartOutcome(
             index=index,
             sweep_values=sweep_values,
@@ -309,7 +298,9 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
             behavior=behavior,
             composed=composed,
         )
-    except AqbellError as exc:
+    except (AqbellError, ValueError) as exc:
+        # np.linalg.LinAlgError is a ValueError: one restart's numerical
+        # breakdown is a failed restart, not a failed run
         return RestartOutcome(
             index=index,
             sweep_values=sweep_values,
@@ -392,6 +383,7 @@ def trace_to_json(trace: SeesawTrace) -> dict:
                 "failed": o.failed,
                 "message": o.message,
                 "sweep_values": [float(v) for v in o.sweep_values],
+                "step_values": [[label, float(v)] for label, v in o.step_values],
             }
             for o in trace.outcomes
         ],

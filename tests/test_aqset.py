@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from aqbell.algebra import basis_monomials, word_classes
 from aqbell.aqset import (
     aq_extremize,
     build_moment_structure,
+    class_sums,
     compile_extremize,
     constraint_residual,
     moment_matrix_from_solution,
+    scatter,
     strictly_feasible_point,
 )
 from aqbell.errors import ScenarioMismatchError, SizeGuardError
 from aqbell.oracles import deterministic_range, normalized_chsh
+from aqbell.seesaw import _cone_pair_problem
 from aqbell.scenario import (
     BellFunctional,
     Scenario,
@@ -30,6 +34,11 @@ def test_structure_sizes():
     st = build_moment_structure(make_scenario(2, 2, 2))
     assert st.size == 9
     assert len(st.classes) == 17
+    # three outcomes: the only scenario family here with orthogonal cells
+    st = build_moment_structure(make_scenario(2, 2, 3))
+    assert st.size == 25
+    assert len(st.classes) == 97
+    assert (st.cell_class < 0).sum() == 184
 
 
 def test_structure_class_example(scn222):
@@ -43,6 +52,71 @@ def test_structure_class_example(scn222):
     for j in range(st.size):
         assert st.cell_class[0, j] == st.monomial_class[j]
         assert st.cell_class[j, j] == st.monomial_class[j]
+
+
+@pytest.mark.parametrize("spec, slots", [((2, 2, 2), 2), ((2, 3, 2), 2), ((3, 3, 2), 1), ((2, 2, 3), 2)])
+def test_problems_match_per_class_loop(spec, slots, rng):
+    # reference: every stack row and objective cell written class by class
+    # from the word partition itself
+    scn = make_scenario(*spec)
+    basis = basis_monomials(scn)
+    class_map, _ = word_classes(scn)
+    cells = [tuple(zip(*class_cells)) for class_cells in class_map.values()]
+    mono = [basis.index(w.letters) if w.letters in basis else None for w in class_map]
+    class_of = {j: k for k, j in enumerate(mono) if j is not None}
+    n, n_classes = len(basis), len(cells)
+    st = build_moment_structure(scn)
+
+    f = BellFunctional(scn, rng.uniform(-1, 1, n))
+    problem = compile_extremize(st, f, "max").problem
+    stack = np.zeros((n_classes - 1, n, n))
+    b = np.zeros(n_classes - 1)
+    for k in range(1, n_classes):
+        rows, cols = cells[k]
+        stack[k - 1, rows, cols] = 1.0
+        if mono[k] is not None:
+            b[k - 1] = -f.coeffs[mono[k]]
+    c = np.zeros((n, n))
+    c[0, 0] = 1.0
+    assert np.array_equal(problem.c_blocks[0], c)
+    assert np.array_equal(problem.a_stacks[0], stack)
+    assert np.array_equal(problem.b, b)
+    del problem, stack
+
+    objectives = [rng.uniform(-1, 1, n) for _ in range(slots)]
+    problem = _cone_pair_problem(st, objectives)
+    mixed = [k for k in range(n_classes) if mono[k] is None]
+    pinned = 2 * slots * len(mixed)
+    m = pinned + slots * n
+    assert problem.block_dims == (n,) * (2 * slots)
+    b = np.zeros(m)
+    for blk in range(2 * slots):
+        slot = blk // 2
+        stack = np.zeros((m, n, n))
+        for q, k in enumerate(mixed):
+            rows, cols = cells[k]
+            stack[blk * len(mixed) + q, rows, cols] = 1.0
+        c = np.zeros((n, n))
+        for j in range(n):
+            rows, cols = cells[class_of[j]]
+            stack[pinned + slot * n + j, rows, cols] = 1.0
+            b[pinned + slot * n + j] = 1.0 if j == 0 else 0.0
+            if blk % 2 == 0:
+                c[rows, cols] = objectives[slot][j]
+        assert np.array_equal(problem.a_stacks[blk], stack)
+        assert np.array_equal(problem.c_blocks[blk], c)
+    assert np.array_equal(problem.b, b)
+
+
+@pytest.mark.parametrize("spec", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
+def test_scatter_is_adjoint_of_class_sums(spec, rng):
+    st = build_moment_structure(make_scenario(*spec))
+    for _ in range(3):
+        v = rng.standard_normal(len(st.classes))
+        z = rng.standard_normal((st.size, st.size))
+        spread = scatter(st, v)
+        assert abs(np.sum(spread * z) - v @ class_sums(st, z)) < 1e-12
+        assert not spread[st.cell_class < 0].any()
 
 
 def test_party_guard():
@@ -91,12 +165,13 @@ def test_wiring_floor(scn232):
 
 
 def test_classical_range_inside_aq(scn222, rng):
-    for _ in range(4):
-        f = BellFunctional(scn222, rng.uniform(-1, 1, basis_size(scn222)))
-        det_lo, det_hi = deterministic_range(f)
-        lo = aq_extremize(f, "min").value
-        hi = aq_extremize(f, "max").value
-        assert lo - 1e-7 <= det_lo and det_hi <= hi + 1e-7
+    for scn in (scn222, make_scenario(2, 2, 3)):
+        for _ in range(4):
+            f = BellFunctional(scn, rng.uniform(-1, 1, basis_size(scn)))
+            det_lo, det_hi = deterministic_range(f)
+            lo = aq_extremize(f, "min").value
+            hi = aq_extremize(f, "max").value
+            assert lo - 1e-7 <= det_lo and det_hi <= hi + 1e-7
 
 
 def test_extracted_behavior_consistency(scn232, rng):
@@ -109,13 +184,15 @@ def test_extracted_behavior_consistency(scn232, rng):
 
 
 def test_certificate_scatter_matches_moments(scn222, rng):
-    f = BellFunctional(scn222, rng.uniform(-1, 1, basis_size(scn222)))
-    st = build_moment_structure(scn222)
-    compiled = compile_extremize(st, f, "min")
-    ext = aq_extremize(f, "min")
-    gamma = moment_matrix_from_solution(compiled, ext.solution)
-    assert constraint_residual(st, gamma) < 1e-12
-    assert np.linalg.eigvalsh(gamma).min() > -1e-8
+    # (2,2,3) has orthogonal cells, which the moment matrix must keep at 0
+    for scn in (scn222, make_scenario(2, 2, 3)):
+        f = BellFunctional(scn, rng.uniform(-1, 1, basis_size(scn)))
+        st = build_moment_structure(scn)
+        compiled = compile_extremize(st, f, "min")
+        ext = aq_extremize(f, "min")
+        gamma = moment_matrix_from_solution(compiled, ext.solution)
+        assert constraint_residual(st, gamma) < 1e-12
+        assert np.linalg.eigvalsh(gamma).min() > -1e-8
 
 
 def test_strictly_feasible_point_values(scn232):
@@ -132,6 +209,9 @@ def test_strictly_feasible_point_values(scn232):
     assert gamma[e00, f00] == gamma[0, ef]
     assert constraint_residual(st, gamma) == 0.0
     assert np.linalg.eigvalsh(gamma).min() > 0.0
+    gamma[e00, e01] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(constraint_residual(st, gamma))
 
 
 def test_single_party_scenario_matches_classical(rng):

@@ -12,9 +12,7 @@ from aqbell.nbf import (
     certificate_to_json,
     check_complete,
     compose,
-    is_aq_nonnegative,
     matching_wiring,
-    nbf_constraints,
     sos_decomposition,
     verify_nbf,
 )
@@ -240,48 +238,6 @@ def test_composed_reference_round_trip(composed_w):
     assert composed_w.scenario.settings == (3, 3, 3)
     assert basis_size(composed_w.scenario) == 64
     assert json.loads(blob)["scenario"]["parties"] == 3
-
-
-def test_cone_membership(reference_trio, scn232):
-    wiring = reference_trio[0]
-    assert is_aq_nonnegative(wiring)
-    minus_unit = BellFunctional(scn232, -unit_functional(scn232).coeffs)
-    assert not is_aq_nonnegative(minus_unit)
-    zero = BellFunctional(scn232, np.zeros(basis_size(scn232)))
-    assert is_aq_nonnegative(zero)
-
-
-def test_cone_feasibility_problem_cases(reference_trio, scn232):
-    from aqbell.sdp import SdpStatus, solve
-
-    spec = nbf_constraints(scn232)
-    # the wiring's floor is attained, so its certificates are singular and
-    # the emitted problem sits on the boundary; verify feasibility through
-    # the witness produced by verification instead of an interior method
-    wiring = reference_trio[0]
-    verdict = verify_nbf(wiring, tol=1e-6)
-    witness = verdict.lower_certificate.z
-    problem = spec.feasibility_problem(wiring.coeffs)
-    residual = max(
-        abs(float(np.sum(problem.a_stacks[0][k] * witness)) - problem.b[k])
-        for k in range(problem.num_constraints)
-    )
-    assert residual < 1e-6
-    assert np.linalg.eigvalsh(0.5 * (witness + witness.T)).min() > -1e-8
-
-    minus_unit = BellFunctional(scn232, -unit_functional(scn232).coeffs)
-    assert solve(spec.feasibility_problem(minus_unit.coeffs)).status == SdpStatus.PRIMAL_INFEASIBLE
-    zero = BellFunctional(scn232, np.zeros(basis_size(scn232)))
-    assert solve(spec.feasibility_problem(zero.coeffs)).status == SdpStatus.OPTIMAL
-
-
-def test_cone_block_spec(scn222):
-    spec = nbf_constraints(scn222)
-    assert spec.block_size == 9
-    mixed = spec.mixed_classes()
-    assert len(mixed) == 17 - 9
-    problem = spec.feasibility_problem(unit_functional(scn222).coeffs)
-    assert problem.num_constraints == 17
 
 
 def test_certificate_json_round_trip(reference_trio):

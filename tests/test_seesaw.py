@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from aqbell import seesaw
 from aqbell.errors import NoWorkError
 from aqbell.nbf import check_complete, verify_nbf
 from aqbell.scenario import functional_from_terms
@@ -95,6 +97,25 @@ def test_run_determinism():
     assert [o.sweep_values for o in first.outcomes] == [o.sweep_values for o in second.outcomes]
 
 
+def test_failed_restart_does_not_abort_run(monkeypatch):
+    real = seesaw.step_functionals
+    calls = []
+
+    def breaks_once(*args, **kwargs):
+        calls.append(args[3])
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(seesaw, "step_functionals", breaks_once)
+    cfg = SeesawConfig(restarts=2, max_sweeps=1, seed=0, init_v="reference", target_value=-1.0, workers=1)
+    trace = run(cfg)
+    assert trace.failed_count == 1
+    assert trace.outcomes[0].failed and "did not converge" in trace.outcomes[0].message
+    assert trace.best_index == 1
+    assert trace.best_value == trace.outcomes[1].sweep_values[-1]
+
+
 def test_run_zero_restarts():
     with pytest.raises(NoWorkError):
         run(SeesawConfig(restarts=0))
@@ -126,3 +147,6 @@ def test_trace_json(ref_family):
     assert blob["best"]["index"] == 0
     assert len(blob["best"]["family"]) == 2
     assert blob["restarts"][0]["sweep_values"] == [float(v) for v in trace.best.sweep_values]
+    steps = blob["restarts"][0]["step_values"]
+    assert [label for label, _ in steps] == ["behavior", "family", "outer"] * cfg.max_sweeps
+    assert [value for label, value in steps if label == "outer"] == blob["restarts"][0]["sweep_values"]
