@@ -8,6 +8,12 @@ the semidefinite variable Z is a Gram matrix whose per-class entry sums
 reproduce the functional's coefficients, the objective min Z[0,0] yields the
 bound, and the dual multipliers are (minus) the optimal moment values, from
 which the extremal behavior is read off the first row.
+
+The extremizer solves over only the settings the functional touches.  The
+set is closed under dropping a setting (a principal submatrix of Gamma) and
+under re-adding one that always returns the last outcome (its basis letters
+are the zero operator, so Gamma only gains zero rows), hence the restricted
+problem has the same value and its solution re-embeds exactly.
 """
 from __future__ import annotations
 
@@ -83,6 +89,50 @@ def build_moment_structure(scenario: Scenario) -> MomentStructure:
         cell_class=cell_class,
         monomial_class=monomial_class,
     )
+
+
+@lru_cache(maxsize=None)
+def monomial_settings(scenario: Scenario) -> np.ndarray:
+    """(N, parties) setting of each basis monomial's letter of each party,
+    -1 where the monomial has no letter of that party."""
+    basis = scenario_basis(scenario)
+    table = np.full((len(basis), scenario.parties), -1)
+    for i, mono in enumerate(basis):
+        for party, setting, _outcome in mono:
+            table[i, party] = setting
+    table.setflags(write=False)
+    return table
+
+
+def restrict_to_touched(functional: BellFunctional):
+    """The functional on the scenario of the settings it touches, and the
+    caller-basis index of each restricted basis monomial.
+
+    A setting is touched when some monomial with a nonzero coefficient uses
+    it; a party touching none keeps setting 0.  Kept settings are renumbered
+    in order, which preserves the basis order, so the kept monomials map
+    onto the restricted basis in increasing index order.  When nothing can
+    be dropped the functional is returned unchanged.
+    """
+    scenario = functional.scenario
+    table = monomial_settings(scenario)
+    used = table[functional.coeffs != 0.0]
+    keep = np.ones(len(table), dtype=bool)
+    settings = []
+    for party, count in enumerate(scenario.settings):
+        # slot `count` (read by label -1) stands for "no letter of this party"
+        touched = np.zeros(count + 1, dtype=bool)
+        touched[used[:, party]] = True
+        touched[count] = True
+        if not touched[:count].any():
+            touched[0] = True
+        keep &= touched[table[:, party]]
+        settings.append(int(touched[:count].sum()))
+    index = np.flatnonzero(keep)
+    if len(index) == len(table):
+        return functional, index
+    restricted = Scenario(scenario.parties, tuple(settings), scenario.outcomes)
+    return BellFunctional(restricted, functional.coeffs[index]), index
 
 
 def class_sums(structure: MomentStructure, mat: np.ndarray) -> np.ndarray:
@@ -171,9 +221,9 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
 @dataclass(eq=False)
 class AqExtremum:
     value: float
-    behavior: Behavior
-    certificate: SosCertificate
-    solution: SdpSolution
+    behavior: Behavior  # on the caller's scenario
+    certificate: SosCertificate  # on the caller's scenario
+    solution: SdpSolution  # the solve over the touched settings only
 
 
 def moment_matrix_from_solution(compiled: CompiledExtremize, solution: SdpSolution) -> np.ndarray:
@@ -185,9 +235,18 @@ def aq_extremize(
     functional: BellFunctional, sense: str, config: SolverConfig | None = None
 ) -> AqExtremum:
     """Extremal value of a functional over the almost-quantum set, with the
-    extremal behavior and the certificate matrix."""
-    structure = build_moment_structure(functional.scenario)
-    compiled = compile_extremize(structure, functional, sense)
+    extremal behavior and the certificate matrix.
+
+    The SDP is solved over the settings the functional touches (see
+    :func:`restrict_to_touched`), and ``solution`` is that restricted solve.
+    ``behavior`` and ``certificate`` are re-embedded into the caller's
+    scenario: the behavior's Collins-Gisin entries are 0 on monomials with a
+    dropped letter (a dropped setting always returns the last outcome), and
+    the certificate's Gram matrix is 0 on their rows and columns.
+    """
+    restricted, keep = restrict_to_touched(functional)
+    structure = build_moment_structure(restricted.scenario)
+    compiled = compile_extremize(structure, restricted, sense)
     solution = solve(compiled.problem, config)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
@@ -195,15 +254,16 @@ def aq_extremize(
     bound = float(compiled.target[0] - solution.primal_objective)
     value = bound if sense == "min" else -bound
 
-    entries = moment_matrix_from_solution(compiled, solution)[0]
+    n = len(functional.coeffs)
+    entries = np.zeros(n)
+    entries[keep] = moment_matrix_from_solution(compiled, solution)[0]
     behavior = from_collins_gisin(CGVector(functional.scenario, entries), EXTRACTION_TOL)
 
-    certificate = SosCertificate(
-        scenario=functional.scenario,
-        target=compiled.target.copy(),
-        lam=bound,
-        z=solution.x_blocks[0],
-    )
+    target = np.zeros(n)
+    target[keep] = compiled.target
+    z = np.zeros((n, n))
+    z[np.ix_(keep, keep)] = solution.x_blocks[0]
+    certificate = SosCertificate(scenario=functional.scenario, target=target, lam=bound, z=z)
     return AqExtremum(value=value, behavior=behavior, certificate=certificate, solution=solution)
 
 

@@ -24,6 +24,7 @@ from .nbf import (
     NbfFamily,
     certificate_to_json,
     compose_on_reference_layout,
+    project_to_nbf,
     reference_composed_functional,
     reference_functionals,
     verify_nbf,
@@ -187,19 +188,6 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if ext.value <= hi else EXIT_CLAIM_FAILS
 
 
-def _project_to_nbf(functional: BellFunctional, cfg: SolverConfig) -> BellFunctional:
-    """Affine rescale onto [0, 1] over the set when the bounds drifted out."""
-    lo = aq_extremize(functional, "min", cfg).value
-    hi = aq_extremize(functional, "max", cfg).value
-    if lo >= 0.0 and hi <= 1.0:
-        return functional
-    span = hi - lo
-    coeffs = functional.coeffs / span
-    coeffs = coeffs.copy()
-    coeffs[0] -= lo / span
-    return BellFunctional(functional.scenario, coeffs)
-
-
 def cmd_perturb(args) -> int:
     started = time.monotonic()
     outdir = Path(args.out)
@@ -218,7 +206,7 @@ def cmd_perturb(args) -> int:
             for f in (first, second, outer):
                 noise = rng.uniform(-eps, eps, size=f.coeffs.shape) if eps > 0.0 else 0.0
                 candidate = BellFunctional(f.scenario, f.coeffs + noise)
-                perturbed.append(_project_to_nbf(candidate, cfg) if eps > 0.0 else candidate)
+                perturbed.append(project_to_nbf(candidate, cfg) if eps > 0.0 else candidate)
             fam = NbfFamily.two_outcome(perturbed[:2])
             composed = compose_on_reference_layout(perturbed[2], fam)
             value = aq_extremize(composed, "min", cfg).value
@@ -378,15 +366,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (SolverFailureError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NoWorkError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except SolverFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except AqbellError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -103,6 +103,18 @@ def verify_nbf(
     )
 
 
+def project_to_nbf(functional: BellFunctional, config: SolverConfig | None = None) -> BellFunctional:
+    """Affine rescale onto [0, 1] over the set when the bounds drifted out."""
+    lo = aq_extremize(functional, "min", config).value
+    hi = aq_extremize(functional, "max", config).value
+    if lo >= 0.0 and hi <= 1.0:
+        return functional
+    span = hi - lo
+    coeffs = functional.coeffs / span
+    coeffs[0] -= lo / span
+    return BellFunctional(functional.scenario, coeffs)
+
+
 @dataclass(frozen=True, eq=False)
 class NbfFamily:
     """Setting-indexed lists of outcome-indexed functionals {W_(a|s)}."""
@@ -138,14 +150,16 @@ def check_complete(fam: NbfFamily, tol: float = 1e-9):
     and entry 0 of every normalized behavior is 1, so the identity implies
     the sum evaluates to 1 on every behavior."""
     unit = unit_functional(fam.scenario).coeffs
-    residual = 0.0
+    per_setting = []
     for members in fam.functionals:
         total = np.zeros_like(unit)
         for f in members:
             if f.scenario != fam.scenario:
                 raise ScenarioMismatchError("family member on a foreign scenario")
             total = total + f.coeffs
-        residual = max(residual, float(np.abs(total - unit).max()))
+        per_setting.append(np.abs(total - unit).max())
+    # np.max, unlike the builtin, propagates a NaN coefficient into the residual
+    residual = float(np.max(per_setting))
     return residual <= tol, residual
 
 

@@ -8,11 +8,14 @@ from aqbell.aqset import (
     class_sums,
     compile_extremize,
     constraint_residual,
+    monomial_settings,
     moment_matrix_from_solution,
+    restrict_to_touched,
     scatter,
     strictly_feasible_point,
 )
 from aqbell.errors import ScenarioMismatchError, SizeGuardError
+from aqbell.nbf import certificate_residual
 from aqbell.oracles import deterministic_range, normalized_chsh
 from aqbell.seesaw import _cone_pair_problem
 from aqbell.scenario import (
@@ -24,6 +27,7 @@ from aqbell.scenario import (
     make_scenario,
     unit_functional,
 )
+from aqbell.sdp import solve
 
 TSIRELSON = (4.0 + 2.0 * np.sqrt(2.0)) / 8.0
 
@@ -228,3 +232,59 @@ def test_scenario_mismatch(scn222, scn232):
         compile_extremize(st, unit_functional(scn232), "min")
     with pytest.raises(ValueError):
         compile_extremize(st, unit_functional(scn222), "upward")
+
+
+def assert_matches_full_solve(f, sense, ext, dropped):
+    """``ext`` (from the pruned extremizer) against the unpruned solve of
+    ``f``, built from the full moment structure; ``dropped`` lists the
+    (party, setting) pairs the functional does not touch."""
+    assert restrict_to_touched(f)[0].scenario != f.scenario
+    st = build_moment_structure(f.scenario)
+    compiled = compile_extremize(st, f, sense)
+    full = solve(compiled.problem)
+    bound = compiled.target[0] - full.primal_objective
+    assert abs(ext.value - (bound if sense == "min" else -bound)) < 1e-7
+    assert abs(evaluate(f, ext.behavior) - ext.value) < 1e-7
+    n, d = f.scenario.parties, f.scenario.outcomes
+    for party, setting in dropped:
+        at = tuple(setting if k == party else 0 for k in range(n))
+        marginal = ext.behavior.table[at].sum(axis=tuple(k for k in range(n) if k != party))
+        np.testing.assert_allclose(marginal, np.eye(d)[d - 1], atol=1e-12)
+    assert ext.certificate.z.shape == (st.size, st.size)
+    assert certificate_residual(ext.certificate, st) <= 1e-6
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("spec", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
+def test_pruned_extremum_matches_full_solve(spec, sense, rng):
+    scn = make_scenario(*spec)
+    settings = monomial_settings(scn)
+    for party in range(scn.parties):
+        setting = int(rng.integers(scn.settings[party]))
+        f = BellFunctional(scn, rng.uniform(-1, 1, basis_size(scn)) * (settings[:, party] != setting))
+        assert_matches_full_solve(f, sense, aq_extremize(f, sense), [(party, setting)])
+
+
+def test_pruned_extremum_of_party_without_touched_setting(scn232, rng):
+    # only Alice's letters carry coefficients: Bob keeps setting 0
+    f = BellFunctional(scn232, rng.uniform(-1, 1, basis_size(scn232)) * (monomial_settings(scn232)[:, 1] < 0))
+    restricted, keep = restrict_to_touched(f)
+    assert restricted.scenario.settings == (3, 1)
+    assert np.array_equal(f.coeffs[keep], restricted.coeffs)
+    for sense in ("min", "max"):
+        assert_matches_full_solve(f, sense, aq_extremize(f, sense), [(1, 1), (1, 2)])
+
+
+def test_pruned_extremum_of_reference_composition(composed_w, headline):
+    restricted, keep = restrict_to_touched(composed_w)
+    assert restricted.scenario.settings == (3, 3, 2)
+    assert len(keep) == build_moment_structure(restricted.scenario).size == 48
+    assert headline.solution.x_blocks[0].shape == (48, 48)
+    assert_matches_full_solve(composed_w, "min", headline, [(2, 2)])
+
+
+def test_nothing_to_prune_returns_functional(scn222, rng):
+    f = BellFunctional(scn222, rng.uniform(-1, 1, basis_size(scn222)))
+    restricted, keep = restrict_to_touched(f)
+    assert restricted is f
+    assert np.array_equal(keep, np.arange(basis_size(scn222)))

@@ -60,6 +60,19 @@ def test_aq_min_of_wiring(reference_dir, tmp_path):
     assert (tmp_path / "aq_min_certificate.json").exists()
 
 
+def test_aq_numerical_breakdown_exits_3(reference_dir, tmp_path, monkeypatch, capsys):
+    from aqbell import aqset
+
+    def broken_solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    # LinAlgError subclasses ValueError, which alone would map to exit 2
+    monkeypatch.setattr(aqset, "solve", broken_solve)
+    code = run_cli("--out", tmp_path, "aq", "min", reference_dir / "reference_first.json")
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_compose_default_matches_library(tmp_path, composed_w):
     assert run_cli("--out", tmp_path, "compose") == 0
     written = functional_from_json(load_json(tmp_path / "composed.json"))

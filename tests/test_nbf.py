@@ -165,6 +165,14 @@ def test_check_complete(reference_trio):
     broken = NbfFamily(wiring.scenario, ((wiring, wiring),))
     ok, residual = check_complete(broken)
     assert not ok and residual > 0.5
+    # a NaN coefficient must fail the check, and composition must refuse it
+    coeffs = second.coeffs.copy()
+    coeffs[3] = np.nan
+    poisoned = NbfFamily.two_outcome([wiring, BellFunctional(second.scenario, coeffs)])
+    ok, residual = check_complete(poisoned)
+    assert not ok and np.isnan(residual)
+    with pytest.raises(ValueError, match="not complete"):
+        compose(reference_trio[2], poisoned, third_party_map=(0, 1), third_party_settings=3)
 
 
 def test_compose_identity_pick(ref_family, scn222, rng):
