@@ -18,9 +18,6 @@ from typing import NamedTuple, Optional
 Letter = tuple  # (party, setting, outcome)
 Monomial = tuple  # tuple of Letter, party-sorted, at most one letter per party
 
-_PARTY_NAMES = "ABCDEFGHIJ"
-
-
 class CanonicalWord(NamedTuple):
     """Reduced projector product; ``letters is None`` encodes the zero word."""
 
@@ -121,21 +118,3 @@ def word_classes(scenario):
                 classes.setdefault(word, []).append((i, j))
     return classes, zero_cells
 
-
-def word_key(word: CanonicalWord) -> str:
-    """Stable human-readable key, e.g. ``"A0|1*B0|0"``; identity is ``"1"``."""
-    if word.is_zero:
-        return "ZERO"
-    if not word.letters:
-        return "1"
-    return "*".join(
-        f"{_PARTY_NAMES[party]}{outcome}|{setting}" for party, setting, outcome in word.letters
-    )
-
-
-def word_classes_json(scenario) -> dict:
-    """Dump of the class partition with ordered, stable keys (for debugging)."""
-    classes, zero_cells = word_classes(scenario)
-    out = {word_key(word): [list(cell) for cell in cells] for word, cells in classes.items()}
-    out["ZERO"] = [list(cell) for cell in zero_cells]
-    return out

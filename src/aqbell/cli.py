@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .aqset import aq_extremize, build_moment_structure, constraint_residual, strictly_feasible_point
-from .errors import AqbellError, NoWorkError, SolverFailureError
+from .errors import AqbellError, SolverFailureError
 from .nbf import (
     NbfFamily,
     certificate_to_json,
@@ -370,13 +370,8 @@ def main(argv=None) -> int:
     except (SolverFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except NoWorkError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except AqbellError as exc:
+    # json.JSONDecodeError is a ValueError and NoWorkError an AqbellError
+    except (FileNotFoundError, KeyError, ValueError, AqbellError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

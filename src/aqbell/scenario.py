@@ -430,10 +430,14 @@ def functional_from_json(obj: dict) -> BellFunctional:
     scenario = scenario_from_json(obj["scenario"])
     fmt = obj.get("format", "collins_gisin")
     if fmt == "collins_gisin":
-        return BellFunctional(scenario, _vector_from_entries(scenario, obj["entries"]))
-    if fmt == "full":
-        return functional_from_table(scenario, _table_from_full_entries(scenario, obj["entries"]))
-    raise ValueError(f"unknown format {fmt!r}")
+        functional = BellFunctional(scenario, _vector_from_entries(scenario, obj["entries"]))
+    elif fmt == "full":
+        functional = functional_from_table(scenario, _table_from_full_entries(scenario, obj["entries"]))
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if not np.all(np.isfinite(functional.coeffs)):
+        raise ValueError("functional coefficients must be finite")
+    return functional
 
 
 def save_json(path, obj) -> None:

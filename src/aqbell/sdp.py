@@ -6,12 +6,14 @@ predictor-corrector steps in the HKM scaling direction, a dense Cholesky of
 the Schur complement, and fraction-to-boundary step control.  The dual pair
 is  max b.y  s.t.  S = C - sum_i y_i A_i >= 0.
 
-Constraint matrices are kept both as a dense stack (for the batched
-products that build the Schur complement) and as one sparse matrix over
-vectorized cells (so a Schur row costs O(nnz) rather than O(n^2) per
-constraint); the moment-matrix problems produced by :mod:`aqbell.aqset`
-have a handful of nonzeros per constraint, which is where the solver spends
-its time.
+The constraints enter the solver as one sparse operator, built once per
+solve from the nonzeros of every block: a CSR matrix with one row per
+constraint over the vectorized cells of the joint matrix, so that applying
+A or its adjoint costs O(nnz).  The Schur complement is assembled from the
+same operator viewed as (m*n, n) rows (Fujisawa, Kojima & Nakata, Math.
+Program. 79, 1997); no dense copy of the constraints is made.  The
+moment-matrix problems produced by :mod:`aqbell.aqset` have a handful of
+nonzeros per constraint, which is where the solver spends its time.
 """
 from __future__ import annotations
 
@@ -48,6 +50,8 @@ class SdpProblem:
 
     ``a_stacks[l]`` holds the block-l component of every constraint as an
     (m, n_l, n_l) array; 1x1 blocks act as nonnegative scalar variables.
+    This dense per-block form is the input format only: :func:`solve` reads
+    its nonzeros into one sparse operator.
     """
 
     block_dims: tuple
@@ -77,6 +81,8 @@ class SdpProblem:
             stack = np.asarray(stack, dtype=float)
             if c.shape != (n_l, n_l) or stack.shape != (m, n_l, n_l):
                 raise ValueError("block shapes do not match block_dims / b")
+            if not (np.all(np.isfinite(c)) and np.all(np.isfinite(stack))):
+                raise ValueError("objective and constraint blocks must be finite")
             if np.abs(c - c.T).max(initial=0.0) > 1e-12:
                 raise ValueError("objective blocks must be symmetric")
             if np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0) > 1e-12:
@@ -100,20 +106,6 @@ class SdpProblem:
         for n_l in self.block_dims:
             offsets.append(offsets[-1] + n_l)
         return offsets
-
-    def joint_objective(self) -> np.ndarray:
-        n = self.total_dim
-        c = np.zeros((n, n))
-        for off, n_l, blk in zip(self.block_offsets(), self.block_dims, self.c_blocks):
-            c[off : off + n_l, off : off + n_l] = blk
-        return c
-
-    def joint_constraints(self) -> np.ndarray:
-        n, m = self.total_dim, self.num_constraints
-        a = np.zeros((m, n, n))
-        for off, n_l, stack in zip(self.block_offsets(), self.block_dims, self.a_stacks):
-            a[:, off : off + n_l, off : off + n_l] = stack
-        return a
 
     def split_blocks(self, joint: np.ndarray):
         out = []
@@ -184,21 +176,35 @@ def _chol_with_jitter(mat: np.ndarray):
     return None
 
 
+def _constraint_operator(problem: SdpProblem) -> sp.csr_matrix:
+    """A as an (m, n*n) CSR matrix: row i is the joint constraint matrix A_i
+    vectorized row-major, read from the nonzeros of each block at its
+    offset on the diagonal."""
+    n, m = problem.total_dim, problem.num_constraints
+    rows, cols, vals = [], [], []
+    for off, stack in zip(problem.block_offsets(), problem.a_stacks):
+        k, i, j = np.nonzero(stack)
+        rows.append(k)
+        cols.append((off + i) * n + off + j)
+        vals.append(stack[k, i, j])
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, n * n))
+
+
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     cfg = config or SolverConfig()
     n = problem.total_dim
     if n > cfg.dim_guard:
         raise SizeGuardError(f"total dimension {n} exceeds guard {cfg.dim_guard}")
     m = problem.num_constraints
-    a = problem.joint_constraints()
-    a_flat = a.reshape(m, n * n)
-    a_sparse = sp.csr_matrix(a_flat)
-    c = problem.joint_objective()
+    a_op = _constraint_operator(problem)
+    a_rows = a_op.reshape(m * n, n).tocsr()
+    c = sla.block_diag(*problem.c_blocks)
     b = problem.b.copy()
 
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(c))
-    a_norms = np.sqrt((a_flat * a_flat).sum(axis=1))
+    a_norms = np.sqrt(np.asarray(a_op.multiply(a_op).sum(axis=1)).ravel())
     tau_p = max(1.0, np.sqrt(n), n * float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms))))
     tau_d = max(1.0, np.sqrt(n), norm_c, float(a_norms.max()))
     init_scale = max(tau_p, tau_d)
@@ -206,6 +212,18 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     x = tau_p * np.eye(n)
     s = tau_d * np.eye(n)
     y = np.zeros(m)
+
+    def residuals(x, y, s):
+        rp = b - a_op @ x.ravel()
+        rd = c - s - (a_op.T @ y).reshape(n, n)
+        pobj = float(np.vdot(c, x))
+        dobj = float(b @ y)
+        rel = Residuals(
+            primal=float(np.linalg.norm(rp)) / (1.0 + norm_b),
+            dual=float(np.linalg.norm(rd)) / (1.0 + norm_c),
+            gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+        )
+        return rd, pobj, dobj, rel
 
     eye = np.eye(n)
     trace: list = []
@@ -218,32 +236,26 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     for it in range(cfg.max_iters + 1):
         iterations = it
-        rp = b - a_sparse @ x.ravel()
-        rd = c - s - (a_sparse.T @ y).reshape(n, n)
-        pobj = float(np.vdot(c, x))
-        dobj = float(b @ y)
+        rd, pobj, dobj, rel = residuals(x, y, s)
         mu = float(np.vdot(x, s)) / n
-        rp_rel = float(np.linalg.norm(rp)) / (1.0 + norm_b)
-        rd_rel = float(np.linalg.norm(rd)) / (1.0 + norm_c)
-        gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         trace.append(
             {
                 "iteration": it,
                 "mu": mu,
-                "primal_residual": rp_rel,
-                "dual_residual": rd_rel,
-                "gap": gap_rel,
+                "primal_residual": rel.primal,
+                "dual_residual": rel.dual,
+                "gap": rel.gap,
                 "primal_objective": pobj,
                 "dual_objective": dobj,
             }
         )
 
-        if rp_rel <= cfg.feas_tol and rd_rel <= cfg.feas_tol and gap_rel <= cfg.gap_tol:
+        if rel.primal <= cfg.feas_tol and rel.dual <= cfg.feas_tol and rel.gap <= cfg.gap_tol:
             status = SdpStatus.OPTIMAL
             message = "converged"
             break
 
-        score = max(rp_rel, rd_rel, gap_rel)
+        score = max(rel.primal, rel.dual, rel.gap)
         if score < 0.98 * best_score:
             best_score = score
             best_iterate = (x.copy(), y.copy(), s.copy())
@@ -259,7 +271,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         y_norm = float(np.abs(y).max()) if m else 0.0
         if y_norm > cfg.ray_threshold * (1.0 + init_scale):
             ray = y / y_norm
-            s_ray = -(a_sparse.T @ ray).reshape(n, n)
+            s_ray = -(a_op.T @ ray).reshape(n, n)
             if b @ ray > 1e-3 and _eig_min(s_ray) > -1e-6:
                 status = SdpStatus.PRIMAL_INFEASIBLE
                 message = "dual improving ray found"
@@ -271,7 +283,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         x_norm = float(np.abs(x).max())
         if x_norm > cfg.ray_threshold * (1.0 + init_scale):
             ray = x / x_norm
-            ray_feas = float(np.linalg.norm(a_sparse @ ray.ravel()))
+            ray_feas = float(np.linalg.norm(a_op @ ray.ravel()))
             if -np.vdot(c, ray) > 1e-3 and ray_feas < 1e-6:
                 status = SdpStatus.DUAL_INFEASIBLE
                 message = "primal improving ray found"
@@ -293,8 +305,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         s_inv = s_inv_half.T @ s_inv_half
 
         # Schur complement M_ij = <A_i, X A_j S^{-1}>
-        t_stack = np.matmul(x, np.matmul(a, s_inv))
-        schur = a_sparse @ t_stack.reshape(m, n * n).T
+        t_stack = np.matmul(x, (a_rows @ s_inv).reshape(m, n, n))
+        schur = a_op @ t_stack.reshape(m, n * n).T
         schur = 0.5 * (schur + schur.T)
         chol_m = _chol_with_jitter(schur)
         if chol_m is None:
@@ -305,11 +317,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
         def newton(sigma_mu, corr):
             rhs_mat = x_rd_sinv if corr is None else x_rd_sinv + corr @ s_inv
-            rhs = b + a_sparse @ rhs_mat.ravel()
+            rhs = b + a_op @ rhs_mat.ravel()
             if sigma_mu != 0.0:
-                rhs = rhs - sigma_mu * (a_sparse @ s_inv.ravel())
+                rhs = rhs - sigma_mu * (a_op @ s_inv.ravel())
             dy = sla.cho_solve((chol_m, True), rhs)
-            ds = rd - (a_sparse.T @ dy).reshape(n, n)
+            ds = rd - (a_op.T @ dy).reshape(n, n)
             dx = -x - (x @ ds if corr is None else x @ ds + corr) @ s_inv
             if sigma_mu != 0.0:
                 dx = dx + sigma_mu * s_inv
@@ -321,7 +333,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         alpha_d = min(1.0, cfg.step_fraction * _max_step(chol_s, ds_aff))
         mu_aff = float(np.vdot(x + alpha_p * dx_aff, s + alpha_d * ds_aff)) / n
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
-        if max(rp_rel, rd_rel) > cfg.feas_tol:
+        if max(rel.primal, rel.dual) > cfg.feas_tol:
             # keep a sliver of centrality so complementarity cannot hit the
             # boundary before feasibility has converged
             sigma = max(sigma, 1e-3)
@@ -341,15 +353,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         s, alpha_d = s_new
         y = y + alpha_d * dy
 
-    rp = b - a_sparse @ x.ravel()
-    rd = c - s - (a_sparse.T @ y).reshape(n, n)
-    pobj = float(np.vdot(c, x))
-    dobj = float(b @ y)
-    residuals = Residuals(
-        primal=float(np.linalg.norm(rp)) / (1.0 + norm_b),
-        dual=float(np.linalg.norm(rd)) / (1.0 + norm_c),
-        gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
-    )
+    _, pobj, dobj, rel = residuals(x, y, s)
     return SdpSolution(
         status=status,
         x_blocks=problem.split_blocks(x),
@@ -357,7 +361,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         s_blocks=problem.split_blocks(s),
         primal_objective=pobj,
         dual_objective=dobj,
-        residuals=residuals,
+        residuals=rel,
         iterations=iterations,
         trace=trace,
         message=message,
@@ -392,95 +396,46 @@ class CertificateReport:
 
 
 def check_certificate(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> CertificateReport:
-    """Recompute all optimality residuals from scratch (plain per-constraint
-    loops, no shared state with the solver) and report pass/fail."""
+    """Recompute all optimality residuals from scratch (plain per-block,
+    per-constraint loops over the problem's blocks, no shared state with
+    the solver) and report pass/fail."""
     if solution.status != SdpStatus.OPTIMAL:
         raise ValueError("certificate checking expects an optimal solution")
-    offsets = problem.block_offsets()
-    x_full = np.zeros((problem.total_dim, problem.total_dim))
-    s_full = np.zeros_like(x_full)
-    for off, n_l, xb, sb in zip(offsets, problem.block_dims, solution.x_blocks, solution.s_blocks):
-        x_full[off : off + n_l, off : off + n_l] = xb
-        s_full[off : off + n_l, off : off + n_l] = sb
+    m = problem.num_constraints
+    b, y = problem.b, solution.y
+    blocks = list(zip(problem.c_blocks, problem.a_stacks, solution.x_blocks, solution.s_blocks))
 
-    a = problem.joint_constraints()
-    c = problem.joint_objective()
-    b = problem.b
+    primal = []
+    for i in range(m):
+        lhs = sum(float(np.sum(stack[i] * xb)) for _, stack, xb, _ in blocks)
+        primal.append(abs(lhs - b[i]))
+    primal = float(np.max(primal)) / (1.0 + float(np.abs(b).max()))
 
-    primal = 0.0
-    for i in range(problem.num_constraints):
-        primal = max(primal, abs(float(np.sum(a[i] * x_full)) - b[i]))
-    primal /= 1.0 + float(np.abs(b).max())
+    dual, c_max = [], []
+    for c, stack, _, sb in blocks:
+        dual_mat = c - sb
+        for i in range(m):
+            dual_mat = dual_mat - y[i] * stack[i]
+        dual.append(float(np.abs(dual_mat).max()))
+        c_max.append(float(np.abs(c).max()))
+    dual = float(np.max(dual)) / (1.0 + max(c_max))
 
-    dual_mat = c - s_full
-    for i in range(problem.num_constraints):
-        dual_mat = dual_mat - solution.y[i] * a[i]
-    dual = float(np.abs(dual_mat).max()) / (1.0 + float(np.abs(c).max(initial=0.0)))
-
-    pobj = float(np.sum(c * x_full))
-    dobj = float(b @ solution.y)
+    pobj = sum(float(np.sum(c * xb)) for c, _, xb, _ in blocks)
+    dobj = float(b @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+
+    def floor(mats):
+        # np.max keeps a NaN that the builtin max would drop
+        return float(np.max([0.0] + [-np.linalg.eigvalsh(0.5 * (z + z.T)).min() for z in mats]))
 
     items = [
         CertificateItem("primal feasibility", primal, tol),
         CertificateItem("dual feasibility", dual, tol),
         CertificateItem("duality gap", gap, max(tol, 1e-7)),
-        CertificateItem("primal eigenvalue floor", max(0.0, -_eig_min(x_full)), tol),
-        CertificateItem("dual eigenvalue floor", max(0.0, -_eig_min(s_full)), tol),
+        CertificateItem("primal eigenvalue floor", floor(solution.x_blocks), tol),
+        CertificateItem("dual eigenvalue floor", floor(solution.s_blocks), tol),
     ]
     return CertificateReport(items)
-
-
-# --- sparse-triplet JSON interchange ---------------------------------------
-#
-# {"block_dims": [...],
-#  "objective": [[block, i, j, value], ...],          (i <= j, symmetric fill)
-#  "constraints": [{"b": b_k, "entries": [[block, i, j, value], ...]}, ...]}
-
-
-def _triplets(block_index, mat):
-    out = []
-    n = mat.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            if mat[i, j] != 0.0:
-                out.append([block_index, i, j, float(mat[i, j])])
-    return out
-
-
-def problem_to_json(problem: SdpProblem) -> dict:
-    objective = []
-    constraints = [{"b": float(bk), "entries": []} for bk in problem.b]
-    for blk, (c, stack) in enumerate(zip(problem.c_blocks, problem.a_stacks)):
-        objective.extend(_triplets(blk, c))
-        for k in range(problem.num_constraints):
-            constraints[k]["entries"].extend(_triplets(blk, stack[k]))
-    return {
-        "block_dims": list(problem.block_dims),
-        "objective": objective,
-        "constraints": constraints,
-    }
-
-
-def problem_from_json(obj: dict) -> SdpProblem:
-    dims = tuple(int(n) for n in obj["block_dims"])
-    m = len(obj["constraints"])
-    cs = [np.zeros((n_l, n_l)) for n_l in dims]
-    stacks = [np.zeros((m, n_l, n_l)) for n_l in dims]
-
-    def fill(target, entries):
-        for blk, i, j, value in entries:
-            target[blk][..., int(i), int(j)] = float(value)
-            target[blk][..., int(j), int(i)] = float(value)
-
-    fill(cs, obj["objective"])
-    b = np.zeros(m)
-    for k, con in enumerate(obj["constraints"]):
-        b[k] = float(con["b"])
-        for blk, i, j, value in con["entries"]:
-            stacks[blk][k, int(i), int(j)] = float(value)
-            stacks[blk][k, int(j), int(i)] = float(value)
-    return SdpProblem(dims, tuple(cs), tuple(stacks), b)
 
 
 def matrix_to_triplets(mat: np.ndarray) -> list:

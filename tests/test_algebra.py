@@ -222,11 +222,3 @@ def test_families_plus_symmetry_generate_exactly_the_classes():
     # hence the same number of independent equalities: n^2 - #classes
     assert n * n - components == 64
 
-
-def test_word_key_and_json():
-    scn = make_scenario(2, 2, 2)
-    dump = algebra.word_classes_json(scn)
-    assert dump["1"] == [[0, 0]]
-    assert "ZERO" in dump
-    assert algebra.word_key(ZERO) == "ZERO"
-    assert algebra.word_key(CanonicalWord(((0, 0, 0), (1, 1, 0)))) == "A0|0*B0|1"

@@ -49,6 +49,14 @@ def test_verify_malformed_input(tmp_path):
     path.write_text("{not json")
     assert run_cli("--out", tmp_path, "verify", path) == 2
     assert run_cli("--out", tmp_path, "verify", tmp_path / "missing.json") == 2
+    # a NaN constant coefficient is malformed input, not a verdict
+    nan_path = tmp_path / "nan.json"
+    save_json(nan_path, {
+        "scenario": {"parties": 2, "settings": [2, 2], "outcomes": 2},
+        "entries": [{"monomial": [], "coeff": float("nan")}],
+    })
+    assert run_cli("--out", tmp_path, "verify", nan_path) == 2
+    assert run_cli("--out", tmp_path, "aq", "min", nan_path) == 2
 
 
 def test_aq_min_of_wiring(reference_dir, tmp_path):

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqbell.errors import SizeGuardError
 from aqbell.sdp import (
@@ -9,8 +13,6 @@ from aqbell.sdp import (
     check_certificate,
     matrix_from_triplets,
     matrix_to_triplets,
-    problem_from_json,
-    problem_to_json,
     solve,
 )
 
@@ -90,6 +92,15 @@ def test_certificate_detects_primal_fault():
     assert not report.items[0].passed  # primal feasibility
 
 
+def test_certificate_fails_nan_iterate():
+    problem = trace_problem()
+    sol = solve(problem, TIGHT)
+    sol.x_blocks[0] = np.full((2, 2), np.nan)
+    report = check_certificate(problem, sol)
+    assert not report.items[0].passed  # primal feasibility
+    assert not report.items[3].passed  # primal eigenvalue floor
+
+
 def test_certificate_detects_dual_fault():
     problem = trace_problem()
     sol = solve(problem, TIGHT)
@@ -142,27 +153,74 @@ def test_scaling_homogeneity(alpha):
     ) + 1e-10
 
 
-def test_multiblock_solve():
+def multiblock_problem():
     # two independent blocks: min tr X1 + tr X2 with one pinned entry each
     stacks = (
         np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))]),
         np.stack([np.zeros((2, 2)), np.diag([0.0, 1.0])]),
     )
-    problem = SdpProblem((2, 2), (np.eye(2), np.eye(2)), stacks, np.array([2.0, 0.5]))
-    sol = solve(problem, TIGHT)
+    return SdpProblem((2, 2), (np.eye(2), np.eye(2)), stacks, np.array([2.0, 0.5]))
+
+
+def test_multiblock_solve():
+    sol = solve(multiblock_problem(), TIGHT)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.primal_objective - 2.5) < 1e-8
 
 
-def test_problem_json_round_trip():
-    problem = boundary_problem()
-    back = problem_from_json(problem_to_json(problem))
-    assert back.block_dims == problem.block_dims
-    np.testing.assert_array_equal(back.b, problem.b)
-    for c1, c2 in zip(back.c_blocks, problem.c_blocks):
-        np.testing.assert_array_equal(c1, c2)
-    for s1, s2 in zip(back.a_stacks, problem.a_stacks):
-        np.testing.assert_array_equal(s1, s2)
+def test_certificate_detects_faults_in_second_block():
+    problem = multiblock_problem()
+    sol = solve(problem, TIGHT)
+    assert check_certificate(problem, sol).passed
+    x_fault = dataclasses.replace(sol, x_blocks=[sol.x_blocks[0], sol.x_blocks[1] + 1e-3 * np.eye(2)])
+    assert not check_certificate(problem, x_fault).items[0].passed  # primal feasibility
+    s_fault = dataclasses.replace(sol, s_blocks=[sol.s_blocks[0], sol.s_blocks[1] + 1e-3 * np.eye(2)])
+    assert not check_certificate(problem, s_fault).items[1].passed  # dual feasibility
+
+
+def _random_psd(rng, n):
+    g = rng.normal(size=(n, n))
+    return g @ g.T + 0.5 * np.eye(n)
+
+
+def random_feasible_problem(block_dims, m, seed):
+    """Random SDP that is strictly feasible on both sides: b is read off a
+    positive definite X0 and C = S0 + sum_i y0_i A_i with S0 positive
+    definite.  Each constraint has general entries in every block, with
+    about a third of them zeroed so that the operator is genuinely sparse."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for n_l in block_dims:
+        stack = rng.normal(size=(m, n_l, n_l)) * (rng.random((m, n_l, n_l)) > 0.3)
+        stack = stack + stack.transpose(0, 2, 1)
+        stack[:, 0, 0] += 1.0 + rng.random(m)  # no constraint is empty on any block
+        stacks.append(stack)
+    x0 = [_random_psd(rng, n_l) for n_l in block_dims]
+    s0 = [_random_psd(rng, n_l) for n_l in block_dims]
+    y0 = rng.normal(size=m)
+    b = np.array([sum(np.sum(stack[i] * x) for stack, x in zip(stacks, x0)) for i in range(m)])
+    c_blocks = tuple(s + np.einsum("i,ijk->jk", y0, stack) for s, stack in zip(s0, stacks))
+    return SdpProblem(tuple(block_dims), c_blocks, tuple(stacks), b)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    block_dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_multiblock_problems(block_dims, data, seed):
+    free = sum(n_l * (n_l + 1) // 2 for n_l in block_dims)
+    m = data.draw(st.integers(1, min(free, 6)), label="m")
+    problem = random_feasible_problem(block_dims, m, seed)
+    sol = solve(problem)
+    assert sol.status == SdpStatus.OPTIMAL, sol.message
+    report = check_certificate(problem, sol)
+    assert report.passed, str(report)
+    for record in sol.trace:
+        if max(record["primal_residual"], record["dual_residual"]) <= 1e-9:
+            scale = 1.0 + abs(record["primal_objective"]) + abs(record["dual_objective"])
+            assert record["primal_objective"] >= record["dual_objective"] - 1e-7 * scale
 
 
 def test_matrix_triplets_round_trip():
@@ -189,5 +247,9 @@ def test_problem_validation():
         SdpProblem((2,), (np.array([[0.0, 1.0], [0.0, 0.0]]),), (np.zeros((1, 2, 2)),), np.array([1.0]))
     with pytest.raises(ValueError):
         SdpProblem((2,), (np.zeros((2, 2)),), (np.zeros((1, 2, 2)),), np.array([np.inf]))
+    with pytest.raises(ValueError):
+        SdpProblem((2,), (np.zeros((2, 2)),), (np.full((1, 2, 2), np.nan),), np.array([1.0]))
+    with pytest.raises(ValueError):
+        SdpProblem((2,), (np.diag([np.nan, 0.0]),), (np.zeros((1, 2, 2)),), np.array([1.0]))
     with pytest.raises(ValueError):
         SdpProblem((2,), (np.zeros((2, 2)),), (np.zeros((0, 2, 2)),), np.array([]))
