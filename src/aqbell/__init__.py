@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .scenario import (
     Behavior,
     BellFunctional,
-    CGVector,
     Scenario,
     ToleranceConfig,
     behavior_from_table,
@@ -35,7 +34,6 @@ from .seesaw import SeesawConfig, SeesawTrace, step_behavior, step_functionals
 __all__ = [
     "Behavior",
     "BellFunctional",
-    "CGVector",
     "NbfFamily",
     "NbfVerdict",
     "Scenario",

@@ -5,15 +5,17 @@ outcome of one local measurement.  Letters of different parties commute;
 within one party, projectors of the same setting are idempotent (same
 outcome) or orthogonal (different outcomes).  Products of at most one
 letter per party, with the last outcome of every setting dropped, form the
-monomial basis used throughout the package.  The product of two basis
-monomials reduces to a *canonical word* with at most two letters per party,
-identified with its adjoint (because all objectives and constraints are
-real, a word and its adjoint always share one moment value).
+monomial basis used throughout the package (:func:`aqbell.scenario.basis`).
+The product of two basis monomials reduces to a *canonical word* with at
+most two letters per party, identified with its adjoint (because all
+objectives and constraints are real, a word and its adjoint always share
+one moment value).
 """
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Optional
+
+from .scenario import basis
 
 Letter = tuple  # (party, setting, outcome)
 Monomial = tuple  # tuple of Letter, party-sorted, at most one letter per party
@@ -30,30 +32,6 @@ class CanonicalWord(NamedTuple):
 
 ZERO = CanonicalWord(None)
 IDENTITY = CanonicalWord(())
-
-
-def basis_monomials(scenario) -> list:
-    """Ordered monomial basis: identity first, then graded by letter count,
-    then lexicographic by (party, setting, outcome).
-
-    Size is prod_k (1 + m_k * (d - 1)).
-    """
-    per_party = []
-    for party in range(scenario.parties):
-        options = [None]
-        for setting in range(scenario.settings[party]):
-            for outcome in range(scenario.outcomes - 1):
-                options.append((party, setting, outcome))
-        per_party.append(options)
-    monomials = []
-    for combo in itertools.product(*per_party):
-        monomials.append(tuple(letter for letter in combo if letter is not None))
-    monomials.sort(key=lambda mono: (len(mono), mono))
-    expected = 1
-    for party in range(scenario.parties):
-        expected *= 1 + scenario.settings[party] * (scenario.outcomes - 1)
-    assert len(monomials) == expected
-    return monomials
 
 
 def adjoint(letters: tuple) -> tuple:
@@ -106,11 +84,11 @@ def word_classes(scenario):
     always comes first), and ``zero_cells`` lists the cells whose product
     vanishes by orthogonality.
     """
-    basis = basis_monomials(scenario)
+    monomials = basis(scenario).monomials
     classes: dict[CanonicalWord, list] = {}
     zero_cells: list = []
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
+    for i, u in enumerate(monomials):
+        for j, v in enumerate(monomials):
             word = canonicalize(u, v)
             if word.is_zero:
                 zero_cells.append((i, j))

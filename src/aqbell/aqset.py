@@ -24,84 +24,53 @@ import numpy as np
 
 from . import algebra
 from .errors import ScenarioMismatchError, SizeGuardError, SolverFailureError
-from .scenario import (
-    EXTRACTION_TOL,
-    Behavior,
-    BellFunctional,
-    CGVector,
-    Scenario,
-    from_collins_gisin,
-    scenario_basis,
-)
+from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis, from_collins_gisin
 from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, solve
 
 MAX_PARTIES = 3
 
 
 @dataclass(frozen=True, eq=False)
-class WordClass:
-    word: algebra.CanonicalWord
-    monomial_index: int | None  # basis index when the word is itself a basis monomial
-
-
-@dataclass(frozen=True, eq=False)
 class MomentStructure:
     scenario: Scenario
-    basis: tuple
-    classes: tuple  # WordClass, identity class first
+    classes: tuple  # CanonicalWord, identity class first
     # (N, N) class index per cell, -1 on orthogonal cells: the one stored form
     # of the partition, read through class_sums, scatter and indicator_stack
     cell_class: np.ndarray
     monomial_class: np.ndarray  # (N,) class index of each basis monomial
 
     @property
+    def basis(self) -> tuple:
+        return basis(self.scenario).monomials
+
+    @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.monomial_class)
 
 
 @lru_cache(maxsize=None)
 def build_moment_structure(scenario: Scenario) -> MomentStructure:
     if scenario.parties > MAX_PARTIES:
         raise SizeGuardError(f"moment structures support up to {MAX_PARTIES} parties")
-    basis = tuple(scenario_basis(scenario))
-    index_of = {mono: i for i, mono in enumerate(basis)}
+    index = basis(scenario).index
     class_map, _ = algebra.word_classes(scenario)
-
-    classes = []
-    cell_class = np.full((len(basis), len(basis)), -1, dtype=int)
-    for idx, (word, cells) in enumerate(class_map.items()):
-        classes.append(WordClass(word, index_of.get(word.letters)))
+    classes = tuple(class_map)
+    cell_class = np.full((len(index), len(index)), -1, dtype=int)
+    for idx, cells in enumerate(class_map.values()):
         rows, cols = zip(*cells)
         cell_class[rows, cols] = idx
 
-    assert classes[0].word == algebra.IDENTITY
-    monomial_class = np.array([cell_class[0, j] for j in range(len(basis))])
+    assert classes[0] == algebra.IDENTITY
+    monomial_class = cell_class[0].copy()
     # first-row cells and interior cells reducing to the same monomial must
     # already share a class; the scatter construction relies on it
-    for idx, wc in enumerate(classes):
-        if wc.monomial_index is not None:
-            assert monomial_class[wc.monomial_index] == idx
+    for idx, word in enumerate(classes):
+        if word.letters in index:
+            assert monomial_class[index[word.letters]] == idx
 
     return MomentStructure(
-        scenario=scenario,
-        basis=basis,
-        classes=tuple(classes),
-        cell_class=cell_class,
-        monomial_class=monomial_class,
+        scenario=scenario, classes=classes, cell_class=cell_class, monomial_class=monomial_class
     )
-
-
-@lru_cache(maxsize=None)
-def monomial_settings(scenario: Scenario) -> np.ndarray:
-    """(N, parties) setting of each basis monomial's letter of each party,
-    -1 where the monomial has no letter of that party."""
-    basis = scenario_basis(scenario)
-    table = np.full((len(basis), scenario.parties), -1)
-    for i, mono in enumerate(basis):
-        for party, setting, _outcome in mono:
-            table[i, party] = setting
-    table.setflags(write=False)
-    return table
 
 
 def restrict_to_touched(functional: BellFunctional):
@@ -115,7 +84,7 @@ def restrict_to_touched(functional: BellFunctional):
     be dropped the functional is returned unchanged.
     """
     scenario = functional.scenario
-    table = monomial_settings(scenario)
+    table = basis(scenario).settings
     used = table[functional.coeffs != 0.0]
     keep = np.ones(len(table), dtype=bool)
     settings = []
@@ -257,7 +226,7 @@ def aq_extremize(
     n = len(functional.coeffs)
     entries = np.zeros(n)
     entries[keep] = moment_matrix_from_solution(compiled, solution)[0]
-    behavior = from_collins_gisin(CGVector(functional.scenario, entries), EXTRACTION_TOL)
+    behavior = from_collins_gisin(functional.scenario, entries, EXTRACTION_TOL)
 
     target = np.zeros(n)
     target[keep] = compiled.target
@@ -273,9 +242,9 @@ def strictly_feasible_point(structure: MomentStructure) -> np.ndarray:
     is prod_k d^(-#distinct settings of party k in the word)."""
     d = structure.scenario.outcomes
     values = np.empty(len(structure.classes))
-    for idx, wc in enumerate(structure.classes):
+    for idx, word in enumerate(structure.classes):
         per_party: dict[int, set] = {}
-        for party, setting, _outcome in wc.word.letters:
+        for party, setting, _outcome in word.letters:
             per_party.setdefault(party, set()).add(setting)
         value = 1.0
         for settings in per_party.values():

@@ -82,9 +82,19 @@ def _result(value: float, tolerance: float) -> dict:
     return {"value": float(value), "tolerance": float(tolerance)}
 
 
+def _tol_ok(tol: float, positive: bool) -> bool:
+    """Whether ``--tol`` is finite and > 0 (``positive``) or >= 0; says why not."""
+    if np.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0):
+        return True
+    print(f"--tol must be finite and {'>' if positive else '>='} 0, got {tol}", file=sys.stderr)
+    return False
+
+
 def cmd_verify(args) -> int:
     started = time.monotonic()
     outdir = Path(args.out)
+    if not _tol_ok(args.tol, positive=False):
+        return EXIT_INPUT_ERROR
     raw = load_json(args.functional)
     functional = functional_from_json(raw)
     verdict = verify_nbf(functional, tol=args.tol)
@@ -108,6 +118,8 @@ def cmd_verify(args) -> int:
 def cmd_aq(args) -> int:
     started = time.monotonic()
     outdir = Path(args.out)
+    if not _tol_ok(args.tol, positive=True):
+        return EXIT_INPUT_ERROR
     raw = load_json(args.functional)
     functional = functional_from_json(raw)
     cfg = SolverConfig(gap_tol=args.tol)
@@ -150,6 +162,8 @@ def cmd_compose(args) -> int:
 def cmd_reproduce(args) -> int:
     started = time.monotonic()
     outdir = Path(args.out)
+    if not _tol_ok(args.tol, positive=True):
+        return EXIT_INPUT_ERROR
     cfg = SolverConfig(gap_tol=args.tol)
     first, second, outer = reference_functionals()
     verdicts = {
@@ -193,6 +207,9 @@ def cmd_perturb(args) -> int:
     outdir = Path(args.out)
     if not 0.0 <= args.epsilon <= 0.01:
         print("epsilon must lie in [0, 0.01]", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.trials < 1:
+        print("trials must be at least 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
     cfg = SolverConfig()
     first, second, outer = reference_functionals()

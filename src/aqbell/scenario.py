@@ -2,9 +2,11 @@
 
 Behaviors are dense conditional-probability tables with axes
 ``(x_1, ..., x_n, a_1, ..., a_n)`` (settings outer, outcomes inner).  The
-Collins-Gisin vector of a no-signalling behavior collects its marginals on
-the monomial basis of :mod:`aqbell.algebra` (last outcome dropped per
-party/setting); the map is a linear bijection on the no-signalling subspace.
+monomial basis (products of at most one projector letter per party, last
+outcome of every setting dropped) and the maps between tables and
+Collins-Gisin coordinates are built once per scenario by :func:`basis`.
+The Collins-Gisin vector of a no-signalling behavior collects its marginals
+on that basis; the map is a linear bijection on the no-signalling subspace.
 Bell functionals are stored as real coefficient vectors over the same basis,
 with the constant term at index 0.
 """
@@ -14,11 +16,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from . import algebra
 from .errors import (
     NegativityError,
     NormalizationError,
@@ -102,22 +103,6 @@ class Behavior:
 
 
 @dataclass(frozen=True, eq=False)
-class CGVector:
-    """Projection of a behavior onto the monomial basis (entry 0 = 1)."""
-
-    scenario: Scenario
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.shape != (basis_size(self.scenario),):
-            raise ValueError("entry count does not match the monomial basis")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class BellFunctional:
     """Real coefficients over the monomial basis; index 0 is the constant."""
 
@@ -133,63 +118,75 @@ class BellFunctional:
         object.__setattr__(self, "coeffs", arr)
 
 
-@lru_cache(maxsize=None)
-def _cg_maps(scenario: Scenario):
-    """Basis bookkeeping plus the two linear maps between tables and the
-    Collins-Gisin coordinates.
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Monomial basis of a scenario and its Collins-Gisin maps.
 
-    ``tmat`` (N_cg x N_table) extracts CG entries as marginal sums (parties
-    absent from a monomial are read at setting 0, which no-signalling makes
-    irrelevant).  ``lmat`` (N_table x N_cg) rebuilds the full table through
-    the inclusion-exclusion expansion of the dropped outcomes, and satisfies
-    ``tmat @ lmat == I`` on the nose.
+    ``monomials`` are ordered identity first, then graded by letter count,
+    then lexicographic by (party, setting, outcome); ``index`` inverts that
+    order and ``settings`` is the (N, parties) setting of each monomial's
+    letter of each party, -1 where it has none.  ``tmat`` (N x N_table)
+    extracts CG entries as marginal sums (parties absent from a monomial are
+    read at setting 0, which no-signalling makes irrelevant).  ``lmat``
+    (N_table x N) rebuilds the full table through the inclusion-exclusion
+    expansion of the dropped outcomes, and ``tmat @ lmat == I`` on the nose.
     """
-    basis = algebra.basis_monomials(scenario)
-    index_of = {mono: i for i, mono in enumerate(basis)}
-    n = scenario.parties
-    d = scenario.outcomes
-    shape = scenario.table_shape
-    tsize = scenario.table_size
 
-    tmat = np.zeros((len(basis), tsize))
-    for row, mono in enumerate(basis):
-        fixed = {party: (setting, outcome) for party, setting, outcome in mono}
-        settings = tuple(fixed[k][0] if k in fixed else 0 for k in range(n))
-        free = [k for k in range(n) if k not in fixed]
-        for combo in itertools.product(range(d), repeat=len(free)):
-            outcomes = [0] * n
-            for k in fixed:
-                outcomes[k] = fixed[k][1]
-            for k, a in zip(free, combo):
-                outcomes[k] = a
-            tmat[row, np.ravel_multi_index(settings + tuple(outcomes), shape)] = 1.0
+    monomials: tuple
+    index: dict
+    settings: np.ndarray
+    tmat: np.ndarray
+    lmat: np.ndarray
 
-    lmat = np.zeros((tsize, len(basis)))
-    for flat in range(tsize):
-        idx = np.unravel_index(flat, shape)
-        settings, outcomes = idx[:n], idx[n:]
-        dropped = [k for k in range(n) if outcomes[k] == d - 1]
-        kept = [(k, settings[k], outcomes[k]) for k in range(n) if outcomes[k] != d - 1]
-        choices = [[None] + [(k, settings[k], a) for a in range(d - 1)] for k in dropped]
-        for combo in itertools.product(*choices):
-            extra = [c for c in combo if c is not None]
-            sign = -1.0 if len(extra) % 2 else 1.0
-            mono = tuple(sorted(kept + extra))
-            lmat[flat, index_of[mono]] += sign
 
-    return basis, index_of, tmat, lmat
+@lru_cache(maxsize=None)
+def basis(scenario: Scenario) -> Basis:
+    """The scenario's basis record, built from per-party factors.
+
+    Party k's options are "no letter" then (setting x, outcome a) at
+    1 + x(d-1) + a; its table index is x*d + a.  Both maps factor over
+    parties, so each is one Kronecker product of per-party factors,
+    permuted from the party-interleaved orders into basis and table order.
+    """
+    n, d = scenario.parties, scenario.outcomes
+    letters, setting_cols, t_factors, l_factors = [], [], [], []
+    for party, m in enumerate(scenario.settings):
+        options = [None] + [(party, x, a) for x in range(m) for a in range(d - 1)]
+        letters.append(options)
+        setting_cols.append(np.array([-1] + [x for x in range(m) for _ in range(d - 1)]))
+        t = np.zeros((len(options), m * d))
+        t[0, :d] = 1.0  # absent party: setting 0, summed over outcomes
+        l = np.zeros((m * d, len(options)))
+        for x in range(m):
+            l[x * d + d - 1, 0] = 1.0
+            for a in range(d - 1):
+                option = 1 + x * (d - 1) + a
+                t[option, x * d + a] = 1.0
+                l[x * d + a, option] = 1.0
+                l[x * d + d - 1, option] = -1.0  # last outcome = 1 - sum of the kept ones
+        t_factors.append(t)
+        l_factors.append(l)
+
+    products = [tuple(c for c in combo if c is not None) for combo in itertools.product(*letters)]
+    order = sorted(range(len(products)), key=lambda i: (len(products[i]), products[i]))
+    monomials = tuple(products[i] for i in order)
+    # table position (x_1..x_n, a_1..a_n) -> its party-interleaved position
+    interleaved = np.arange(scenario.table_size).reshape(
+        tuple(v for m in scenario.settings for v in (m, d))
+    )
+    table_order = interleaved.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).ravel()
+    grid = np.meshgrid(*setting_cols, indexing="ij")
+    settings = np.stack([g.ravel() for g in grid], axis=1)[order]
+    # C-contiguous, so that products with these maps take one BLAS path
+    tmat = np.ascontiguousarray(reduce(np.kron, t_factors)[np.ix_(order, table_order)])
+    lmat = np.ascontiguousarray(reduce(np.kron, l_factors)[np.ix_(table_order, order)])
+    for arr in (settings, tmat, lmat):
+        arr.setflags(write=False)
+    return Basis(monomials, {mono: i for i, mono in enumerate(monomials)}, settings, tmat, lmat)
 
 
 def basis_size(scenario: Scenario) -> int:
-    return len(_cg_maps(scenario)[0])
-
-
-def scenario_basis(scenario: Scenario) -> list:
-    return list(_cg_maps(scenario)[0])
-
-
-def monomial_index(scenario: Scenario, mono) -> int:
-    return _cg_maps(scenario)[1][tuple(tuple(letter) for letter in mono)]
+    return len(basis(scenario).monomials)
 
 
 def behavior_from_table(scenario: Scenario, table, tol: ToleranceConfig | None = None) -> Behavior:
@@ -227,20 +224,23 @@ def behavior_from_table(scenario: Scenario, table, tol: ToleranceConfig | None =
     return Behavior(scenario, arr)
 
 
-def to_collins_gisin(behavior: Behavior) -> CGVector:
-    _, _, tmat, _ = _cg_maps(behavior.scenario)
-    return CGVector(behavior.scenario, tmat @ behavior.table.ravel())
+def to_collins_gisin(behavior: Behavior) -> np.ndarray:
+    """Collins-Gisin vector of a behavior (entry 0 = 1)."""
+    return basis(behavior.scenario).tmat @ behavior.table.ravel()
 
 
-def from_collins_gisin(vector: CGVector, tol: ToleranceConfig | None = None) -> Behavior:
+def from_collins_gisin(scenario: Scenario, entries, tol: ToleranceConfig | None = None) -> Behavior:
     """Rebuild the table; rejects vectors whose table turns negative."""
     tol = tol or DEFAULT_TOL
-    _, _, _, lmat = _cg_maps(vector.scenario)
-    table = (lmat @ vector.entries).reshape(vector.scenario.table_shape)
+    lmat = basis(scenario).lmat
+    entries = np.asarray(entries, dtype=float)
+    if entries.shape != (lmat.shape[1],):
+        raise ValueError("entry count does not match the monomial basis")
+    table = (lmat @ entries).reshape(scenario.table_shape)
     if table.min() < -tol.negativity:
         worst = np.unravel_index(np.argmin(table), table.shape)
         raise NegativityError(f"reconstructed entry {worst} is negative: {table[worst]:.3e}")
-    return behavior_from_table(vector.scenario, table, tol)
+    return behavior_from_table(scenario, table, tol)
 
 
 def unit_functional(scenario: Scenario) -> BellFunctional:
@@ -254,17 +254,16 @@ def functional_from_table(scenario: Scenario, table) -> BellFunctional:
     arr = np.asarray(table, dtype=float)
     if arr.shape != scenario.table_shape:
         raise ValueError(f"table shape {arr.shape} != {scenario.table_shape}")
-    _, _, _, lmat = _cg_maps(scenario)
-    return BellFunctional(scenario, lmat.T @ arr.ravel())
+    return BellFunctional(scenario, basis(scenario).lmat.T @ arr.ravel())
 
 
 def functional_from_terms(scenario: Scenario, terms: dict) -> BellFunctional:
     """Functional from a {monomial: coefficient} mapping (letters as triples)."""
-    _, index_of, _, _ = _cg_maps(scenario)
-    coeffs = np.zeros(basis_size(scenario))
+    index = basis(scenario).index
+    coeffs = np.zeros(len(index))
     for mono, value in terms.items():
         key = tuple(sorted(tuple(letter) for letter in mono))
-        coeffs[index_of[key]] += float(value)
+        coeffs[index[key]] += float(value)
     return BellFunctional(scenario, coeffs)
 
 
@@ -275,8 +274,8 @@ def representative_table(functional: BellFunctional) -> np.ndarray:
     outcomes, so any no-signalling behavior gives the same value as the
     monomial form.
     """
-    _, _, tmat, _ = _cg_maps(functional.scenario)
-    return (tmat.T @ functional.coeffs).reshape(functional.scenario.table_shape)
+    scenario = functional.scenario
+    return (basis(scenario).tmat.T @ functional.coeffs).reshape(scenario.table_shape)
 
 
 def evaluate(functional: BellFunctional, behavior: Behavior) -> float:
@@ -284,8 +283,7 @@ def evaluate(functional: BellFunctional, behavior: Behavior) -> float:
         raise ScenarioMismatchError(
             f"functional on {functional.scenario} applied to behavior on {behavior.scenario}"
         )
-    _, _, tmat, _ = _cg_maps(functional.scenario)
-    return float(functional.coeffs @ (tmat @ behavior.table.ravel()))
+    return float(functional.coeffs @ to_collins_gisin(behavior))
 
 
 def enumerate_deterministic(scenario: Scenario) -> list:
@@ -348,20 +346,20 @@ def scenario_from_json(obj: dict) -> Scenario:
     return Scenario(int(obj["parties"]), tuple(obj["settings"]), int(obj["outcomes"]))
 
 
-def _entries_from_vector(scenario, values, basis):
+def _entries_from_vector(scenario, values):
     entries = []
-    for mono, value in zip(basis, values):
+    for mono, value in zip(basis(scenario).monomials, values):
         if value != 0.0:
             entries.append({"monomial": [list(letter) for letter in mono], "coeff": float(value)})
     return entries
 
 
 def _vector_from_entries(scenario, entries):
-    _, index_of, _, _ = _cg_maps(scenario)
-    values = np.zeros(basis_size(scenario))
+    index = basis(scenario).index
+    values = np.zeros(len(index))
     for entry in entries:
         mono = tuple(sorted(tuple(int(i) for i in letter) for letter in entry["monomial"]))
-        values[index_of[mono]] += float(entry["coeff"])
+        values[index[mono]] += float(entry["coeff"])
     return values
 
 
@@ -399,8 +397,7 @@ def behavior_to_json(behavior: Behavior, fmt: str = "full") -> dict:
     if fmt == "full":
         entries = _full_entries(scenario, behavior.table)
     elif fmt == "collins_gisin":
-        basis = scenario_basis(scenario)
-        entries = _entries_from_vector(scenario, to_collins_gisin(behavior).entries, basis)
+        entries = _entries_from_vector(scenario, to_collins_gisin(behavior))
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return {"scenario": scenario_to_json(scenario), "format": fmt, "entries": entries}
@@ -412,17 +409,16 @@ def behavior_from_json(obj: dict, tol: ToleranceConfig | None = None) -> Behavio
     if fmt == "full":
         return behavior_from_table(scenario, _table_from_full_entries(scenario, obj["entries"]), tol)
     if fmt == "collins_gisin":
-        return from_collins_gisin(CGVector(scenario, _vector_from_entries(scenario, obj["entries"])), tol)
+        return from_collins_gisin(scenario, _vector_from_entries(scenario, obj["entries"]), tol)
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def functional_to_json(functional: BellFunctional) -> dict:
     scenario = functional.scenario
-    basis = scenario_basis(scenario)
     return {
         "scenario": scenario_to_json(scenario),
         "format": "collins_gisin",
-        "entries": _entries_from_vector(scenario, functional.coeffs, basis),
+        "entries": _entries_from_vector(scenario, functional.coeffs),
     }
 
 

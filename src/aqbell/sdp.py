@@ -34,13 +34,15 @@ class SdpStatus(str, Enum):
     NUMERICAL_TROUBLE = "numerical_trouble"
 
 
+STEP_FRACTION = 0.98  # fraction-to-boundary step control
+RAY_THRESHOLD = 1e8  # iterate norm, relative to the start, that signals an infeasibility ray
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-9
     max_iters: int = 200
-    step_fraction: float = 0.98
-    ray_threshold: float = 1e8
     dim_guard: int = 512
 
 
@@ -269,7 +271,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
         # divergence: look for an improving ray before giving up
         y_norm = float(np.abs(y).max()) if m else 0.0
-        if y_norm > cfg.ray_threshold * (1.0 + init_scale):
+        if y_norm > RAY_THRESHOLD * (1.0 + init_scale):
             ray = y / y_norm
             s_ray = -(a_op.T @ ray).reshape(n, n)
             if b @ ray > 1e-3 and _eig_min(s_ray) > -1e-6:
@@ -281,7 +283,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 message = "diverging dual iterates"
             break
         x_norm = float(np.abs(x).max())
-        if x_norm > cfg.ray_threshold * (1.0 + init_scale):
+        if x_norm > RAY_THRESHOLD * (1.0 + init_scale):
             ray = x / x_norm
             ray_feas = float(np.linalg.norm(a_op @ ray.ravel()))
             if -np.vdot(c, ray) > 1e-3 and ray_feas < 1e-6:
@@ -329,8 +331,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             return dy, dx, ds
 
         dy_aff, dx_aff, ds_aff = newton(0.0, None)
-        alpha_p = min(1.0, cfg.step_fraction * _max_step(chol_x, dx_aff))
-        alpha_d = min(1.0, cfg.step_fraction * _max_step(chol_s, ds_aff))
+        alpha_p = min(1.0, STEP_FRACTION * _max_step(chol_x, dx_aff))
+        alpha_d = min(1.0, STEP_FRACTION * _max_step(chol_s, ds_aff))
         mu_aff = float(np.vdot(x + alpha_p * dx_aff, s + alpha_d * ds_aff)) / n
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(rel.primal, rel.dual) > cfg.feas_tol:
@@ -339,8 +341,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             sigma = max(sigma, 1e-3)
 
         dy, dx, ds = newton(sigma * mu, dx_aff @ ds_aff)
-        alpha_p = min(1.0, cfg.step_fraction * _max_step(chol_x, dx))
-        alpha_d = min(1.0, cfg.step_fraction * _max_step(chol_s, ds))
+        alpha_p = min(1.0, STEP_FRACTION * _max_step(chol_x, dx))
+        alpha_d = min(1.0, STEP_FRACTION * _max_step(chol_s, ds))
 
         # eigenvalue roundoff can overshoot the cone boundary; back off until
         # the stepped iterate factors

@@ -28,11 +28,12 @@ from .scenario import (
     Behavior,
     BellFunctional,
     ToleranceConfig,
-    _cg_maps,
+    basis,
     behavior_from_table,
     evaluate,
     make_scenario,
     representative_table,
+    to_collins_gisin,
 )
 from .sdp import SdpProblem, SdpStatus, SolverConfig, solve
 
@@ -40,6 +41,8 @@ PAIR_SCENARIO = make_scenario(2, 3, 2)
 OUTER_SCENARIO = make_scenario(2, 2, 2)
 # tolerance for the synthetic two-party box assembled from solver output
 _STEP_TOL = ToleranceConfig(normalization=1e-6, negativity=1e-6, signalling=1e-6)
+STALL_SWEEPS = 3  # a restart stops when its last this-many sweeps together gain < improvement_threshold
+RANDOM_NOISE = 0.02  # init_v="random": noise radius around the bundled anchor
 
 
 def _seesaw_solver_config() -> SolverConfig:
@@ -54,11 +57,9 @@ class SeesawConfig:
     restarts: int = 20
     max_sweeps: int = 60
     improvement_threshold: float = 1e-7
-    stall_sweeps: int = 3
     seed: int = 0
     init_v: str = "reference"  # "reference" | "random"
     target_value: float = -0.001
-    random_noise: float = 0.02  # init_v="random": noise radius around the bundled anchor
     solver: SolverConfig = field(default_factory=_seesaw_solver_config)
     workers: int | None = None  # None: read AQ_NR_THREADS, default 1
 
@@ -105,7 +106,7 @@ def _slice_cg_vectors(p: Behavior):
     """Collins-Gisin vectors of the unnormalized two-party boxes obtained by
     pinning the third party's outcome c and outer setting z; entry 0 is
     p_C(c|z)."""
-    _, _, tmat, _ = _cg_maps(PAIR_SCENARIO)
+    tmat = basis(PAIR_SCENARIO).tmat
     d = p.scenario.outcomes
     vectors = {}
     for c in range(d):
@@ -204,9 +205,7 @@ def _effective_pair_box(p: Behavior, fam: NbfFamily) -> Behavior:
 
 def _optimize_outer(p: Behavior, fam: NbfFamily, config):
     structure = build_moment_structure(OUTER_SCENARIO)
-    box = _effective_pair_box(p, fam)
-    _, _, tmat, _ = _cg_maps(OUTER_SCENARIO)
-    objective = tmat @ box.table.ravel()
+    objective = to_collins_gisin(_effective_pair_box(p, fam))
     solution = solve(_cone_pair_problem(structure, [objective]), config)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
@@ -234,10 +233,10 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
 # --- initialization ----------------------------------------------------------
 
 
-def _initial_blocks(rng: np.random.Generator, init_v: str, noise: float):
+def _initial_blocks(rng: np.random.Generator, init_v: str):
     """"reference" starts at the bundled point (deterministic monotone
     refinement).  "random" draws every block coefficient uniformly within
-    ``noise`` of the bundled anchor: uninformed starts (wiring mixtures,
+    ``RANDOM_NOISE`` of the bundled anchor: uninformed starts (wiring mixtures,
     random cone points, structured supports) all collapse onto the flat
     zero plateau of the figure of merit, because the outer step can only go
     negative once the effective two-party box leaves the almost-quantum
@@ -251,7 +250,7 @@ def _initial_blocks(rng: np.random.Generator, init_v: str, noise: float):
     elif init_v == "random":
         first, second, anchor_outer = reference_functionals()
         drawn = [
-            BellFunctional(f.scenario, f.coeffs + rng.uniform(-noise, noise, f.coeffs.shape))
+            BellFunctional(f.scenario, f.coeffs + rng.uniform(-RANDOM_NOISE, RANDOM_NOISE, f.coeffs.shape))
             for f in (first, second, anchor_outer)
         ]
         fam = NbfFamily.two_outcome(drawn[:2])
@@ -266,7 +265,7 @@ def _initial_blocks(rng: np.random.Generator, init_v: str, noise: float):
 
 def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
     rng = np.random.default_rng(seed_seq)
-    fam, outer = _initial_blocks(rng, cfg.init_v, cfg.random_noise)
+    fam, outer = _initial_blocks(rng, cfg.init_v)
     sweep_values: list = []
     step_values: list = []
     behavior = None
@@ -282,9 +281,8 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
             sweep_values.append(value_v)
             if value_v <= cfg.target_value:
                 break
-            window = cfg.stall_sweeps
-            if len(sweep_values) > window and (
-                sweep_values[-window - 1] - sweep_values[-1] < cfg.improvement_threshold
+            if len(sweep_values) > STALL_SWEEPS and (
+                sweep_values[-STALL_SWEEPS - 1] - sweep_values[-1] < cfg.improvement_threshold
             ):
                 break
         composed = compose_on_reference_layout(outer, fam)
@@ -331,6 +329,8 @@ def run(cfg: SeesawConfig) -> SeesawTrace:
     """
     if cfg.restarts <= 0:
         raise NoWorkError("seesaw run requested with zero restarts")
+    if cfg.max_sweeps < 1:
+        raise NoWorkError("seesaw run requested with zero sweeps")
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     workers = _resolve_workers(cfg)
     outcomes: list = []

@@ -1,17 +1,17 @@
 import itertools
+import math
 
 import pytest
 
 from aqbell import algebra
-from aqbell.algebra import ZERO, CanonicalWord, adjoint, basis_monomials, canonicalize, word_classes
-from aqbell.scenario import make_scenario
+from aqbell.algebra import ZERO, CanonicalWord, adjoint, canonicalize, word_classes
+from aqbell.scenario import Scenario, basis, make_scenario
 
 
 def test_basis_sizes_and_order():
-    assert len(basis_monomials(make_scenario(2, 3, 2))) == 16
-    assert len(basis_monomials(make_scenario(3, 3, 2))) == 64
-    basis = basis_monomials(make_scenario(2, 2, 2))
-    assert basis == [
+    assert len(basis(make_scenario(2, 3, 2)).monomials) == 16
+    assert len(basis(make_scenario(3, 3, 2)).monomials) == 64
+    assert basis(make_scenario(2, 2, 2)).monomials == (
         (),
         ((0, 0, 0),),
         ((0, 1, 0),),
@@ -21,13 +21,23 @@ def test_basis_sizes_and_order():
         ((0, 0, 0), (1, 1, 0)),
         ((0, 1, 0), (1, 0, 0)),
         ((0, 1, 0), (1, 1, 0)),
-    ]
+    )
+    # the index and the settings table read the same order
+    for scn in (make_scenario(2, 2, 2), Scenario(3, (1, 2, 3), 3)):
+        b = basis(scn)
+        assert b.index == {mono: i for i, mono in enumerate(b.monomials)}
+        for mono, row in zip(b.monomials, b.settings):
+            expected = [-1] * scn.parties
+            for party, setting, _outcome in mono:
+                expected[party] = setting
+            assert list(row) == expected
 
 
 def test_basis_size_formula():
-    for n, m, d in [(1, 4, 3), (2, 2, 4), (3, 2, 2)]:
-        scn = make_scenario(n, m, d)
-        assert len(basis_monomials(scn)) == (1 + m * (d - 1)) ** n
+    uniform = [make_scenario(n, m, d) for n, m, d in [(1, 4, 3), (2, 2, 4), (3, 2, 2)]]
+    for scn in uniform + [Scenario(2, (2, 3), 3), Scenario(3, (1, 2, 3), 3)]:
+        d = scn.outcomes
+        assert len(basis(scn).monomials) == math.prod(1 + m * (d - 1) for m in scn.settings)
 
 
 def test_canonicalize_idempotence():
@@ -95,9 +105,9 @@ def _party_order_interleavings(u, v):
 
 def test_canonicalize_matches_reference_engine():
     scn = make_scenario(2, 3, 2)
-    basis = basis_monomials(scn)
-    for u in basis:
-        for v in basis:
+    monomials = basis(scn).monomials
+    for u in monomials:
+        for v in monomials:
             expected = canonicalize(u, v)
             for shuffled in _party_order_interleavings(u, v):
                 reduced = _engine_reduce(shuffled)
@@ -109,10 +119,10 @@ def test_canonicalize_matches_reference_engine():
 
 def test_reference_engine_orthogonality_case():
     scn = make_scenario(2, 2, 3)
-    basis = basis_monomials(scn)
+    monomials = basis(scn).monomials
     classes, zero_cells = word_classes(scn)
     for i, j in zero_cells:
-        u, v = basis[i], basis[j]
+        u, v = monomials[i], monomials[j]
         # zero exactly when some party carries one setting with two outcomes
         per_party = {}
         for letter in u + v:
@@ -123,29 +133,29 @@ def test_reference_engine_orthogonality_case():
 
 
 def test_word_classes_partition(scn232=make_scenario(2, 3, 2)):
-    basis = basis_monomials(scn232)
+    monomials = basis(scn232).monomials
     classes, zero_cells = word_classes(scn232)
     covered = set(zero_cells)
     for cells in classes.values():
         for cell in cells:
             assert cell not in covered
             covered.add(cell)
-    assert len(covered) == len(basis) ** 2
+    assert len(covered) == len(monomials) ** 2
     assert next(iter(classes)) == algebra.IDENTITY
 
 
 def test_word_classes_examples():
     scn = make_scenario(2, 2, 2)
-    basis = basis_monomials(scn)
+    monomials = basis(scn).monomials
     classes, _ = word_classes(scn)
-    idx = {mono: i for i, mono in enumerate(basis)}
+    idx = {mono: i for i, mono in enumerate(monomials)}
     pair_class = None
     for cells in classes.values():
         if (idx[((0, 0, 0),)], idx[((1, 0, 0),)]) in cells:
             pair_class = cells
     assert (0, idx[((0, 0, 0), (1, 0, 0))]) in pair_class
     # every diagonal cell reduces to its own monomial's class
-    for j, mono in enumerate(basis):
+    for j, mono in enumerate(monomials):
         word = canonicalize((), mono)
         assert (j, j) in classes[word]
         assert (0, j) in classes[word]
@@ -161,11 +171,11 @@ def test_adjoint_involution():
 def _family_instances(scn):
     """Direct enumeration of the two substitution-rule families: cells tied
     to each other by cancelling one same-setting projector on one side."""
-    basis = basis_monomials(scn)
-    idx = {mono: i for i, mono in enumerate(basis)}
+    monomials = basis(scn).monomials
+    idx = {mono: i for i, mono in enumerate(monomials)}
     pairs = []
     for party in range(scn.parties):
-        others = [mono for mono in basis if all(l[0] != party for l in mono)]
+        others = [mono for mono in monomials if all(l[0] != party for l in mono)]
         for z in range(scn.settings[party]):
             for c in range(scn.outcomes - 1):
                 letter = (party, z, c)
@@ -195,7 +205,7 @@ def test_generated_classes_contain_substitution_families(nmd):
 def test_families_plus_symmetry_generate_exactly_the_classes():
     # union-find over cells using only the explicit families and symmetry
     scn = make_scenario(2, 2, 2)
-    n = len(basis_monomials(scn))
+    n = len(basis(scn).monomials)
     parent = list(range(n * n))
 
     def find(i):

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from aqbell.algebra import basis_monomials, word_classes
+from aqbell.algebra import word_classes
 from aqbell.aqset import (
     aq_extremize,
     build_moment_structure,
     class_sums,
     compile_extremize,
     constraint_residual,
-    monomial_settings,
     moment_matrix_from_solution,
     restrict_to_touched,
     scatter,
@@ -21,6 +20,7 @@ from aqbell.seesaw import _cone_pair_problem
 from aqbell.scenario import (
     BellFunctional,
     Scenario,
+    basis,
     basis_size,
     evaluate,
     functional_from_terms,
@@ -63,12 +63,12 @@ def test_problems_match_per_class_loop(spec, slots, rng):
     # reference: every stack row and objective cell written class by class
     # from the word partition itself
     scn = make_scenario(*spec)
-    basis = basis_monomials(scn)
+    monomials = list(basis(scn).monomials)
     class_map, _ = word_classes(scn)
     cells = [tuple(zip(*class_cells)) for class_cells in class_map.values()]
-    mono = [basis.index(w.letters) if w.letters in basis else None for w in class_map]
+    mono = [monomials.index(w.letters) if w.letters in monomials else None for w in class_map]
     class_of = {j: k for k, j in enumerate(mono) if j is not None}
-    n, n_classes = len(basis), len(cells)
+    n, n_classes = len(monomials), len(cells)
     st = build_moment_structure(scn)
 
     f = BellFunctional(scn, rng.uniform(-1, 1, n))
@@ -258,7 +258,7 @@ def assert_matches_full_solve(f, sense, ext, dropped):
 @pytest.mark.parametrize("spec", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
 def test_pruned_extremum_matches_full_solve(spec, sense, rng):
     scn = make_scenario(*spec)
-    settings = monomial_settings(scn)
+    settings = basis(scn).settings
     for party in range(scn.parties):
         setting = int(rng.integers(scn.settings[party]))
         f = BellFunctional(scn, rng.uniform(-1, 1, basis_size(scn)) * (settings[:, party] != setting))
@@ -267,7 +267,7 @@ def test_pruned_extremum_matches_full_solve(spec, sense, rng):
 
 def test_pruned_extremum_of_party_without_touched_setting(scn232, rng):
     # only Alice's letters carry coefficients: Bob keeps setting 0
-    f = BellFunctional(scn232, rng.uniform(-1, 1, basis_size(scn232)) * (monomial_settings(scn232)[:, 1] < 0))
+    f = BellFunctional(scn232, rng.uniform(-1, 1, basis_size(scn232)) * (basis(scn232).settings[:, 1] < 0))
     restricted, keep = restrict_to_touched(f)
     assert restricted.scenario.settings == (3, 1)
     assert np.array_equal(f.coeffs[keep], restricted.coeffs)

@@ -57,6 +57,10 @@ def test_verify_malformed_input(tmp_path):
     })
     assert run_cli("--out", tmp_path, "verify", nan_path) == 2
     assert run_cli("--out", tmp_path, "aq", "min", nan_path) == 2
+    # so is a tolerance that is not finite, or negative, or zero for a solve
+    assert run_cli("--out", tmp_path, "verify", nan_path, "--tol", "nan") == 2
+    assert run_cli("--out", tmp_path, "aq", "min", nan_path, "--tol", "-1") == 2
+    assert run_cli("--out", tmp_path, "reproduce", "--tol", "nan") == 2
 
 
 def test_aq_min_of_wiring(reference_dir, tmp_path):
@@ -101,6 +105,7 @@ def test_compose_explicit_inputs(reference_dir, tmp_path, composed_w):
 
 def test_seesaw_zero_restarts(tmp_path):
     assert run_cli("--out", tmp_path, "seesaw", "run", "--restarts", 0) == 2
+    assert run_cli("--out", tmp_path, "seesaw", "run", "--restarts", 1, "--sweeps", 0) == 2
 
 
 def test_seesaw_reference_run(tmp_path):
@@ -166,6 +171,8 @@ def test_perturb_zero_epsilon_matches_reproduce(tmp_path, headline):
 
 def test_perturb_epsilon_out_of_range(tmp_path):
     assert run_cli("--out", tmp_path, "perturb", "--epsilon", 0.5) == 2
+    # zero trials would report a claim checked on nothing
+    assert run_cli("--out", tmp_path, "perturb", "--epsilon", "1e-4", "--trials", 0) == 2
 
 
 def test_reports_replayable(reference_dir, tmp_path_factory):

@@ -63,7 +63,7 @@ def test_product_model_factorizes(scn222):
 
     model = product_model()
     behavior = behavior_from_model(model)
-    cg = to_collins_gisin(behavior).entries
+    cg = to_collins_gisin(behavior)
     basis = list(build_moment_structure(scn222).basis)
     part_a = sum(ca * cg[basis.index(mono)] for mono, ca in fa.items())
     part_b = sum(cb * cg[basis.index(mono)] for mono, cb in fb.items())

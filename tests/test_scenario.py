@@ -12,8 +12,8 @@ from aqbell.errors import (
 )
 from aqbell.scenario import (
     BellFunctional,
-    CGVector,
-    _cg_maps,
+    Scenario,
+    basis,
     behavior_from_json,
     behavior_from_table,
     behavior_to_json,
@@ -74,14 +74,14 @@ def test_behavior_validation(scn222):
 def test_cg_white_noise(scn222):
     v = to_collins_gisin(uniform_behavior(scn222))
     expected = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25])
-    np.testing.assert_allclose(v.entries, expected, atol=1e-15)
+    np.testing.assert_allclose(v, expected, atol=1e-15)
 
 
 def test_cg_deterministic_all_zero(scn222):
     det = np.zeros(scn222.table_shape)
     det[:, :, 0, 0] = 1.0
     v = to_collins_gisin(behavior_from_table(scn222, det))
-    np.testing.assert_allclose(v.entries, np.ones(9), atol=1e-15)
+    np.testing.assert_allclose(v, np.ones(9), atol=1e-15)
 
 
 def test_cg_anticorrelated_box(scn222):
@@ -91,25 +91,29 @@ def test_cg_anticorrelated_box(scn222):
     table[:, :, 1, 0] = 0.5
     b = behavior_from_table(scn222, table)
     v = to_collins_gisin(b)
-    basis = _cg_maps(scn222)[0]
-    idx = basis.index(((0, 1, 0), (1, 1, 0)))
-    assert v.entries[idx] == 0.0  # p(00|11)
+    assert v[basis(scn222).index[((0, 1, 0), (1, 1, 0))]] == 0.0  # p(00|11)
+
+
+# per-party setting counts that differ, with three outcomes
+UNEVEN = (Scenario(2, (2, 3), 3), Scenario(3, (1, 2, 3), 3))
 
 
 def test_round_trip_identity_matrix():
-    for scn in (make_scenario(1, 1, 2), make_scenario(2, 2, 2), make_scenario(2, 3, 2), make_scenario(3, 3, 2)):
-        _, _, tmat, lmat = _cg_maps(scn)
-        np.testing.assert_allclose(tmat @ lmat, np.eye(tmat.shape[0]), atol=1e-13)
+    uniform = tuple(make_scenario(*spec) for spec in ((1, 1, 2), (2, 2, 2), (2, 3, 2), (3, 3, 2)))
+    for scn in uniform + UNEVEN:
+        b = basis(scn)
+        assert np.array_equal(b.tmat @ b.lmat, np.eye(len(b.monomials)))
 
 
 def test_round_trip_random_behaviors(rng):
     # vertex mixtures span the whole no-signalling subspace
     cases = [(make_scenario(2, 2, 2), 600), (make_scenario(2, 3, 2), 250), (make_scenario(3, 3, 2), 150)]
+    cases += [(scn, 40) for scn in UNEVEN]
     worst = 0.0
     for scn, count in cases:
         for _ in range(count):
             b = random_local_behavior(scn, rng)
-            back = from_collins_gisin(to_collins_gisin(b))
+            back = from_collins_gisin(scn, to_collins_gisin(b))
             worst = max(worst, float(np.abs(back.table - b.table).max()))
     assert worst < 1e-10
 
@@ -123,15 +127,17 @@ def test_round_trip_pr_box(scn222):
                     if (a + b) % 2 == (x & y):
                         table[x, y, a, b] = 0.5
     box = behavior_from_table(scn222, table)
-    back = from_collins_gisin(to_collins_gisin(box))
+    back = from_collins_gisin(scn222, to_collins_gisin(box))
     np.testing.assert_allclose(back.table, box.table, atol=1e-12)
 
 
 def test_from_cg_rejects_negative(scn222):
-    entries = to_collins_gisin(uniform_behavior(scn222)).entries.copy()
+    entries = to_collins_gisin(uniform_behavior(scn222))
     entries[5] = 0.9  # pair probability above its marginals
     with pytest.raises(NegativityError):
-        from_collins_gisin(CGVector(scn222, entries))
+        from_collins_gisin(scn222, entries)
+    with pytest.raises(ValueError):
+        from_collins_gisin(scn222, entries[:-1])
 
 
 def test_enumerate_counts():
