@@ -248,6 +248,11 @@ def cmd_perturb(args) -> int:
 
 def cmd_seesaw(args) -> int:
     started = time.monotonic()
+    # no value is <= nan, and a NaN target would reach the report as a bare
+    # NaN token that strict JSON parsers reject
+    if not np.isfinite(args.target):
+        print(f"--target must be finite, got {args.target}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     outdir = Path(args.out)
     cfg = SeesawConfig(
         restarts=args.restarts,

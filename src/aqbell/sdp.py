@@ -6,14 +6,28 @@ predictor-corrector steps in the HKM scaling direction, a dense Cholesky of
 the Schur complement, and fraction-to-boundary step control.  The dual pair
 is  max b.y  s.t.  S = C - sum_i y_i A_i >= 0.
 
-The constraints enter the solver as one sparse operator, built once per
-solve from the nonzeros of every block: a CSR matrix with one row per
-constraint over the vectorized cells of the joint matrix, so that applying
-A or its adjoint costs O(nnz).  The Schur complement is assembled from the
-same operator viewed as (m*n, n) rows (Fujisawa, Kojima & Nakata, Math.
-Program. 79, 1997); no dense copy of the constraints is made.  The
-moment-matrix problems produced by :mod:`aqbell.aqset` have a handful of
-nonzeros per constraint, which is where the solver spends its time.
+The iterates X, S and S^{-1} are kept per block, never as one joint matrix
+(Borchers, CSDP, Optim. Methods Softw. 11, 1999).  Blocks of equal size form
+a group, stored as one (k, n_b, n_b) stack, so that products, Cholesky
+factorizations and eigenvalues broadcast over the group.  A step length is
+the minimum over the blocks, and a backtracked step is accepted only when
+every block factors.  Residuals, mu and the infeasibility rays are sums or
+extrema over the groups.
+
+The constraints enter the solver as one sparse operator per group, built
+once per solve from the nonzeros of its blocks: a CSR matrix with one row per
+constraint over the vectorized cells of the group's blocks, so that applying
+A or its adjoint costs O(nnz).  The Schur complement
+M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}> is summed over the groups (Fujisawa,
+Kojima & Nakata, Math. Program. 79, 1997).  Within a group, the same operator
+viewed as rows (j, l, r) over columns (l, c) forms A_j^l S_l^{-1} in one
+sparse product, one broadcast product applies X, and the operator contracts
+the result.  This runs over chunks of constraints j, so that the X A S^{-1}
+products are still in cache when they are contracted; no dense copy of the
+constraints is made.  Inside the loop the triangular and Cholesky solves call
+LAPACK (``dtrtrs``, ``dpotrs``) directly, without scipy's validating
+wrappers; a non-finite iterate is caught by the residual check instead and
+ends the solve as ``numerical_trouble``.
 """
 from __future__ import annotations
 
@@ -21,8 +35,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .errors import SizeGuardError
 
@@ -36,6 +50,7 @@ class SdpStatus(str, Enum):
 
 STEP_FRACTION = 0.98  # fraction-to-boundary step control
 RAY_THRESHOLD = 1e8  # iterate norm, relative to the start, that signals an infeasibility ray
+SCHUR_CHUNK_BYTES = 1 << 19  # X A S^{-1} products assembled at once, per group
 
 
 @dataclass(frozen=True)
@@ -53,7 +68,7 @@ class SdpProblem:
     ``a_stacks[l]`` holds the block-l component of every constraint as an
     (m, n_l, n_l) array; 1x1 blocks act as nonnegative scalar variables.
     This dense per-block form is the input format only: :func:`solve` reads
-    its nonzeros into one sparse operator.
+    its nonzeros into one sparse operator per group of equal-size blocks.
     """
 
     block_dims: tuple
@@ -103,18 +118,6 @@ class SdpProblem:
     def num_constraints(self) -> int:
         return self.b.size
 
-    def block_offsets(self):
-        offsets = [0]
-        for n_l in self.block_dims:
-            offsets.append(offsets[-1] + n_l)
-        return offsets
-
-    def split_blocks(self, joint: np.ndarray):
-        out = []
-        for off, n_l in zip(self.block_offsets(), self.block_dims):
-            out.append(joint[off : off + n_l, off : off + n_l].copy())
-        return out
-
 
 @dataclass(frozen=True)
 class Residuals:
@@ -137,29 +140,107 @@ class SdpSolution:
     message: str = ""
 
 
-def _eig_min(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """The k blocks of one size n_b, and the constraints restricted to them.
+
+    ``op`` is (m, k*n_b*n_b): row i holds A_i^l for every block l of the
+    group, vectorized row-major; ``op_t`` is its transpose, for the adjoint.
+    ``row_chunks`` split the same operator, viewed as (m*k*n_b, k*n_b), into
+    runs of constraints: row (i, l, r) is row r of A_i^l in block l's
+    columns, so that a chunk times the stacked S_l^{-1} gives its
+    A_i^l S_l^{-1}."""
+
+    blocks: tuple
+    size: int
+    op: sp.csr_matrix
+    op_t: sp.csr_matrix
+    row_chunks: tuple
+
+    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+        """The group's term of the Schur complement: column j holds
+        sum_l <A_i^l, X_l A_j^l S_l^{-1}> for every i.  It is assembled a
+        chunk of constraints j at a time, so that the X A S^{-1} products are
+        still in cache when they are contracted."""
+        s_stack = s_inv.reshape(-1, self.size)
+        cells = self.op.shape[1]
+        terms = []
+        for rows in self.row_chunks:
+            t = x @ (rows @ s_stack).reshape(-1, *x.shape)
+            terms.append(self.op @ t.reshape(-1, cells).T)
+        return np.concatenate(terms, axis=1)
 
 
-def _max_step(chol_lower: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha with P + alpha*D >= 0, given the Cholesky factor of P."""
-    t = sla.solve_triangular(chol_lower, direction, lower=True)
-    w = sla.solve_triangular(chol_lower, t.T, lower=True).T
-    lam = float(np.linalg.eigvalsh(0.5 * (w + w.T)).min())
+def _row_pointer(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """CSR row pointer of nonzeros sorted by row."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_rows))))
+
+
+def _block_groups(problem: SdpProblem) -> list:
+    """Group the blocks by size, in order of first appearance."""
+    by_size: dict = {}
+    for l, n_l in enumerate(problem.block_dims):
+        by_size.setdefault(n_l, []).append(l)
+    m = problem.num_constraints
+    groups = []
+    for nb, blocks in by_size.items():
+        k = len(blocks)
+        parts = []
+        for p, l in enumerate(blocks):
+            flat = problem.a_stacks[l].reshape(m, -1)
+            i, cell = np.nonzero(flat)
+            parts.append((i, p * nb * nb + cell, flat[i, cell]))
+        # row-major order: by constraint, then block, then cell
+        rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        op = sp.csr_matrix((vals, cols, _row_pointer(rows, m)), shape=(m, k * nb * nb))
+        # the same nonzeros at rows (i, l, r), columns (l, c): still row-major
+        block, r, c = cols // (nb * nb), cols // nb % nb, cols % nb
+        row_rows, row_cols = (rows * k + block) * nb + r, block * nb + c
+        row_ptr = _row_pointer(row_rows, m * k * nb)
+        row_op = sp.csr_matrix((vals, row_cols, row_ptr), shape=(m * k * nb, k * nb))
+        per_chunk = max(1, SCHUR_CHUNK_BYTES // (8 * k * nb * nb))
+        chunks = tuple(row_op[j * k * nb : (j + per_chunk) * k * nb] for j in range(0, m, per_chunk))
+        groups.append(_Group(tuple(blocks), nb, op, op.T.tocsr(), chunks))
+    return groups
+
+
+def _sym(z: np.ndarray) -> np.ndarray:
+    return 0.5 * (z + z.transpose(0, 2, 1))
+
+
+def _inner(us, vs) -> float:
+    """<U, V> summed over the groups' stacks."""
+    return sum(float(np.vdot(u, v)) for u, v in zip(us, vs))
+
+
+def _tri_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^{-1} rhs for a C-order lower factor L, by LAPACK directly: L.T is the
+    Fortran-order upper factor, solved transposed (scipy's own mapping)."""
+    return dtrtrs(chol.T, rhs, lower=0, trans=1)[0]
+
+
+def _max_step(chols, directions) -> float:
+    """Largest alpha with P + alpha*D >= 0 in every block, given the Cholesky
+    factors of P's blocks (both as per-group stacks)."""
+    lam = np.inf
+    for chol, direction in zip(chols, directions):
+        w = np.stack([_tri_solve(f, _tri_solve(f, d).T).T for f, d in zip(chol, direction)])
+        lam = min(lam, float(np.linalg.eigvalsh(_sym(w)).min()))
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
 
 
-def _backtrack_psd(mat: np.ndarray, direction: np.ndarray, alpha: float):
-    """Shrink the step until the iterate is Cholesky-positive; returns
-    (new_matrix, alpha_used) or None."""
+def _backtrack_psd(mats, directions, alpha: float):
+    """Shrink one step shared by every block until each block of the iterate
+    is Cholesky-positive; returns (new_stacks, their_factors, alpha_used) or
+    None."""
     for _ in range(40):
-        candidate = mat + alpha * direction
-        candidate = 0.5 * (candidate + candidate.T)
+        candidate = [_sym(z + alpha * d) for z, d in zip(mats, directions)]
         try:
-            np.linalg.cholesky(candidate)
-            return candidate, alpha
+            return candidate, [np.linalg.cholesky(z) for z in candidate], alpha
         except np.linalg.LinAlgError:
             alpha *= 0.5
             if alpha < 1e-16:
@@ -178,68 +259,62 @@ def _chol_with_jitter(mat: np.ndarray):
     return None
 
 
-def _constraint_operator(problem: SdpProblem) -> sp.csr_matrix:
-    """A as an (m, n*n) CSR matrix: row i is the joint constraint matrix A_i
-    vectorized row-major, read from the nonzeros of each block at its
-    offset on the diagonal."""
-    n, m = problem.total_dim, problem.num_constraints
-    rows, cols, vals = [], [], []
-    for off, stack in zip(problem.block_offsets(), problem.a_stacks):
-        k, i, j = np.nonzero(stack)
-        rows.append(k)
-        cols.append((off + i) * n + off + j)
-        vals.append(stack[k, i, j])
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, n * n))
-
-
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     cfg = config or SolverConfig()
     n = problem.total_dim
     if n > cfg.dim_guard:
         raise SizeGuardError(f"total dimension {n} exceeds guard {cfg.dim_guard}")
     m = problem.num_constraints
-    a_op = _constraint_operator(problem)
-    a_rows = a_op.reshape(m * n, n).tocsr()
-    c = sla.block_diag(*problem.c_blocks)
+    groups = _block_groups(problem)
+    c = [np.stack([problem.c_blocks[l] for l in g.blocks]) for g in groups]
     b = problem.b.copy()
 
+    def apply(mats):
+        """(<A_i, X>)_i for X given as per-group stacks."""
+        return sum(g.op @ z.ravel() for g, z in zip(groups, mats))
+
+    def adjoint(v):
+        """sum_i v_i A_i as per-group stacks."""
+        return [(g.op_t @ v).reshape(-1, g.size, g.size) for g in groups]
+
     norm_b = float(np.linalg.norm(b))
-    norm_c = float(np.linalg.norm(c))
-    a_norms = np.sqrt(np.asarray(a_op.multiply(a_op).sum(axis=1)).ravel())
+    norm_c = float(np.sqrt(_inner(c, c)))
+    a_norms = np.sqrt(sum(np.asarray(g.op.multiply(g.op).sum(axis=1)).ravel() for g in groups))
     tau_p = max(1.0, np.sqrt(n), n * float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms))))
     tau_d = max(1.0, np.sqrt(n), norm_c, float(a_norms.max()))
     init_scale = max(tau_p, tau_d)
 
-    x = tau_p * np.eye(n)
-    s = tau_d * np.eye(n)
+    eyes = [np.eye(g.size) for g in groups]
+    x = [tau_p * np.broadcast_to(e, (len(g.blocks),) + e.shape) for g, e in zip(groups, eyes)]
+    s = [tau_d * np.broadcast_to(e, (len(g.blocks),) + e.shape) for g, e in zip(groups, eyes)]
     y = np.zeros(m)
+    chol_x = [np.linalg.cholesky(z) for z in x]
+    chol_s = [np.linalg.cholesky(z) for z in s]
 
     def residuals(x, y, s):
-        rp = b - a_op @ x.ravel()
-        rd = c - s - (a_op.T @ y).reshape(n, n)
-        pobj = float(np.vdot(c, x))
+        rp = b - apply(x)
+        rd = [cg - sg - ag for cg, sg, ag in zip(c, s, adjoint(y))]
+        pobj = _inner(c, x)
         dobj = float(b @ y)
         rel = Residuals(
             primal=float(np.linalg.norm(rp)) / (1.0 + norm_b),
-            dual=float(np.linalg.norm(rd)) / (1.0 + norm_c),
+            dual=float(np.sqrt(_inner(rd, rd))) / (1.0 + norm_c),
             gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
         )
         return rd, pobj, dobj, rel
 
-    eye = np.eye(n)
     trace: list = []
     status = SdpStatus.NUMERICAL_TROUBLE
     message = f"no convergence within {cfg.max_iters} iterations"
     iterations = 0
     best_score = np.inf
-    best_iterate = (x.copy(), y.copy(), s.copy())
+    best_iterate = (x, y, s)  # iterates are replaced, never written in place
     stalled_since = 0
 
     for it in range(cfg.max_iters + 1):
         iterations = it
         rd, pobj, dobj, rel = residuals(x, y, s)
-        mu = float(np.vdot(x, s)) / n
+        mu = _inner(x, s) / n
         trace.append(
             {
                 "iteration": it,
@@ -252,6 +327,10 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             }
         )
 
+        if not np.all(np.isfinite((rel.primal, rel.dual, rel.gap, mu))):
+            message = "non-finite iterate"
+            break
+
         if rel.primal <= cfg.feas_tol and rel.dual <= cfg.feas_tol and rel.gap <= cfg.gap_tol:
             status = SdpStatus.OPTIMAL
             message = "converged"
@@ -260,7 +339,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         score = max(rel.primal, rel.dual, rel.gap)
         if score < 0.98 * best_score:
             best_score = score
-            best_iterate = (x.copy(), y.copy(), s.copy())
+            best_iterate = (x, y, s)
             stalled_since = 0
         else:
             stalled_since += 1
@@ -273,8 +352,9 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         y_norm = float(np.abs(y).max()) if m else 0.0
         if y_norm > RAY_THRESHOLD * (1.0 + init_scale):
             ray = y / y_norm
-            s_ray = -(a_op.T @ ray).reshape(n, n)
-            if b @ ray > 1e-3 and _eig_min(s_ray) > -1e-6:
+            s_ray = [-z for z in adjoint(ray)]
+            eig_min = min(float(np.linalg.eigvalsh(_sym(z)).min()) for z in s_ray)
+            if b @ ray > 1e-3 and eig_min > -1e-6:
                 status = SdpStatus.PRIMAL_INFEASIBLE
                 message = "dual improving ray found"
                 y = ray
@@ -282,11 +362,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             else:
                 message = "diverging dual iterates"
             break
-        x_norm = float(np.abs(x).max())
+        x_norm = max(float(np.abs(z).max()) for z in x)
         if x_norm > RAY_THRESHOLD * (1.0 + init_scale):
-            ray = x / x_norm
-            ray_feas = float(np.linalg.norm(a_op @ ray.ravel()))
-            if -np.vdot(c, ray) > 1e-3 and ray_feas < 1e-6:
+            ray = [z / x_norm for z in x]
+            ray_feas = float(np.linalg.norm(apply(ray)))
+            if -_inner(c, ray) > 1e-3 and ray_feas < 1e-6:
                 status = SdpStatus.DUAL_INFEASIBLE
                 message = "primal improving ray found"
                 x = ray
@@ -297,70 +377,73 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         if it == cfg.max_iters:
             break
 
-        try:
-            chol_x = np.linalg.cholesky(x)
-            chol_s = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            message = "iterate lost positive definiteness"
-            break
-        s_inv_half = sla.solve_triangular(chol_s, eye, lower=True)
-        s_inv = s_inv_half.T @ s_inv_half
+        # S^{-1} = L^{-T} L^{-1}; each stack holds the blocks' L^{-T}
+        s_inv_half_t = [np.stack([_tri_solve(f, e).T for f in chol]) for chol, e in zip(chol_s, eyes)]
+        s_inv = [h @ h.transpose(0, 2, 1) for h in s_inv_half_t]
 
-        # Schur complement M_ij = <A_i, X A_j S^{-1}>
-        t_stack = np.matmul(x, (a_rows @ s_inv).reshape(m, n, n))
-        schur = a_op @ t_stack.reshape(m, n * n).T
+        # Schur complement M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}>
+        schur = sum(g.schur(xg, sg) for g, xg, sg in zip(groups, x, s_inv))
         schur = 0.5 * (schur + schur.T)
         chol_m = _chol_with_jitter(schur)
         if chol_m is None:
             message = "Schur complement factorization failed"
             break
 
-        x_rd_sinv = x @ rd @ s_inv
+        x_rd_sinv = [xg @ rg @ sg for xg, rg, sg in zip(x, rd, s_inv)]
 
         def newton(sigma_mu, corr):
-            rhs_mat = x_rd_sinv if corr is None else x_rd_sinv + corr @ s_inv
-            rhs = b + a_op @ rhs_mat.ravel()
+            corr = corr or [None] * len(groups)
+            rhs_mat = [a if cg is None else a + cg @ sg for a, cg, sg in zip(x_rd_sinv, corr, s_inv)]
+            rhs = b + apply(rhs_mat)
             if sigma_mu != 0.0:
-                rhs = rhs - sigma_mu * (a_op @ s_inv.ravel())
-            dy = sla.cho_solve((chol_m, True), rhs)
-            ds = rd - (a_op.T @ dy).reshape(n, n)
-            dx = -x - (x @ ds if corr is None else x @ ds + corr) @ s_inv
-            if sigma_mu != 0.0:
-                dx = dx + sigma_mu * s_inv
-            dx = 0.5 * (dx + dx.T)
+                rhs = rhs - sigma_mu * apply(s_inv)
+            dy = dpotrs(chol_m.T, rhs, lower=0)[0]  # chol_m.T: the Fortran-order upper factor
+            ds = [rg - ag for rg, ag in zip(rd, adjoint(dy))]
+            dx = []
+            for xg, dsg, sg, cg in zip(x, ds, s_inv, corr):
+                d = -xg - (xg @ dsg if cg is None else xg @ dsg + cg) @ sg
+                if sigma_mu != 0.0:
+                    d = d + sigma_mu * sg
+                dx.append(_sym(d))
             return dy, dx, ds
 
         dy_aff, dx_aff, ds_aff = newton(0.0, None)
         alpha_p = min(1.0, STEP_FRACTION * _max_step(chol_x, dx_aff))
         alpha_d = min(1.0, STEP_FRACTION * _max_step(chol_s, ds_aff))
-        mu_aff = float(np.vdot(x + alpha_p * dx_aff, s + alpha_d * ds_aff)) / n
+        mu_aff = _inner(
+            [xg + alpha_p * d for xg, d in zip(x, dx_aff)], [sg + alpha_d * d for sg, d in zip(s, ds_aff)]
+        ) / n
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(rel.primal, rel.dual) > cfg.feas_tol:
             # keep a sliver of centrality so complementarity cannot hit the
             # boundary before feasibility has converged
             sigma = max(sigma, 1e-3)
 
-        dy, dx, ds = newton(sigma * mu, dx_aff @ ds_aff)
+        dy, dx, ds = newton(sigma * mu, [a @ d for a, d in zip(dx_aff, ds_aff)])
         alpha_p = min(1.0, STEP_FRACTION * _max_step(chol_x, dx))
         alpha_d = min(1.0, STEP_FRACTION * _max_step(chol_s, ds))
 
         # eigenvalue roundoff can overshoot the cone boundary; back off until
-        # the stepped iterate factors
+        # every block of the stepped iterate factors
         x_new = _backtrack_psd(x, dx, alpha_p)
         s_new = _backtrack_psd(s, ds, alpha_d)
         if x_new is None or s_new is None:
             message = "step backtracking failed"
             break
-        x, alpha_p = x_new
-        s, alpha_d = s_new
+        x, chol_x, alpha_p = x_new
+        s, chol_s, alpha_d = s_new
         y = y + alpha_d * dy
 
     _, pobj, dobj, rel = residuals(x, y, s)
+    x_blocks, s_blocks = [None] * len(problem.block_dims), [None] * len(problem.block_dims)
+    for g, xg, sg in zip(groups, x, s):
+        for p, l in enumerate(g.blocks):
+            x_blocks[l], s_blocks[l] = xg[p].copy(), sg[p].copy()
     return SdpSolution(
         status=status,
-        x_blocks=problem.split_blocks(x),
+        x_blocks=x_blocks,
         y=y,
-        s_blocks=problem.split_blocks(s),
+        s_blocks=s_blocks,
         primal_objective=pobj,
         dual_objective=dobj,
         residuals=rel,

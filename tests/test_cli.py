@@ -106,6 +106,10 @@ def test_compose_explicit_inputs(reference_dir, tmp_path, composed_w):
 def test_seesaw_zero_restarts(tmp_path):
     assert run_cli("--out", tmp_path, "seesaw", "run", "--restarts", 0) == 2
     assert run_cli("--out", tmp_path, "seesaw", "run", "--restarts", 1, "--sweeps", 0) == 2
+    # a target that is not finite is an input error, and writes no report
+    for target in ("nan", "inf", "-inf"):
+        assert run_cli("--out", tmp_path, "seesaw", "run", "--restarts", 1, "--sweeps", 1, f"--target={target}") == 2
+    assert not (tmp_path / "seesaw_run_report.json").exists()
 
 
 def test_seesaw_reference_run(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqbell import sdp
 from aqbell.errors import SizeGuardError
 from aqbell.sdp import (
     SdpProblem,
@@ -178,6 +179,27 @@ def test_certificate_detects_faults_in_second_block():
     assert not check_certificate(problem, s_fault).items[1].passed  # dual feasibility
 
 
+def test_non_finite_iterate_is_numerical_trouble(monkeypatch):
+    # a NaN in the upper triangle of a stepped iterate passes the Cholesky
+    # check of backtracking, which reads the lower triangle only; the solve
+    # must classify it instead of raising from a linear-algebra call
+    original = sdp._backtrack_psd
+    calls = []
+
+    def poisoned(*args):
+        out = original(*args)
+        calls.append(args)
+        if len(calls) == 3:  # the primal step of the second iteration
+            out[0][0].flat[1] = np.nan  # entry (0, 1) of the first block
+        return out
+
+    monkeypatch.setattr(sdp, "_backtrack_psd", poisoned)
+    sol = solve(multiblock_problem(), TIGHT)
+    assert len(calls) == 4  # the dual step of that iteration, then the check stops it
+    assert sol.status == SdpStatus.NUMERICAL_TROUBLE
+    assert sol.message == "non-finite iterate"
+
+
 def _random_psd(rng, n):
     g = rng.normal(size=(n, n))
     return g @ g.T + 0.5 * np.eye(n)
@@ -221,6 +243,46 @@ def test_random_multiblock_problems(block_dims, data, seed):
         if max(record["primal_residual"], record["dual_residual"]) <= 1e-9:
             scale = 1.0 + abs(record["primal_objective"]) + abs(record["dual_objective"])
             assert record["primal_objective"] >= record["dual_objective"] - 1e-7 * scale
+
+
+def test_block_order_does_not_matter():
+    # two 3x3 blocks share a size group, next to singleton sizes; reversing
+    # the blocks reorders the groups and the blocks within a group
+    problem = random_feasible_problem((3, 1, 3, 2), 8, seed=7)
+    perm = (3, 2, 1, 0)
+    permuted = SdpProblem(
+        tuple(problem.block_dims[l] for l in perm),
+        tuple(problem.c_blocks[l] for l in perm),
+        tuple(problem.a_stacks[l] for l in perm),
+        problem.b,
+    )
+    sol, sol_p = solve(problem, TIGHT), solve(permuted, TIGHT)
+    for prob, s in ((problem, sol), (permuted, sol_p)):
+        assert s.status == SdpStatus.OPTIMAL, s.message
+        report = check_certificate(prob, s)
+        assert report.passed, str(report)
+    # the two orders round differently, and each stops within the relative
+    # gap tolerance of the optimum; the iterates near it are only accurate to
+    # about the square root of that gap.  A block scattered to the wrong
+    # place would be off by O(1).
+    scale = 1.0 + abs(sol.primal_objective)
+    assert abs(sol.primal_objective - sol_p.primal_objective) <= 1e-9 * scale
+    assert abs(sol.dual_objective - sol_p.dual_objective) <= 1e-9 * scale
+    np.testing.assert_allclose(sol_p.y, sol.y, atol=1e-4)
+    for pos, l in enumerate(perm):
+        np.testing.assert_allclose(sol_p.x_blocks[pos], sol.x_blocks[l], atol=1e-4)
+        np.testing.assert_allclose(sol_p.s_blocks[pos], sol.s_blocks[l], atol=1e-4)
+
+
+def test_schur_chunking_keeps_every_bit(monkeypatch):
+    problem = random_feasible_problem((3, 1, 3, 2), 8, seed=3)
+    whole = solve(problem)
+    monkeypatch.setattr(sdp, "SCHUR_CHUNK_BYTES", 1)  # one constraint per chunk
+    chunked = solve(problem)
+    assert chunked.trace == whole.trace
+    assert np.array_equal(chunked.y, whole.y)
+    for a, b in zip(chunked.x_blocks + chunked.s_blocks, whole.x_blocks + whole.s_blocks):
+        assert np.array_equal(a, b)
 
 
 def test_matrix_triplets_round_trip():
