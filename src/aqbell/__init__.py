@@ -25,7 +25,6 @@ from .nbf import (
     compose,
     reference_composed_functional,
     reference_functionals,
-    sos_decomposition,
     verify_nbf,
 )
 from .oracles import deterministic_range, normalized_chsh, quantum_value, trace_moment_matrix
@@ -61,7 +60,6 @@ __all__ = [
     "reference_composed_functional",
     "reference_functionals",
     "solve",
-    "sos_decomposition",
     "step_behavior",
     "step_functionals",
     "strictly_feasible_point",

@@ -47,7 +47,7 @@ from .scenario import (
     save_json,
 )
 from .sdp import SolverConfig
-from .seesaw import SeesawConfig, run as seesaw_run, trace_to_json
+from .seesaw import SEESAW_SOLVER, SeesawConfig, run as seesaw_run, trace_to_json
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILS = 1
@@ -211,7 +211,6 @@ def cmd_perturb(args) -> int:
     if args.trials < 1:
         print("trials must be at least 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    cfg = SolverConfig()
     first, second, outer = reference_functionals()
     epsilons = [0.0] if args.epsilon == 0.0 else [0.0, args.epsilon]
     rng = np.random.default_rng(args.seed)
@@ -223,10 +222,10 @@ def cmd_perturb(args) -> int:
             for f in (first, second, outer):
                 noise = rng.uniform(-eps, eps, size=f.coeffs.shape) if eps > 0.0 else 0.0
                 candidate = BellFunctional(f.scenario, f.coeffs + noise)
-                perturbed.append(project_to_nbf(candidate, cfg) if eps > 0.0 else candidate)
+                perturbed.append(project_to_nbf(candidate) if eps > 0.0 else candidate)
             fam = NbfFamily.two_outcome(perturbed[:2])
             composed = compose_on_reference_layout(perturbed[2], fam)
-            value = aq_extremize(composed, "min", cfg).value
+            value = aq_extremize(composed, "min").value
             rows.append({"epsilon": eps, "trial": trial, "minimum": value})
             print(f"epsilon={eps:.1e} trial={trial}: minimum {value:+.9f}")
     claim_checked = args.epsilon <= PERTURB_CLAIM_EPSILON and args.epsilon > 0.0
@@ -266,7 +265,7 @@ def cmd_seesaw(args) -> int:
     save_json(outdir / "seesaw_trace.json", trace_to_json(trace))
     reached = trace.best_value <= cfg.target_value
     results = {
-        "best_value": _result(trace.best_value, cfg.solver.gap_tol),
+        "best_value": _result(trace.best_value, SEESAW_SOLVER.gap_tol),
         "best_restart": trace.best.index,
         "restarts_run": len(trace.outcomes),
         "failed_restarts": trace.failed_count,

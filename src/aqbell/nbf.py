@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aqset import MomentStructure, SosCertificate, aq_extremize, build_moment_structure, class_sums
+from .aqset import SosCertificate, aq_extremize, build_moment_structure, class_sums
 from .errors import ScenarioMismatchError, SolverFailureError
 from .scenario import (
     BellFunctional,
@@ -24,47 +24,25 @@ from .scenario import (
     functional_from_table,
     functional_from_terms,
     make_scenario,
+    scenario_from_json,
+    scenario_to_json,
     unit_functional,
 )
 from .sdp import SolverConfig
 
 
-def certificate_residual(cert: SosCertificate, structure: MomentStructure | None = None) -> float:
+COMPLETE_TOL = 1e-9  # coefficient-level residual allowed by check_complete
+
+
+def certificate_residual(cert: SosCertificate) -> float:
     """Worst deviation of the certificate's class sums from the certified
     polynomial: basis words must reproduce ``target`` (minus ``lam`` on the
     identity), all other reduced words must cancel."""
-    structure = structure or build_moment_structure(cert.scenario)
+    structure = build_moment_structure(cert.scenario)
     expected = np.zeros(len(structure.classes))
     expected[structure.monomial_class] = cert.target
     expected[0] -= cert.lam
     return float(np.abs(class_sums(structure, cert.z) - expected).max())
-
-
-def sos_decomposition(cert: SosCertificate, structure: MomentStructure | None = None, tol: float = 1e-6):
-    """Square-root factorization z = sum_i f_i f_i^T.
-
-    Eigenvalues in [-tol, 0) are clipped; anything lower is rejected.  The
-    factor polynomials, expanded back through canonicalization, must
-    reproduce the certified polynomial coefficient by coefficient.
-    """
-    structure = structure or build_moment_structure(cert.scenario)
-    z = 0.5 * (cert.z + cert.z.T)
-    eigenvalues, vectors = np.linalg.eigh(z)
-    if eigenvalues.min() < -tol:
-        raise ValueError(f"certificate matrix has eigenvalue {eigenvalues.min():.3e} below -{tol:.1e}")
-    clipped = np.clip(eigenvalues, 0.0, None)
-    order = np.argsort(clipped)[::-1]
-    factors = [
-        math.sqrt(clipped[i]) * vectors[:, i] for i in order if clipped[i] > 0.0
-    ]
-    recomposed = np.zeros_like(z)
-    for f in factors:
-        recomposed += np.outer(f, f)
-    check = SosCertificate(cert.scenario, cert.target, cert.lam, recomposed)
-    residual = certificate_residual(check, structure)
-    if residual > tol:
-        raise ValueError(f"factor expansion misses the certified polynomial by {residual:.3e}")
-    return factors
 
 
 @dataclass(eq=False)
@@ -103,10 +81,10 @@ def verify_nbf(
     )
 
 
-def project_to_nbf(functional: BellFunctional, config: SolverConfig | None = None) -> BellFunctional:
+def project_to_nbf(functional: BellFunctional) -> BellFunctional:
     """Affine rescale onto [0, 1] over the set when the bounds drifted out."""
-    lo = aq_extremize(functional, "min", config).value
-    hi = aq_extremize(functional, "max", config).value
+    lo = aq_extremize(functional, "min").value
+    hi = aq_extremize(functional, "max").value
     if lo >= 0.0 and hi <= 1.0:
         return functional
     span = hi - lo
@@ -144,7 +122,7 @@ class NbfFamily:
         return len(self.functionals[0])
 
 
-def check_complete(fam: NbfFamily, tol: float = 1e-9):
+def check_complete(fam: NbfFamily):
     """Coefficient-level completeness check, sum_a W_(a|s) = 1 for every
     setting s; returns (ok, residual).  Collins-Gisin coordinates are linear
     and entry 0 of every normalized behavior is 1, so the identity implies
@@ -160,7 +138,7 @@ def check_complete(fam: NbfFamily, tol: float = 1e-9):
         per_setting.append(np.abs(total - unit).max())
     # np.max, unlike the builtin, propagates a NaN coefficient into the residual
     residual = float(np.max(per_setting))
-    return residual <= tol, residual
+    return residual <= COMPLETE_TOL, residual
 
 
 def compose(
@@ -315,10 +293,26 @@ def reference_composed_functional() -> BellFunctional:
     return compose_on_reference_layout(outer, reference_family())
 
 
-def certificate_to_json(cert: SosCertificate) -> dict:
-    from .scenario import scenario_to_json
-    from .sdp import matrix_to_triplets
+def matrix_to_triplets(mat: np.ndarray) -> list:
+    """Upper-triangle sparse triplets [i, j, value] of a symmetric matrix."""
+    out = []
+    n = mat.shape[0]
+    for i in range(n):
+        for j in range(i, n):
+            if mat[i, j] != 0.0:
+                out.append([i, j, float(mat[i, j])])
+    return out
 
+
+def matrix_from_triplets(n: int, triplets) -> np.ndarray:
+    mat = np.zeros((n, n))
+    for i, j, value in triplets:
+        mat[int(i), int(j)] = float(value)
+        mat[int(j), int(i)] = float(value)
+    return mat
+
+
+def certificate_to_json(cert: SosCertificate) -> dict:
     return {
         "scenario": scenario_to_json(cert.scenario),
         "lam": float(cert.lam),
@@ -328,9 +322,6 @@ def certificate_to_json(cert: SosCertificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> SosCertificate:
-    from .scenario import scenario_from_json
-    from .sdp import matrix_from_triplets
-
     scenario = scenario_from_json(obj["scenario"])
     target = np.array([float(v) for v in obj["target"]])
     z = matrix_from_triplets(basis_size(scenario), obj["z"])

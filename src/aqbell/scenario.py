@@ -79,10 +79,6 @@ class Scenario:
 
 def make_scenario(n: int, m: int, d: int) -> Scenario:
     """Validated uniform scenario: n parties, m settings each, d outcomes."""
-    if n < 1 or m < 1:
-        raise ValueError("party and setting counts must be positive")
-    if d < 2:
-        raise ValueError("need at least two outcomes")
     return Scenario(n, (m,) * n, d)
 
 

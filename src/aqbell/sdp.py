@@ -51,14 +51,14 @@ class SdpStatus(str, Enum):
 STEP_FRACTION = 0.98  # fraction-to-boundary step control
 RAY_THRESHOLD = 1e8  # iterate norm, relative to the start, that signals an infeasibility ray
 SCHUR_CHUNK_BYTES = 1 << 19  # X A S^{-1} products assembled at once, per group
+MAX_ITERS = 200  # iterations before an unconverged solve ends as numerical_trouble
+DIM_GUARD = 512  # largest total dimension solve accepts
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-9
-    max_iters: int = 200
-    dim_guard: int = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +262,8 @@ def _chol_with_jitter(mat: np.ndarray):
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     cfg = config or SolverConfig()
     n = problem.total_dim
-    if n > cfg.dim_guard:
-        raise SizeGuardError(f"total dimension {n} exceeds guard {cfg.dim_guard}")
+    if n > DIM_GUARD:
+        raise SizeGuardError(f"total dimension {n} exceeds guard {DIM_GUARD}")
     m = problem.num_constraints
     groups = _block_groups(problem)
     c = [np.stack([problem.c_blocks[l] for l in g.blocks]) for g in groups]
@@ -305,13 +305,13 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     trace: list = []
     status = SdpStatus.NUMERICAL_TROUBLE
-    message = f"no convergence within {cfg.max_iters} iterations"
+    message = f"no convergence within {MAX_ITERS} iterations"
     iterations = 0
     best_score = np.inf
     best_iterate = (x, y, s)  # iterates are replaced, never written in place
     stalled_since = 0
 
-    for it in range(cfg.max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         iterations = it
         rd, pobj, dobj, rel = residuals(x, y, s)
         mu = _inner(x, s) / n
@@ -374,7 +374,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 message = "diverging primal iterates"
             break
 
-        if it == cfg.max_iters:
+        if it == MAX_ITERS:
             break
 
         # S^{-1} = L^{-T} L^{-1}; each stack holds the blocks' L^{-T}
@@ -521,22 +521,3 @@ def check_certificate(problem: SdpProblem, solution: SdpSolution, tol: float = 1
         CertificateItem("dual eigenvalue floor", floor(solution.s_blocks), tol),
     ]
     return CertificateReport(items)
-
-
-def matrix_to_triplets(mat: np.ndarray) -> list:
-    """Upper-triangle sparse triplets [i, j, value] of a symmetric matrix."""
-    out = []
-    n = mat.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            if mat[i, j] != 0.0:
-                out.append([i, j, float(mat[i, j])])
-    return out
-
-
-def matrix_from_triplets(n: int, triplets) -> np.ndarray:
-    mat = np.zeros((n, n))
-    for i, j, value in triplets:
-        mat[int(i), int(j)] = float(value)
-        mat[int(j), int(i)] = float(value)
-    return mat

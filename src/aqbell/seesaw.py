@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .scenario import (
     ToleranceConfig,
     basis,
     behavior_from_table,
-    evaluate,
     make_scenario,
     representative_table,
     to_collins_gisin,
@@ -43,13 +43,10 @@ OUTER_SCENARIO = make_scenario(2, 2, 2)
 _STEP_TOL = ToleranceConfig(normalization=1e-6, negativity=1e-6, signalling=1e-6)
 STALL_SWEEPS = 3  # a restart stops when its last this-many sweeps together gain < improvement_threshold
 RANDOM_NOISE = 0.02  # init_v="random": noise radius around the bundled anchor
-
-
-def _seesaw_solver_config() -> SolverConfig:
-    # mid-iteration compositions can have degenerate optimal faces where
-    # double precision cannot push the feasibility residual below ~1e-8;
-    # values are governed by the gap tolerance and stay at 1e-8 quality
-    return SolverConfig(feas_tol=1e-7)
+# mid-iteration compositions can have degenerate optimal faces where
+# double precision cannot push the feasibility residual below ~1e-8;
+# values are governed by the gap tolerance and stay at 1e-8 quality
+SEESAW_SOLVER = SolverConfig(feas_tol=1e-7)
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,6 @@ class SeesawConfig:
     seed: int = 0
     init_v: str = "reference"  # "reference" | "random"
     target_value: float = -0.001
-    solver: SolverConfig = field(default_factory=_seesaw_solver_config)
     workers: int | None = None  # None: read AQ_NR_THREADS, default 1
 
 
@@ -88,10 +84,7 @@ class SeesawTrace:
     def best(self) -> RestartOutcome:
         if self.best_index is None:
             raise NoWorkError("no successful restart")
-        for outcome in self.outcomes:
-            if outcome.index == self.best_index:
-                return outcome
-        raise KeyError(self.best_index)
+        return self.outcomes[self.best_index]  # appended in index order
 
     @property
     def best_value(self) -> float:
@@ -114,10 +107,6 @@ def _slice_cg_vectors(p: Behavior):
             q = p.table[:, :, setting, :, :, c]
             vectors[c, z] = tmat @ q.ravel()
     return vectors
-
-
-def composed_value(p: Behavior, fam: NbfFamily, outer: BellFunctional) -> float:
-    return evaluate(compose_on_reference_layout(outer, fam), p)
 
 
 def step_behavior(fam: NbfFamily, outer: BellFunctional, config: SolverConfig | None = None):
@@ -268,15 +257,14 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
     fam, outer = _initial_blocks(rng, cfg.init_v)
     sweep_values: list = []
     step_values: list = []
-    behavior = None
-    composed = None
+    failed, message = False, ""
     try:
         for _sweep in range(cfg.max_sweeps):
-            behavior, value_p, composed = step_behavior(fam, outer, cfg.solver)
+            behavior, value_p, composed = step_behavior(fam, outer, SEESAW_SOLVER)
             step_values.append(("behavior", value_p))
-            fam, outer, value_u = step_functionals(behavior, fam, outer, "family", cfg.solver)
+            fam, outer, value_u = step_functionals(behavior, fam, outer, "family", SEESAW_SOLVER)
             step_values.append(("family", value_u))
-            fam, outer, value_v = step_functionals(behavior, fam, outer, "outer", cfg.solver)
+            fam, outer, value_v = step_functionals(behavior, fam, outer, "outer", SEESAW_SOLVER)
             step_values.append(("outer", value_v))
             sweep_values.append(value_v)
             if value_v <= cfg.target_value:
@@ -286,31 +274,23 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
             ):
                 break
         composed = compose_on_reference_layout(outer, fam)
-        return RestartOutcome(
-            index=index,
-            sweep_values=sweep_values,
-            step_values=step_values,
-            value=sweep_values[-1],
-            family=fam,
-            outer=outer,
-            behavior=behavior,
-            composed=composed,
-        )
     except (AqbellError, ValueError) as exc:
         # np.linalg.LinAlgError is a ValueError: one restart's numerical
         # breakdown is a failed restart, not a failed run
-        return RestartOutcome(
-            index=index,
-            sweep_values=sweep_values,
-            step_values=step_values,
-            value=float("inf"),
-            family=None,
-            outer=None,
-            behavior=None,
-            composed=None,
-            failed=True,
-            message=str(exc),
-        )
+        failed, message = True, str(exc)
+        fam = outer = behavior = composed = None
+    return RestartOutcome(
+        index=index,
+        sweep_values=sweep_values,
+        step_values=step_values,
+        value=float("inf") if failed else sweep_values[-1],
+        family=fam,
+        outer=outer,
+        behavior=behavior,
+        composed=composed,
+        failed=failed,
+        message=message,
+    )
 
 
 def _resolve_workers(cfg: SeesawConfig) -> int:
@@ -325,35 +305,27 @@ def run(cfg: SeesawConfig) -> SeesawTrace:
     Restarts are seeded independently from ``cfg.seed`` and evaluated in
     index order, so results are reproducible for a fixed config regardless
     of the worker count: once restart k reaches the target, restarts after
-    k are not consulted.
+    k are not consulted.  A "reference" start runs one restart only.
     """
     if cfg.restarts <= 0:
         raise NoWorkError("seesaw run requested with zero restarts")
     if cfg.max_sweeps < 1:
         raise NoWorkError("seesaw run requested with zero sweeps")
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    # a reference start ignores its seed: a second restart would repeat the first
+    restarts = 1 if cfg.init_v == "reference" else cfg.restarts
+    children = np.random.SeedSequence(cfg.seed).spawn(restarts)
     workers = _resolve_workers(cfg)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    run_each = map if pool is None else pool.map
     outcomes: list = []
-
-    if workers <= 1:
-        for index in range(cfg.restarts):
-            outcome = _run_restart(index, children[index], cfg)
+    try:
+        for outcome in run_each(_run_restart, range(restarts), children, repeat(cfg)):
             outcomes.append(outcome)
             if not outcome.failed and outcome.value <= cfg.target_value:
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_restart, index, children[index], cfg)
-                for index in range(cfg.restarts)
-            ]
-            for index, future in enumerate(futures):
-                outcome = future.result()
-                outcomes.append(outcome)
-                if not outcome.failed and outcome.value <= cfg.target_value:
-                    for later in futures[index + 1 :]:
-                        later.cancel()
-                    break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     successful = [o for o in outcomes if not o.failed]
     if not successful:

@@ -57,9 +57,8 @@ def test_criterion_2_nbf_verdicts(reference_trio):
     for functional, tol in ((first, 1e-6), (second, 5e-4), (outer, 5e-4)):
         verdict = verify_nbf(functional, tol=tol)
         assert verdict.is_nbf, f"verdict failed at tolerance {tol}"
-        structure = build_moment_structure(functional.scenario)
         for cert in (verdict.lower_certificate, verdict.upper_certificate):
-            residual = certificate_residual(cert, structure)
+            residual = certificate_residual(cert)
             assert residual < 1e-6
             residuals.append(residual)
     print(

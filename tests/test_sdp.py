@@ -12,8 +12,6 @@ from aqbell.sdp import (
     SdpStatus,
     SolverConfig,
     check_certificate,
-    matrix_from_triplets,
-    matrix_to_triplets,
     solve,
 )
 
@@ -285,22 +283,16 @@ def test_schur_chunking_keeps_every_bit(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_matrix_triplets_round_trip():
-    rng = np.random.default_rng(5)
-    mat = rng.normal(size=(4, 4))
-    mat = 0.5 * (mat + mat.T)
-    back = matrix_from_triplets(4, matrix_to_triplets(mat))
-    np.testing.assert_allclose(back, mat, atol=0)
-
-
-def test_dimension_guard():
+def test_dimension_guard(monkeypatch):
     problem = trace_problem()
+    monkeypatch.setattr(sdp, "DIM_GUARD", 1)
     with pytest.raises(SizeGuardError):
-        solve(problem, SolverConfig(dim_guard=1))
+        solve(problem)
 
 
-def test_iteration_limit_reports_trouble():
-    sol = solve(boundary_problem(), SolverConfig(max_iters=1))
+def test_iteration_limit_reports_trouble(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERS", 1)
+    sol = solve(boundary_problem())
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
 
 

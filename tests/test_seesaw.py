@@ -3,11 +3,10 @@ import pytest
 
 from aqbell import seesaw
 from aqbell.errors import NoWorkError
-from aqbell.nbf import check_complete, verify_nbf
-from aqbell.scenario import functional_from_terms
+from aqbell.nbf import check_complete, compose_on_reference_layout, verify_nbf
+from aqbell.scenario import evaluate, functional_from_terms
 from aqbell.seesaw import (
     SeesawConfig,
-    composed_value,
     run,
     step_behavior,
     step_functionals,
@@ -44,15 +43,15 @@ def test_identity_pick_reduces_to_generator_floor(ref_family, scn222):
 def test_functional_steps_are_monotone(ref_family, reference_trio, headline):
     outer = reference_trio[2]
     p = headline.behavior
-    incoming = composed_value(p, ref_family, outer)
+    incoming = evaluate(compose_on_reference_layout(outer, ref_family), p)
     fam2, outer2, value_u = step_functionals(p, ref_family, outer, "family")
     assert value_u <= incoming + 1e-9
     fam3, outer3, value_v = step_functionals(p, fam2, outer2, "outer")
     assert value_v <= value_u + 1e-9
     assert value_v <= -0.0028
     # step values agree with direct evaluation of the figure of merit
-    assert abs(value_u - composed_value(p, fam2, outer2)) < 1e-9
-    assert abs(value_v - composed_value(p, fam3, outer3)) < 1e-9
+    assert abs(value_u - evaluate(compose_on_reference_layout(outer2, fam2), p)) < 1e-9
+    assert abs(value_v - evaluate(compose_on_reference_layout(outer3, fam3), p)) < 1e-9
 
 
 def test_feasibility_preserved_after_steps(ref_family, reference_trio, headline):
@@ -108,12 +107,18 @@ def test_failed_restart_does_not_abort_run(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(seesaw, "step_functionals", breaks_once)
-    cfg = SeesawConfig(restarts=2, max_sweeps=1, seed=0, init_v="reference", target_value=-1.0, workers=1)
+    cfg = SeesawConfig(restarts=2, max_sweeps=1, seed=0, init_v="random", target_value=-1.0, workers=1)
     trace = run(cfg)
     assert trace.failed_count == 1
     assert trace.outcomes[0].failed and "did not converge" in trace.outcomes[0].message
     assert trace.best_index == 1
     assert trace.best_value == trace.outcomes[1].sweep_values[-1]
+
+
+def test_reference_start_runs_once():
+    # the reference start ignores its seed, so every further restart would repeat it
+    trace = run(SeesawConfig(restarts=3, max_sweeps=1, init_v="reference", target_value=-1.0))
+    assert len(trace.outcomes) == 1
 
 
 def test_run_zero_restarts():
@@ -122,11 +127,17 @@ def test_run_zero_restarts():
 
 
 def test_parallel_workers_match_sequential():
-    cfg = SeesawConfig(restarts=2, max_sweeps=2, seed=31, init_v="random", target_value=-1.0)
-    sequential = run(cfg)
-    parallel = run(SeesawConfig(**{**cfg.__dict__, "workers": 2}))
-    assert sequential.best_value == parallel.best_value
-    assert [o.sweep_values for o in sequential.outcomes] == [o.sweep_values for o in parallel.outcomes]
+    cases = [
+        (SeesawConfig(restarts=2, max_sweeps=2, seed=31, init_v="random", target_value=-1.0), 2),
+        # the first restart meets the target: the parallel path stops there too
+        (SeesawConfig(restarts=4, max_sweeps=1, seed=3, init_v="random", target_value=1.0), 1),
+    ]
+    for cfg, expected_outcomes in cases:
+        sequential = run(cfg)
+        parallel = run(SeesawConfig(**{**cfg.__dict__, "workers": 2}))
+        assert len(sequential.outcomes) == len(parallel.outcomes) == expected_outcomes
+        assert sequential.best_value == parallel.best_value
+        assert [o.sweep_values for o in sequential.outcomes] == [o.sweep_values for o in parallel.outcomes]
 
 
 def test_random_mode_reaches_target():
