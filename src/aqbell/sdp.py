@@ -24,10 +24,16 @@ viewed as rows (j, l, r) over columns (l, c) forms A_j^l S_l^{-1} in one
 sparse product, one broadcast product applies X, and the operator contracts
 the result.  This runs over chunks of constraints j, so that the X A S^{-1}
 products are still in cache when they are contracted; no dense copy of the
-constraints is made.  Inside the loop the triangular and Cholesky solves call
-LAPACK (``dtrtrs``, ``dpotrs``) directly, without scipy's validating
-wrappers; a non-finite iterate is caught by the residual check instead and
-ends the solve as ``numerical_trouble``.
+constraints is made.  Each group owns a workspace, allocated once per solve,
+that every chunk's products are written into; an array of chunk size
+allocated per iteration would be handed back to the OS on every free and
+faulted in again, which costs small solves more than their arithmetic.  The
+public sparse products take no output argument, so the two sparse ones call
+scipy's CSR-times-dense kernel (``scipy.sparse._sparsetools.csr_matvecs``)
+directly, with the same bits (pinned by a test).  Inside the loop the
+triangular and Cholesky solves call LAPACK (``dtrtrs``, ``dpotrs``) directly,
+without scipy's validating wrappers; a non-finite iterate is caught by the
+residual check instead and ends the solve as ``numerical_trouble``.
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import SizeGuardError
 
@@ -156,19 +163,47 @@ class _Group:
     op: sp.csr_matrix
     op_t: sp.csr_matrix
     row_chunks: tuple
+    work: np.ndarray  # (2, largest chunk product), written by schur only
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """The group's term of the Schur complement: column j holds
         sum_l <A_i^l, X_l A_j^l S_l^{-1}> for every i.  It is assembled a
         chunk of constraints j at a time, so that the X A S^{-1} products are
-        still in cache when they are contracted."""
+        still in cache when they are contracted.  Every chunk-size product
+        is written into ``work``: A S^{-1} into its first row, X A S^{-1}
+        into its second, then the C-order transpose that the contraction
+        reads into the first and the contraction itself into the second."""
+        m, cells = self.op.shape
         s_stack = s_inv.reshape(-1, self.size)
-        cells = self.op.shape[1]
-        terms = []
+        a_s, x_a_s = self.work
+        out = np.empty((m, m))
+        start = 0
         for rows in self.row_chunks:
-            t = x @ (rows @ s_stack).reshape(-1, *x.shape)
-            terms.append(self.op @ t.reshape(-1, cells).T)
-        return np.concatenate(terms, axis=1)
+            width = rows.shape[0] // (self.size * len(self.blocks))
+            u = _csr_times_dense(rows, s_stack, a_s)
+            t = np.matmul(x, u.reshape(width, *x.shape), out=x_a_s[: u.size].reshape(width, *x.shape))
+            t_c = a_s[: t.size].reshape(cells, width)
+            t_c[...] = t.reshape(width, cells).T
+            out[:, start : start + width] = _csr_times_dense(self.op, t_c, x_a_s)
+            start += width
+        return out
+
+
+def _csr_times_dense(a: sp.csr_matrix, z: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """a @ z for a C-order 2-D z, written into the head of ``buf``.
+
+    This is the kernel behind scipy's own CSR-times-dense product, called on
+    a zeroed slice of a preallocated buffer because the public product takes
+    no output argument; the pin test in ``tests/test_sdp.py`` checks that
+    both give the same bits."""
+    rows, cols = a.shape
+    # the kernel trusts its sizes: check them before it reads or writes
+    if z.shape[0] != cols or not z.dtype == a.dtype == buf.dtype:
+        raise ValueError("operand does not match the sparse operator")
+    out = buf[: rows * z.shape[1]].reshape(rows, z.shape[1])
+    out.fill(0.0)
+    csr_matvecs(rows, cols, z.shape[1], a.indptr, a.indices, a.data, z.ravel(), out.ravel())
+    return out
 
 
 def _row_pointer(rows: np.ndarray, num_rows: int) -> np.ndarray:
@@ -200,9 +235,10 @@ def _block_groups(problem: SdpProblem) -> list:
         row_rows, row_cols = (rows * k + block) * nb + r, block * nb + c
         row_ptr = _row_pointer(row_rows, m * k * nb)
         row_op = sp.csr_matrix((vals, row_cols, row_ptr), shape=(m * k * nb, k * nb))
-        per_chunk = max(1, SCHUR_CHUNK_BYTES // (8 * k * nb * nb))
+        per_chunk = min(m, max(1, SCHUR_CHUNK_BYTES // (8 * k * nb * nb)))
         chunks = tuple(row_op[j * k * nb : (j + per_chunk) * k * nb] for j in range(0, m, per_chunk))
-        groups.append(_Group(tuple(blocks), nb, op, op.T.tocsr(), chunks))
+        work = np.empty((2, per_chunk * max(k * nb * nb, m)))
+        groups.append(_Group(tuple(blocks), nb, op, op.T.tocsr(), chunks, work))
     return groups
 
 

@@ -314,7 +314,8 @@ def run(cfg: SeesawConfig) -> SeesawTrace:
     # a reference start ignores its seed: a second restart would repeat the first
     restarts = 1 if cfg.init_v == "reference" else cfg.restarts
     children = np.random.SeedSequence(cfg.seed).spawn(restarts)
-    workers = _resolve_workers(cfg)
+    # more processes than restarts would sit idle; one runs in this process
+    workers = min(_resolve_workers(cfg), restarts)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     run_each = map if pool is None else pool.map
     outcomes: list = []

@@ -1,12 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqbell import sdp
+from aqbell import aqset, sdp
 from aqbell.errors import SizeGuardError
+from aqbell.scenario import BellFunctional, make_scenario
 from aqbell.sdp import (
     SdpProblem,
     SdpStatus,
@@ -281,6 +283,61 @@ def test_schur_chunking_keeps_every_bit(monkeypatch):
     assert np.array_equal(chunked.y, whole.y)
     for a, b in zip(chunked.x_blocks + chunked.s_blocks, whole.x_blocks + whole.s_blocks):
         assert np.array_equal(a, b)
+
+
+def _stack_of_psd(rng, k, n):
+    return np.stack([_random_psd(rng, n) for _ in range(k)])
+
+
+def _public_schur(group, x, s_inv):
+    """The Schur term by scipy's public products, one chunk at a time."""
+    s_stack = s_inv.reshape(-1, group.size)
+    cells = group.op.shape[1]
+    terms = [
+        group.op @ (x @ (rows @ s_stack).reshape(-1, *x.shape)).reshape(-1, cells).T
+        for rows in group.row_chunks
+    ]
+    return np.concatenate(terms, axis=1)
+
+
+@pytest.mark.parametrize("chunk_bytes", [sdp.SCHUR_CHUNK_BYTES, 1])
+def test_schur_workspace_matches_public_products(monkeypatch, chunk_bytes):
+    # schur writes into a reused workspace through scipy's private CSR
+    # kernel; a scipy release that changed that kernel would show up here
+    monkeypatch.setattr(sdp, "SCHUR_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(5)
+    for seed, m in ((1, 8), (2, 13), (3, 20)):
+        groups = sdp._block_groups(random_feasible_problem((3, 1, 3, 2), m, seed))
+        for group in groups:
+            k = len(group.blocks)
+            # the solver's first X is a broadcast identity; later ones are dense
+            start = np.broadcast_to(2.0 * np.eye(group.size), (k, group.size, group.size))
+            for x in (start, _stack_of_psd(rng, k, group.size), _stack_of_psd(rng, k, group.size)):
+                s_inv = _stack_of_psd(rng, k, group.size)
+                assert np.array_equal(group.schur(x, s_inv), _public_schur(group, x, s_inv))
+
+
+def test_schur_allocates_no_chunk_arrays():
+    # the verify-size problem: one 27x27 block, 75 constraints, one chunk
+    structure = aqset.build_moment_structure(make_scenario(3, 2, 2))
+    rng = np.random.default_rng(0)
+    functional = BellFunctional(structure.scenario, rng.normal(size=structure.size))
+    problem = aqset.compile_extremize(structure, functional, "min").problem
+    m = problem.num_constraints
+    assert (problem.block_dims, m) == ((27,), 75)
+    (group,) = sdp._block_groups(problem)
+    x, s_inv = _stack_of_psd(rng, 1, 27), _stack_of_psd(rng, 1, 27)
+    group.schur(x, s_inv)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        group.schur(x, s_inv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the returned m x m matrix and small temporaries, not the 437 KB chunk
+    # products that the allocating assembly made three of
+    assert peak <= 3 * m * m * 8
 
 
 def test_dimension_guard(monkeypatch):

@@ -121,6 +121,32 @@ def test_reference_start_runs_once():
     assert len(trace.outcomes) == 1
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_pool_is_capped_at_the_restart_count(monkeypatch):
+    monkeypatch.setattr(seesaw, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    # a reference start runs one restart: no pool at all
+    run(SeesawConfig(restarts=3, max_sweeps=1, init_v="reference", target_value=-1.0, workers=2))
+    assert _RecordingPool.sizes == []
+    trace = run(SeesawConfig(restarts=2, max_sweeps=1, seed=0, init_v="random", target_value=-1.0, workers=4))
+    assert _RecordingPool.sizes == [2]
+    assert len(trace.outcomes) == 2
+
+
 def test_run_zero_restarts():
     with pytest.raises(NoWorkError):
         run(SeesawConfig(restarts=0))
