@@ -21,7 +21,6 @@ from .aqset import SosCertificate, aq_extremize, build_moment_structure, strictl
 from .nbf import (
     NbfFamily,
     NbfVerdict,
-    check_complete,
     compose,
     reference_composed_functional,
     reference_functionals,
@@ -48,7 +47,6 @@ __all__ = [
     "behavior_from_table",
     "build_moment_structure",
     "check_certificate",
-    "check_complete",
     "compose",
     "deterministic_range",
     "enumerate_deterministic",

@@ -76,23 +76,19 @@ def canonicalize(u: Monomial, v: Monomial) -> CanonicalWord:
 
 
 def word_classes(scenario):
-    """Partition of all basis-pair cells by canonical word.
+    """Partition of the basis-pair cells by canonical word.
 
-    Returns ``(classes, zero_cells)`` where ``classes`` maps each non-zero
-    canonical word to the list of (row, col) index pairs whose product
-    reduces to it, in row-major first-occurrence order (the identity word
-    always comes first), and ``zero_cells`` lists the cells whose product
-    vanishes by orthogonality.
+    Maps each non-zero canonical word to the list of (row, col) index pairs
+    whose product reduces to it, in row-major first-occurrence order (the
+    identity word always comes first).  Cells whose product vanishes by
+    orthogonality belong to no class.
     """
     monomials = basis(scenario).monomials
     classes: dict[CanonicalWord, list] = {}
-    zero_cells: list = []
     for i, u in enumerate(monomials):
         for j, v in enumerate(monomials):
             word = canonicalize(u, v)
-            if word.is_zero:
-                zero_cells.append((i, j))
-            else:
+            if not word.is_zero:
                 classes.setdefault(word, []).append((i, j))
-    return classes, zero_cells
+    return classes
 

@@ -53,7 +53,7 @@ def build_moment_structure(scenario: Scenario) -> MomentStructure:
     if scenario.parties > MAX_PARTIES:
         raise SizeGuardError(f"moment structures support up to {MAX_PARTIES} parties")
     index = basis(scenario).index
-    class_map, _ = algebra.word_classes(scenario)
+    class_map = algebra.word_classes(scenario)
     classes = tuple(class_map)
     cell_class = np.full((len(index), len(index)), -1, dtype=int)
     for idx, cells in enumerate(class_map.values()):

@@ -23,7 +23,7 @@ from .errors import AqbellError, SolverFailureError
 from .nbf import (
     NbfFamily,
     certificate_to_json,
-    compose_on_reference_layout,
+    compose,
     project_to_nbf,
     reference_composed_functional,
     reference_functionals,
@@ -125,7 +125,7 @@ def cmd_aq(args) -> int:
     cfg = SolverConfig(gap_tol=args.tol)
     ext = aq_extremize(functional, args.sense, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_json(outdir / f"aq_{args.sense}_behavior.json", behavior_to_json(ext.behavior, "collins_gisin"))
+    save_json(outdir / f"aq_{args.sense}_behavior.json", behavior_to_json(ext.behavior))
     save_json(outdir / f"aq_{args.sense}_certificate.json", certificate_to_json(ext.certificate))
     results = {
         "sense": args.sense,
@@ -146,8 +146,7 @@ def cmd_compose(args) -> int:
             return EXIT_INPUT_ERROR
         generators = [functional_from_json(load_json(path)) for path in args.u]
         outer = functional_from_json(load_json(args.v))
-        fam = NbfFamily.two_outcome(generators)
-        composed = compose_on_reference_layout(outer, fam)
+        composed = compose(outer, NbfFamily(generators))
         inputs = {"u": args.u, "v": args.v}
     else:
         composed = reference_composed_functional()
@@ -180,7 +179,7 @@ def cmd_reproduce(args) -> int:
     composed = reference_composed_functional()
     ext = aq_extremize(composed, "min", cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_json(outdir / "reproduce_behavior.json", behavior_to_json(ext.behavior, "collins_gisin"))
+    save_json(outdir / "reproduce_behavior.json", behavior_to_json(ext.behavior))
     save_json(outdir / "reproduce_certificate.json", certificate_to_json(ext.certificate))
     lo, hi = REPRODUCE_BAND
     results = {
@@ -223,8 +222,7 @@ def cmd_perturb(args) -> int:
                 noise = rng.uniform(-eps, eps, size=f.coeffs.shape) if eps > 0.0 else 0.0
                 candidate = BellFunctional(f.scenario, f.coeffs + noise)
                 perturbed.append(project_to_nbf(candidate) if eps > 0.0 else candidate)
-            fam = NbfFamily.two_outcome(perturbed[:2])
-            composed = compose_on_reference_layout(perturbed[2], fam)
+            composed = compose(perturbed[2], NbfFamily(perturbed[:2]))
             value = aq_extremize(composed, "min").value
             rows.append({"epsilon": eps, "trial": trial, "minimum": value})
             print(f"epsilon={eps:.1e} trial={trial}: minimum {value:+.9f}")
@@ -391,8 +389,10 @@ def main(argv=None) -> int:
     except (SolverFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # json.JSONDecodeError is a ValueError and NoWorkError an AqbellError
-    except (FileNotFoundError, KeyError, ValueError, AqbellError) as exc:
+    # json.JSONDecodeError is a ValueError and NoWorkError an AqbellError;
+    # a JSON value of the wrong type ("coeff": null, "entries": 5, a
+    # top-level list) surfaces as a TypeError
+    except (FileNotFoundError, KeyError, TypeError, ValueError, AqbellError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

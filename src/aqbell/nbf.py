@@ -2,10 +2,11 @@
 
 A functional W is *normalized* when 0 <= W(p) <= 1 for every behavior p in
 the set; both bounds are certified by Gram matrices whose class sums
-reproduce the functional (sum-of-squares certificates).  Complete families
-{W_a}_a with sum_a W_a = 1 act as generalized measurements on boxes, and an
-outer bipartite functional applied to such a family composes into a
-higher-party functional by contracting its first slot with the family.
+reproduce the functional (sum-of-squares certificates).  A two-outcome
+family {W_s, 1 - W_s}_s, stored as its generators W_s, acts as a setting-
+indexed measurement on boxes, and an outer bipartite functional applied to
+such a family composes into a tripartite functional by contracting its
+first slot with the family (:func:`compose`).
 """
 from __future__ import annotations
 
@@ -17,8 +18,10 @@ import numpy as np
 from .aqset import SosCertificate, aq_extremize, build_moment_structure, class_sums
 from .errors import ScenarioMismatchError, SolverFailureError
 from .scenario import (
+    Behavior,
     BellFunctional,
     Scenario,
+    basis,
     basis_size,
     representative_table,
     functional_from_table,
@@ -29,9 +32,6 @@ from .scenario import (
     unit_functional,
 )
 from .sdp import SolverConfig
-
-
-COMPLETE_TOL = 1e-9  # coefficient-level residual allowed by check_complete
 
 
 def certificate_residual(cert: SosCertificate) -> float:
@@ -95,107 +95,76 @@ def project_to_nbf(functional: BellFunctional) -> BellFunctional:
 
 @dataclass(frozen=True, eq=False)
 class NbfFamily:
-    """Setting-indexed lists of outcome-indexed functionals {W_(a|s)}."""
+    """Two-outcome family {W_s, 1 - W_s}, stored as its generators W_s (one
+    per setting s, all on one scenario); complete by construction."""
 
-    scenario: Scenario
-    functionals: tuple  # [setting][outcome] -> BellFunctional
+    generators: tuple
 
-    @classmethod
-    def two_outcome(cls, generators) -> "NbfFamily":
-        """Complete each generator W with 1 - W."""
-        generators = list(generators)
-        scenario = generators[0].scenario
-        unit = unit_functional(scenario)
-        members = []
-        for g in generators:
-            if g.scenario != scenario:
-                raise ScenarioMismatchError("family generators live on different scenarios")
-            members.append((g, BellFunctional(scenario, unit.coeffs - g.coeffs)))
-        return cls(scenario, tuple(tuple(pair) for pair in members))
+    def __post_init__(self):
+        generators = tuple(self.generators)
+        if any(g.scenario != generators[0].scenario for g in generators):
+            raise ScenarioMismatchError("family generators live on different scenarios")
+        object.__setattr__(self, "generators", generators)
 
     @property
-    def n_settings(self) -> int:
-        return len(self.functionals)
+    def scenario(self) -> Scenario:
+        return self.generators[0].scenario
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.functionals[0])
+    def functionals(self) -> tuple:
+        """[setting][outcome] -> BellFunctional: the pairs (W_s, 1 - W_s)."""
+        unit = unit_functional(self.scenario).coeffs
+        return tuple((g, BellFunctional(self.scenario, unit - g.coeffs)) for g in self.generators)
 
 
-def check_complete(fam: NbfFamily):
-    """Coefficient-level completeness check, sum_a W_(a|s) = 1 for every
-    setting s; returns (ok, residual).  Collins-Gisin coordinates are linear
-    and entry 0 of every normalized behavior is 1, so the identity implies
-    the sum evaluates to 1 on every behavior."""
-    unit = unit_functional(fam.scenario).coeffs
-    per_setting = []
-    for members in fam.functionals:
-        total = np.zeros_like(unit)
-        for f in members:
-            if f.scenario != fam.scenario:
-                raise ScenarioMismatchError("family member on a foreign scenario")
-            total = total + f.coeffs
-        per_setting.append(np.abs(total - unit).max())
-    # np.max, unlike the builtin, propagates a NaN coefficient into the residual
-    residual = float(np.max(per_setting))
-    return residual <= COMPLETE_TOL, residual
+def compose(outer: BellFunctional, fam: NbfFamily) -> BellFunctional:
+    """Contract a bipartite functional's first slot with a two-outcome family.
 
-
-def compose(
-    outer: BellFunctional,
-    fam: NbfFamily,
-    third_party_map=None,
-    third_party_settings: int | None = None,
-) -> BellFunctional:
-    """Contract a bipartite functional's first slot with a complete family.
-
-    ``outer`` lives on a two-party scenario whose first party's settings
-    index the family's settings and whose outcomes index the family's
-    outcomes; its second party becomes the composed scenario's third party.
-    ``third_party_map`` sends the outer functional's second-party settings
-    into the (possibly larger) setting range of the composed third party,
-    whose total is ``third_party_settings``; unmapped settings get zero
-    coefficients.
+    ``outer`` lives on a two-party, two-outcome scenario whose first party's
+    settings index the family's settings and whose outcomes index the
+    family's outcomes.  Its second party's settings z = 0..m_z-1 become the
+    composed third party's settings 0..m_z-1; the third party has
+    ``max(m_z, *fam.scenario.settings)`` settings, so a family on a uniform
+    scenario composes onto a uniform one, and the settings past m_z get zero
+    coefficients.  :func:`pair_boxes` is the adjoint.
     """
-    ok, residual = check_complete(fam)
-    if not ok:
-        raise ValueError(f"family is not complete (residual {residual:.3e})")
+    if not all(np.isfinite(g.coeffs).all() for g in fam.generators):
+        raise ValueError("family generator coefficients must be finite")
     if fam.scenario.parties != 2 or outer.scenario.parties != 2:
         raise ValueError("composition expects a bipartite family and a bipartite outer functional")
-    n_xi = fam.n_settings
-    n_alpha = fam.n_outcomes
+    n_xi = len(fam.generators)
     if outer.scenario.settings[0] != n_xi:
         raise ValueError("outer functional's first-party settings must match the family settings")
-    if outer.scenario.outcomes != n_alpha:
-        raise ValueError("outer functional's outcomes must match the family outcomes")
-    if outer.scenario.outcomes != fam.scenario.outcomes:
-        raise ValueError("uniform outcome counts are required for composition")
+    if outer.scenario.outcomes != 2 or fam.scenario.outcomes != 2:
+        raise ValueError("composition expects two outcomes, the family's two")
 
     m_z = outer.scenario.settings[1]
-    if third_party_map is None:
-        third_party_map = tuple(range(m_z))
-    third_party_map = tuple(int(z) for z in third_party_map)
-    if len(third_party_map) != m_z or len(set(third_party_map)) != m_z:
-        raise ValueError("third_party_map must map each outer setting to a distinct target setting")
-    settings_c = third_party_settings if third_party_settings is not None else max(third_party_map) + 1
-    if any(z < 0 or z >= settings_c for z in third_party_map):
-        raise ValueError("third_party_map exceeds the target setting range")
-
-    target = Scenario(
-        3, (fam.scenario.settings[0], fam.scenario.settings[1], settings_c), fam.scenario.outcomes
-    )
+    target = Scenario(3, fam.scenario.settings + (max(m_z, *fam.scenario.settings),), 2)
     outer_table = representative_table(outer)  # axes (xi, z, alpha, c)
-    member_tables = [
-        np.stack([representative_table(fam.functionals[xi][alpha]) for alpha in range(n_alpha)])
-        for xi in range(n_xi)
-    ]
-    table = np.zeros(target.table_shape)  # axes (x, y, zc, a, b, c)
+    member_tables = [np.stack([representative_table(f) for f in members]) for members in fam.functionals]
+    table = np.zeros(target.table_shape)  # axes (x, y, z, a, b, c)
     for xi in range(n_xi):
         for z in range(m_z):
             # sum_alpha outer(alpha, c | xi, z) * member(a, b | x, y)
-            contracted = np.einsum("Axyab,Ac->xyabc", member_tables[xi], outer_table[xi, z])
-            table[:, :, third_party_map[z], :, :, :] += contracted
+            table[:, :, z] += np.einsum("Axyab,Ac->xyabc", member_tables[xi], outer_table[xi, z])
     return functional_from_table(target, table)
+
+
+def pair_boxes(p: Behavior, m_z: int) -> np.ndarray:
+    """The adjoint of :func:`compose`: an (m_z, d, N_pair) array whose
+    [z, c] row is the Collins-Gisin vector of the unnormalized two-party box
+    p(ab, c | xy, z) at fixed (z, c), so that
+
+        W(p) = sum V(alpha, c | xi, z) U_(alpha|xi) . boxes[z, c]
+
+    with V the outer functional's representative table and U the family's
+    member coefficients.  Entry 0 of each row is p_C(c | z).
+    """
+    scenario = p.scenario
+    pair = Scenario(2, scenario.settings[:2], scenario.outcomes)
+    # axes (z, c, x, y, a, b)
+    boxes = p.table[:, :, :m_z].transpose(2, 5, 0, 1, 3, 4)
+    return boxes.reshape(m_z, scenario.outcomes, -1) @ basis(pair).tmat.T
 
 
 # --- bundled reference functionals ------------------------------------------
@@ -267,30 +236,15 @@ def reference_functionals():
     return first, second, outer
 
 
-REFERENCE_THIRD_PARTY_MAP = (0, 1)
-REFERENCE_THIRD_PARTY_SETTINGS = 3
-
-
 def reference_family() -> NbfFamily:
     first, second, _ = reference_functionals()
-    return NbfFamily.two_outcome([first, second])
-
-
-def compose_on_reference_layout(outer: BellFunctional, fam: NbfFamily) -> BellFunctional:
-    """Composition on the uniform (3,3,2) scenario, with the outer
-    functional's second-party settings on the third party's settings 0, 1."""
-    return compose(
-        outer,
-        fam,
-        third_party_map=REFERENCE_THIRD_PARTY_MAP,
-        third_party_settings=REFERENCE_THIRD_PARTY_SETTINGS,
-    )
+    return NbfFamily((first, second))
 
 
 def reference_composed_functional() -> BellFunctional:
     """Composition of the bundled trio on the uniform (3,3,2) scenario."""
     _, _, outer = reference_functionals()
-    return compose_on_reference_layout(outer, reference_family())
+    return compose(outer, reference_family())
 
 
 def matrix_to_triplets(mat: np.ndarray) -> list:

@@ -359,19 +359,6 @@ def _vector_from_entries(scenario, entries):
     return values
 
 
-def _full_entries(scenario, table):
-    n = scenario.parties
-    entries = []
-    for flat in range(scenario.table_size):
-        value = table.ravel()[flat]
-        if value == 0.0:
-            continue
-        idx = np.unravel_index(flat, scenario.table_shape)
-        mono = [[k, int(idx[k]), int(idx[n + k])] for k in range(n)]
-        entries.append({"monomial": mono, "coeff": float(value)})
-    return entries
-
-
 def _table_from_full_entries(scenario, entries):
     n = scenario.parties
     table = np.zeros(scenario.table_shape)
@@ -388,15 +375,13 @@ def _table_from_full_entries(scenario, entries):
     return table
 
 
-def behavior_to_json(behavior: Behavior, fmt: str = "full") -> dict:
+def behavior_to_json(behavior: Behavior) -> dict:
     scenario = behavior.scenario
-    if fmt == "full":
-        entries = _full_entries(scenario, behavior.table)
-    elif fmt == "collins_gisin":
-        entries = _entries_from_vector(scenario, to_collins_gisin(behavior))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return {"scenario": scenario_to_json(scenario), "format": fmt, "entries": entries}
+    return {
+        "scenario": scenario_to_json(scenario),
+        "format": "collins_gisin",
+        "entries": _entries_from_vector(scenario, to_collins_gisin(behavior)),
+    }
 
 
 def behavior_from_json(obj: dict, tol: ToleranceConfig | None = None) -> Behavior:

@@ -18,27 +18,19 @@ import numpy as np
 
 from .aqset import aq_extremize, build_moment_structure, class_sums, indicator_stack, objective_matrix
 from .errors import AqbellError, NoWorkError, SolverFailureError
-from .nbf import (
-    REFERENCE_THIRD_PARTY_MAP,
-    NbfFamily,
-    compose,  # noqa: F401 - kept importable as seesaw.compose
-    compose_on_reference_layout,
-    reference_functionals,
-)
+from .nbf import NbfFamily, compose, pair_boxes, reference_functionals
 from .scenario import (
     Behavior,
     BellFunctional,
     ToleranceConfig,
-    basis,
     behavior_from_table,
-    make_scenario,
+    behavior_to_json,
+    functional_to_json,
     representative_table,
     to_collins_gisin,
 )
 from .sdp import SdpProblem, SdpStatus, SolverConfig, solve
 
-PAIR_SCENARIO = make_scenario(2, 3, 2)
-OUTER_SCENARIO = make_scenario(2, 2, 2)
 # tolerance for the synthetic two-party box assembled from solver output
 _STEP_TOL = ToleranceConfig(normalization=1e-6, negativity=1e-6, signalling=1e-6)
 STALL_SWEEPS = 3  # a restart stops when its last this-many sweeps together gain < improvement_threshold
@@ -95,26 +87,12 @@ class SeesawTrace:
         return sum(1 for o in self.outcomes if o.failed)
 
 
-def _slice_cg_vectors(p: Behavior):
-    """Collins-Gisin vectors of the unnormalized two-party boxes obtained by
-    pinning the third party's outcome c and outer setting z; entry 0 is
-    p_C(c|z)."""
-    tmat = basis(PAIR_SCENARIO).tmat
-    d = p.scenario.outcomes
-    vectors = {}
-    for c in range(d):
-        for z, setting in enumerate(REFERENCE_THIRD_PARTY_MAP):
-            q = p.table[:, :, setting, :, :, c]
-            vectors[c, z] = tmat @ q.ravel()
-    return vectors
-
-
 def step_behavior(fam: NbfFamily, outer: BellFunctional, config: SolverConfig | None = None):
     """Compose the current blocks and minimize over the almost-quantum set.
 
     Returns (behavior, value, composed functional).
     """
-    w = compose_on_reference_layout(outer, fam)
+    w = compose(outer, fam)
     ext = aq_extremize(w, "min", config)
     return ext.behavior, ext.value, w
 
@@ -151,50 +129,31 @@ def _extract_generator(structure, z_block):
     return BellFunctional(structure.scenario, coeffs)
 
 
-def _optimize_family(p: Behavior, outer: BellFunctional, config):
-    structure = build_moment_structure(PAIR_SCENARIO)
+def _optimize_family(p: Behavior, fam: NbfFamily, outer: BellFunctional, config):
+    """With U_1 = 1 - U_0, W(p) = sum (V(0,c|xi,z) - V(1,c|xi,z)) U_(0|xi) . q_zc
+    + sum V(1,c|xi,z) p_C(c|z): one objective per generator, plus a constant."""
+    structure = build_moment_structure(fam.scenario)
     outer_table = representative_table(outer)  # (xi, z, alpha, c)
-    q_vectors = _slice_cg_vectors(p)
-    n_xi = outer.scenario.settings[0]
-    d = p.scenario.outcomes
-
-    objectives = []
-    constant = 0.0
-    for xi in range(n_xi):
-        obj = np.zeros(structure.size)
-        for c in range(d):
-            for z in range(len(REFERENCE_THIRD_PARTY_MAP)):
-                obj += (outer_table[xi, z, 0, c] - outer_table[xi, z, 1, c]) * q_vectors[c, z]
-                constant += outer_table[xi, z, 1, c] * q_vectors[c, z][0]
-        objectives.append(obj)
+    boxes = pair_boxes(p, outer.scenario.settings[1])  # (z, c, N_pair)
+    objectives = np.einsum("xzc,zcn->xn", outer_table[:, :, 0] - outer_table[:, :, 1], boxes)
+    constant = np.einsum("xzc,zc->", outer_table[:, :, 1], boxes[:, :, 0])
 
     solution = solve(_cone_pair_problem(structure, objectives), config)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
     generators = [
-        _extract_generator(structure, solution.x_blocks[2 * slot]) for slot in range(n_xi)
+        _extract_generator(structure, solution.x_blocks[2 * slot]) for slot in range(len(objectives))
     ]
-    fam = NbfFamily.two_outcome(generators)
-    return fam, float(solution.primal_objective + constant)
+    return NbfFamily(generators), float(solution.primal_objective + constant)
 
 
-def _effective_pair_box(p: Behavior, fam: NbfFamily) -> Behavior:
-    """Two-party box seen by the outer functional: family outcome alpha on
-    one side, the third party's outcome on the other."""
-    q_vectors = _slice_cg_vectors(p)
-    d = p.scenario.outcomes
-    table = np.zeros(OUTER_SCENARIO.table_shape)
-    for xi in range(fam.n_settings):
-        for z in range(len(REFERENCE_THIRD_PARTY_MAP)):
-            for alpha in range(fam.n_outcomes):
-                for c in range(d):
-                    table[xi, z, alpha, c] = fam.functionals[xi][alpha].coeffs @ q_vectors[c, z]
-    return behavior_from_table(OUTER_SCENARIO, table, _STEP_TOL)
-
-
-def _optimize_outer(p: Behavior, fam: NbfFamily, config):
-    structure = build_moment_structure(OUTER_SCENARIO)
-    objective = to_collins_gisin(_effective_pair_box(p, fam))
+def _optimize_outer(p: Behavior, fam: NbfFamily, outer: BellFunctional, config):
+    structure = build_moment_structure(outer.scenario)
+    members = np.array([[f.coeffs for f in pair] for pair in fam.functionals])  # (xi, alpha, N_pair)
+    # the two-party box the outer functional sees: family outcome alpha on
+    # one side, the third party's outcome c on the other
+    table = np.einsum("xan,zcn->xzac", members, pair_boxes(p, outer.scenario.settings[1]))
+    objective = to_collins_gisin(behavior_from_table(outer.scenario, table, _STEP_TOL))
     solution = solve(_cone_pair_problem(structure, [objective]), config)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
@@ -211,10 +170,10 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
     re-optimizes the outer functional.  Returns (family, outer, value).
     """
     if free == "family":
-        fam2, value = _optimize_family(p, outer, config)
+        fam2, value = _optimize_family(p, fam, outer, config)
         return fam2, outer, value
     if free == "outer":
-        outer2, value = _optimize_outer(p, fam, config)
+        outer2, value = _optimize_outer(p, fam, outer, config)
         return fam, outer2, value
     raise ValueError(f"free block must be 'family' or 'outer', got {free!r}")
 
@@ -235,14 +194,14 @@ def _initial_blocks(rng: np.random.Generator, init_v: str):
     reported as misses."""
     if init_v == "reference":
         first, second, outer = reference_functionals()
-        fam = NbfFamily.two_outcome([first, second])
+        fam = NbfFamily((first, second))
     elif init_v == "random":
         first, second, anchor_outer = reference_functionals()
         drawn = [
             BellFunctional(f.scenario, f.coeffs + rng.uniform(-RANDOM_NOISE, RANDOM_NOISE, f.coeffs.shape))
             for f in (first, second, anchor_outer)
         ]
-        fam = NbfFamily.two_outcome(drawn[:2])
+        fam = NbfFamily(drawn[:2])
         outer = drawn[2]
     else:
         raise ValueError(f"unknown init_v {init_v!r}")
@@ -273,7 +232,7 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
                 sweep_values[-STALL_SWEEPS - 1] - sweep_values[-1] < cfg.improvement_threshold
             ):
                 break
-        composed = compose_on_reference_layout(outer, fam)
+        composed = compose(outer, fam)
     except (AqbellError, ValueError) as exc:
         # np.linalg.LinAlgError is a ValueError: one restart's numerical
         # breakdown is a failed restart, not a failed run
@@ -338,8 +297,6 @@ def run(cfg: SeesawConfig) -> SeesawTrace:
 
 
 def trace_to_json(trace: SeesawTrace) -> dict:
-    from .scenario import functional_to_json, behavior_to_json
-
     best = trace.best
     return {
         "config": {
@@ -368,6 +325,6 @@ def trace_to_json(trace: SeesawTrace) -> dict:
             ],
             "outer": functional_to_json(best.outer),
             "composed": functional_to_json(best.composed),
-            "behavior": behavior_to_json(best.behavior, "collins_gisin"),
+            "behavior": behavior_to_json(best.behavior),
         },
     }

@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from aqbell import algebra
 from aqbell.algebra import ZERO, CanonicalWord, adjoint, canonicalize, word_classes
+from aqbell.aqset import build_moment_structure
 from aqbell.scenario import Scenario, basis, make_scenario
 
 
@@ -120,7 +122,8 @@ def test_canonicalize_matches_reference_engine():
 def test_reference_engine_orthogonality_case():
     scn = make_scenario(2, 2, 3)
     monomials = basis(scn).monomials
-    classes, zero_cells = word_classes(scn)
+    zero_cells = np.argwhere(build_moment_structure(scn).cell_class < 0)
+    assert len(zero_cells)
     for i, j in zero_cells:
         u, v = monomials[i], monomials[j]
         # zero exactly when some party carries one setting with two outcomes
@@ -134,8 +137,8 @@ def test_reference_engine_orthogonality_case():
 
 def test_word_classes_partition(scn232=make_scenario(2, 3, 2)):
     monomials = basis(scn232).monomials
-    classes, zero_cells = word_classes(scn232)
-    covered = set(zero_cells)
+    classes = word_classes(scn232)
+    covered = {tuple(cell) for cell in np.argwhere(build_moment_structure(scn232).cell_class < 0)}
     for cells in classes.values():
         for cell in cells:
             assert cell not in covered
@@ -147,7 +150,7 @@ def test_word_classes_partition(scn232=make_scenario(2, 3, 2)):
 def test_word_classes_examples():
     scn = make_scenario(2, 2, 2)
     monomials = basis(scn).monomials
-    classes, _ = word_classes(scn)
+    classes = word_classes(scn)
     idx = {mono: i for i, mono in enumerate(monomials)}
     pair_class = None
     for cells in classes.values():
@@ -163,7 +166,7 @@ def test_word_classes_examples():
 
 def test_adjoint_involution():
     scn = make_scenario(2, 3, 2)
-    classes, _ = word_classes(scn)
+    classes = word_classes(scn)
     for word in classes:
         assert min(word.letters, adjoint(word.letters)) == word.letters
 
@@ -193,7 +196,7 @@ def _family_instances(scn):
 @pytest.mark.parametrize("nmd", [(2, 2, 2), (2, 3, 2)])
 def test_generated_classes_contain_substitution_families(nmd):
     scn = make_scenario(*nmd)
-    classes, _ = word_classes(scn)
+    classes = word_classes(scn)
     cell_to_class = {}
     for k, cells in enumerate(classes.values()):
         for cell in cells:
@@ -226,8 +229,8 @@ def test_families_plus_symmetry_generate_exactly_the_classes():
         union(a1 * n + a2, b1 * n + b2)
 
     components = len({find(i) for i in range(n * n)})
-    classes, zero_cells = word_classes(scn)
-    assert not zero_cells
+    classes = word_classes(scn)
+    assert (build_moment_structure(scn).cell_class >= 0).all()
     assert components == len(classes)
     # hence the same number of independent equalities: n^2 - #classes
     assert n * n - components == 64

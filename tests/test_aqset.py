@@ -64,7 +64,7 @@ def test_problems_match_per_class_loop(spec, slots, rng):
     # from the word partition itself
     scn = make_scenario(*spec)
     monomials = list(basis(scn).monomials)
-    class_map, _ = word_classes(scn)
+    class_map = word_classes(scn)
     cells = [tuple(zip(*class_cells)) for class_cells in class_map.values()]
     mono = [monomials.index(w.letters) if w.letters in monomials else None for w in class_map]
     class_of = {j: k for k, j in enumerate(mono) if j is not None}

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from aqbell.cli import main
-from aqbell.scenario import functional_from_json, functional_to_json, load_json, save_json
+from aqbell.scenario import (
+    Scenario,
+    functional_from_json,
+    functional_from_terms,
+    functional_to_json,
+    load_json,
+    save_json,
+)
 
 
 def run_cli(*argv):
@@ -61,6 +68,17 @@ def test_verify_malformed_input(tmp_path):
     assert run_cli("--out", tmp_path, "verify", nan_path, "--tol", "nan") == 2
     assert run_cli("--out", tmp_path, "aq", "min", nan_path, "--tol", "-1") == 2
     assert run_cli("--out", tmp_path, "reproduce", "--tol", "nan") == 2
+    # JSON values of the wrong type are input errors too, not "claim fails"
+    scenario = {"parties": 2, "settings": [2, 2], "outcomes": 2}
+    for name, blob in (
+        ("null_coeff", {"scenario": scenario, "entries": [{"monomial": [], "coeff": None}]}),
+        ("int_entries", {"scenario": scenario, "entries": 5}),
+        ("top_level_list", []),
+    ):
+        typed = tmp_path / f"{name}.json"
+        save_json(typed, blob)
+        assert run_cli("--out", tmp_path, "verify", typed) == 2, name
+        assert run_cli("--out", tmp_path, "aq", "min", typed) == 2, name
 
 
 def test_aq_min_of_wiring(reference_dir, tmp_path):
@@ -99,8 +117,26 @@ def test_compose_explicit_inputs(reference_dir, tmp_path, composed_w):
         "--v", reference_dir / "reference_outer.json",
     )
     assert code == 0
+    written = load_json(tmp_path / "composed.json")
+    assert written["entries"] == load_json(reference_dir / "reference_composed.json")["entries"]
+    np.testing.assert_allclose(functional_from_json(written).coeffs, composed_w.coeffs, atol=1e-15)
+
+
+def test_compose_pads_third_party_to_family_settings(reference_dir, tmp_path):
+    # an outer functional with four second-party settings: the third party
+    # gets max(4, 3) settings, the outer's on 0..3
+    outer = functional_from_terms(Scenario(2, (2, 4), 2), {(): 0.5, ((1, 3, 0),): 0.25})
+    save_json(tmp_path / "outer4.json", functional_to_json(outer))
+    code = run_cli(
+        "--out", tmp_path, "compose",
+        "--u", reference_dir / "reference_first.json",
+        "--u", reference_dir / "reference_second.json",
+        "--v", tmp_path / "outer4.json",
+    )
+    assert code == 0
     written = functional_from_json(load_json(tmp_path / "composed.json"))
-    np.testing.assert_allclose(written.coeffs, composed_w.coeffs, atol=1e-15)
+    assert written.scenario == Scenario(3, (3, 3, 4), 2)
+    assert written.coeffs[0] == 0.5
 
 
 def test_seesaw_zero_restarts(tmp_path):

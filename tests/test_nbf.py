@@ -5,26 +5,29 @@ import pytest
 
 from aqbell import sdp
 from aqbell.aqset import build_moment_structure
+from aqbell.errors import ScenarioMismatchError
 from aqbell.nbf import (
     NbfFamily,
     certificate_from_json,
     certificate_residual,
     certificate_to_json,
-    check_complete,
     compose,
     matching_wiring,
     matrix_from_triplets,
     matrix_to_triplets,
+    pair_boxes,
     verify_nbf,
 )
 from aqbell.scenario import (
     BellFunctional,
+    Scenario,
     basis_size,
     behavior_from_table,
     enumerate_deterministic,
     evaluate,
     functional_from_terms,
     random_local_behavior,
+    representative_table,
     unit_functional,
 )
 
@@ -95,12 +98,12 @@ def test_compose_linear_in_family_member(reference_trio, scn222, scn232, rng):
     t = 0.43
 
     def family_with(generator):
-        return NbfFamily.two_outcome([reference_trio[0], generator])
+        return NbfFamily((reference_trio[0], generator))
 
     mixed_gen = BellFunctional(scn232, t * gen_a.coeffs + (1 - t) * gen_b.coeffs)
-    composed_mixed = compose(outer, family_with(mixed_gen), (0, 1), 3)
-    ca = compose(outer, family_with(gen_a), (0, 1), 3)
-    cb = compose(outer, family_with(gen_b), (0, 1), 3)
+    composed_mixed = compose(outer, family_with(mixed_gen))
+    ca = compose(outer, family_with(gen_a))
+    cb = compose(outer, family_with(gen_b))
     assert np.abs(composed_mixed.coeffs - (t * ca.coeffs + (1 - t) * cb.coeffs)).max() < 1e-12
 
 
@@ -119,30 +122,52 @@ def test_verify_indeterminate_on_solver_failure(reference_trio, monkeypatch):
     assert verdict.failure
 
 
-def test_check_complete(reference_trio):
+def test_family_pairs_are_complete(reference_trio):
     wiring, second, _ = reference_trio
-    ok, residual = check_complete(NbfFamily.two_outcome([wiring]))
-    assert ok and residual < 1e-12
-    ok, residual = check_complete(NbfFamily.two_outcome([second]))
-    assert ok and residual < 1e-12
-    broken = NbfFamily(wiring.scenario, ((wiring, wiring),))
-    ok, residual = check_complete(broken)
-    assert not ok and residual > 0.5
-    # a NaN coefficient must fail the check, and composition must refuse it
+    fam = NbfFamily((wiring, second))
+    assert fam.generators == (wiring, second)
+    assert fam.scenario == wiring.scenario
+    unit = unit_functional(wiring.scenario).coeffs
+    for generator, (member, complement) in zip(fam.generators, fam.functionals, strict=True):
+        assert member is generator
+        assert np.abs(member.coeffs + complement.coeffs - unit).max() < 1e-15
+
+
+def test_compose_rejects_nan_generator(reference_trio):
+    wiring, second, outer = reference_trio
     coeffs = second.coeffs.copy()
     coeffs[3] = np.nan
-    poisoned = NbfFamily.two_outcome([wiring, BellFunctional(second.scenario, coeffs)])
-    ok, residual = check_complete(poisoned)
-    assert not ok and np.isnan(residual)
-    with pytest.raises(ValueError, match="not complete"):
-        compose(reference_trio[2], poisoned, third_party_map=(0, 1), third_party_settings=3)
+    poisoned = NbfFamily((wiring, BellFunctional(second.scenario, coeffs)))
+    with pytest.raises(ValueError, match="finite"):
+        compose(outer, poisoned)
+
+
+@pytest.mark.parametrize("m_z", [1, 2, 4])
+def test_pair_boxes_adjoint_of_compose(scn232, m_z):
+    # W(p) = sum V(alpha, c | xi, z) U_(alpha|xi) . boxes[z, c] for random
+    # blocks, with the third party padded to max(m_z, 3) settings
+    rng = np.random.default_rng(97 + m_z)
+    generators = [BellFunctional(scn232, rng.uniform(-1, 1, basis_size(scn232))) for _ in range(2)]
+    outer_scenario = Scenario(2, (2, m_z), 2)
+    outer = BellFunctional(outer_scenario, rng.uniform(-1, 1, basis_size(outer_scenario)))
+    fam = NbfFamily(generators)
+    composed = compose(outer, fam)
+    assert composed.scenario.settings == (3, 3, max(m_z, 3))
+    members = np.array([[f.coeffs for f in pair] for pair in fam.functionals])
+    outer_table = representative_table(outer)
+    for _ in range(20):
+        p = random_local_behavior(composed.scenario, rng)
+        boxes = pair_boxes(p, m_z)
+        assert boxes.shape == (m_z, 2, basis_size(scn232))
+        contracted = np.einsum("xzac,xan,zcn->", outer_table, members, boxes)
+        assert abs(evaluate(composed, p) - contracted) < 1e-12
 
 
 def test_compose_identity_pick(ref_family, scn222, rng):
     # outer functional = first-party marginal probability of outcome 0 at
     # setting 0: the composition reduces to the first family generator
     picker = functional_from_terms(scn222, {((0, 0, 0),): 1.0})
-    composed = compose(picker, ref_family, third_party_map=(0, 1), third_party_settings=3)
+    composed = compose(picker, ref_family)
     wiring = ref_family.functionals[0][0]
     tri = composed.scenario
     for _ in range(20):
@@ -156,9 +181,9 @@ def test_compose_bilinearity(ref_family, reference_trio, scn222, rng):
     outer_b = BellFunctional(scn222, rng.uniform(-1, 1, basis_size(scn222)))
     t = 0.37
     mixed = BellFunctional(scn222, t * outer_a.coeffs + (1 - t) * outer_b.coeffs)
-    composed_mix = compose(mixed, ref_family, (0, 1), 3)
-    wa = compose(outer_a, ref_family, (0, 1), 3)
-    wb = compose(outer_b, ref_family, (0, 1), 3)
+    composed_mix = compose(mixed, ref_family)
+    wa = compose(outer_a, ref_family)
+    wb = compose(outer_b, ref_family)
     assert np.abs(composed_mix.coeffs - (t * wa.coeffs + (1 - t) * wb.coeffs)).max() < 1e-12
 
 
@@ -167,8 +192,6 @@ def test_compose_white_noise_value(reference_trio, ref_family, composed_w, scn23
     tri = composed_w.scenario
     uniform = behavior_from_table(tri, np.full(tri.table_shape, 1.0 / 8.0))
     uniform_ab = behavior_from_table(scn232, np.full(scn232.table_shape, 0.25))
-    from aqbell.scenario import representative_table
-
     outer_table = representative_table(reference_trio[2])
     expected = 0.0
     for xi in range(2):
@@ -190,12 +213,11 @@ def test_composed_functional_on_vertices(composed_w):
 
 def test_compose_rejects_incomplete_or_mismatched(ref_family, scn222, scn232):
     with pytest.raises(ValueError):
-        compose(unit_functional(scn232), ref_family)  # outer must be bipartite 2x2x2-shaped
-    broken = NbfFamily(scn232, ((ref_family.functionals[0][0], ref_family.functionals[0][0]),))
+        compose(unit_functional(scn232), ref_family)  # one outer first-party setting per generator
     with pytest.raises(ValueError):
-        compose(unit_functional(scn222), broken)
-    with pytest.raises(ValueError):
-        compose(unit_functional(scn222), ref_family, third_party_map=(0, 0), third_party_settings=3)
+        compose(unit_functional(Scenario(2, (2, 2), 3)), ref_family)  # two outcomes only
+    with pytest.raises(ScenarioMismatchError):
+        NbfFamily((unit_functional(scn232), unit_functional(scn222)))
 
 
 def test_composed_reference_round_trip(composed_w):

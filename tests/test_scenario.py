@@ -214,12 +214,33 @@ def test_functional_from_table_round_trip(scn222, rng):
 
 def test_behavior_json_round_trip(scn232, rng):
     b = random_local_behavior(scn232, rng)
-    for fmt in ("full", "collins_gisin"):
-        blob = json.dumps(behavior_to_json(b, fmt))
-        back = behavior_from_json(json.loads(blob))
-        np.testing.assert_allclose(back.table, b.table, atol=1e-12)
-        # serialization is exact, so a second round trip is byte-identical
-        assert json.dumps(behavior_to_json(back, fmt)) == blob
+    blob = json.dumps(behavior_to_json(b))
+    assert json.loads(blob)["format"] == "collins_gisin"
+    back = behavior_from_json(json.loads(blob))
+    np.testing.assert_allclose(back.table, b.table, atol=1e-12)
+    # serialization is exact, so a second round trip is byte-identical
+    assert json.dumps(behavior_to_json(back)) == blob
+
+
+def test_behavior_json_full_format(scn222):
+    # p(ab|xy) = 1/2 on a = b for every setting pair: one letter per party
+    obj = {
+        "scenario": {"parties": 2, "settings": [2, 2], "outcomes": 2},
+        "format": "full",
+        "entries": [
+            {"monomial": [[0, x, a], [1, y, a]], "coeff": 0.5}
+            for x in range(2)
+            for y in range(2)
+            for a in range(2)
+        ],
+    }
+    back = behavior_from_json(obj)
+    expected = np.zeros(scn222.table_shape)
+    for a in range(2):
+        expected[:, :, a, a] = 0.5
+    assert np.array_equal(back.table, expected)
+    with pytest.raises(ValueError, match="one letter per party"):
+        behavior_from_json({**obj, "entries": [{"monomial": [[0, 0, 0]], "coeff": 1.0}]})
 
 
 def test_functional_json_round_trip(scn232, rng):
