@@ -13,25 +13,9 @@ one moment value).
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 from .scenario import basis
 
-Letter = tuple  # (party, setting, outcome)
-Monomial = tuple  # tuple of Letter, party-sorted, at most one letter per party
-
-class CanonicalWord(NamedTuple):
-    """Reduced projector product; ``letters is None`` encodes the zero word."""
-
-    letters: Optional[tuple]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.letters is None
-
-
-ZERO = CanonicalWord(None)
-IDENTITY = CanonicalWord(())
+Monomial = tuple  # party-sorted (party, setting, outcome) letters, at most one per party
 
 
 def adjoint(letters: tuple) -> tuple:
@@ -47,8 +31,9 @@ def adjoint(letters: tuple) -> tuple:
     return tuple(out)
 
 
-def canonicalize(u: Monomial, v: Monomial) -> CanonicalWord:
-    """Canonical form of the product (adjoint of u) * v.
+def canonicalize(u: Monomial, v: Monomial) -> tuple | None:
+    """Canonical form of the product (adjoint of u) * v: a party-sorted
+    letter tuple (``()`` is the identity), or None when the product vanishes.
 
     Basis monomials are self-adjoint, so this is the reduction of u * v:
     letters commute across parties into party-sorted order; within a party,
@@ -57,9 +42,7 @@ def canonicalize(u: Monomial, v: Monomial) -> CanonicalWord:
     lexicographically smaller of the reduced word and its adjoint.
     """
     merged: dict[int, list] = {}
-    for letter in u:
-        merged.setdefault(letter[0], []).append(letter)
-    for letter in v:
+    for letter in u + v:
         merged.setdefault(letter[0], []).append(letter)
     word = []
     for party in sorted(merged):
@@ -68,11 +51,11 @@ def canonicalize(u: Monomial, v: Monomial) -> CanonicalWord:
         assert len(seq) <= 2
         if len(seq) == 2 and seq[0][1] == seq[1][1]:
             if seq[0][2] != seq[1][2]:
-                return ZERO
+                return None
             seq = seq[:1]
         word.extend(seq)
     word = tuple(word)
-    return CanonicalWord(min(word, adjoint(word)))
+    return min(word, adjoint(word))
 
 
 def word_classes(scenario):
@@ -84,11 +67,11 @@ def word_classes(scenario):
     orthogonality belong to no class.
     """
     monomials = basis(scenario).monomials
-    classes: dict[CanonicalWord, list] = {}
+    classes: dict[tuple, list] = {}
     for i, u in enumerate(monomials):
         for j, v in enumerate(monomials):
             word = canonicalize(u, v)
-            if not word.is_zero:
+            if word is not None:
                 classes.setdefault(word, []).append((i, j))
     return classes
 

@@ -33,7 +33,7 @@ MAX_PARTIES = 3
 @dataclass(frozen=True, eq=False)
 class MomentStructure:
     scenario: Scenario
-    classes: tuple  # CanonicalWord, identity class first
+    classes: tuple  # canonical words (party-sorted letter tuples), identity () first
     # (N, N) class index per cell, -1 on orthogonal cells: the one stored form
     # of the partition, read through class_sums, scatter and indicator_stack
     cell_class: np.ndarray
@@ -60,13 +60,13 @@ def build_moment_structure(scenario: Scenario) -> MomentStructure:
         rows, cols = zip(*cells)
         cell_class[rows, cols] = idx
 
-    assert classes[0] == algebra.IDENTITY
+    assert classes[0] == ()
     monomial_class = cell_class[0].copy()
     # first-row cells and interior cells reducing to the same monomial must
     # already share a class; the scatter construction relies on it
     for idx, word in enumerate(classes):
-        if word.letters in index:
-            assert monomial_class[index[word.letters]] == idx
+        if word in index:
+            assert monomial_class[index[word]] == idx
 
     return MomentStructure(
         scenario=scenario, classes=classes, cell_class=cell_class, monomial_class=monomial_class
@@ -155,8 +155,6 @@ class SosCertificate:
 class CompiledExtremize:
     problem: SdpProblem
     structure: MomentStructure
-    functional: BellFunctional
-    sense: str
     target: np.ndarray  # functional coefficients, negated for "max"
 
 
@@ -184,7 +182,7 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     c = np.zeros((n, n))
     c[0, 0] = 1.0
     problem = SdpProblem((n,), (c,), (stack,), b)
-    return CompiledExtremize(problem, structure, functional, sense, target)
+    return CompiledExtremize(problem, structure, target)
 
 
 @dataclass(eq=False)
@@ -244,7 +242,7 @@ def strictly_feasible_point(structure: MomentStructure) -> np.ndarray:
     values = np.empty(len(structure.classes))
     for idx, word in enumerate(structure.classes):
         per_party: dict[int, set] = {}
-        for party, setting, _outcome in word.letters:
+        for party, setting, _outcome in word:
             per_party.setdefault(party, set()).add(setting)
         value = 1.0
         for settings in per_party.values():

@@ -64,18 +64,22 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def _write_report(outdir: Path, command: str, inputs, config, results, started: float) -> dict:
+def _write_report(args, command: str, inputs, config, results, artifacts=()) -> None:
+    """Create ``--out``, write the (file name, JSON) ``artifacts`` in order,
+    then the run report; the one writer into the output directory."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, blob in artifacts:
+        save_json(outdir / name, blob)
     report = {
         "command": command,
         "inputs_digest": _digest(inputs),
         "config_digest": _digest(config),
         "results": results,
-        "wall_time_s": time.monotonic() - started,
+        "wall_time_s": time.monotonic() - args.started,
         "tool_version": __version__,
     }
-    outdir.mkdir(parents=True, exist_ok=True)
     save_json(outdir / f"{command.replace(' ', '_')}_report.json", report)
-    return report
 
 
 def _result(value: float, tolerance: float) -> dict:
@@ -91,8 +95,6 @@ def _tol_ok(tol: float, positive: bool) -> bool:
 
 
 def cmd_verify(args) -> int:
-    started = time.monotonic()
-    outdir = Path(args.out)
     if not _tol_ok(args.tol, positive=False):
         return EXIT_INPUT_ERROR
     raw = load_json(args.functional)
@@ -101,66 +103,61 @@ def cmd_verify(args) -> int:
     if verdict.is_nbf is None:
         print(f"indeterminate: {verdict.failure}")
         return EXIT_NUMERICAL
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_json(outdir / "lower_certificate.json", certificate_to_json(verdict.lower_certificate))
-    save_json(outdir / "upper_certificate.json", certificate_to_json(verdict.upper_certificate))
     results = {
         "is_nbf": verdict.is_nbf,
         "aq_min": _result(verdict.aq_min, args.tol),
         "aq_max": _result(verdict.aq_max, args.tol),
         "certificates": ["lower_certificate.json", "upper_certificate.json"],
     }
-    _write_report(outdir, "verify", raw, {"tol": args.tol}, results, started)
+    _write_report(args, "verify", raw, {"tol": args.tol}, results, (
+        ("lower_certificate.json", certificate_to_json(verdict.lower_certificate)),
+        ("upper_certificate.json", certificate_to_json(verdict.upper_certificate)),
+    ))
     print(f"is_nbf={verdict.is_nbf}  aq_min={verdict.aq_min:+.9f}  aq_max={verdict.aq_max:+.9f}")
     return EXIT_OK if verdict.is_nbf else EXIT_CLAIM_FAILS
 
 
 def cmd_aq(args) -> int:
-    started = time.monotonic()
-    outdir = Path(args.out)
     if not _tol_ok(args.tol, positive=True):
         return EXIT_INPUT_ERROR
     raw = load_json(args.functional)
     functional = functional_from_json(raw)
     cfg = SolverConfig(gap_tol=args.tol)
     ext = aq_extremize(functional, args.sense, cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_json(outdir / f"aq_{args.sense}_behavior.json", behavior_to_json(ext.behavior))
-    save_json(outdir / f"aq_{args.sense}_certificate.json", certificate_to_json(ext.certificate))
     results = {
         "sense": args.sense,
         "value": _result(ext.value, ext.solution.residuals.gap),
         "solver_gap": ext.solution.residuals.gap,
     }
-    _write_report(outdir, f"aq {args.sense}", raw, {"tol": args.tol}, results, started)
+    _write_report(args, f"aq {args.sense}", raw, {"tol": args.tol}, results, (
+        (f"aq_{args.sense}_behavior.json", behavior_to_json(ext.behavior)),
+        (f"aq_{args.sense}_certificate.json", certificate_to_json(ext.certificate)),
+    ))
     print(f"aq_{args.sense} = {ext.value:+.9f}")
     return EXIT_OK
 
 
 def cmd_compose(args) -> int:
-    started = time.monotonic()
-    outdir = Path(args.out)
     if args.u or args.v:
         if not args.u or not args.v:
             print("compose needs either no inputs (bundled trio) or both --u and --v", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        generators = [functional_from_json(load_json(path)) for path in args.u]
-        outer = functional_from_json(load_json(args.v))
-        composed = compose(outer, NbfFamily(generators))
-        inputs = {"u": args.u, "v": args.v}
+        # the report digests what was read, as verify and aq do
+        inputs = {"u": [load_json(path) for path in args.u], "v": load_json(args.v)}
+        generators = [functional_from_json(raw) for raw in inputs["u"]]
+        composed = compose(functional_from_json(inputs["v"]), NbfFamily(generators))
     else:
         composed = reference_composed_functional()
         inputs = {"bundled": True}
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_json(outdir / "composed.json", functional_to_json(composed))
-    _write_report(outdir, "compose", inputs, {}, {"composed": "composed.json"}, started)
-    print(f"composed functional written to {outdir / 'composed.json'}")
+    _write_report(
+        args, "compose", inputs, {}, {"composed": "composed.json"},
+        (("composed.json", functional_to_json(composed)),),
+    )
+    print(f"composed functional written to {Path(args.out) / 'composed.json'}")
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    started = time.monotonic()
-    outdir = Path(args.out)
     if not _tol_ok(args.tol, positive=True):
         return EXIT_INPUT_ERROR
     cfg = SolverConfig(gap_tol=args.tol)
@@ -178,9 +175,6 @@ def cmd_reproduce(args) -> int:
             return EXIT_CLAIM_FAILS
     composed = reference_composed_functional()
     ext = aq_extremize(composed, "min", cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_json(outdir / "reproduce_behavior.json", behavior_to_json(ext.behavior))
-    save_json(outdir / "reproduce_certificate.json", certificate_to_json(ext.certificate))
     lo, hi = REPRODUCE_BAND
     results = {
         "minimum": _result(ext.value, ext.solution.residuals.gap),
@@ -196,14 +190,15 @@ def cmd_reproduce(args) -> int:
             for name, verdict in verdicts.items()
         },
     }
-    _write_report(outdir, "reproduce", {"bundled": True}, {"tol": args.tol}, results, started)
+    _write_report(args, "reproduce", {"bundled": True}, {"tol": args.tol}, results, (
+        ("reproduce_behavior.json", behavior_to_json(ext.behavior)),
+        ("reproduce_certificate.json", certificate_to_json(ext.certificate)),
+    ))
     print(f"min over the almost-quantum set: {ext.value:+.9f}  (band [{lo}, {hi}])")
     return EXIT_OK if ext.value <= hi else EXIT_CLAIM_FAILS
 
 
 def cmd_perturb(args) -> int:
-    started = time.monotonic()
-    outdir = Path(args.out)
     if not 0.0 <= args.epsilon <= 0.01:
         print("epsilon must lie in [0, 0.01]", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -234,23 +229,19 @@ def cmd_perturb(args) -> int:
         "claim_checked": claim_checked,
         "claim_holds": bool(holds) if claim_checked else None,
     }
-    _write_report(
-        outdir, "perturb", {"epsilon": args.epsilon, "seed": args.seed},
-        {"trials": args.trials}, results, started,
-    )
+    inputs = {"epsilon": args.epsilon, "seed": args.seed}
+    _write_report(args, "perturb", inputs, {"trials": args.trials}, results)
     if claim_checked and not holds:
         return EXIT_CLAIM_FAILS
     return EXIT_OK
 
 
 def cmd_seesaw(args) -> int:
-    started = time.monotonic()
     # no value is <= nan, and a NaN target would reach the report as a bare
     # NaN token that strict JSON parsers reject
     if not np.isfinite(args.target):
         print(f"--target must be finite, got {args.target}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    outdir = Path(args.out)
     cfg = SeesawConfig(
         restarts=args.restarts,
         max_sweeps=args.sweeps,
@@ -259,8 +250,6 @@ def cmd_seesaw(args) -> int:
         target_value=args.target,
     )
     trace = seesaw_run(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_json(outdir / "seesaw_trace.json", trace_to_json(trace))
     reached = trace.best_value <= cfg.target_value
     results = {
         "best_value": _result(trace.best_value, SEESAW_SOLVER.gap_tol),
@@ -270,7 +259,9 @@ def cmd_seesaw(args) -> int:
         "target": cfg.target_value,
         "target_reached": bool(reached),
     }
-    _write_report(outdir, "seesaw run", dataclasses.asdict(cfg), {}, results, started)
+    _write_report(
+        args, "seesaw run", dataclasses.asdict(cfg), {}, results, (("seesaw_trace.json", trace_to_json(trace)),)
+    )
     print(
         f"best value {trace.best_value:+.9f} from restart {trace.best.index} "
         f"({len(trace.outcomes)} run, {trace.failed_count} failed)"
@@ -280,8 +271,6 @@ def cmd_seesaw(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    started = time.monotonic()
-    outdir = Path(args.out)
     first, second, outer = reference_functionals()
     chsh = normalized_chsh()
     suite = [
@@ -311,22 +300,16 @@ def cmd_oracle(args) -> int:
             "min_eigenvalue": float(np.linalg.eigvalsh(gamma).min()),
         }
     print("interior-point residuals:", json.dumps(residuals, indent=1))
-    _write_report(outdir, "oracle", {}, {}, {"table": rows, "interior": residuals}, started)
+    _write_report(args, "oracle", {}, {}, {"table": rows, "interior": residuals})
     return EXIT_OK
 
 
 def cmd_dump_reference(args) -> int:
-    started = time.monotonic()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    first, second, outer = reference_functionals()
-    save_json(outdir / "reference_first.json", functional_to_json(first))
-    save_json(outdir / "reference_second.json", functional_to_json(second))
-    save_json(outdir / "reference_outer.json", functional_to_json(outer))
-    save_json(outdir / "reference_composed.json", functional_to_json(reference_composed_functional()))
-    files = ["reference_first.json", "reference_second.json", "reference_outer.json", "reference_composed.json"]
-    _write_report(outdir, "dump-reference", {}, {}, {"files": files}, started)
-    print("\n".join(str(outdir / f) for f in files))
+    files = [f"reference_{name}.json" for name in ("first", "second", "outer", "composed")]
+    bundled = (*reference_functionals(), reference_composed_functional())
+    artifacts = [(name, functional_to_json(f)) for name, f in zip(files, bundled)]
+    _write_report(args, "dump-reference", {}, {}, {"files": files}, artifacts)
+    print("\n".join(str(Path(args.out) / f) for f in files))
     return EXIT_OK
 
 
@@ -383,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.monotonic()
     try:
         return args.func(args)
     # LinAlgError subclasses ValueError, so it must be caught first
@@ -391,8 +375,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     # json.JSONDecodeError is a ValueError and NoWorkError an AqbellError;
     # a JSON value of the wrong type ("coeff": null, "entries": 5, a
-    # top-level list) surfaces as a TypeError
-    except (FileNotFoundError, KeyError, TypeError, ValueError, AqbellError) as exc:
+    # top-level list) surfaces as a TypeError, an index out of range as an
+    # IndexError; OSError covers a missing input and an unusable --out
+    except (OSError, LookupError, TypeError, ValueError, AqbellError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -26,6 +26,8 @@ from .scenario import (
     representative_table,
     functional_from_table,
     functional_from_terms,
+    json_index,
+    json_number,
     make_scenario,
     scenario_from_json,
     scenario_to_json,
@@ -261,8 +263,8 @@ def matrix_to_triplets(mat: np.ndarray) -> list:
 def matrix_from_triplets(n: int, triplets) -> np.ndarray:
     mat = np.zeros((n, n))
     for i, j, value in triplets:
-        mat[int(i), int(j)] = float(value)
-        mat[int(j), int(i)] = float(value)
+        i, j = json_index(i), json_index(j)
+        mat[i, j] = mat[j, i] = json_number(value)
     return mat
 
 
@@ -277,6 +279,6 @@ def certificate_to_json(cert: SosCertificate) -> dict:
 
 def certificate_from_json(obj: dict) -> SosCertificate:
     scenario = scenario_from_json(obj["scenario"])
-    target = np.array([float(v) for v in obj["target"]])
+    target = np.array([json_number(v) for v in obj["target"]])
     z = matrix_from_triplets(basis_size(scenario), obj["z"])
-    return SosCertificate(scenario, target, float(obj["lam"]), z)
+    return SosCertificate(scenario, target, json_number(obj["lam"]), z)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -326,8 +327,22 @@ def random_local_behavior(scenario: Scenario, rng: np.random.Generator) -> Behav
 # "collins_gisin" entries index basis monomials (dropped outcomes excluded);
 # "full" entries carry one letter per party and address the full table.
 # Zero entries may be omitted.  Floats serialize via repr, which round-trips
-# exactly (in particular to 17 significant digits).
+# exactly (in particular to 17 significant digits).  Index fields must be
+# nonnegative integers and coefficients numbers, neither a bool.
 # ---------------------------------------------------------------------------
+
+
+def json_index(value) -> int:
+    # int() would truncate 2.9 and read true as 1; numpy reads -1 as the last index
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"expected a nonnegative integer index, got {value!r}")
+    return int(value)
+
+
+def json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a numeric coefficient, got {value!r}")
+    return float(value)
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
@@ -339,7 +354,8 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def scenario_from_json(obj: dict) -> Scenario:
-    return Scenario(int(obj["parties"]), tuple(obj["settings"]), int(obj["outcomes"]))
+    settings = tuple(json_index(m) for m in obj["settings"])
+    return Scenario(json_index(obj["parties"]), settings, json_index(obj["outcomes"]))
 
 
 def _entries_from_vector(scenario, values):
@@ -354,8 +370,8 @@ def _vector_from_entries(scenario, entries):
     index = basis(scenario).index
     values = np.zeros(len(index))
     for entry in entries:
-        mono = tuple(sorted(tuple(int(i) for i in letter) for letter in entry["monomial"]))
-        values[index[mono]] += float(entry["coeff"])
+        mono = tuple(sorted(tuple(json_index(i) for i in letter) for letter in entry["monomial"]))
+        values[index[mono]] += json_number(entry["coeff"])
     return values
 
 
@@ -369,9 +385,9 @@ def _table_from_full_entries(scenario, entries):
         settings = [0] * n
         outcomes = [0] * n
         for party, setting, outcome in mono:
-            settings[int(party)] = int(setting)
-            outcomes[int(party)] = int(outcome)
-        table[tuple(settings) + tuple(outcomes)] += float(entry["coeff"])
+            settings[json_index(party)] = json_index(setting)
+            outcomes[json_index(party)] = json_index(outcome)
+        table[tuple(settings) + tuple(outcomes)] += json_number(entry["coeff"])
     return table
 
 

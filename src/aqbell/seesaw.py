@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 
 import numpy as np
@@ -124,41 +124,17 @@ def _cone_pair_problem(structure, objectives):
     return SdpProblem((n,) * n_blocks, tuple(c_blocks), tuple(stacks), b)
 
 
-def _extract_generator(structure, z_block):
-    coeffs = class_sums(structure, z_block)[structure.monomial_class]
-    return BellFunctional(structure.scenario, coeffs)
-
-
-def _optimize_family(p: Behavior, fam: NbfFamily, outer: BellFunctional, config):
-    """With U_1 = 1 - U_0, W(p) = sum (V(0,c|xi,z) - V(1,c|xi,z)) U_(0|xi) . q_zc
-    + sum V(1,c|xi,z) p_C(c|z): one objective per generator, plus a constant."""
-    structure = build_moment_structure(fam.scenario)
-    outer_table = representative_table(outer)  # (xi, z, alpha, c)
-    boxes = pair_boxes(p, outer.scenario.settings[1])  # (z, c, N_pair)
-    objectives = np.einsum("xzc,zcn->xn", outer_table[:, :, 0] - outer_table[:, :, 1], boxes)
-    constant = np.einsum("xzc,zc->", outer_table[:, :, 1], boxes[:, :, 0])
-
+def _solve_cone_pairs(structure, objectives, config):
+    """Solve the cone-pair SDP and read each slot's generator back from its
+    Z+ block.  Returns (generators, minimum)."""
     solution = solve(_cone_pair_problem(structure, objectives), config)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
     generators = [
-        _extract_generator(structure, solution.x_blocks[2 * slot]) for slot in range(len(objectives))
+        BellFunctional(structure.scenario, class_sums(structure, z_plus)[structure.monomial_class])
+        for z_plus in solution.x_blocks[::2]
     ]
-    return NbfFamily(generators), float(solution.primal_objective + constant)
-
-
-def _optimize_outer(p: Behavior, fam: NbfFamily, outer: BellFunctional, config):
-    structure = build_moment_structure(outer.scenario)
-    members = np.array([[f.coeffs for f in pair] for pair in fam.functionals])  # (xi, alpha, N_pair)
-    # the two-party box the outer functional sees: family outcome alpha on
-    # one side, the third party's outcome c on the other
-    table = np.einsum("xan,zcn->xzac", members, pair_boxes(p, outer.scenario.settings[1]))
-    objective = to_collins_gisin(behavior_from_table(outer.scenario, table, _STEP_TOL))
-    solution = solve(_cone_pair_problem(structure, [objective]), config)
-    if solution.status != SdpStatus.OPTIMAL:
-        raise SolverFailureError(solution.status.value, solution.message, solution)
-    outer = _extract_generator(structure, solution.x_blocks[0])
-    return outer, float(solution.primal_objective)
+    return generators, float(solution.primal_objective)
 
 
 def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: str,
@@ -169,13 +145,24 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
     constrained, with its complement, to the nonnegativity cone), "outer"
     re-optimizes the outer functional.  Returns (family, outer, value).
     """
+    if free not in ("family", "outer"):
+        raise ValueError(f"free block must be 'family' or 'outer', got {free!r}")
+    boxes = pair_boxes(p, outer.scenario.settings[1])  # (z, c, N_pair)
     if free == "family":
-        fam2, value = _optimize_family(p, fam, outer, config)
-        return fam2, outer, value
-    if free == "outer":
-        outer2, value = _optimize_outer(p, fam, outer, config)
-        return fam, outer2, value
-    raise ValueError(f"free block must be 'family' or 'outer', got {free!r}")
+        # with U_1 = 1 - U_0, W(p) = sum (V(0,c|xi,z) - V(1,c|xi,z)) U_(0|xi) . q_zc
+        # + sum V(1,c|xi,z) p_C(c|z): one objective per generator, plus a constant
+        outer_table = representative_table(outer)  # (xi, z, alpha, c)
+        objectives = np.einsum("xzc,zcn->xn", outer_table[:, :, 0] - outer_table[:, :, 1], boxes)
+        constant = np.einsum("xzc,zc->", outer_table[:, :, 1], boxes[:, :, 0])
+        generators, minimum = _solve_cone_pairs(build_moment_structure(fam.scenario), objectives, config)
+        return NbfFamily(generators), outer, float(minimum + constant)
+    members = np.array([[f.coeffs for f in pair] for pair in fam.functionals])  # (xi, alpha, N_pair)
+    # the two-party box the outer functional sees: family outcome alpha on
+    # one side, the third party's outcome c on the other
+    table = np.einsum("xan,zcn->xzac", members, boxes)
+    objective = to_collins_gisin(behavior_from_table(outer.scenario, table, _STEP_TOL))
+    (outer,), minimum = _solve_cone_pairs(build_moment_structure(outer.scenario), [objective], config)
+    return fam, outer, minimum
 
 
 # --- initialization ----------------------------------------------------------
@@ -192,20 +179,15 @@ def _initial_blocks(rng: np.random.Generator, init_v: str):
     negative pocket is about 3e-3 deep, which bounds the useful
     randomization radius; restarts outside the pocket stall at zero and are
     reported as misses."""
-    if init_v == "reference":
-        first, second, outer = reference_functionals()
-        fam = NbfFamily((first, second))
-    elif init_v == "random":
-        first, second, anchor_outer = reference_functionals()
-        drawn = [
-            BellFunctional(f.scenario, f.coeffs + rng.uniform(-RANDOM_NOISE, RANDOM_NOISE, f.coeffs.shape))
-            for f in (first, second, anchor_outer)
-        ]
-        fam = NbfFamily(drawn[:2])
-        outer = drawn[2]
-    else:
+    if init_v not in ("reference", "random"):
         raise ValueError(f"unknown init_v {init_v!r}")
-    return fam, outer
+    blocks = reference_functionals()  # first, second, outer
+    if init_v == "random":
+        blocks = [
+            BellFunctional(f.scenario, f.coeffs + rng.uniform(-RANDOM_NOISE, RANDOM_NOISE, f.coeffs.shape))
+            for f in blocks
+        ]
+    return NbfFamily(blocks[:2]), blocks[2]
 
 
 # --- driver -------------------------------------------------------------------
@@ -299,14 +281,8 @@ def run(cfg: SeesawConfig) -> SeesawTrace:
 def trace_to_json(trace: SeesawTrace) -> dict:
     best = trace.best
     return {
-        "config": {
-            "restarts": trace.config.restarts,
-            "max_sweeps": trace.config.max_sweeps,
-            "improvement_threshold": trace.config.improvement_threshold,
-            "seed": trace.config.seed,
-            "init_v": trace.config.init_v,
-            "target_value": trace.config.target_value,
-        },
+        # the worker count changes no result
+        "config": {k: v for k, v in asdict(trace.config).items() if k != "workers"},
         "restarts": [
             {
                 "index": o.index,

@@ -66,7 +66,7 @@ def test_problems_match_per_class_loop(spec, slots, rng):
     monomials = list(basis(scn).monomials)
     class_map = word_classes(scn)
     cells = [tuple(zip(*class_cells)) for class_cells in class_map.values()]
-    mono = [monomials.index(w.letters) if w.letters in monomials else None for w in class_map]
+    mono = [monomials.index(w) if w in monomials else None for w in class_map]
     class_of = {j: k for k, j in enumerate(mono) if j is not None}
     n, n_classes = len(monomials), len(cells)
     st = build_moment_structure(scn)

@@ -70,15 +70,60 @@ def test_verify_malformed_input(tmp_path):
     assert run_cli("--out", tmp_path, "reproduce", "--tol", "nan") == 2
     # JSON values of the wrong type are input errors too, not "claim fails"
     scenario = {"parties": 2, "settings": [2, 2], "outcomes": 2}
+    half = [{"monomial": [], "coeff": 0.5}]
     for name, blob in (
         ("null_coeff", {"scenario": scenario, "entries": [{"monomial": [], "coeff": None}]}),
         ("int_entries", {"scenario": scenario, "entries": 5}),
         ("top_level_list", []),
+        # index fields must be integers and coefficients numbers, neither a
+        # bool: int() and float() would read these as a different functional
+        ("float_settings", {"scenario": {**scenario, "settings": [2.9, 2]}, "entries": half}),
+        ("float_outcomes", {"scenario": {**scenario, "outcomes": 2.5}, "entries": half}),
+        ("float_letter", {"scenario": scenario, "entries": [{"monomial": [[0, 1.7, 0]], "coeff": 0.5}]}),
+        ("bool_party", {"scenario": scenario, "entries": [{"monomial": [[True, 0, 0]], "coeff": 0.5}]}),
+        ("bool_coeff", {"scenario": scenario, "entries": [{"monomial": [], "coeff": True}]}),
+        # and an index outside the scenario is malformed too, not a traceback
+        ("negative_party", {"scenario": scenario, "format": "full",
+                            "entries": [{"monomial": [[-1, 0, 0], [1, 0, 0]], "coeff": 0.5}]}),
+        ("setting_out_of_range", {"scenario": scenario, "format": "full",
+                                  "entries": [{"monomial": [[0, 5, 0], [1, 0, 0]], "coeff": 0.5}]}),
     ):
         typed = tmp_path / f"{name}.json"
         save_json(typed, blob)
         assert run_cli("--out", tmp_path, "verify", typed) == 2, name
         assert run_cli("--out", tmp_path, "aq", "min", typed) == 2, name
+
+
+def test_unusable_out_is_an_input_error(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    assert run_cli("--out", blocker, "dump-reference") == 2
+    assert run_cli("--out", blocker / "sub", "compose") == 2
+    assert blocker.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
+def test_each_command_writes_its_artifacts_and_report(reference_dir, tmp_path):
+    first = reference_dir / "reference_first.json"
+    expected = {
+        ("dump-reference",): {
+            "reference_first.json", "reference_second.json", "reference_outer.json",
+            "reference_composed.json", "dump-reference_report.json",
+        },
+        ("verify", first): {"lower_certificate.json", "upper_certificate.json", "verify_report.json"},
+        ("aq", "min", first): {"aq_min_behavior.json", "aq_min_certificate.json", "aq_min_report.json"},
+        ("compose",): {"composed.json", "compose_report.json"},
+        ("reproduce",): {"reproduce_behavior.json", "reproduce_certificate.json", "reproduce_report.json"},
+        ("perturb", "--epsilon", 0): {"perturb_report.json"},
+        ("seesaw", "run", "--restarts", 1, "--sweeps", 1, "--target=-1"): {
+            "seesaw_trace.json", "seesaw_run_report.json",
+        },
+        ("oracle",): {"oracle_report.json"},
+    }
+    for index, (argv, files) in enumerate(expected.items()):
+        out = tmp_path / str(index) / "out"  # parents are created too
+        assert run_cli("--out", out, *argv) == 0, argv
+        assert {p.name for p in out.iterdir()} == files, argv
 
 
 def test_aq_min_of_wiring(reference_dir, tmp_path):
@@ -120,6 +165,22 @@ def test_compose_explicit_inputs(reference_dir, tmp_path, composed_w):
     written = load_json(tmp_path / "composed.json")
     assert written["entries"] == load_json(reference_dir / "reference_composed.json")["entries"]
     np.testing.assert_allclose(functional_from_json(written).coeffs, composed_w.coeffs, atol=1e-15)
+
+
+def test_compose_digests_file_contents(reference_dir, tmp_path):
+    # the same paths with different contents are different inputs
+    outer = load_json(reference_dir / "reference_outer.json")
+    argv = [
+        "compose", "--u", reference_dir / "reference_first.json",
+        "--u", reference_dir / "reference_second.json", "--v", tmp_path / "v.json",
+    ]
+    digests = []
+    for coeff in (outer["entries"][0]["coeff"], 0.25):
+        outer["entries"][0]["coeff"] = coeff
+        save_json(tmp_path / "v.json", outer)
+        assert run_cli("--out", tmp_path / "out", *argv) == 0
+        digests.append(load_json(tmp_path / "out" / "compose_report.json")["inputs_digest"])
+    assert digests[0] != digests[1]
 
 
 def test_compose_pads_third_party_to_family_settings(reference_dir, tmp_path):
