@@ -154,7 +154,6 @@ class SosCertificate:
 @dataclass(frozen=True, eq=False)
 class CompiledExtremize:
     problem: SdpProblem
-    structure: MomentStructure
     target: np.ndarray  # functional coefficients, negated for "max"
 
 
@@ -182,7 +181,7 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     c = np.zeros((n, n))
     c[0, 0] = 1.0
     problem = SdpProblem((n,), (c,), (stack,), b)
-    return CompiledExtremize(problem, structure, target)
+    return CompiledExtremize(problem, target)
 
 
 @dataclass(eq=False)
@@ -191,11 +190,6 @@ class AqExtremum:
     behavior: Behavior  # on the caller's scenario
     certificate: SosCertificate  # on the caller's scenario
     solution: SdpSolution  # the solve over the touched settings only
-
-
-def moment_matrix_from_solution(compiled: CompiledExtremize, solution: SdpSolution) -> np.ndarray:
-    """Optimal moment matrix, assembled from the dual multipliers."""
-    return scatter(compiled.structure, np.concatenate(([1.0], -solution.y)))
 
 
 def aq_extremize(
@@ -223,7 +217,8 @@ def aq_extremize(
 
     n = len(functional.coeffs)
     entries = np.zeros(n)
-    entries[keep] = moment_matrix_from_solution(compiled, solution)[0]
+    # moments are the negated dual multipliers, read at the first row's classes
+    entries[keep] = np.concatenate(([1.0], -solution.y))[structure.monomial_class]
     behavior = from_collins_gisin(functional.scenario, entries, EXTRACTION_TOL)
 
     target = np.zeros(n)

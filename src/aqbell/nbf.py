@@ -22,14 +22,10 @@ from .scenario import (
     BellFunctional,
     Scenario,
     basis,
-    basis_size,
     representative_table,
     functional_from_table,
     functional_from_terms,
-    json_index,
-    json_number,
     make_scenario,
-    scenario_from_json,
     scenario_to_json,
     unit_functional,
 )
@@ -130,8 +126,6 @@ def compose(outer: BellFunctional, fam: NbfFamily) -> BellFunctional:
     scenario composes onto a uniform one, and the settings past m_z get zero
     coefficients.  :func:`pair_boxes` is the adjoint.
     """
-    if not all(np.isfinite(g.coeffs).all() for g in fam.generators):
-        raise ValueError("family generator coefficients must be finite")
     if fam.scenario.parties != 2 or outer.scenario.parties != 2:
         raise ValueError("composition expects a bipartite family and a bipartite outer functional")
     n_xi = len(fam.generators)
@@ -260,14 +254,6 @@ def matrix_to_triplets(mat: np.ndarray) -> list:
     return out
 
 
-def matrix_from_triplets(n: int, triplets) -> np.ndarray:
-    mat = np.zeros((n, n))
-    for i, j, value in triplets:
-        i, j = json_index(i), json_index(j)
-        mat[i, j] = mat[j, i] = json_number(value)
-    return mat
-
-
 def certificate_to_json(cert: SosCertificate) -> dict:
     return {
         "scenario": scenario_to_json(cert.scenario),
@@ -276,9 +262,3 @@ def certificate_to_json(cert: SosCertificate) -> dict:
         "z": matrix_to_triplets(cert.z),
     }
 
-
-def certificate_from_json(obj: dict) -> SosCertificate:
-    scenario = scenario_from_json(obj["scenario"])
-    target = np.array([json_number(v) for v in obj["target"]])
-    z = matrix_from_triplets(basis_size(scenario), obj["z"])
-    return SosCertificate(scenario, target, json_number(obj["lam"]), z)

@@ -30,6 +30,7 @@ from .errors import (
 )
 
 VERTEX_GUARD = 1_000_000
+BASIS_GUARD = 2**24  # largest basis_size * table_size of the maps basis() builds
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,8 @@ class BellFunctional:
         arr = np.asarray(self.coeffs, dtype=float)
         if arr.shape != (basis_size(self.scenario),):
             raise ValueError("coefficient count does not match the monomial basis")
+        if not np.isfinite(arr).all():
+            raise ValueError("functional coefficients must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -146,6 +149,9 @@ def basis(scenario: Scenario) -> Basis:
     permuted from the party-interleaved orders into basis and table order.
     """
     n, d = scenario.parties, scenario.outcomes
+    entries = math.prod(1 + m * (d - 1) for m in scenario.settings) * scenario.table_size
+    if entries > BASIS_GUARD:
+        raise SizeGuardError(f"basis maps of {entries} entries exceed the guard {BASIS_GUARD}")
     letters, setting_cols, t_factors, l_factors = [], [], [], []
     for party, m in enumerate(scenario.settings):
         options = [None] + [(party, x, a) for x in range(m) for a in range(d - 1)]
@@ -193,6 +199,9 @@ def behavior_from_table(scenario: Scenario, table, tol: ToleranceConfig | None =
     if arr.shape != scenario.table_shape:
         raise ValueError(f"table shape {arr.shape} != {scenario.table_shape}")
     n = scenario.parties
+    # a NaN would pass every comparison below
+    if not np.isfinite(arr).all():
+        raise ValueError("behavior table entries must be finite")
 
     sums = arr.sum(axis=tuple(range(n, 2 * n)))
     worst = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
@@ -227,17 +236,12 @@ def to_collins_gisin(behavior: Behavior) -> np.ndarray:
 
 
 def from_collins_gisin(scenario: Scenario, entries, tol: ToleranceConfig | None = None) -> Behavior:
-    """Rebuild the table; rejects vectors whose table turns negative."""
-    tol = tol or DEFAULT_TOL
+    """Rebuild the table and validate it like :func:`behavior_from_table`."""
     lmat = basis(scenario).lmat
     entries = np.asarray(entries, dtype=float)
     if entries.shape != (lmat.shape[1],):
         raise ValueError("entry count does not match the monomial basis")
-    table = (lmat @ entries).reshape(scenario.table_shape)
-    if table.min() < -tol.negativity:
-        worst = np.unravel_index(np.argmin(table), table.shape)
-        raise NegativityError(f"reconstructed entry {worst} is negative: {table[worst]:.3e}")
-    return behavior_from_table(scenario, table, tol)
+    return behavior_from_table(scenario, (lmat @ entries).reshape(scenario.table_shape), tol)
 
 
 def unit_functional(scenario: Scenario) -> BellFunctional:
@@ -325,10 +329,12 @@ def random_local_behavior(scenario: Scenario, rng: np.random.Generator) -> Behav
 #  "entries": [{"monomial": [[party, setting, outcome], ...], "coeff": x}, ...]}
 #
 # "collins_gisin" entries index basis monomials (dropped outcomes excluded);
-# "full" entries carry one letter per party and address the full table.
-# Zero entries may be omitted.  Floats serialize via repr, which round-trips
-# exactly (in particular to 17 significant digits).  Index fields must be
-# nonnegative integers and coefficients numbers, neither a bool.
+# "full" entries carry exactly one letter per party and address the full
+# table.  Functionals are read in either format; behaviors are written as
+# "collins_gisin" and not read back.  Zero entries may be omitted.  Floats
+# serialize via repr, which round-trips exactly (in particular to 17
+# significant digits).  Index fields must be nonnegative integers and
+# coefficients numbers, neither a bool.
 # ---------------------------------------------------------------------------
 
 
@@ -377,17 +383,15 @@ def _vector_from_entries(scenario, entries):
 
 def _table_from_full_entries(scenario, entries):
     n = scenario.parties
+    basis(scenario)  # its size guard also bounds the table allocated here
     table = np.zeros(scenario.table_shape)
     for entry in entries:
         mono = entry["monomial"]
-        if len(mono) != n:
-            raise ValueError("full-format entries need one letter per party")
-        settings = [0] * n
-        outcomes = [0] * n
-        for party, setting, outcome in mono:
-            settings[json_index(party)] = json_index(setting)
-            outcomes[json_index(party)] = json_index(outcome)
-        table[tuple(settings) + tuple(outcomes)] += json_number(entry["coeff"])
+        letters = {json_index(party): (json_index(x), json_index(a)) for party, x, a in mono}
+        if len(mono) != n or sorted(letters) != list(range(n)):
+            raise ValueError("full-format entries need exactly one letter per party")
+        settings, outcomes = zip(*(letters[k] for k in range(n)))
+        table[settings + outcomes] += json_number(entry["coeff"])
     return table
 
 
@@ -398,16 +402,6 @@ def behavior_to_json(behavior: Behavior) -> dict:
         "format": "collins_gisin",
         "entries": _entries_from_vector(scenario, to_collins_gisin(behavior)),
     }
-
-
-def behavior_from_json(obj: dict, tol: ToleranceConfig | None = None) -> Behavior:
-    scenario = scenario_from_json(obj["scenario"])
-    fmt = obj.get("format", "full")
-    if fmt == "full":
-        return behavior_from_table(scenario, _table_from_full_entries(scenario, obj["entries"]), tol)
-    if fmt == "collins_gisin":
-        return from_collins_gisin(scenario, _vector_from_entries(scenario, obj["entries"]), tol)
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def functional_to_json(functional: BellFunctional) -> dict:
@@ -423,14 +417,10 @@ def functional_from_json(obj: dict) -> BellFunctional:
     scenario = scenario_from_json(obj["scenario"])
     fmt = obj.get("format", "collins_gisin")
     if fmt == "collins_gisin":
-        functional = BellFunctional(scenario, _vector_from_entries(scenario, obj["entries"]))
-    elif fmt == "full":
-        functional = functional_from_table(scenario, _table_from_full_entries(scenario, obj["entries"]))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if not np.all(np.isfinite(functional.coeffs)):
-        raise ValueError("functional coefficients must be finite")
-    return functional
+        return BellFunctional(scenario, _vector_from_entries(scenario, obj["entries"]))
+    if fmt == "full":
+        return functional_from_table(scenario, _table_from_full_entries(scenario, obj["entries"]))
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def save_json(path, obj) -> None:

@@ -87,13 +87,13 @@ class SeesawTrace:
         return sum(1 for o in self.outcomes if o.failed)
 
 
-def step_behavior(fam: NbfFamily, outer: BellFunctional, config: SolverConfig | None = None):
+def step_behavior(fam: NbfFamily, outer: BellFunctional):
     """Compose the current blocks and minimize over the almost-quantum set.
 
     Returns (behavior, value, composed functional).
     """
     w = compose(outer, fam)
-    ext = aq_extremize(w, "min", config)
+    ext = aq_extremize(w, "min", SEESAW_SOLVER)
     return ext.behavior, ext.value, w
 
 
@@ -124,10 +124,10 @@ def _cone_pair_problem(structure, objectives):
     return SdpProblem((n,) * n_blocks, tuple(c_blocks), tuple(stacks), b)
 
 
-def _solve_cone_pairs(structure, objectives, config):
+def _solve_cone_pairs(structure, objectives):
     """Solve the cone-pair SDP and read each slot's generator back from its
     Z+ block.  Returns (generators, minimum)."""
-    solution = solve(_cone_pair_problem(structure, objectives), config)
+    solution = solve(_cone_pair_problem(structure, objectives), SEESAW_SOLVER)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
     generators = [
@@ -137,8 +137,7 @@ def _solve_cone_pairs(structure, objectives, config):
     return generators, float(solution.primal_objective)
 
 
-def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: str,
-                     config: SolverConfig | None = None):
+def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: str):
     """Exact minimization over one functional block with the behavior fixed.
 
     ``free`` selects the block: "family" re-optimizes the generators (each
@@ -154,14 +153,14 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
         outer_table = representative_table(outer)  # (xi, z, alpha, c)
         objectives = np.einsum("xzc,zcn->xn", outer_table[:, :, 0] - outer_table[:, :, 1], boxes)
         constant = np.einsum("xzc,zc->", outer_table[:, :, 1], boxes[:, :, 0])
-        generators, minimum = _solve_cone_pairs(build_moment_structure(fam.scenario), objectives, config)
+        generators, minimum = _solve_cone_pairs(build_moment_structure(fam.scenario), objectives)
         return NbfFamily(generators), outer, float(minimum + constant)
     members = np.array([[f.coeffs for f in pair] for pair in fam.functionals])  # (xi, alpha, N_pair)
     # the two-party box the outer functional sees: family outcome alpha on
     # one side, the third party's outcome c on the other
     table = np.einsum("xan,zcn->xzac", members, boxes)
     objective = to_collins_gisin(behavior_from_table(outer.scenario, table, _STEP_TOL))
-    (outer,), minimum = _solve_cone_pairs(build_moment_structure(outer.scenario), [objective], config)
+    (outer,), minimum = _solve_cone_pairs(build_moment_structure(outer.scenario), [objective])
     return fam, outer, minimum
 
 
@@ -201,11 +200,11 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
     failed, message = False, ""
     try:
         for _sweep in range(cfg.max_sweeps):
-            behavior, value_p, composed = step_behavior(fam, outer, SEESAW_SOLVER)
+            behavior, value_p, composed = step_behavior(fam, outer)
             step_values.append(("behavior", value_p))
-            fam, outer, value_u = step_functionals(behavior, fam, outer, "family", SEESAW_SOLVER)
+            fam, outer, value_u = step_functionals(behavior, fam, outer, "family")
             step_values.append(("family", value_u))
-            fam, outer, value_v = step_functionals(behavior, fam, outer, "outer", SEESAW_SOLVER)
+            fam, outer, value_v = step_functionals(behavior, fam, outer, "outer")
             step_values.append(("outer", value_v))
             sweep_values.append(value_v)
             if value_v <= cfg.target_value:

@@ -8,7 +8,6 @@ from aqbell.aqset import (
     class_sums,
     compile_extremize,
     constraint_residual,
-    moment_matrix_from_solution,
     restrict_to_touched,
     scatter,
     strictly_feasible_point,
@@ -25,6 +24,7 @@ from aqbell.scenario import (
     evaluate,
     functional_from_terms,
     make_scenario,
+    to_collins_gisin,
     unit_functional,
 )
 from aqbell.sdp import solve
@@ -192,10 +192,12 @@ def test_certificate_scatter_matches_moments(scn222, rng):
     for scn in (scn222, make_scenario(2, 2, 3)):
         f = BellFunctional(scn, rng.uniform(-1, 1, basis_size(scn)))
         st = build_moment_structure(scn)
-        compiled = compile_extremize(st, f, "min")
         ext = aq_extremize(f, "min")
-        gamma = moment_matrix_from_solution(compiled, ext.solution)
+        # the moments are the negated dual multipliers
+        gamma = scatter(st, np.concatenate(([1.0], -ext.solution.y)))
         assert constraint_residual(st, gamma) < 1e-12
+        # the behavior is read off the first row
+        np.testing.assert_allclose(to_collins_gisin(ext.behavior), gamma[0], atol=1e-12)
         assert np.linalg.eigvalsh(gamma).min() > -1e-8
 
 

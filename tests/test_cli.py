@@ -87,6 +87,14 @@ def test_verify_malformed_input(tmp_path):
                             "entries": [{"monomial": [[-1, 0, 0], [1, 0, 0]], "coeff": 0.5}]}),
         ("setting_out_of_range", {"scenario": scenario, "format": "full",
                                   "entries": [{"monomial": [[0, 5, 0], [1, 0, 0]], "coeff": 0.5}]}),
+        # a full-format letter per party, each party once: no silent overwrite
+        ("repeated_party", {"scenario": scenario, "format": "full",
+                            "entries": [{"monomial": [[0, 0, 0], [0, 1, 0]], "coeff": 0.5}]}),
+        # a scenario whose basis maps exceed the guard is refused before
+        # allocation, in either format
+        ("huge_settings", {"scenario": {**scenario, "settings": [1000, 1000]}, "entries": half}),
+        ("huge_full_table", {"scenario": {**scenario, "settings": [10**6, 10**6]}, "format": "full",
+                             "entries": [{"monomial": [[0, 0, 0], [1, 0, 0]], "coeff": 0.5}]}),
     ):
         typed = tmp_path / f"{name}.json"
         save_json(typed, blob)

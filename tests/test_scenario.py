@@ -14,7 +14,6 @@ from aqbell.scenario import (
     BellFunctional,
     Scenario,
     basis,
-    behavior_from_json,
     behavior_from_table,
     behavior_to_json,
     enumerate_deterministic,
@@ -61,6 +60,18 @@ def test_behavior_validation(scn222):
     negative[0, 0, 1, 1] = 0.55
     with pytest.raises(NegativityError):
         behavior_from_table(scn222, negative)
+
+    # a NaN entry fails every comparison, so without the finiteness check a
+    # table with one would pass despite a -0.5 entry or a sum of 1.65
+    negative_nan = negative.copy()
+    negative_nan[1, 1, 0, 0] = np.nan
+    negative_nan[0, 0, 0, 0] = -0.5
+    unnormalized_nan = np.full(scn222.table_shape, 0.25)
+    unnormalized_nan[0, 0, 0, 0] = np.nan
+    unnormalized_nan[1, 1, 0, 0] = 0.9
+    for table in (np.full(scn222.table_shape, np.nan), negative_nan, unnormalized_nan):
+        with pytest.raises(ValueError, match="finite"):
+            behavior_from_table(scn222, table)
 
     # Alice's outcome copies Bob's setting: signalling
     signalling = np.zeros(scn222.table_shape)
@@ -135,6 +146,9 @@ def test_from_cg_rejects_negative(scn222):
     entries = to_collins_gisin(uniform_behavior(scn222))
     entries[5] = 0.9  # pair probability above its marginals
     with pytest.raises(NegativityError):
+        from_collins_gisin(scn222, entries)
+    entries[5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
         from_collins_gisin(scn222, entries)
     with pytest.raises(ValueError):
         from_collins_gisin(scn222, entries[:-1])
@@ -214,33 +228,14 @@ def test_functional_from_table_round_trip(scn222, rng):
 
 def test_behavior_json_round_trip(scn232, rng):
     b = random_local_behavior(scn232, rng)
-    blob = json.dumps(behavior_to_json(b))
-    assert json.loads(blob)["format"] == "collins_gisin"
-    back = behavior_from_json(json.loads(blob))
-    np.testing.assert_allclose(back.table, b.table, atol=1e-12)
-    # serialization is exact, so a second round trip is byte-identical
-    assert json.dumps(behavior_to_json(back)) == blob
-
-
-def test_behavior_json_full_format(scn222):
-    # p(ab|xy) = 1/2 on a = b for every setting pair: one letter per party
-    obj = {
-        "scenario": {"parties": 2, "settings": [2, 2], "outcomes": 2},
-        "format": "full",
-        "entries": [
-            {"monomial": [[0, x, a], [1, y, a]], "coeff": 0.5}
-            for x in range(2)
-            for y in range(2)
-            for a in range(2)
-        ],
-    }
-    back = behavior_from_json(obj)
-    expected = np.zeros(scn222.table_shape)
-    for a in range(2):
-        expected[:, :, a, a] = 0.5
-    assert np.array_equal(back.table, expected)
-    with pytest.raises(ValueError, match="one letter per party"):
-        behavior_from_json({**obj, "entries": [{"monomial": [[0, 0, 0]], "coeff": 1.0}]})
+    obj = json.loads(json.dumps(behavior_to_json(b)))
+    assert obj["format"] == "collins_gisin"
+    # serialization is exact: the entries are the Collins-Gisin vector's bits
+    index = basis(scn232).index
+    entries = np.zeros(len(index))
+    for entry in obj["entries"]:
+        entries[index[tuple(tuple(letter) for letter in entry["monomial"])]] = entry["coeff"]
+    assert np.array_equal(entries, to_collins_gisin(b))
 
 
 def test_functional_json_round_trip(scn232, rng):
@@ -270,3 +265,7 @@ def test_functional_json_full_format(scn222):
     }
     back = functional_from_json(obj)
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-13)
+    # each party exactly once: a missing or repeated party is rejected
+    for mono in ([[0, 0, 0]], [[0, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="one letter per party"):
+            functional_from_json({**obj, "entries": [{"monomial": mono, "coeff": 1.0}]})
