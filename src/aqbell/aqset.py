@@ -14,9 +14,20 @@ set is closed under dropping a setting (a principal submatrix of Gamma) and
 under re-adding one that always returns the last outcome (its basis letters
 are the zero operator, so Gamma only gains zero rows), hence the restricted
 problem has the same value and its solution re-embeds exactly.
+
+A functional that a transposition of two parties leaves unchanged is solved
+over the symmetric and antisymmetric combinations of the monomials
+(Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  The problem is then
+invariant under the swap, so an optimal Z may be taken swap-invariant; such a
+Z is block-diagonal in that basis, and the class sums of a word and of its
+swapped image agree, so one constraint per orbit of word classes suffices.
+The two blocks and the orbit constraints are solved in place of the one
+block, and the solution is re-embedded into the unreduced problem.
 """
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +39,12 @@ from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis,
 from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, solve
 
 MAX_PARTIES = 3
+# m * n**3 of the unreduced problem below which its one block solves faster
+# than two blocks of different sizes
+SWAP_MIN_WORK = 2_000_000
+# coefficient mismatch under a party swap, relative to max(1, |f|_inf), that
+# still counts as invariant (compose leaves ~1e-17)
+SWAP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +121,98 @@ def restrict_to_touched(functional: BellFunctional):
     return BellFunctional(restricted, functional.coeffs[index]), index
 
 
+@dataclass(frozen=True, eq=False)
+class PartySwap:
+    """A transposition of two parties, acting on a moment structure.
+
+    ``perm`` maps each basis monomial to its swapped image.  The swap
+    permutes the word classes; ``orbit`` gives each class the index of its
+    orbit (a class and its image share one; the identity class gets -1) and
+    ``orbit_size`` the classes in each orbit.  ``blocks`` holds, for the
+    symmetric and then the antisymmetric component, a matrix W whose columns
+    are e_i for a fixed monomial i and e_i + e_j, resp. e_i - e_j, for a
+    swapped pair, and the matrix ``scale`` of 1 / (|w_c| |w_c'|), so that
+    the orthonormal basis U = W diag(1/|w_c|) acts as
+    U^T A U = scale * (W^T A W) and U Y U^T = W (scale * Y) W^T.  Every
+    entry of W^T A W is a sum of at most four signed entries of A, so
+    blocks of 0/1 and 1/2 entries keep exact zeros.
+    """
+
+    parties: tuple
+    perm: np.ndarray
+    orbit: np.ndarray
+    orbit_size: np.ndarray
+    blocks: tuple
+
+
+@lru_cache(maxsize=None)
+def party_swap(structure: MomentStructure, parties: tuple) -> PartySwap:
+    """The swap of two parties with equal settings counts."""
+    p, q = parties
+    index = basis(structure.scenario).index
+    rename = {p: q, q: p}
+    perm = np.array([
+        index[tuple(sorted((rename.get(k, k), x, a) for k, x, a in mono))] for mono in structure.basis
+    ])
+    # cell (i, j) goes to (perm i, perm j), so class k goes to the class there
+    labels = structure.cell_class
+    image = labels[np.ix_(perm, perm)]
+    labelled = labels >= 0
+    maps_to = np.empty(len(structure.classes), dtype=int)
+    maps_to[labels[labelled]] = image[labelled]
+    assert np.array_equal(np.append(maps_to, -1)[labels], image)
+    # orbits are numbered by their smallest class, the identity class left out
+    _, orbit = np.unique(np.minimum(maps_to, np.arange(len(maps_to)))[1:], return_inverse=True)
+    orbit = np.concatenate(([-1], orbit))
+
+    monomials = np.arange(structure.size)
+    blocks = []
+    for sign, first in ((1.0, monomials <= perm), (-1.0, monomials < perm)):
+        cols = np.flatnonzero(first)
+        w = np.zeros((structure.size, len(cols)))
+        w[perm[cols], np.arange(len(cols))] = sign
+        w[cols, np.arange(len(cols))] = 1.0
+        norm2 = (w != 0).sum(axis=0)
+        blocks.append((w, 1.0 / np.sqrt(np.outer(norm2, norm2))))
+    return PartySwap(parties, perm, orbit, np.bincount(orbit[1:]), tuple(blocks))
+
+
+def invariant_swap(structure: MomentStructure, target: np.ndarray) -> PartySwap | None:
+    """The first transposition of two parties with equal settings counts
+    that fixes ``target`` to within ``SWAP_TOL * max(1, |target|_inf)``, or
+    None; None also when the unreduced problem is below ``SWAP_MIN_WORK``."""
+    scenario = structure.scenario
+    n, m = structure.size, len(structure.classes) - 1
+    if m * n**3 < SWAP_MIN_WORK:
+        return None
+    tol = SWAP_TOL * max(1.0, float(np.abs(target).max()))
+    for parties in itertools.combinations(range(scenario.parties), 2):
+        if scenario.settings[parties[0]] != scenario.settings[parties[1]]:
+            continue
+        swap = party_swap(structure, parties)
+        if np.abs(target[swap.perm] - target).max() <= tol:
+            return swap
+    return None
+
+
+def embed_solution(swap: PartySwap, solution: SdpSolution) -> SdpSolution:
+    """A solve of the swap-reduced problem as a solution of the unreduced
+    one: X = U_s X_s U_s^T + U_a X_a U_a^T, S likewise, and each class's
+    multiplier is its orbit's divided by the orbit size.  Status,
+    objectives, residuals, iterations and trace stay the block solve's."""
+
+    def embed(mats):
+        return [sum(w @ (scale * z) @ w.T for (w, scale), z in zip(swap.blocks, mats, strict=True))]
+
+    rows = swap.orbit[1:]
+    return dataclasses.replace(
+        solution,
+        x_blocks=embed(solution.x_blocks),
+        s_blocks=embed(solution.s_blocks),
+        y=solution.y[rows] / swap.orbit_size[rows],
+    )
+
+
 def class_sums(structure: MomentStructure, mat: np.ndarray) -> np.ndarray:
     """Entry sum of ``mat`` over every word class, in class order."""
     labelled = structure.cell_class >= 0
@@ -155,6 +264,7 @@ class SosCertificate:
 class CompiledExtremize:
     problem: SdpProblem
     target: np.ndarray  # functional coefficients, negated for "max"
+    swap: PartySwap | None  # the swap the problem was reduced by, if any
 
 
 def compile_extremize(structure: MomentStructure, functional: BellFunctional, sense: str) -> CompiledExtremize:
@@ -165,6 +275,12 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     word (zero for words outside the basis; orthogonal cells stay free).
     The extremal value is target[0] - opt, and the dual slack at the
     optimum is the extremizing moment matrix itself.
+
+    When :func:`invariant_swap` finds a party swap fixing the target, the
+    problem is posed over its symmetric and antisymmetric blocks instead,
+    with one constraint per orbit of word classes: the class indicators and
+    targets averaged over the orbit.  :func:`embed_solution` maps its
+    solution back.
     """
     if functional.scenario != structure.scenario:
         raise ScenarioMismatchError("functional and moment structure disagree on the scenario")
@@ -174,14 +290,24 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
 
     n = structure.size
     m = len(structure.classes) - 1
-    # constraint k - 1 pins class k; the identity class is the objective
-    stack = indicator_stack(structure, np.arange(m + 1) - 1, m)
-    b = np.zeros(m)
-    b[structure.monomial_class[1:] - 1] = target[1:]
     c = np.zeros((n, n))
     c[0, 0] = 1.0
-    problem = SdpProblem((n,), (c,), (stack,), b)
-    return CompiledExtremize(problem, target)
+    pinned = np.zeros(m + 1)  # per class; the identity class is the objective
+    pinned[structure.monomial_class] = target
+    swap = invariant_swap(structure, target)
+    if swap is None:
+        # constraint k - 1 pins class k
+        stack = indicator_stack(structure, np.arange(m + 1) - 1, m)
+        problem = SdpProblem((n,), (c,), (stack,), pinned[1:])
+        return CompiledExtremize(problem, target, None)
+
+    size = swap.orbit_size
+    stack = indicator_stack(structure, swap.orbit, len(size)) / size[:, None, None]
+    b = np.bincount(swap.orbit[1:], weights=pinned[1:]) / size
+    dims, cs, stacks = zip(*(
+        (w.shape[1], scale * (w.T @ c @ w), scale * (w.T @ stack @ w)) for w, scale in swap.blocks
+    ))
+    return CompiledExtremize(SdpProblem(dims, cs, stacks, b), target, swap)
 
 
 @dataclass(eq=False)
@@ -189,7 +315,10 @@ class AqExtremum:
     value: float
     behavior: Behavior  # on the caller's scenario
     certificate: SosCertificate  # on the caller's scenario
-    solution: SdpSolution  # the solve over the touched settings only
+    solution: SdpSolution  # of the one-block problem over the touched settings only
+    # the party swap the solve was reduced by: {"parties", "blocks",
+    # "constraints"}, or None for the one-block solve
+    reduction: dict | None
 
 
 def aq_extremize(
@@ -199,7 +328,12 @@ def aq_extremize(
     extremal behavior and the certificate matrix.
 
     The SDP is solved over the settings the functional touches (see
-    :func:`restrict_to_touched`), and ``solution`` is that restricted solve.
+    :func:`restrict_to_touched`), and ``solution`` is a solution of that
+    restricted problem.  When a party swap fixes the restricted functional
+    and the problem is large enough, the solve runs over two blocks (see
+    :func:`compile_extremize`), ``solution`` is its re-embedding
+    (:func:`embed_solution`), and ``reduction`` records the swapped parties,
+    the block sizes and the constraint count.
     ``behavior`` and ``certificate`` are re-embedded into the caller's
     scenario: the behavior's Collins-Gisin entries are 0 on monomials with a
     dropped letter (a dropped setting always returns the last outcome), and
@@ -211,6 +345,14 @@ def aq_extremize(
     solution = solve(compiled.problem, config)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
+    reduction = None
+    if compiled.swap is not None:
+        solution = embed_solution(compiled.swap, solution)
+        reduction = {
+            "parties": list(compiled.swap.parties),
+            "blocks": list(compiled.problem.block_dims),
+            "constraints": compiled.problem.num_constraints,
+        }
 
     bound = float(compiled.target[0] - solution.primal_objective)
     value = bound if sense == "min" else -bound
@@ -226,7 +368,9 @@ def aq_extremize(
     z = np.zeros((n, n))
     z[np.ix_(keep, keep)] = solution.x_blocks[0]
     certificate = SosCertificate(scenario=functional.scenario, target=target, lam=bound, z=z)
-    return AqExtremum(value=value, behavior=behavior, certificate=certificate, solution=solution)
+    return AqExtremum(
+        value=value, behavior=behavior, certificate=certificate, solution=solution, reduction=reduction
+    )
 
 
 def strictly_feasible_point(structure: MomentStructure) -> np.ndarray:

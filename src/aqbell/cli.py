@@ -128,6 +128,7 @@ def cmd_aq(args) -> int:
         "sense": args.sense,
         "value": _result(ext.value, ext.solution.residuals.gap),
         "solver_gap": ext.solution.residuals.gap,
+        "reduction": ext.reduction,
     }
     _write_report(args, f"aq {args.sense}", raw, {"tol": args.tol}, results, (
         (f"aq_{args.sense}_behavior.json", behavior_to_json(ext.behavior)),
@@ -181,6 +182,7 @@ def cmd_reproduce(args) -> int:
         "band": [lo, hi],
         "in_band": bool(lo <= ext.value <= hi),
         "solver_gap": ext.solution.residuals.gap,
+        "reduction": ext.reduction,
         "verdicts": {
             name: {
                 "is_nbf": verdict.is_nbf,

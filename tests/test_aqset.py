@@ -8,6 +8,8 @@ from aqbell.aqset import (
     class_sums,
     compile_extremize,
     constraint_residual,
+    indicator_stack,
+    party_swap,
     restrict_to_touched,
     scatter,
     strictly_feasible_point,
@@ -27,7 +29,7 @@ from aqbell.scenario import (
     to_collins_gisin,
     unit_functional,
 )
-from aqbell.sdp import solve
+from aqbell.sdp import SdpProblem, check_certificate, solve
 
 TSIRELSON = (4.0 + 2.0 * np.sqrt(2.0)) / 8.0
 
@@ -290,3 +292,115 @@ def test_nothing_to_prune_returns_functional(scn222, rng):
     restricted, keep = restrict_to_touched(f)
     assert restricted is f
     assert np.array_equal(keep, np.arange(basis_size(scn222)))
+
+
+def swap_permutation(scenario, p, q):
+    """Basis index of each monomial's image when parties p and q swap."""
+    index = basis(scenario).index
+    rename = {p: q, q: p}
+    return np.array([
+        index[tuple(sorted((rename.get(k, k), x, a) for k, x, a in mono))] for mono in basis(scenario).monomials
+    ])
+
+
+def unreduced_problem(structure, target):
+    """The one-block problem: one indicator row per non-identity class."""
+    n, m = structure.size, len(structure.classes) - 1
+    stack = indicator_stack(structure, np.arange(m + 1) - 1, m)
+    b = np.zeros(m)
+    b[structure.monomial_class[1:] - 1] = target[1:]
+    c = np.zeros((n, n))
+    c[0, 0] = 1.0
+    return SdpProblem((n,), (c,), (stack,), b)
+
+
+def assert_matches_unreduced_solve(f, sense, ext, parties):
+    """``ext`` was solved over the two blocks of the swap of ``parties``, and
+    is a solution of the one-block problem with the same value."""
+    restricted, _ = restrict_to_touched(f)
+    st = build_moment_structure(restricted.scenario)
+    compiled = compile_extremize(st, restricted, sense)
+    assert ext.reduction == {
+        "parties": list(parties),
+        "blocks": list(compiled.problem.block_dims),
+        "constraints": compiled.problem.num_constraints,
+    }
+    assert len(compiled.problem.block_dims) == 2 and sum(compiled.problem.block_dims) == st.size
+    problem = unreduced_problem(st, compiled.target)
+    full = solve(problem)
+    bound = compiled.target[0] - full.primal_objective
+    assert abs(ext.value - (bound if sense == "min" else -bound)) < 1e-8
+    assert ext.solution.x_blocks[0].shape == (st.size, st.size)
+    assert check_certificate(problem, ext.solution).passed
+    # the moments, hence the behavior, are invariant under the swap
+    perm = swap_permutation(st.scenario, *parties)
+    gamma = scatter(st, np.concatenate(([1.0], -ext.solution.y)))
+    assert np.array_equal(gamma, gamma[np.ix_(perm, perm)])
+    assert constraint_residual(st, gamma) < 1e-12
+    assert certificate_residual(ext.certificate) <= 1e-8
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_reduced_extremum_of_reference_composition(composed_w, headline, sense):
+    ext = headline if sense == "min" else aq_extremize(composed_w, sense)
+    assert ext.reduction == {"parties": [0, 1], "blocks": [30, 18], "constraints": 156}
+    assert_matches_unreduced_solve(composed_w, sense, ext, (0, 1))
+
+
+def test_swap_bases_are_orthonormal(composed_w):
+    st = build_moment_structure(restrict_to_touched(composed_w)[0].scenario)
+    swap = party_swap(st, (0, 1))
+    assert np.array_equal(swap.perm, swap_permutation(st.scenario, 0, 1))
+    u = np.hstack([w / np.sqrt((w != 0).sum(axis=0)) for w, _ in swap.blocks])
+    np.testing.assert_allclose(u.T @ u, np.eye(st.size), atol=1e-15)
+    # symmetric columns are fixed by the swap, antisymmetric ones negated
+    for (w, scale), sign in zip(swap.blocks, (1.0, -1.0)):
+        assert np.array_equal(w[swap.perm], sign * w)
+        norms = np.linalg.norm(w, axis=0)
+        np.testing.assert_allclose(scale, 1.0 / np.outer(norms, norms), rtol=1e-15)
+
+
+def test_slightly_asymmetric_composition_takes_unreduced_path(composed_w):
+    restricted, _ = restrict_to_touched(composed_w)
+    st = build_moment_structure(restricted.scenario)
+    assert compile_extremize(st, restricted, "min").swap is not None
+    perm = swap_permutation(st.scenario, 0, 1)
+    moved = np.flatnonzero((perm != np.arange(st.size)) & (restricted.coeffs != 0.0))[0]
+    coeffs = restricted.coeffs.copy()
+    coeffs[moved] += 1e-9
+    compiled = compile_extremize(st, BellFunctional(st.scenario, coeffs), "min")
+    assert compiled.swap is None
+    assert compiled.problem.block_dims == (48,) and compiled.problem.num_constraints == 273
+
+
+def test_three_party_functional_reduced_through_second_and_third(rng):
+    # parties 0 and 1 differ in settings count, so only the swap of 1 and 2
+    # can apply
+    scn = Scenario(3, (2, 3, 3), 2)
+    perm = swap_permutation(scn, 1, 2)
+    coeffs = rng.uniform(-1, 1, basis_size(scn))
+    f = BellFunctional(scn, 0.5 * (coeffs + coeffs[perm]))
+    for sense in ("min", "max"):
+        assert_matches_unreduced_solve(f, sense, aq_extremize(f, sense), (1, 2))
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_generator_solves_stay_one_block(reference_trio, sense):
+    # both generators are swap-symmetric, but too small for two blocks to pay
+    for f, n in zip(reference_trio[:2], (4, 9)):
+        restricted, _ = restrict_to_touched(f)
+        st = build_moment_structure(restricted.scenario)
+        assert st.size == n
+        perm = swap_permutation(st.scenario, 0, 1)
+        assert np.abs(restricted.coeffs[perm] - restricted.coeffs).max() <= 1e-12
+        compiled = compile_extremize(st, restricted, sense)
+        problem = unreduced_problem(st, compiled.target)
+        assert compiled.swap is None
+        assert np.array_equal(compiled.problem.a_stacks[0], problem.a_stacks[0])
+        assert np.array_equal(compiled.problem.b, problem.b)
+        ext = aq_extremize(f, sense)
+        full = solve(problem)
+        assert ext.reduction is None
+        assert ext.value == (compiled.target[0] - full.primal_objective) * (1 if sense == "min" else -1)
+        assert np.array_equal(ext.solution.x_blocks[0], full.x_blocks[0])
+        assert np.array_equal(ext.solution.y, full.y)

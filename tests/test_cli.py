@@ -139,6 +139,7 @@ def test_aq_min_of_wiring(reference_dir, tmp_path):
     assert code == 0
     report = load_json(tmp_path / "aq_min_report.json")
     assert abs(report["results"]["value"]["value"]) < 1e-6
+    assert report["results"]["reduction"] is None
     assert (tmp_path / "aq_min_behavior.json").exists()
     assert (tmp_path / "aq_min_certificate.json").exists()
 
@@ -266,6 +267,9 @@ def test_reproduce(tmp_path):
     value = report["results"]["minimum"]["value"]
     assert -0.0038 <= value <= -0.0028
     assert report["results"]["in_band"] is True
+    # the composition is solved over the symmetric and antisymmetric blocks
+    # of the swap of parties 0 and 1
+    assert report["results"]["reduction"] == {"parties": [0, 1], "blocks": [30, 18], "constraints": 156}
     assert (tmp_path / "reproduce_behavior.json").exists()
     assert (tmp_path / "reproduce_certificate.json").exists()
 
