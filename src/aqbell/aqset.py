@@ -15,14 +15,16 @@ under re-adding one that always returns the last outcome (its basis letters
 are the zero operator, so Gamma only gains zero rows), hence the restricted
 problem has the same value and its solution re-embeds exactly.
 
-A functional that a transposition of two parties leaves unchanged is solved
-over the symmetric and antisymmetric combinations of the monomials
+A problem whose data a transposition of two parties leaves unchanged is
+solved over the symmetric and antisymmetric combinations of the monomials
 (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  The problem is then
 invariant under the swap, so an optimal Z may be taken swap-invariant; such a
 Z is block-diagonal in that basis, and the class sums of a word and of its
-swapped image agree, so one constraint per orbit of word classes suffices.
-The two blocks and the orbit constraints are solved in place of the one
-block, and the solution is re-embedded into the unreduced problem.
+swapped image agree, so a constraint and its swapped image merge into one.
+:func:`indicator_problem` poses every problem built from class-indicator
+rows this way when it can (the extremization here and the see-saw's
+cone-pair steps), and :func:`embed_solution` maps the solution back into
+the unreduced problem.
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis,
 from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, solve
 
 MAX_PARTIES = 3
-# m * n**3 of the unreduced problem below which its one block solves faster
-# than two blocks of different sizes
+# m * sum_l n_l**3 of the unreduced problem below which its blocks solve
+# faster than twice as many blocks of different sizes
 SWAP_MIN_WORK = 2_000_000
 # coefficient mismatch under a party swap, relative to max(1, |f|_inf), that
 # still counts as invariant (compose leaves ~1e-17)
@@ -125,14 +127,12 @@ def restrict_to_touched(functional: BellFunctional):
 class PartySwap:
     """A transposition of two parties, acting on a moment structure.
 
-    ``perm`` maps each basis monomial to its swapped image.  The swap
-    permutes the word classes; ``orbit`` gives each class the index of its
-    orbit (a class and its image share one; the identity class gets -1) and
-    ``orbit_size`` the classes in each orbit.  ``blocks`` holds, for the
-    symmetric and then the antisymmetric component, a matrix W whose columns
-    are e_i for a fixed monomial i and e_i + e_j, resp. e_i - e_j, for a
-    swapped pair, and the matrix ``scale`` of 1 / (|w_c| |w_c'|), so that
-    the orthonormal basis U = W diag(1/|w_c|) acts as
+    ``perm`` maps each basis monomial to its swapped image and ``image``
+    each word class to the class of its swapped image.  ``blocks`` holds,
+    for the symmetric and then the antisymmetric component, a matrix W whose
+    columns are e_i for a fixed monomial i and e_i + e_j, resp. e_i - e_j,
+    for a swapped pair, and the matrix ``scale`` of 1 / (|w_c| |w_c'|), so
+    that the orthonormal basis U = W diag(1/|w_c|) acts as
     U^T A U = scale * (W^T A W) and U Y U^T = W (scale * Y) W^T.  Every
     entry of W^T A W is a sum of at most four signed entries of A, so
     blocks of 0/1 and 1/2 entries keep exact zeros.
@@ -140,8 +140,7 @@ class PartySwap:
 
     parties: tuple
     perm: np.ndarray
-    orbit: np.ndarray
-    orbit_size: np.ndarray
+    image: np.ndarray
     blocks: tuple
 
 
@@ -156,14 +155,11 @@ def party_swap(structure: MomentStructure, parties: tuple) -> PartySwap:
     ])
     # cell (i, j) goes to (perm i, perm j), so class k goes to the class there
     labels = structure.cell_class
-    image = labels[np.ix_(perm, perm)]
+    moved = labels[np.ix_(perm, perm)]
     labelled = labels >= 0
-    maps_to = np.empty(len(structure.classes), dtype=int)
-    maps_to[labels[labelled]] = image[labelled]
-    assert np.array_equal(np.append(maps_to, -1)[labels], image)
-    # orbits are numbered by their smallest class, the identity class left out
-    _, orbit = np.unique(np.minimum(maps_to, np.arange(len(maps_to)))[1:], return_inverse=True)
-    orbit = np.concatenate(([-1], orbit))
+    image = np.empty(len(structure.classes), dtype=int)
+    image[labels[labelled]] = moved[labelled]
+    assert np.array_equal(np.append(image, -1)[labels], moved)
 
     monomials = np.arange(structure.size)
     blocks = []
@@ -174,43 +170,26 @@ def party_swap(structure: MomentStructure, parties: tuple) -> PartySwap:
         w[cols, np.arange(len(cols))] = 1.0
         norm2 = (w != 0).sum(axis=0)
         blocks.append((w, 1.0 / np.sqrt(np.outer(norm2, norm2))))
-    return PartySwap(parties, perm, orbit, np.bincount(orbit[1:]), tuple(blocks))
+    return PartySwap(parties, perm, image, tuple(blocks))
 
 
-def invariant_swap(structure: MomentStructure, target: np.ndarray) -> PartySwap | None:
+def invariant_swap(structure: MomentStructure, targets: np.ndarray, m: int, n_blocks: int) -> PartySwap | None:
     """The first transposition of two parties with equal settings counts
-    that fixes ``target`` to within ``SWAP_TOL * max(1, |target|_inf)``, or
-    None; None also when the unreduced problem is below ``SWAP_MIN_WORK``."""
+    that fixes ``targets`` (per-monomial coefficients along the last axis)
+    to within ``SWAP_TOL * max(1, |targets|_inf)``, or None; None also when
+    the unreduced problem, ``n_blocks`` blocks of the structure's size and
+    ``m`` constraints, has m * sum_l n_l**3 below ``SWAP_MIN_WORK``."""
     scenario = structure.scenario
-    n, m = structure.size, len(structure.classes) - 1
-    if m * n**3 < SWAP_MIN_WORK:
+    if m * n_blocks * structure.size**3 < SWAP_MIN_WORK:
         return None
-    tol = SWAP_TOL * max(1.0, float(np.abs(target).max()))
+    tol = SWAP_TOL * max(1.0, float(np.abs(targets).max()))
     for parties in itertools.combinations(range(scenario.parties), 2):
         if scenario.settings[parties[0]] != scenario.settings[parties[1]]:
             continue
         swap = party_swap(structure, parties)
-        if np.abs(target[swap.perm] - target).max() <= tol:
+        if np.abs(targets[..., swap.perm] - targets).max() <= tol:
             return swap
     return None
-
-
-def embed_solution(swap: PartySwap, solution: SdpSolution) -> SdpSolution:
-    """A solve of the swap-reduced problem as a solution of the unreduced
-    one: X = U_s X_s U_s^T + U_a X_a U_a^T, S likewise, and each class's
-    multiplier is its orbit's divided by the orbit size.  Status,
-    objectives, residuals, iterations and trace stay the block solve's."""
-
-    def embed(mats):
-        return [sum(w @ (scale * z) @ w.T for (w, scale), z in zip(swap.blocks, mats, strict=True))]
-
-    rows = swap.orbit[1:]
-    return dataclasses.replace(
-        solution,
-        x_blocks=embed(solution.x_blocks),
-        s_blocks=embed(solution.s_blocks),
-        y=solution.y[rows] / swap.orbit_size[rows],
-    )
 
 
 def class_sums(structure: MomentStructure, mat: np.ndarray) -> np.ndarray:
@@ -249,6 +228,96 @@ def objective_matrix(structure: MomentStructure, coeffs: np.ndarray) -> np.ndarr
     return scatter(structure, values)
 
 
+@dataclass(frozen=True, eq=False)
+class SwapReduction:
+    """How :func:`indicator_problem` posed a problem over a party swap's
+    blocks: unreduced constraint r became row ``row[r]``, the average of the
+    ``size[row[r]]`` constraints merged into it, and unreduced block l became
+    blocks 2l (symmetric) and 2l + 1 (antisymmetric)."""
+
+    swap: PartySwap
+    row: np.ndarray
+    size: np.ndarray
+
+
+def indicator_problem(
+    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray, targets: np.ndarray
+) -> tuple[SdpProblem, SwapReduction | None]:
+    """SDP over one N x N block Z_l per entry of ``class_rows``: minimize
+    sum_l <c_l, Z_l> subject to, for every r, the sum over l of the entry
+    sums of Z_l over the classes k with ``class_rows[l][k] == r`` equal to
+    ``b[r]``.
+
+    When :func:`invariant_swap` finds a party swap that fixes ``targets``,
+    the per-monomial coefficients the objective and ``b`` are built from,
+    the swap permutes the constraints and an optimum may be taken
+    swap-invariant, so each constraint and its image merge into one row (the
+    two averaged) and every block is projected onto the swap's symmetric and
+    antisymmetric blocks.  Returns the problem and its :class:`SwapReduction`,
+    or the unreduced problem and None.
+    """
+    n, m = structure.size, len(b)
+    swap = invariant_swap(structure, targets, m, len(class_rows))
+    if swap is None:
+        stacks = tuple(indicator_stack(structure, class_row, m) for class_row in class_rows)
+        return SdpProblem((n,) * len(class_rows), tuple(c_blocks), stacks, b), None
+
+    # the constraint of class k goes to the constraint of k's image
+    image = np.arange(m)
+    for class_row in class_rows:
+        has_row = class_row >= 0
+        image[class_row[has_row]] = class_row[swap.image[has_row]]
+    for class_row in class_rows:
+        assert np.array_equal(np.append(image, -1)[class_row], class_row[swap.image])
+    # merged rows are numbered by the smallest constraint they hold
+    _, row = np.unique(np.minimum(image, np.arange(m)), return_inverse=True)
+    size = np.bincount(row)
+    dims, cs, stacks = [], [], []
+    for c, class_row in zip(c_blocks, class_rows, strict=True):
+        merged = np.where(class_row >= 0, row[class_row], -1)
+        stack = indicator_stack(structure, merged, len(size)) / size[:, None, None]
+        for w, scale in swap.blocks:
+            dims.append(w.shape[1])
+            cs.append(scale * (w.T @ c @ w))
+            stacks.append(scale * (w.T @ stack @ w))
+    problem = SdpProblem(tuple(dims), tuple(cs), tuple(stacks), np.bincount(row, weights=b) / size)
+    return problem, SwapReduction(swap, row, size)
+
+
+def embed_solution(reduction: SwapReduction, solution: SdpSolution) -> SdpSolution:
+    """A solve of a swap-reduced problem as a solution of the unreduced one:
+    each unreduced block X_l = U_s X_2l U_s^T + U_a X_2l+1 U_a^T, S likewise,
+    and each constraint's multiplier is its merged row's divided by the
+    constraints merged there.  Status, objectives, residuals, iterations and
+    trace stay the block solve's."""
+
+    blocks = reduction.swap.blocks
+
+    def embed(mats):
+        pairs = zip(mats[::2], mats[1::2], strict=True)
+        return [sum(w @ (scale * z) @ w.T for (w, scale), z in zip(blocks, pair)) for pair in pairs]
+
+    row = reduction.row
+    return dataclasses.replace(
+        solution,
+        x_blocks=embed(solution.x_blocks),
+        s_blocks=embed(solution.s_blocks),
+        y=solution.y[row] / reduction.size[row],
+    )
+
+
+def describe_reduction(problem: SdpProblem, reduction: SwapReduction | None) -> dict | None:
+    """``{"parties", "blocks", "constraints"}`` of a reduced ``problem``, or
+    None when ``reduction`` is None."""
+    if reduction is None:
+        return None
+    return {
+        "parties": list(reduction.swap.parties),
+        "blocks": list(problem.block_dims),
+        "constraints": problem.num_constraints,
+    }
+
+
 @dataclass(eq=False)
 class SosCertificate:
     """Gram matrix z certifying that ``target - lam`` is a sum of Hermitian
@@ -264,7 +333,7 @@ class SosCertificate:
 class CompiledExtremize:
     problem: SdpProblem
     target: np.ndarray  # functional coefficients, negated for "max"
-    swap: PartySwap | None  # the swap the problem was reduced by, if any
+    reduction: SwapReduction | None  # how the problem was reduced by a party swap, if it was
 
 
 def compile_extremize(structure: MomentStructure, functional: BellFunctional, sense: str) -> CompiledExtremize:
@@ -276,11 +345,10 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     The extremal value is target[0] - opt, and the dual slack at the
     optimum is the extremizing moment matrix itself.
 
-    When :func:`invariant_swap` finds a party swap fixing the target, the
-    problem is posed over its symmetric and antisymmetric blocks instead,
-    with one constraint per orbit of word classes: the class indicators and
-    targets averaged over the orbit.  :func:`embed_solution` maps its
-    solution back.
+    The problem is built by :func:`indicator_problem`, so a party swap
+    fixing the target poses it over the swap's symmetric and antisymmetric
+    blocks, with one constraint per orbit of word classes: the class
+    indicators and targets averaged over the orbit.
     """
     if functional.scenario != structure.scenario:
         raise ScenarioMismatchError("functional and moment structure disagree on the scenario")
@@ -294,20 +362,9 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     c[0, 0] = 1.0
     pinned = np.zeros(m + 1)  # per class; the identity class is the objective
     pinned[structure.monomial_class] = target
-    swap = invariant_swap(structure, target)
-    if swap is None:
-        # constraint k - 1 pins class k
-        stack = indicator_stack(structure, np.arange(m + 1) - 1, m)
-        problem = SdpProblem((n,), (c,), (stack,), pinned[1:])
-        return CompiledExtremize(problem, target, None)
-
-    size = swap.orbit_size
-    stack = indicator_stack(structure, swap.orbit, len(size)) / size[:, None, None]
-    b = np.bincount(swap.orbit[1:], weights=pinned[1:]) / size
-    dims, cs, stacks = zip(*(
-        (w.shape[1], scale * (w.T @ c @ w), scale * (w.T @ stack @ w)) for w, scale in swap.blocks
-    ))
-    return CompiledExtremize(SdpProblem(dims, cs, stacks, b), target, swap)
+    # constraint k - 1 pins class k
+    problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:], target)
+    return CompiledExtremize(problem, target, reduction)
 
 
 @dataclass(eq=False)
@@ -331,9 +388,9 @@ def aq_extremize(
     :func:`restrict_to_touched`), and ``solution`` is a solution of that
     restricted problem.  When a party swap fixes the restricted functional
     and the problem is large enough, the solve runs over two blocks (see
-    :func:`compile_extremize`), ``solution`` is its re-embedding
+    :func:`indicator_problem`), ``solution`` is its re-embedding
     (:func:`embed_solution`), and ``reduction`` records the swapped parties,
-    the block sizes and the constraint count.
+    the block sizes and the constraint count (:func:`describe_reduction`).
     ``behavior`` and ``certificate`` are re-embedded into the caller's
     scenario: the behavior's Collins-Gisin entries are 0 on monomials with a
     dropped letter (a dropped setting always returns the last outcome), and
@@ -345,14 +402,8 @@ def aq_extremize(
     solution = solve(compiled.problem, config)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
-    reduction = None
-    if compiled.swap is not None:
-        solution = embed_solution(compiled.swap, solution)
-        reduction = {
-            "parties": list(compiled.swap.parties),
-            "blocks": list(compiled.problem.block_dims),
-            "constraints": compiled.problem.num_constraints,
-        }
+    if compiled.reduction is not None:
+        solution = embed_solution(compiled.reduction, solution)
 
     bound = float(compiled.target[0] - solution.primal_objective)
     value = bound if sense == "min" else -bound
@@ -369,7 +420,11 @@ def aq_extremize(
     z[np.ix_(keep, keep)] = solution.x_blocks[0]
     certificate = SosCertificate(scenario=functional.scenario, target=target, lam=bound, z=z)
     return AqExtremum(
-        value=value, behavior=behavior, certificate=certificate, solution=solution, reduction=reduction
+        value=value,
+        behavior=behavior,
+        certificate=certificate,
+        solution=solution,
+        reduction=describe_reduction(compiled.problem, compiled.reduction),
     )
 
 

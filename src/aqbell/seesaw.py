@@ -5,7 +5,9 @@ is multilinear in the behavior p, the family U and the outer functional V.
 Each sweep minimizes exactly over one block with the others fixed: p over
 the almost-quantum set, then the U generators over pairs of nonnegativity
 cones (each generator and its complement), then V likewise.  Every step is
-one SDP, so per-sweep values never increase once past the first sweep.
+one SDP, so per-sweep values never increase once past the first sweep.  A
+step whose data a swap of two parties fixes is solved over the swap's
+symmetric and antisymmetric blocks (:func:`aqset.indicator_problem`).
 """
 from __future__ import annotations
 
@@ -16,7 +18,15 @@ from itertools import repeat
 
 import numpy as np
 
-from .aqset import aq_extremize, build_moment_structure, class_sums, indicator_stack, objective_matrix
+from .aqset import (
+    aq_extremize,
+    build_moment_structure,
+    class_sums,
+    describe_reduction,
+    embed_solution,
+    indicator_problem,
+    objective_matrix,
+)
 from .errors import AqbellError, NoWorkError, SolverFailureError
 from .nbf import NbfFamily, compose, pair_boxes, reference_functionals
 from .scenario import (
@@ -29,7 +39,7 @@ from .scenario import (
     representative_table,
     to_collins_gisin,
 )
-from .sdp import SdpProblem, SdpStatus, SolverConfig, solve
+from .sdp import SdpStatus, SolverConfig, solve
 
 # tolerance for the synthetic two-party box assembled from solver output
 _STEP_TOL = ToleranceConfig(normalization=1e-6, negativity=1e-6, signalling=1e-6)
@@ -57,6 +67,9 @@ class RestartOutcome:
     index: int
     sweep_values: list
     step_values: list  # (label, value) per block step, for monotonicity audits
+    # per block step, the party swap its solve was reduced by ({"parties",
+    # "blocks", "constraints"}, as AqExtremum.reduction) or None
+    step_reductions: list
     value: float
     family: NbfFamily | None
     outer: BellFunctional | None
@@ -90,17 +103,20 @@ class SeesawTrace:
 def step_behavior(fam: NbfFamily, outer: BellFunctional):
     """Compose the current blocks and minimize over the almost-quantum set.
 
-    Returns (behavior, value, composed functional).
+    Returns (behavior, value, composed functional, reduction), the last as
+    ``AqExtremum.reduction``.
     """
     w = compose(outer, fam)
     ext = aq_extremize(w, "min", SEESAW_SOLVER)
-    return ext.behavior, ext.value, w
+    return ext.behavior, ext.value, w, ext.reduction
 
 
 def _cone_pair_problem(structure, objectives):
     """SDP over pairs of cone blocks [Z+_s, Z-_s]: the class sums of Z+_s
     define generator s, Z-_s pins its complement, and the objective couples
-    linearly to the generators' coefficients."""
+    linearly to the generators' coefficients.  Returns (problem, reduction)
+    from :func:`aqset.indicator_problem`: a party swap fixing every
+    objective poses the problem over the swap's blocks."""
     n = structure.size
     n_slots = len(objectives)
     # rows: each block's vanishing mixed-word sums, then per slot one row per
@@ -109,32 +125,36 @@ def _cone_pair_problem(structure, objectives):
     n_blocks = 2 * n_slots
     pinned = n_blocks * len(mixed)
     m = pinned + n_slots * n
-    stacks = []
+    class_rows = []
     for blk in range(n_blocks):
         class_row = np.full(len(structure.classes), -1)
         class_row[mixed] = blk * len(mixed) + np.arange(len(mixed))
         class_row[structure.monomial_class] = pinned + (blk // 2) * n + np.arange(n)
-        stacks.append(indicator_stack(structure, class_row, m))
+        class_rows.append(class_row)
     b = np.zeros(m)
     b[pinned::n] = 1.0
     c_blocks = []
     for slot in range(n_slots):
         c_blocks.append(objective_matrix(structure, objectives[slot]))
         c_blocks.append(np.zeros((n, n)))
-    return SdpProblem((n,) * n_blocks, tuple(c_blocks), tuple(stacks), b)
+    return indicator_problem(structure, c_blocks, class_rows, b, np.asarray(objectives))
 
 
 def _solve_cone_pairs(structure, objectives):
     """Solve the cone-pair SDP and read each slot's generator back from its
-    Z+ block.  Returns (generators, minimum)."""
-    solution = solve(_cone_pair_problem(structure, objectives), SEESAW_SOLVER)
+    Z+ block.  Returns (generators, minimum, reduction), the last as
+    ``AqExtremum.reduction``."""
+    problem, reduction = _cone_pair_problem(structure, objectives)
+    solution = solve(problem, SEESAW_SOLVER)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
+    if reduction is not None:
+        solution = embed_solution(reduction, solution)
     generators = [
         BellFunctional(structure.scenario, class_sums(structure, z_plus)[structure.monomial_class])
         for z_plus in solution.x_blocks[::2]
     ]
-    return generators, float(solution.primal_objective)
+    return generators, float(solution.primal_objective), describe_reduction(problem, reduction)
 
 
 def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: str):
@@ -142,7 +162,8 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
 
     ``free`` selects the block: "family" re-optimizes the generators (each
     constrained, with its complement, to the nonnegativity cone), "outer"
-    re-optimizes the outer functional.  Returns (family, outer, value).
+    re-optimizes the outer functional.  Returns (family, outer, value,
+    reduction), the last as ``AqExtremum.reduction``.
     """
     if free not in ("family", "outer"):
         raise ValueError(f"free block must be 'family' or 'outer', got {free!r}")
@@ -153,15 +174,15 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
         outer_table = representative_table(outer)  # (xi, z, alpha, c)
         objectives = np.einsum("xzc,zcn->xn", outer_table[:, :, 0] - outer_table[:, :, 1], boxes)
         constant = np.einsum("xzc,zc->", outer_table[:, :, 1], boxes[:, :, 0])
-        generators, minimum = _solve_cone_pairs(build_moment_structure(fam.scenario), objectives)
-        return NbfFamily(generators), outer, float(minimum + constant)
+        generators, minimum, reduction = _solve_cone_pairs(build_moment_structure(fam.scenario), objectives)
+        return NbfFamily(generators), outer, float(minimum + constant), reduction
     members = np.array([[f.coeffs for f in pair] for pair in fam.functionals])  # (xi, alpha, N_pair)
     # the two-party box the outer functional sees: family outcome alpha on
     # one side, the third party's outcome c on the other
     table = np.einsum("xan,zcn->xzac", members, boxes)
     objective = to_collins_gisin(behavior_from_table(outer.scenario, table, _STEP_TOL))
-    (outer,), minimum = _solve_cone_pairs(build_moment_structure(outer.scenario), [objective])
-    return fam, outer, minimum
+    (outer,), minimum, reduction = _solve_cone_pairs(build_moment_structure(outer.scenario), [objective])
+    return fam, outer, minimum, reduction
 
 
 # --- initialization ----------------------------------------------------------
@@ -197,15 +218,19 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
     fam, outer = _initial_blocks(rng, cfg.init_v)
     sweep_values: list = []
     step_values: list = []
+    step_reductions: list = []
     failed, message = False, ""
     try:
         for _sweep in range(cfg.max_sweeps):
-            behavior, value_p, composed = step_behavior(fam, outer)
+            behavior, value_p, composed, reduction = step_behavior(fam, outer)
             step_values.append(("behavior", value_p))
-            fam, outer, value_u = step_functionals(behavior, fam, outer, "family")
+            step_reductions.append(reduction)
+            fam, outer, value_u, reduction = step_functionals(behavior, fam, outer, "family")
             step_values.append(("family", value_u))
-            fam, outer, value_v = step_functionals(behavior, fam, outer, "outer")
+            step_reductions.append(reduction)
+            fam, outer, value_v, reduction = step_functionals(behavior, fam, outer, "outer")
             step_values.append(("outer", value_v))
+            step_reductions.append(reduction)
             sweep_values.append(value_v)
             if value_v <= cfg.target_value:
                 break
@@ -223,6 +248,7 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
         index=index,
         sweep_values=sweep_values,
         step_values=step_values,
+        step_reductions=step_reductions,
         value=float("inf") if failed else sweep_values[-1],
         family=fam,
         outer=outer,
@@ -236,7 +262,11 @@ def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
 def _resolve_workers(cfg: SeesawConfig) -> int:
     if cfg.workers is not None:
         return max(1, cfg.workers)
-    return max(1, int(os.environ.get("AQ_NR_THREADS", "1")))
+    raw = os.environ.get("AQ_NR_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"AQ_NR_THREADS must be an integer, got {raw!r}") from None
 
 
 def run(cfg: SeesawConfig) -> SeesawTrace:
@@ -247,10 +277,10 @@ def run(cfg: SeesawConfig) -> SeesawTrace:
     of the worker count: once restart k reaches the target, restarts after
     k are not consulted.  A "reference" start runs one restart only.
     """
-    if cfg.restarts <= 0:
-        raise NoWorkError("seesaw run requested with zero restarts")
+    if cfg.restarts < 1:
+        raise NoWorkError(f"seesaw run needs at least one restart, got {cfg.restarts}")
     if cfg.max_sweeps < 1:
-        raise NoWorkError("seesaw run requested with zero sweeps")
+        raise NoWorkError(f"seesaw run needs at least one sweep, got {cfg.max_sweeps}")
     # a reference start ignores its seed: a second restart would repeat the first
     restarts = 1 if cfg.init_v == "reference" else cfg.restarts
     children = np.random.SeedSequence(cfg.seed).spawn(restarts)
@@ -289,6 +319,7 @@ def trace_to_json(trace: SeesawTrace) -> dict:
                 "message": o.message,
                 "sweep_values": [float(v) for v in o.sweep_values],
                 "step_values": [[label, float(v)] for label, v in o.step_values],
+                "step_reductions": o.step_reductions,
             }
             for o in trace.outcomes
         ],

@@ -90,7 +90,8 @@ def test_problems_match_per_class_loop(spec, slots, rng):
     del problem, stack
 
     objectives = [rng.uniform(-1, 1, n) for _ in range(slots)]
-    problem = _cone_pair_problem(st, objectives)
+    problem, reduction = _cone_pair_problem(st, objectives)
+    assert reduction is None
     mixed = [k for k in range(n_classes) if mono[k] is None]
     pinned = 2 * slots * len(mixed)
     m = pinned + slots * n
@@ -363,13 +364,13 @@ def test_swap_bases_are_orthonormal(composed_w):
 def test_slightly_asymmetric_composition_takes_unreduced_path(composed_w):
     restricted, _ = restrict_to_touched(composed_w)
     st = build_moment_structure(restricted.scenario)
-    assert compile_extremize(st, restricted, "min").swap is not None
+    assert compile_extremize(st, restricted, "min").reduction is not None
     perm = swap_permutation(st.scenario, 0, 1)
     moved = np.flatnonzero((perm != np.arange(st.size)) & (restricted.coeffs != 0.0))[0]
     coeffs = restricted.coeffs.copy()
     coeffs[moved] += 1e-9
     compiled = compile_extremize(st, BellFunctional(st.scenario, coeffs), "min")
-    assert compiled.swap is None
+    assert compiled.reduction is None
     assert compiled.problem.block_dims == (48,) and compiled.problem.num_constraints == 273
 
 
@@ -395,7 +396,7 @@ def test_generator_solves_stay_one_block(reference_trio, sense):
         assert np.abs(restricted.coeffs[perm] - restricted.coeffs).max() <= 1e-12
         compiled = compile_extremize(st, restricted, sense)
         problem = unreduced_problem(st, compiled.target)
-        assert compiled.swap is None
+        assert compiled.reduction is None
         assert np.array_equal(compiled.problem.a_stacks[0], problem.a_stacks[0])
         assert np.array_equal(compiled.problem.b, problem.b)
         ext = aq_extremize(f, sense)

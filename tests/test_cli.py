@@ -218,6 +218,21 @@ def test_seesaw_zero_restarts(tmp_path):
     assert not (tmp_path / "seesaw_run_report.json").exists()
 
 
+def test_seesaw_input_errors_quote_the_value(tmp_path, monkeypatch, capsys):
+    for argv, needs in (
+        (("--restarts", -2), "at least one restart, got -2"),
+        (("--restarts", 1, "--sweeps", -3), "at least one sweep, got -3"),
+    ):
+        assert run_cli("--out", tmp_path, "seesaw", "run", *argv) == 2
+        err = capsys.readouterr().err
+        assert needs in err, err
+    monkeypatch.setenv("AQ_NR_THREADS", "abc")
+    assert run_cli("--out", tmp_path, "seesaw", "run", "--restarts", 1, "--sweeps", 1, "--target=-1") == 2
+    err = capsys.readouterr().err
+    assert "AQ_NR_THREADS" in err and "'abc'" in err, err
+    assert not (tmp_path / "seesaw_run_report.json").exists()
+
+
 def test_seesaw_reference_run(tmp_path):
     code = run_cli(
         "--out", tmp_path, "seesaw", "run", "--init", "reference", "--restarts", 1,

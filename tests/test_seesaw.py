@@ -1,10 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from aqbell import seesaw
+from aqbell import aqset, seesaw
+from aqbell.aqset import SWAP_TOL, build_moment_structure, embed_solution, party_swap
 from aqbell.errors import NoWorkError
 from aqbell.nbf import compose, verify_nbf
-from aqbell.scenario import evaluate, functional_from_terms
+from aqbell.scenario import evaluate, functional_from_terms, make_scenario
+from aqbell.sdp import check_certificate, solve
 from aqbell.seesaw import (
     SeesawConfig,
     run,
@@ -14,17 +19,17 @@ from aqbell.seesaw import (
 
 
 def test_step_behavior_reference_point(ref_family, reference_trio, headline):
-    behavior, value, composed = step_behavior(ref_family, reference_trio[2])
+    behavior, value, composed, _ = step_behavior(ref_family, reference_trio[2])
     assert value == headline.value
     assert -0.0038 <= value <= -0.0028
 
 
 def test_constant_outer_is_inert(ref_family, scn222):
     half = functional_from_terms(scn222, {(): 0.5})
-    behavior, value, _ = step_behavior(ref_family, half)
+    behavior, value, _, _ = step_behavior(ref_family, half)
     assert abs(value - 0.5) < 1e-7
     # the family objective vanishes, so re-optimizing leaves the value alone
-    fam2, _, value2 = step_functionals(behavior, ref_family, half, "family")
+    fam2, _, value2, _ = step_functionals(behavior, ref_family, half, "family")
     assert abs(value2 - 0.5) < 1e-7
     # and the returned family is feasible: a feasibility-only solve
     for members in fam2.functionals:
@@ -34,7 +39,7 @@ def test_constant_outer_is_inert(ref_family, scn222):
 
 def test_identity_pick_reduces_to_generator_floor(ref_family, scn222):
     picker = functional_from_terms(scn222, {((0, 0, 0),): 1.0})
-    _, value, _ = step_behavior(ref_family, picker)
+    _, value, _, _ = step_behavior(ref_family, picker)
     assert abs(value) < 5e-6  # floor of the matching wiring
 
 
@@ -42,9 +47,9 @@ def test_functional_steps_are_monotone(ref_family, reference_trio, headline):
     outer = reference_trio[2]
     p = headline.behavior
     incoming = evaluate(compose(outer, ref_family), p)
-    fam2, outer2, value_u = step_functionals(p, ref_family, outer, "family")
+    fam2, outer2, value_u, _ = step_functionals(p, ref_family, outer, "family")
     assert value_u <= incoming + 1e-9
-    fam3, outer3, value_v = step_functionals(p, fam2, outer2, "outer")
+    fam3, outer3, value_v, _ = step_functionals(p, fam2, outer2, "outer")
     assert value_v <= value_u + 1e-9
     assert value_v <= -0.0028
     # step values agree with direct evaluation of the figure of merit
@@ -56,8 +61,8 @@ def test_feasibility_preserved_after_steps(ref_family, reference_trio, headline)
     from aqbell.scenario import enumerate_deterministic
 
     p = headline.behavior
-    fam2, outer2, _ = step_functionals(p, ref_family, reference_trio[2], "family")
-    fam3, outer3, _ = step_functionals(p, fam2, outer2, "outer")
+    fam2, outer2, _, _ = step_functionals(p, ref_family, reference_trio[2], "family")
+    fam3, outer3, _, _ = step_functionals(p, fam2, outer2, "outer")
     for members in fam3.functionals:
         for functional in members:
             verdict = verify_nbf(functional, tol=1e-6)
@@ -67,6 +72,58 @@ def test_feasibility_preserved_after_steps(ref_family, reference_trio, headline)
     composed = compose(outer3, fam3)
     values = [evaluate(composed, v) for v in enumerate_deterministic(composed.scenario)]
     assert min(values) >= -1e-6 and max(values) <= 1.0 + 1e-6
+
+
+def test_reduced_family_step_matches_unreduced(ref_family, reference_trio, headline, monkeypatch):
+    # sweep 1 of the reference start: the behaviour solve was reduced, so p
+    # and with it every family objective is swap-invariant
+    assert headline.reduction["blocks"] == [30, 18]
+    seen = []
+    real = seesaw._solve_cone_pairs
+
+    def recording(structure, objectives):
+        seen.append((structure, objectives))
+        return real(structure, objectives)
+
+    monkeypatch.setattr(seesaw, "_solve_cone_pairs", recording)
+    step = (headline.behavior, ref_family, reference_trio[2], "family")
+    fam, _, value, reduction = step_functionals(*step)
+    assert reduction == {"parties": [0, 1], "blocks": [10, 6] * 4, "constraints": 116}
+    structure, objectives = seen[0]
+    problem, swap_reduction = seesaw._cone_pair_problem(structure, objectives)
+    solution = solve(problem, seesaw.SEESAW_SOLVER)
+
+    # the same step with the size rule forced off solves the 4 x 16 blocks
+    monkeypatch.setattr(aqset, "SWAP_MIN_WORK", np.inf)
+    fam_full, _, value_full, reduction_full = step_functionals(*step)
+    assert reduction_full is None
+    assert abs(value - value_full) < 1e-8
+    for g, h in zip(fam.generators, fam_full.generators, strict=True):
+        assert np.abs(g.coeffs - h.coeffs).max() < 1e-7
+    full, none = seesaw._cone_pair_problem(structure, objectives)
+    assert none is None and full.block_dims == (16,) * 4 and full.num_constraints == 200
+
+    embedded = embed_solution(swap_reduction, solution)
+    assert check_certificate(full, embedded).passed
+    x_blocks = list(solution.x_blocks)
+    x_blocks[2] = x_blocks[2] + 1e-3 * np.eye(len(x_blocks[2]))
+    corrupted = embed_solution(swap_reduction, dataclasses.replace(solution, x_blocks=x_blocks))
+    assert not check_certificate(full, corrupted).passed
+
+
+def test_reference_sweeps_stay_on_the_reduced_path():
+    perm = party_swap(build_moment_structure(make_scenario(2, 3, 2)), (0, 1)).perm
+    fam, outer = seesaw._initial_blocks(np.random.default_rng(0), "reference")
+    for _sweep in range(4):
+        behavior, _, _, reduction = step_behavior(fam, outer)
+        assert reduction == {"parties": [0, 1], "blocks": [30, 18], "constraints": 156}
+        fam, outer, _, reduction = step_functionals(behavior, fam, outer, "family")
+        assert reduction == {"parties": [0, 1], "blocks": [10, 6] * 4, "constraints": 116}
+        # the generators are class sums of a swap-invariant Gram matrix
+        for g in fam.generators:
+            assert np.abs(g.coeffs[perm] - g.coeffs).max() <= SWAP_TOL * max(1.0, np.abs(g.coeffs).max())
+        fam, outer, _, reduction = step_functionals(behavior, fam, outer, "outer")
+        assert reduction is None
 
 
 def test_step_functionals_rejects_unknown_block(ref_family, reference_trio, headline):
@@ -89,6 +146,9 @@ def test_run_determinism():
     second = run(cfg)
     assert first.best_value == second.best_value
     assert [o.sweep_values for o in first.outcomes] == [o.sweep_values for o in second.outcomes]
+    # noisy blocks are not swap-invariant, so no step is reduced
+    assert all(r is None for o in first.outcomes for r in o.step_reductions)
+    assert len(first.outcomes[0].step_reductions) == len(first.outcomes[0].step_values)
 
 
 def test_failed_restart_does_not_abort_run(monkeypatch):
@@ -182,3 +242,7 @@ def test_trace_json(ref_family):
     steps = blob["restarts"][0]["step_values"]
     assert [label for label, _ in steps] == ["behavior", "family", "outer"] * cfg.max_sweeps
     assert [value for label, value in steps if label == "outer"] == blob["restarts"][0]["sweep_values"]
+    reductions = blob["restarts"][0]["step_reductions"]
+    assert reductions == trace.best.step_reductions
+    assert [r and r["blocks"] for r in reductions] == [[30, 18], [10, 6] * 4, None] * cfg.max_sweeps
+    json.dumps(blob, allow_nan=False)
