@@ -22,9 +22,9 @@ invariant under the swap, so an optimal Z may be taken swap-invariant; such a
 Z is block-diagonal in that basis, and the class sums of a word and of its
 swapped image agree, so a constraint and its swapped image merge into one.
 :func:`indicator_problem` poses every problem built from class-indicator
-rows this way when it can (the extremization here and the see-saw's
-cone-pair steps), and :func:`embed_solution` maps the solution back into
-the unreduced problem.
+rows this way when its data allow it (the extremization here and the
+see-saw's cone-pair steps), and :func:`solve_indicator`, the one solve of
+such a problem, maps the solution back into the unreduced problem.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ MAX_PARTIES = 3
 # m * sum_l n_l**3 of the unreduced problem below which its blocks solve
 # faster than twice as many blocks of different sizes
 SWAP_MIN_WORK = 2_000_000
-# coefficient mismatch under a party swap, relative to max(1, |f|_inf), that
+# data mismatch under a party swap, relative to max(1, |c|_inf, |b|_inf), that
 # still counts as invariant (compose leaves ~1e-17)
 SWAP_TOL = 1e-12
 
@@ -173,22 +173,36 @@ def party_swap(structure: MomentStructure, parties: tuple) -> PartySwap:
     return PartySwap(parties, perm, image, tuple(blocks))
 
 
-def invariant_swap(structure: MomentStructure, targets: np.ndarray, m: int, n_blocks: int) -> PartySwap | None:
+def invariant_swap(
+    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray
+) -> tuple[PartySwap, np.ndarray] | None:
     """The first transposition of two parties with equal settings counts
-    that fixes ``targets`` (per-monomial coefficients along the last axis)
-    to within ``SWAP_TOL * max(1, |targets|_inf)``, or None; None also when
-    the unreduced problem, ``n_blocks`` blocks of the structure's size and
-    ``m`` constraints, has m * sum_l n_l**3 below ``SWAP_MIN_WORK``."""
+    that fixes the problem :func:`indicator_problem` poses from ``c_blocks``,
+    ``class_rows`` and ``b``: every objective block under the monomial
+    permutation and ``b`` under the constraint permutation the swap induces,
+    to within ``SWAP_TOL * max(1, |c|_inf, |b|_inf)``.  Returns the swap and
+    that constraint permutation, or None; None also when the unreduced
+    problem has m * sum_l n_l**3 below ``SWAP_MIN_WORK``."""
     scenario = structure.scenario
-    if m * n_blocks * structure.size**3 < SWAP_MIN_WORK:
+    m = len(b)
+    if m * len(class_rows) * structure.size**3 < SWAP_MIN_WORK:
         return None
-    tol = SWAP_TOL * max(1.0, float(np.abs(targets).max()))
+    tol = SWAP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)), *(float(np.abs(c).max()) for c in c_blocks))
     for parties in itertools.combinations(range(scenario.parties), 2):
         if scenario.settings[parties[0]] != scenario.settings[parties[1]]:
             continue
         swap = party_swap(structure, parties)
-        if np.abs(targets[..., swap.perm] - targets).max() <= tol:
-            return swap
+        # the constraint of class k goes to the constraint of k's image
+        image = np.arange(m)
+        for class_row in class_rows:
+            has_row = class_row >= 0
+            image[class_row[has_row]] = class_row[swap.image[has_row]]
+        for class_row in class_rows:
+            assert np.array_equal(np.append(image, -1)[class_row], class_row[swap.image])
+        if np.abs(b[image] - b).max(initial=0.0) <= tol and all(
+            np.abs(c[np.ix_(swap.perm, swap.perm)] - c).max() <= tol for c in c_blocks
+        ):
+            return swap, image
     return None
 
 
@@ -241,34 +255,27 @@ class SwapReduction:
 
 
 def indicator_problem(
-    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray, targets: np.ndarray
+    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray
 ) -> tuple[SdpProblem, SwapReduction | None]:
     """SDP over one N x N block Z_l per entry of ``class_rows``: minimize
     sum_l <c_l, Z_l> subject to, for every r, the sum over l of the entry
     sums of Z_l over the classes k with ``class_rows[l][k] == r`` equal to
     ``b[r]``.
 
-    When :func:`invariant_swap` finds a party swap that fixes ``targets``,
-    the per-monomial coefficients the objective and ``b`` are built from,
-    the swap permutes the constraints and an optimum may be taken
-    swap-invariant, so each constraint and its image merge into one row (the
-    two averaged) and every block is projected onto the swap's symmetric and
-    antisymmetric blocks.  Returns the problem and its :class:`SwapReduction`,
-    or the unreduced problem and None.
+    When :func:`invariant_swap` finds a party swap that fixes this data, an
+    optimum may be taken swap-invariant, so each constraint and its image
+    merge into one row (the two averaged) and every block is projected onto
+    the swap's symmetric and antisymmetric blocks.  Returns the problem and
+    its :class:`SwapReduction`, or the unreduced problem and None; either
+    way :func:`solve_indicator` solves it.
     """
     n, m = structure.size, len(b)
-    swap = invariant_swap(structure, targets, m, len(class_rows))
-    if swap is None:
+    found = invariant_swap(structure, c_blocks, class_rows, b)
+    if found is None:
         stacks = tuple(indicator_stack(structure, class_row, m) for class_row in class_rows)
         return SdpProblem((n,) * len(class_rows), tuple(c_blocks), stacks, b), None
 
-    # the constraint of class k goes to the constraint of k's image
-    image = np.arange(m)
-    for class_row in class_rows:
-        has_row = class_row >= 0
-        image[class_row[has_row]] = class_row[swap.image[has_row]]
-    for class_row in class_rows:
-        assert np.array_equal(np.append(image, -1)[class_row], class_row[swap.image])
+    swap, image = found
     # merged rows are numbered by the smallest constraint they hold
     _, row = np.unique(np.minimum(image, np.arange(m)), return_inverse=True)
     size = np.bincount(row)
@@ -284,12 +291,24 @@ def indicator_problem(
     return problem, SwapReduction(swap, row, size)
 
 
-def embed_solution(reduction: SwapReduction, solution: SdpSolution) -> SdpSolution:
-    """A solve of a swap-reduced problem as a solution of the unreduced one:
-    each unreduced block X_l = U_s X_2l U_s^T + U_a X_2l+1 U_a^T, S likewise,
-    and each constraint's multiplier is its merged row's divided by the
-    constraints merged there.  Status, objectives, residuals, iterations and
-    trace stay the block solve's."""
+def solve_indicator(
+    problem: SdpProblem, reduction: SwapReduction | None, config: SolverConfig | None
+) -> tuple[SdpSolution, dict | None]:
+    """Solve a problem from :func:`indicator_problem` as the unreduced one.
+
+    Raises :class:`SolverFailureError` unless the solve is optimal.  A
+    swap-reduced solve is re-embedded: each unreduced block
+    X_l = U_s X_2l U_s^T + U_a X_2l+1 U_a^T, S likewise, and each
+    constraint's multiplier is its merged row's divided by the constraints
+    merged there; status, objectives, residuals, iterations and trace stay
+    the block solve's.  Returns that solution and ``{"parties", "blocks",
+    "constraints"}`` of the reduced problem, or the solution and None.
+    """
+    solution = solve(problem, config)
+    if solution.status != SdpStatus.OPTIMAL:
+        raise SolverFailureError(solution.status.value, solution.message, solution)
+    if reduction is None:
+        return solution, None
 
     blocks = reduction.swap.blocks
 
@@ -298,20 +317,13 @@ def embed_solution(reduction: SwapReduction, solution: SdpSolution) -> SdpSoluti
         return [sum(w @ (scale * z) @ w.T for (w, scale), z in zip(blocks, pair)) for pair in pairs]
 
     row = reduction.row
-    return dataclasses.replace(
+    embedded = dataclasses.replace(
         solution,
         x_blocks=embed(solution.x_blocks),
         s_blocks=embed(solution.s_blocks),
         y=solution.y[row] / reduction.size[row],
     )
-
-
-def describe_reduction(problem: SdpProblem, reduction: SwapReduction | None) -> dict | None:
-    """``{"parties", "blocks", "constraints"}`` of a reduced ``problem``, or
-    None when ``reduction`` is None."""
-    if reduction is None:
-        return None
-    return {
+    return embedded, {
         "parties": list(reduction.swap.parties),
         "blocks": list(problem.block_dims),
         "constraints": problem.num_constraints,
@@ -346,9 +358,10 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     optimum is the extremizing moment matrix itself.
 
     The problem is built by :func:`indicator_problem`, so a party swap
-    fixing the target poses it over the swap's symmetric and antisymmetric
-    blocks, with one constraint per orbit of word classes: the class
-    indicators and targets averaged over the orbit.
+    that fixes the pinned coefficients (the target without its constant
+    term, which is not SDP data) poses it over the swap's symmetric and
+    antisymmetric blocks, with one constraint per orbit of word classes: the
+    class indicators and targets averaged over the orbit.
     """
     if functional.scenario != structure.scenario:
         raise ScenarioMismatchError("functional and moment structure disagree on the scenario")
@@ -363,7 +376,7 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     pinned = np.zeros(m + 1)  # per class; the identity class is the objective
     pinned[structure.monomial_class] = target
     # constraint k - 1 pins class k
-    problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:], target)
+    problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:])
     return CompiledExtremize(problem, target, reduction)
 
 
@@ -388,9 +401,9 @@ def aq_extremize(
     :func:`restrict_to_touched`), and ``solution`` is a solution of that
     restricted problem.  When a party swap fixes the restricted functional
     and the problem is large enough, the solve runs over two blocks (see
-    :func:`indicator_problem`), ``solution`` is its re-embedding
-    (:func:`embed_solution`), and ``reduction`` records the swapped parties,
-    the block sizes and the constraint count (:func:`describe_reduction`).
+    :func:`indicator_problem`), ``solution`` is its re-embedding and
+    ``reduction`` records the swapped parties, the block sizes and the
+    constraint count (:func:`solve_indicator`).
     ``behavior`` and ``certificate`` are re-embedded into the caller's
     scenario: the behavior's Collins-Gisin entries are 0 on monomials with a
     dropped letter (a dropped setting always returns the last outcome), and
@@ -399,11 +412,7 @@ def aq_extremize(
     restricted, keep = restrict_to_touched(functional)
     structure = build_moment_structure(restricted.scenario)
     compiled = compile_extremize(structure, restricted, sense)
-    solution = solve(compiled.problem, config)
-    if solution.status != SdpStatus.OPTIMAL:
-        raise SolverFailureError(solution.status.value, solution.message, solution)
-    if compiled.reduction is not None:
-        solution = embed_solution(compiled.reduction, solution)
+    solution, reduction = solve_indicator(compiled.problem, compiled.reduction, config)
 
     bound = float(compiled.target[0] - solution.primal_objective)
     value = bound if sense == "min" else -bound
@@ -424,7 +433,7 @@ def aq_extremize(
         behavior=behavior,
         certificate=certificate,
         solution=solution,
-        reduction=describe_reduction(compiled.problem, compiled.reduction),
+        reduction=reduction,
     )
 
 

@@ -101,7 +101,8 @@ def cmd_verify(args) -> int:
     functional = functional_from_json(raw)
     verdict = verify_nbf(functional, tol=args.tol)
     if verdict.is_nbf is None:
-        print(f"indeterminate: {verdict.failure}")
+        _write_report(args, "verify", raw, {"tol": args.tol}, {"is_nbf": None, "failure": verdict.failure})
+        print(f"numerical failure, verdict indeterminate: {verdict.failure}", file=sys.stderr)
         return EXIT_NUMERICAL
     results = {
         "is_nbf": verdict.is_nbf,

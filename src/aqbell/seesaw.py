@@ -5,15 +5,16 @@ is multilinear in the behavior p, the family U and the outer functional V.
 Each sweep minimizes exactly over one block with the others fixed: p over
 the almost-quantum set, then the U generators over pairs of nonnegativity
 cones (each generator and its complement), then V likewise.  Every step is
-one SDP, so per-sweep values never increase once past the first sweep.  A
-step whose data a swap of two parties fixes is solved over the swap's
-symmetric and antisymmetric blocks (:func:`aqset.indicator_problem`).
+one SDP, so per-sweep values never increase once past the first sweep.
+Every step's SDP is posed by :func:`aqset.indicator_problem` and solved by
+:func:`aqset.solve_indicator`; ``aqset`` alone decides from that data
+whether to solve it over a party swap's symmetric and antisymmetric blocks.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -22,10 +23,9 @@ from .aqset import (
     aq_extremize,
     build_moment_structure,
     class_sums,
-    describe_reduction,
-    embed_solution,
     indicator_problem,
     objective_matrix,
+    solve_indicator,
 )
 from .errors import AqbellError, NoWorkError, SolverFailureError
 from .nbf import NbfFamily, compose, pair_boxes, reference_functionals
@@ -39,7 +39,9 @@ from .scenario import (
     representative_table,
     to_collins_gisin,
 )
-from .sdp import SdpStatus, SolverConfig, solve
+# every step solves through aqset.solve_indicator; ``solve`` stays bound here
+# only because the benchmark's tracer test reads seesaw.solve
+from .sdp import SolverConfig, solve  # noqa: F401
 
 # tolerance for the synthetic two-party box assembled from solver output
 _STEP_TOL = ToleranceConfig(normalization=1e-6, negativity=1e-6, signalling=1e-6)
@@ -65,30 +67,36 @@ class SeesawConfig:
 @dataclass(eq=False)
 class RestartOutcome:
     index: int
-    sweep_values: list
-    step_values: list  # (label, value) per block step, for monotonicity audits
-    # per block step, the party swap its solve was reduced by ({"parties",
-    # "blocks", "constraints"}, as AqExtremum.reduction) or None
-    step_reductions: list
-    value: float
-    family: NbfFamily | None
-    outer: BellFunctional | None
-    behavior: Behavior | None
-    composed: BellFunctional | None
+    # (label, value, reduction) per block step: the label is "behavior",
+    # "family" or "outer", and the reduction is the party swap the step's
+    # solve was reduced by ({"parties", "blocks", "constraints"}, as
+    # AqExtremum.reduction) or None
+    steps: list = field(default_factory=list)
+    family: NbfFamily | None = None
+    outer: BellFunctional | None = None
+    behavior: Behavior | None = None
+    composed: BellFunctional | None = None
     failed: bool = False
     message: str = ""
+
+    @property
+    def sweep_values(self) -> list:
+        """The value after each completed sweep: its outer step's."""
+        return [value for label, value, _ in self.steps if label == "outer"]
+
+    @property
+    def value(self) -> float:
+        return float("inf") if self.failed else self.sweep_values[-1]
 
 
 @dataclass(eq=False)
 class SeesawTrace:
     config: SeesawConfig
     outcomes: list
-    best_index: int | None
+    best_index: int
 
     @property
     def best(self) -> RestartOutcome:
-        if self.best_index is None:
-            raise NoWorkError("no successful restart")
         return self.outcomes[self.best_index]  # appended in index order
 
     @property
@@ -103,20 +111,17 @@ class SeesawTrace:
 def step_behavior(fam: NbfFamily, outer: BellFunctional):
     """Compose the current blocks and minimize over the almost-quantum set.
 
-    Returns (behavior, value, composed functional, reduction), the last as
-    ``AqExtremum.reduction``.
+    Returns (behavior, value, reduction), the last as ``AqExtremum.reduction``.
     """
-    w = compose(outer, fam)
-    ext = aq_extremize(w, "min", SEESAW_SOLVER)
-    return ext.behavior, ext.value, w, ext.reduction
+    ext = aq_extremize(compose(outer, fam), "min", SEESAW_SOLVER)
+    return ext.behavior, ext.value, ext.reduction
 
 
 def _cone_pair_problem(structure, objectives):
     """SDP over pairs of cone blocks [Z+_s, Z-_s]: the class sums of Z+_s
     define generator s, Z-_s pins its complement, and the objective couples
     linearly to the generators' coefficients.  Returns (problem, reduction)
-    from :func:`aqset.indicator_problem`: a party swap fixing every
-    objective poses the problem over the swap's blocks."""
+    from :func:`aqset.indicator_problem`."""
     n = structure.size
     n_slots = len(objectives)
     # rows: each block's vanishing mixed-word sums, then per slot one row per
@@ -137,24 +142,19 @@ def _cone_pair_problem(structure, objectives):
     for slot in range(n_slots):
         c_blocks.append(objective_matrix(structure, objectives[slot]))
         c_blocks.append(np.zeros((n, n)))
-    return indicator_problem(structure, c_blocks, class_rows, b, np.asarray(objectives))
+    return indicator_problem(structure, c_blocks, class_rows, b)
 
 
 def _solve_cone_pairs(structure, objectives):
     """Solve the cone-pair SDP and read each slot's generator back from its
     Z+ block.  Returns (generators, minimum, reduction), the last as
     ``AqExtremum.reduction``."""
-    problem, reduction = _cone_pair_problem(structure, objectives)
-    solution = solve(problem, SEESAW_SOLVER)
-    if solution.status != SdpStatus.OPTIMAL:
-        raise SolverFailureError(solution.status.value, solution.message, solution)
-    if reduction is not None:
-        solution = embed_solution(reduction, solution)
+    solution, reduction = solve_indicator(*_cone_pair_problem(structure, objectives), SEESAW_SOLVER)
     generators = [
         BellFunctional(structure.scenario, class_sums(structure, z_plus)[structure.monomial_class])
         for z_plus in solution.x_blocks[::2]
     ]
-    return generators, float(solution.primal_objective), describe_reduction(problem, reduction)
+    return generators, float(solution.primal_objective), reduction
 
 
 def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: str):
@@ -216,47 +216,29 @@ def _initial_blocks(rng: np.random.Generator, init_v: str):
 def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
     rng = np.random.default_rng(seed_seq)
     fam, outer = _initial_blocks(rng, cfg.init_v)
-    sweep_values: list = []
-    step_values: list = []
-    step_reductions: list = []
-    failed, message = False, ""
+    outcome = RestartOutcome(index)
     try:
         for _sweep in range(cfg.max_sweeps):
-            behavior, value_p, composed, reduction = step_behavior(fam, outer)
-            step_values.append(("behavior", value_p))
-            step_reductions.append(reduction)
-            fam, outer, value_u, reduction = step_functionals(behavior, fam, outer, "family")
-            step_values.append(("family", value_u))
-            step_reductions.append(reduction)
-            fam, outer, value_v, reduction = step_functionals(behavior, fam, outer, "outer")
-            step_values.append(("outer", value_v))
-            step_reductions.append(reduction)
-            sweep_values.append(value_v)
-            if value_v <= cfg.target_value:
+            behavior, value, reduction = step_behavior(fam, outer)
+            outcome.steps.append(("behavior", value, reduction))
+            fam, outer, value, reduction = step_functionals(behavior, fam, outer, "family")
+            outcome.steps.append(("family", value, reduction))
+            fam, outer, value, reduction = step_functionals(behavior, fam, outer, "outer")
+            outcome.steps.append(("outer", value, reduction))
+            if value <= cfg.target_value:
                 break
+            sweep_values = outcome.sweep_values
             if len(sweep_values) > STALL_SWEEPS and (
                 sweep_values[-STALL_SWEEPS - 1] - sweep_values[-1] < cfg.improvement_threshold
             ):
                 break
         composed = compose(outer, fam)
+        outcome.family, outcome.outer, outcome.behavior, outcome.composed = fam, outer, behavior, composed
     except (AqbellError, ValueError) as exc:
         # np.linalg.LinAlgError is a ValueError: one restart's numerical
         # breakdown is a failed restart, not a failed run
-        failed, message = True, str(exc)
-        fam = outer = behavior = composed = None
-    return RestartOutcome(
-        index=index,
-        sweep_values=sweep_values,
-        step_values=step_values,
-        step_reductions=step_reductions,
-        value=float("inf") if failed else sweep_values[-1],
-        family=fam,
-        outer=outer,
-        behavior=behavior,
-        composed=composed,
-        failed=failed,
-        message=message,
-    )
+        outcome.failed, outcome.message = True, str(exc)
+    return outcome
 
 
 def _resolve_workers(cfg: SeesawConfig) -> int:
@@ -318,8 +300,8 @@ def trace_to_json(trace: SeesawTrace) -> dict:
                 "failed": o.failed,
                 "message": o.message,
                 "sweep_values": [float(v) for v in o.sweep_values],
-                "step_values": [[label, float(v)] for label, v in o.step_values],
-                "step_reductions": o.step_reductions,
+                "step_values": [[label, float(v)] for label, v, _ in o.steps],
+                "step_reductions": [reduction for _, _, reduction in o.steps],
             }
             for o in trace.outcomes
         ],

@@ -8,6 +8,7 @@ from aqbell.aqset import (
     class_sums,
     compile_extremize,
     constraint_residual,
+    indicator_problem,
     indicator_stack,
     party_swap,
     restrict_to_touched,
@@ -372,6 +373,39 @@ def test_slightly_asymmetric_composition_takes_unreduced_path(composed_w):
     compiled = compile_extremize(st, BellFunctional(st.scenario, coeffs), "min")
     assert compiled.reduction is None
     assert compiled.problem.block_dims == (48,) and compiled.problem.num_constraints == 273
+
+
+def test_indicator_problem_reduces_only_swap_invariant_data(rng):
+    # two blocks on the (2,2,3) structure: m * sum_l n_l**3 = 3e6 passes the size rule
+    st = build_moment_structure(make_scenario(2, 2, 3))
+    swap = party_swap(st, (0, 1))
+    m = len(st.classes) - 1
+    class_rows = (np.arange(m + 1) - 1,) * 2
+    values = rng.uniform(-1, 1, m + 1)
+    b = (values + values[swap.image])[1:]
+    c_blocks = []
+    for _ in class_rows:
+        a = rng.uniform(-1, 1, (st.size, st.size))
+        a = a + a.T
+        c_blocks.append(a + a[np.ix_(swap.perm, swap.perm)])
+    problem, reduction = indicator_problem(st, c_blocks, class_rows, b)
+    assert reduction is not None and reduction.swap.parties == (0, 1)
+    assert len(problem.block_dims) == 4 and sum(problem.block_dims) == 2 * st.size
+    assert problem.num_constraints < m
+
+    # one entry of b, or one cell of one objective block, moved off the symmetry
+    row = np.flatnonzero(swap.image[1:] != np.arange(1, m + 1))[0]
+    cell = np.flatnonzero(swap.perm != np.arange(st.size))[0]
+    b_off = b.copy()
+    b_off[row] += 1e-9
+    c_off = [c.copy() for c in c_blocks]
+    c_off[1][cell, cell] += 1e-9
+    for cs, rhs in ((c_blocks, b_off), (c_off, b)):
+        problem, reduction = indicator_problem(st, cs, class_rows, rhs)
+        assert reduction is None
+        assert problem.block_dims == (st.size,) * 2 and problem.num_constraints == m
+        assert np.array_equal(problem.b, rhs)
+        assert all(np.array_equal(c, d) for c, d in zip(problem.c_blocks, cs, strict=True))
 
 
 def test_three_party_functional_reduced_through_second_and_third(rng):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,26 @@ def test_aq_numerical_breakdown_exits_3(reference_dir, tmp_path, monkeypatch, ca
     code = run_cli("--out", tmp_path, "aq", "min", reference_dir / "reference_first.json")
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_verify_indeterminate_writes_report(reference_dir, tmp_path, monkeypatch, capsys):
+    from aqbell import aqset
+    from aqbell.sdp import SdpStatus
+
+    real_solve = aqset.solve
+
+    def stalled(problem, config):
+        solution = real_solve(problem, config)
+        return dataclasses.replace(solution, status=SdpStatus.NUMERICAL_TROUBLE, message="stalled")
+
+    monkeypatch.setattr(aqset, "solve", stalled)
+    code = run_cli("--out", tmp_path, "verify", reference_dir / "reference_first.json")
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "stalled" in captured.err and not captured.out
+    results = load_json(tmp_path / "verify_report.json")["results"]
+    assert results["is_nbf"] is None
+    assert results["failure"] == "numerical_trouble: stalled"
 
 
 def test_compose_default_matches_library(tmp_path, composed_w):

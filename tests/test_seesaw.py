@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from aqbell import aqset, seesaw
-from aqbell.aqset import SWAP_TOL, build_moment_structure, embed_solution, party_swap
+from aqbell.aqset import SWAP_TOL, build_moment_structure, party_swap, solve_indicator
 from aqbell.errors import NoWorkError
 from aqbell.nbf import compose, verify_nbf
 from aqbell.scenario import evaluate, functional_from_terms, make_scenario
-from aqbell.sdp import check_certificate, solve
+from aqbell.sdp import check_certificate
 from aqbell.seesaw import (
     SeesawConfig,
     run,
@@ -19,14 +19,14 @@ from aqbell.seesaw import (
 
 
 def test_step_behavior_reference_point(ref_family, reference_trio, headline):
-    behavior, value, composed, _ = step_behavior(ref_family, reference_trio[2])
+    behavior, value, _ = step_behavior(ref_family, reference_trio[2])
     assert value == headline.value
     assert -0.0038 <= value <= -0.0028
 
 
 def test_constant_outer_is_inert(ref_family, scn222):
     half = functional_from_terms(scn222, {(): 0.5})
-    behavior, value, _, _ = step_behavior(ref_family, half)
+    behavior, value, _ = step_behavior(ref_family, half)
     assert abs(value - 0.5) < 1e-7
     # the family objective vanishes, so re-optimizing leaves the value alone
     fam2, _, value2, _ = step_functionals(behavior, ref_family, half, "family")
@@ -39,7 +39,7 @@ def test_constant_outer_is_inert(ref_family, scn222):
 
 def test_identity_pick_reduces_to_generator_floor(ref_family, scn222):
     picker = functional_from_terms(scn222, {((0, 0, 0),): 1.0})
-    _, value, _, _ = step_behavior(ref_family, picker)
+    _, value, _ = step_behavior(ref_family, picker)
     assert abs(value) < 5e-6  # floor of the matching wiring
 
 
@@ -91,7 +91,6 @@ def test_reduced_family_step_matches_unreduced(ref_family, reference_trio, headl
     assert reduction == {"parties": [0, 1], "blocks": [10, 6] * 4, "constraints": 116}
     structure, objectives = seen[0]
     problem, swap_reduction = seesaw._cone_pair_problem(structure, objectives)
-    solution = solve(problem, seesaw.SEESAW_SOLVER)
 
     # the same step with the size rule forced off solves the 4 x 16 blocks
     monkeypatch.setattr(aqset, "SWAP_MIN_WORK", np.inf)
@@ -103,11 +102,19 @@ def test_reduced_family_step_matches_unreduced(ref_family, reference_trio, headl
     full, none = seesaw._cone_pair_problem(structure, objectives)
     assert none is None and full.block_dims == (16,) * 4 and full.num_constraints == 200
 
-    embedded = embed_solution(swap_reduction, solution)
+    embedded, _ = solve_indicator(problem, swap_reduction, seesaw.SEESAW_SOLVER)
     assert check_certificate(full, embedded).passed
-    x_blocks = list(solution.x_blocks)
-    x_blocks[2] = x_blocks[2] + 1e-3 * np.eye(len(x_blocks[2]))
-    corrupted = embed_solution(swap_reduction, dataclasses.replace(solution, x_blocks=x_blocks))
+    real_solve = aqset.solve
+
+    def corrupting(problem, config):
+        solution = real_solve(problem, config)
+        x_blocks = list(solution.x_blocks)
+        x_blocks[2] = x_blocks[2] + 1e-3 * np.eye(len(x_blocks[2]))
+        return dataclasses.replace(solution, x_blocks=x_blocks)
+
+    # the one solve path re-embeds whatever the block solve returns
+    monkeypatch.setattr(aqset, "solve", corrupting)
+    corrupted, _ = solve_indicator(problem, swap_reduction, seesaw.SEESAW_SOLVER)
     assert not check_certificate(full, corrupted).passed
 
 
@@ -115,7 +122,7 @@ def test_reference_sweeps_stay_on_the_reduced_path():
     perm = party_swap(build_moment_structure(make_scenario(2, 3, 2)), (0, 1)).perm
     fam, outer = seesaw._initial_blocks(np.random.default_rng(0), "reference")
     for _sweep in range(4):
-        behavior, _, _, reduction = step_behavior(fam, outer)
+        behavior, _, reduction = step_behavior(fam, outer)
         assert reduction == {"parties": [0, 1], "blocks": [30, 18], "constraints": 156}
         fam, outer, _, reduction = step_functionals(behavior, fam, outer, "family")
         assert reduction == {"parties": [0, 1], "blocks": [10, 6] * 4, "constraints": 116}
@@ -147,8 +154,7 @@ def test_run_determinism():
     assert first.best_value == second.best_value
     assert [o.sweep_values for o in first.outcomes] == [o.sweep_values for o in second.outcomes]
     # noisy blocks are not swap-invariant, so no step is reduced
-    assert all(r is None for o in first.outcomes for r in o.step_reductions)
-    assert len(first.outcomes[0].step_reductions) == len(first.outcomes[0].step_values)
+    assert all(r is None for o in first.outcomes for _, _, r in o.steps)
 
 
 def test_failed_restart_does_not_abort_run(monkeypatch):
@@ -243,6 +249,6 @@ def test_trace_json(ref_family):
     assert [label for label, _ in steps] == ["behavior", "family", "outer"] * cfg.max_sweeps
     assert [value for label, value in steps if label == "outer"] == blob["restarts"][0]["sweep_values"]
     reductions = blob["restarts"][0]["step_reductions"]
-    assert reductions == trace.best.step_reductions
+    assert reductions == [r for _, _, r in trace.best.steps]
     assert [r and r["blocks"] for r in reductions] == [[30, 18], [10, 6] * 4, None] * cfg.max_sweeps
     json.dumps(blob, allow_nan=False)
