@@ -8,11 +8,16 @@ is  max b.y  s.t.  S = C - sum_i y_i A_i >= 0.
 
 The iterates X, S and S^{-1} are kept per block, never as one joint matrix
 (Borchers, CSDP, Optim. Methods Softw. 11, 1999).  Blocks of equal size form
-a group, stored as one (k, n_b, n_b) stack, so that products, Cholesky
-factorizations and eigenvalues broadcast over the group.  A step length is
-the minimum over the blocks, and a backtracked step is accepted only when
-every block factors.  Residuals, mu and the infeasibility rays are sums or
-extrema over the groups.
+a group, stored as one (k, n_b, n_b) stack, so that products broadcast over
+the group.  Each iterate is factored once: backtracking inverts the
+Cholesky factor L of every block of the X and S it accepts, so that
+S^{-1} = L_s^{-T} L_s^{-1}, and each of the iteration's four step lengths
+is one product L^{-1} D L^{-T} per group and its smallest eigenvalue per
+block, the step rule of CSDP and SDPT3 (Toh, Todd & Tutuncu, Optim.
+Methods Softw. 11, 1999).  A step length is the minimum
+over the blocks, and a backtracked step is accepted only when every block
+factors.  Residuals, mu and the infeasibility rays are sums or extrema over
+the groups.
 
 The constraints enter the solver as one sparse operator per group, built
 once per solve from the nonzeros of its blocks: a CSR matrix with one row per
@@ -30,10 +35,15 @@ allocated per iteration would be handed back to the OS on every free and
 faulted in again, which costs small solves more than their arithmetic.  The
 public sparse products take no output argument, so the two sparse ones call
 scipy's CSR-times-dense kernel (``scipy.sparse._sparsetools.csr_matvecs``)
-directly, with the same bits (pinned by a test).  Inside the loop the
-triangular and Cholesky solves call LAPACK (``dtrtrs``, ``dpotrs``) directly,
-without scipy's validating wrappers; a non-finite iterate is caught by the
-residual check instead and ends the solve as ``numerical_trouble``.
+directly, and applying A or its adjoint calls its CSR matvec kernel
+(``csr_matvec``), each with the same bits as the public product (pinned by
+tests).  The dense linear algebra calls scipy's LAPACK directly, without its
+validating wrappers: ``dpotrf`` factors the iterates and the Schur
+complement, ``dtrtri`` inverts the iterates' factors, ``dpotrs`` solves
+with the Schur factor, and ``dsyevr`` computes only the smallest eigenvalue
+of each step matrix.  A non-finite iterate is caught by the residual check,
+and a non-finite search direction by its step length (LAPACK reports it);
+either ends the solve as ``numerical_trouble``.
 """
 from __future__ import annotations
 
@@ -42,8 +52,8 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrs, dtrtrs
-from scipy.sparse._sparsetools import csr_matvecs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dtrtri
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import SizeGuardError
 
@@ -165,6 +175,14 @@ class _Group:
     row_chunks: tuple
     work: np.ndarray  # (2, largest chunk product), written by schur only
 
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """(<A_i, Z>)_i over the group's blocks, for Z given as its stack."""
+        return _csr_matvec(self.op, z.ravel())
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """sum_i v_i A_i on the group's blocks, as a stack."""
+        return _csr_matvec(self.op_t, v).reshape(-1, self.size, self.size)
+
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """The group's term of the Schur complement: column j holds
         sum_l <A_i^l, X_l A_j^l S_l^{-1}> for every i.  It is assembled a
@@ -203,6 +221,19 @@ def _csr_times_dense(a: sp.csr_matrix, z: np.ndarray, buf: np.ndarray) -> np.nda
     out = buf[: rows * z.shape[1]].reshape(rows, z.shape[1])
     out.fill(0.0)
     csr_matvecs(rows, cols, z.shape[1], a.indptr, a.indices, a.data, z.ravel(), out.ravel())
+    return out
+
+
+def _csr_matvec(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """a @ v for a 1-D v by the kernel behind scipy's own CSR matvec, called
+    directly to skip the public product's dispatch (same bits, pinned by a
+    test in ``tests/test_sdp.py``)."""
+    rows, cols = a.shape
+    # the kernel trusts its sizes: check them before it reads
+    if v.shape != (cols,) or v.dtype != a.data.dtype:
+        raise ValueError("operand does not match the sparse operator")
+    out = np.zeros(rows)
+    csr_matvec(rows, cols, a.indptr, a.indices, a.data, v, out)
     return out
 
 
@@ -251,48 +282,79 @@ def _inner(us, vs) -> float:
     return sum(float(np.vdot(u, v)) for u, v in zip(us, vs))
 
 
-def _tri_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^{-1} rhs for a C-order lower factor L, by LAPACK directly: L.T is the
-    Fortran-order upper factor, solved transposed (scipy's own mapping)."""
-    return dtrtrs(chol.T, rhs, lower=0, trans=1)[0]
+def _cholesky(mat: np.ndarray):
+    """Lower Cholesky factor of a C-order symmetric matrix, read from its
+    lower triangle (the upper one of the Fortran-order mat.T), by LAPACK
+    directly; None when the matrix is not numerically positive definite."""
+    upper, info = dpotrf(mat.T, lower=0)
+    return upper.T if info == 0 else None
 
 
-def _max_step(chols, directions) -> float:
-    """Largest alpha with P + alpha*D >= 0 in every block, given the Cholesky
-    factors of P's blocks (both as per-group stacks)."""
+def _inverse_factors(stacks):
+    """L^{-1} for the Cholesky factor L of every block of per-group stacks,
+    or None when a block does not factor.  L.T is the Fortran-order upper
+    factor, whose inverse L^{-T} dtrtri returns; a factor of a positive
+    definite block has no zero pivot for it to report."""
+    inverses = []
+    for stack in stacks:
+        out = np.empty(stack.shape)
+        for z, h in zip(stack, out):
+            chol = _cholesky(z)
+            if chol is None:
+                return None
+            h[...] = dtrtri(chol.T, lower=0, overwrite_c=1)[0].T
+        inverses.append(out)
+    return inverses
+
+
+def _lambda_min(stacks) -> float:
+    """Smallest eigenvalue over per-group stacks of symmetric blocks, each
+    read from its lower triangle, and nothing else of their spectra.  NaN
+    when a block is not finite: dsyevr then reports info 4 (and returns
+    0.0), except for a 1x1 block, whose eigenvalue is the entry itself."""
     lam = np.inf
-    for chol, direction in zip(chols, directions):
-        w = np.stack([_tri_solve(f, _tri_solve(f, d).T).T for f, d in zip(chol, direction)])
-        lam = min(lam, float(np.linalg.eigvalsh(_sym(w)).min()))
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+    for stack in stacks:
+        for w in stack:
+            eig, _, _, _, info = dsyevr(w, compute_v=0, range="I", il=1, iu=1, lower=1)
+            if info != 0 or not np.isfinite(eig[0]):
+                return np.nan
+            lam = min(lam, eig[0])
+    return float(lam)
+
+
+def _step_length(inverses, directions) -> float:
+    """Largest alpha with P + alpha*D >= 0 in every block, given the inverse
+    Cholesky factors L^{-1} of P's blocks (both as per-group stacks): -1 over
+    the smallest eigenvalue of L^{-1} D L^{-T}, inf when that is not
+    negative, and NaN when a direction is not finite."""
+    lam = _lambda_min([h @ d @ h.transpose(0, 2, 1) for h, d in zip(inverses, directions)])
+    # NaN compares false and passes through
+    return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
 def _backtrack_psd(mats, directions, alpha: float):
     """Shrink one step shared by every block until each block of the iterate
-    is Cholesky-positive; returns (new_stacks, their_factors, alpha_used) or
-    None."""
+    is Cholesky-positive; returns (new_stacks, their_inverse_factors,
+    alpha_used) or None."""
     for _ in range(40):
         candidate = [_sym(z + alpha * d) for z, d in zip(mats, directions)]
-        try:
-            return candidate, [np.linalg.cholesky(z) for z in candidate], alpha
-        except np.linalg.LinAlgError:
-            alpha *= 0.5
-            if alpha < 1e-16:
-                break
+        inverses = _inverse_factors(candidate)
+        if inverses is not None:
+            return candidate, inverses, alpha
+        alpha *= 0.5
+        if alpha < 1e-16:
+            break
     return None
 
 
 def _chol_with_jitter(mat: np.ndarray):
+    chol = _cholesky(mat)
     scale = max(np.trace(mat) / mat.shape[0], 1.0)
-    jitter = 0.0
-    for attempt in range(4):
-        try:
-            return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = scale * 10.0 ** (-14 + 2 * attempt)
-    return None
+    for attempt in range(3):
+        if chol is not None:
+            break
+        chol = _cholesky(mat + scale * 10.0 ** (-14 + 2 * attempt) * np.eye(mat.shape[0]))
+    return chol
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
@@ -307,11 +369,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     def apply(mats):
         """(<A_i, X>)_i for X given as per-group stacks."""
-        return sum(g.op @ z.ravel() for g, z in zip(groups, mats))
+        return sum(g.apply(z) for g, z in zip(groups, mats))
 
     def adjoint(v):
         """sum_i v_i A_i as per-group stacks."""
-        return [(g.op_t @ v).reshape(-1, g.size, g.size) for g in groups]
+        return [g.adjoint(v) for g in groups]
 
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.sqrt(_inner(c, c)))
@@ -324,8 +386,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     x = [tau_p * np.broadcast_to(e, (len(g.blocks),) + e.shape) for g, e in zip(groups, eyes)]
     s = [tau_d * np.broadcast_to(e, (len(g.blocks),) + e.shape) for g, e in zip(groups, eyes)]
     y = np.zeros(m)
-    chol_x = [np.linalg.cholesky(z) for z in x]
-    chol_s = [np.linalg.cholesky(z) for z in s]
+    inv_x, inv_s = _inverse_factors(x), _inverse_factors(s)
 
     def residuals(x, y, s):
         rp = b - apply(x)
@@ -389,7 +450,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         if y_norm > RAY_THRESHOLD * (1.0 + init_scale):
             ray = y / y_norm
             s_ray = [-z for z in adjoint(ray)]
-            eig_min = min(float(np.linalg.eigvalsh(_sym(z)).min()) for z in s_ray)
+            eig_min = _lambda_min(s_ray)
             if b @ ray > 1e-3 and eig_min > -1e-6:
                 status = SdpStatus.PRIMAL_INFEASIBLE
                 message = "dual improving ray found"
@@ -413,9 +474,9 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         if it == MAX_ITERS:
             break
 
-        # S^{-1} = L^{-T} L^{-1}; each stack holds the blocks' L^{-T}
-        s_inv_half_t = [np.stack([_tri_solve(f, e).T for f in chol]) for chol, e in zip(chol_s, eyes)]
-        s_inv = [h @ h.transpose(0, 2, 1) for h in s_inv_half_t]
+        # S^{-1} = L_s^{-T} L_s^{-1}, from the inverse factors that the four
+        # step lengths below reuse
+        s_inv = [h.transpose(0, 2, 1) @ h for h in inv_s]
 
         # Schur complement M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}>
         schur = sum(g.schur(xg, sg) for g, xg, sg in zip(groups, x, s_inv))
@@ -443,9 +504,21 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 dx.append(_sym(d))
             return dy, dx, ds
 
+        def step_lengths(dx, ds):
+            """Fraction-to-boundary steps for X and S, or None for a
+            non-finite direction (which min(1.0, nan) would turn into a full
+            step)."""
+            alphas = (_step_length(inv_x, dx), _step_length(inv_s, ds))
+            if any(np.isnan(a) for a in alphas):
+                return None
+            return [min(1.0, STEP_FRACTION * a) for a in alphas]
+
         dy_aff, dx_aff, ds_aff = newton(0.0, None)
-        alpha_p = min(1.0, STEP_FRACTION * _max_step(chol_x, dx_aff))
-        alpha_d = min(1.0, STEP_FRACTION * _max_step(chol_s, ds_aff))
+        steps = step_lengths(dx_aff, ds_aff)
+        if steps is None:
+            message = "non-finite search direction"
+            break
+        alpha_p, alpha_d = steps
         mu_aff = _inner(
             [xg + alpha_p * d for xg, d in zip(x, dx_aff)], [sg + alpha_d * d for sg, d in zip(s, ds_aff)]
         ) / n
@@ -456,8 +529,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             sigma = max(sigma, 1e-3)
 
         dy, dx, ds = newton(sigma * mu, [a @ d for a, d in zip(dx_aff, ds_aff)])
-        alpha_p = min(1.0, STEP_FRACTION * _max_step(chol_x, dx))
-        alpha_d = min(1.0, STEP_FRACTION * _max_step(chol_s, ds))
+        steps = step_lengths(dx, ds)
+        if steps is None:
+            message = "non-finite search direction"
+            break
+        alpha_p, alpha_d = steps
 
         # eigenvalue roundoff can overshoot the cone boundary; back off until
         # every block of the stepped iterate factors
@@ -466,8 +542,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         if x_new is None or s_new is None:
             message = "step backtracking failed"
             break
-        x, chol_x, alpha_p = x_new
-        s, chol_s, alpha_d = s_new
+        x, inv_x, alpha_p = x_new
+        s, inv_s, alpha_d = s_new
         y = y + alpha_d * dy
 
     _, pobj, dobj, rel = residuals(x, y, s)

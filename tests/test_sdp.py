@@ -200,6 +200,48 @@ def test_non_finite_iterate_is_numerical_trouble(monkeypatch):
     assert sol.message == "non-finite iterate"
 
 
+def test_non_finite_direction_is_numerical_trouble(monkeypatch):
+    # a NaN Newton direction has no finite step length; the solve must stop
+    # where it appears and hand back the last finite iterate instead of
+    # taking a full NaN step
+    original = sdp.dpotrs
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(args)
+        if len(calls) == 3:  # the affine direction of the second iteration
+            out[0][:] = np.nan
+        return out
+
+    monkeypatch.setattr(sdp, "dpotrs", poisoned)
+    sol = solve(multiblock_problem(), TIGHT)
+    assert len(calls) == 3
+    assert sol.status == SdpStatus.NUMERICAL_TROUBLE
+    assert sol.message == "non-finite search direction"
+    assert sol.iterations == 1
+    for block in sol.x_blocks + sol.s_blocks:
+        assert np.all(np.isfinite(block))
+
+
+def test_solve_calls_no_numpy_eigensolver_or_cholesky(monkeypatch):
+    # the loop factors each iterate once by LAPACK's dpotrf and reads only
+    # the smallest eigenvalue of each step matrix, so a solve (here a
+    # feasible one, which finds no ray) never reaches numpy's decompositions
+    counts = {"eigvalsh": 0, "cholesky": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    sol = solve(multiblock_problem(), TIGHT)
+    assert sol.status == SdpStatus.OPTIMAL
+    assert counts == {"eigvalsh": 0, "cholesky": 0}
+
+
 def _random_psd(rng, n):
     g = rng.normal(size=(n, n))
     return g @ g.T + 0.5 * np.eye(n)
@@ -315,6 +357,66 @@ def test_schur_workspace_matches_public_products(monkeypatch, chunk_bytes):
             for x in (start, _stack_of_psd(rng, k, group.size), _stack_of_psd(rng, k, group.size)):
                 s_inv = _stack_of_psd(rng, k, group.size)
                 assert np.array_equal(group.schur(x, s_inv), _public_schur(group, x, s_inv))
+
+
+def test_group_products_match_public_products():
+    # apply and adjoint call scipy's private CSR matvec kernel; a scipy
+    # release that changed it would show up here
+    rng = np.random.default_rng(6)
+    for dims, m, seed in (((3, 1, 3, 2), 8, 1), ((5, 4, 4), 13, 2), ((6,), 20, 3)):
+        for group in sdp._block_groups(random_feasible_problem(dims, m, seed)):
+            k, n = len(group.blocks), group.size
+            start = np.broadcast_to(2.0 * np.eye(n), (k, n, n))
+            for z in (start, rng.normal(size=(k, n, n))):
+                assert np.array_equal(group.apply(z), group.op @ z.ravel())
+            v = rng.normal(size=m)
+            assert np.array_equal(group.adjoint(v), (group.op_t @ v).reshape(k, n, n))
+
+
+def _reference_step(iterates, directions):
+    """-1 / lambda_min(L^{-1} D L^{-T}) over every block by numpy's full
+    eigensolver, inf when no eigenvalue is negative."""
+    lam = np.inf
+    for p_stack, d_stack in zip(iterates, directions):
+        for p, d in zip(p_stack, d_stack):
+            inv = np.linalg.inv(np.linalg.cholesky(p))
+            w = inv @ d @ inv.T
+            lam = min(lam, np.linalg.eigvalsh(0.5 * (w + w.T)).min())
+    return np.inf if lam >= 0.0 else -1.0 / lam
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 30])
+def test_step_length_matches_full_eigensolver(n):
+    rng = np.random.default_rng(n)
+    iterates = [_stack_of_psd(rng, k, n) for k in (1, 4)]
+    inverses = sdp._inverse_factors(iterates)
+    for _ in range(3):
+        directions = [sdp._sym(rng.normal(size=(k, n, n))) for k in (1, 4)]
+        step, reference = sdp._step_length(inverses, directions), _reference_step(iterates, directions)
+        assert np.isfinite(step) and abs(step - reference) <= 1e-12 * reference
+    # every direction positive semidefinite: no boundary in any block
+    directions = [np.zeros((1, n, n)), _stack_of_psd(rng, 4, n)]
+    assert sdp._step_length(inverses, directions) == np.inf
+    # a non-finite direction has no step length, 1x1 blocks included
+    directions[1] = directions[1].copy()
+    directions[1][2, -1, 0] = directions[1][2, 0, -1] = np.nan
+    assert np.isnan(sdp._step_length(inverses, directions))
+
+
+def test_cholesky_helper_matches_numpy():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 9, 30, 156):
+        mat = _random_psd(rng, n)
+        chol = sdp._cholesky(mat)
+        reference = np.linalg.cholesky(mat)
+        assert np.linalg.norm(chol - reference) <= 1e-14 * np.linalg.norm(reference)
+        assert np.array_equal(chol, np.tril(chol))
+        # only the lower triangle is read
+        poisoned = mat.copy()
+        poisoned[np.triu_indices(n, 1)] = np.nan
+        assert np.array_equal(sdp._cholesky(poisoned), chol)
+        indefinite = mat - (np.linalg.eigvalsh(mat).min() + 1.0) * np.eye(n)
+        assert sdp._cholesky(indefinite) is None
 
 
 def test_schur_allocates_no_chunk_arrays():
