@@ -245,13 +245,8 @@ def reference_composed_functional() -> BellFunctional:
 
 def matrix_to_triplets(mat: np.ndarray) -> list:
     """Upper-triangle sparse triplets [i, j, value] of a symmetric matrix."""
-    out = []
-    n = mat.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            if mat[i, j] != 0.0:
-                out.append([i, j, float(mat[i, j])])
-    return out
+    rows, cols = np.nonzero(np.triu(mat))  # row-major order
+    return [list(t) for t in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist())]
 
 
 def certificate_to_json(cert: SosCertificate) -> dict:

@@ -424,9 +424,9 @@ def functional_from_json(obj: dict) -> BellFunctional:
 
 
 def save_json(path, obj) -> None:
+    # one unindented dumps: only that form runs the C encoder
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def load_json(path) -> dict:

@@ -20,30 +20,31 @@ factors.  Residuals, mu and the infeasibility rays are sums or extrema over
 the groups.
 
 The constraints enter the solver as one sparse operator per group, built
-once per solve from the nonzeros of its blocks: a CSR matrix with one row per
-constraint over the vectorized cells of the group's blocks, so that applying
-A or its adjoint costs O(nnz).  The Schur complement
-M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}> is summed over the groups (Fujisawa,
-Kojima & Nakata, Math. Program. 79, 1997).  Within a group, the same operator
-viewed as rows (j, l, r) over columns (l, c) forms A_j^l S_l^{-1} in one
-sparse product, one broadcast product applies X, and the operator contracts
-the result.  This runs over chunks of constraints j, so that the X A S^{-1}
-products are still in cache when they are contracted; no dense copy of the
-constraints is made.  Each group owns a workspace, allocated once per solve,
-that every chunk's products are written into; an array of chunk size
-allocated per iteration would be handed back to the OS on every free and
-faulted in again, which costs small solves more than their arithmetic.  The
-public sparse products take no output argument, so the two sparse ones call
-scipy's CSR-times-dense kernel (``scipy.sparse._sparsetools.csr_matvecs``)
-directly, and applying A or its adjoint calls its CSR matvec kernel
-(``csr_matvec``), each with the same bits as the public product (pinned by
-tests).  The dense linear algebra calls scipy's LAPACK directly, without its
-validating wrappers: ``dpotrf`` factors the iterates and the Schur
-complement, ``dtrtri`` inverts the iterates' factors, ``dpotrs`` solves
-with the Schur factor, and ``dsyevr`` computes only the smallest eigenvalue
-of each step matrix.  A non-finite iterate is caught by the residual check,
-and a non-finite search direction by its step length (LAPACK reports it);
-either ends the solve as ``numerical_trouble``.
+once per solve from the nonzeros of its blocks and kept as plain arrays,
+with no scipy matrix object: one array of nonzeros, indexed by a CSR row
+pointer and column indices with one row per constraint over the vectorized
+cells of the group's blocks.  The same arrays are the CSC form of A^T, so A
+and its adjoint each cost one O(nnz) pass of scipy's CSR or CSC matvec
+kernel, the kernels behind ``op @ v`` and ``op.T @ v``.  The Schur
+complement M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}> is summed over the
+groups (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997).  Within a
+group, a second row pointer over the same nonzeros views the operator as
+rows (j, l, r) over columns (l, c); its slice for a chunk of constraints j
+forms A_j^l S_l^{-1} in one sparse product, one broadcast product applies X,
+and the operator contracts the result while it is still in cache.  Each
+group owns a workspace, allocated once per solve, that every chunk's
+products are written into: arrays of chunk size allocated per iteration
+would be handed back to the OS and faulted in again, which costs small
+solves more than their arithmetic.  The public products take no output
+argument, so the solver calls scipy's sparse kernels (``csr_matvecs``,
+``csr_matvec`` and ``csc_matvec`` from ``scipy.sparse._sparsetools``) and
+its LAPACK without their validating wrappers, with the same bits (pinned by
+tests): ``dpotrf`` factors the iterates and the Schur complement, ``dtrtri``
+inverts the iterates' factors, ``dpotrs`` solves with the Schur factor, and
+``dsyevr`` computes only the smallest eigenvalue of each step matrix.  A
+non-finite iterate is caught by the residual check, and a non-finite search
+direction by its step length (LAPACK reports it); either ends the solve as
+``numerical_trouble``.
 """
 from __future__ import annotations
 
@@ -51,9 +52,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dtrtri
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_matvecs
 
 from .errors import SizeGuardError
 
@@ -161,85 +161,82 @@ class SdpSolution:
 class _Group:
     """The k blocks of one size n_b, and the constraints restricted to them.
 
-    ``op`` is (m, k*n_b*n_b): row i holds A_i^l for every block l of the
-    group, vectorized row-major; ``op_t`` is its transpose, for the adjoint.
-    ``row_chunks`` split the same operator, viewed as (m*k*n_b, k*n_b), into
-    runs of constraints: row (i, l, r) is row r of A_i^l in block l's
-    columns, so that a chunk times the stacked S_l^{-1} gives its
-    A_i^l S_l^{-1}."""
+    ``data`` holds the nonzeros of the operator, of ``shape`` (m, k*n_b*n_b):
+    row i holds A_i^l for every block l of the group, vectorized row-major.
+    ``indptr`` and ``indices`` index them as its CSR form, which is also the
+    CSC form of its transpose, for the adjoint.  ``row_ptr`` and
+    ``row_cols`` index them as the CSR form of the operator viewed as
+    (m*k*n_b, k*n_b): row (i, l, r) is row r of A_i^l in block l's columns,
+    so that these rows times the stacked S_l^{-1} give every A_i^l S_l^{-1}."""
 
     blocks: tuple
     size: int
-    op: sp.csr_matrix
-    op_t: sp.csr_matrix
-    row_chunks: tuple
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_ptr: np.ndarray
+    row_cols: np.ndarray
+    per_chunk: int  # constraints per chunk of the Schur assembly
     work: np.ndarray  # (2, largest chunk product), written by schur only
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """(<A_i, Z>)_i over the group's blocks, for Z given as its stack."""
-        return _csr_matvec(self.op, z.ravel())
+        return _matvec(csr_matvec, self.shape, self, z.ravel())
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """sum_i v_i A_i on the group's blocks, as a stack."""
-        return _csr_matvec(self.op_t, v).reshape(-1, self.size, self.size)
+        return _matvec(csc_matvec, self.shape[::-1], self, v).reshape(-1, self.size, self.size)
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """The group's term of the Schur complement: column j holds
-        sum_l <A_i^l, X_l A_j^l S_l^{-1}> for every i.  It is assembled a
-        chunk of constraints j at a time, so that the X A S^{-1} products are
-        still in cache when they are contracted.  Every chunk-size product
-        is written into ``work``: A S^{-1} into its first row, X A S^{-1}
-        into its second, then the C-order transpose that the contraction
-        reads into the first and the contraction itself into the second."""
-        m, cells = self.op.shape
+        sum_l <A_i^l, X_l A_j^l S_l^{-1}> for every i, assembled a chunk of
+        constraints j at a time.  Every chunk-size product is written into
+        ``work``: A S^{-1} into its first row, X A S^{-1} into its second,
+        then the C-order transpose that the contraction reads into the first
+        and the contraction itself into the second."""
+        m, cells = self.shape
+        k_n = cells // self.size
         s_stack = s_inv.reshape(-1, self.size)
         a_s, x_a_s = self.work
         out = np.empty((m, m))
-        start = 0
-        for rows in self.row_chunks:
-            width = rows.shape[0] // (self.size * len(self.blocks))
-            u = _csr_times_dense(rows, s_stack, a_s)
+        for start in range(0, m, self.per_chunk):
+            # the chunk's rows: a slice of row_ptr, whose offsets stay absolute
+            rows = self.row_ptr[start * k_n : (start + self.per_chunk) * k_n + 1]
+            width = (rows.size - 1) // k_n
+            u = _csr_times_dense(rows, self.row_cols, self.data, k_n, s_stack, a_s)
             t = np.matmul(x, u.reshape(width, *x.shape), out=x_a_s[: u.size].reshape(width, *x.shape))
             t_c = a_s[: t.size].reshape(cells, width)
             t_c[...] = t.reshape(width, cells).T
-            out[:, start : start + width] = _csr_times_dense(self.op, t_c, x_a_s)
-            start += width
+            out[:, start : start + width] = _csr_times_dense(self.indptr, self.indices, self.data, cells, t_c, x_a_s)
         return out
 
 
-def _csr_times_dense(a: sp.csr_matrix, z: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """a @ z for a C-order 2-D z, written into the head of ``buf``.
-
-    This is the kernel behind scipy's own CSR-times-dense product, called on
-    a zeroed slice of a preallocated buffer because the public product takes
-    no output argument; the pin test in ``tests/test_sdp.py`` checks that
-    both give the same bits."""
-    rows, cols = a.shape
+def _csr_times_dense(indptr, indices, data, cols: int, z: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The CSR matrix (indptr, indices, data) with ``cols`` columns times a
+    C-order 2-D z, written into a zeroed head of ``buf``.  The kernel reads
+    row r from indptr[r] to indptr[r+1] of indices and data, so indptr may
+    be a slice of a longer pointer."""
+    rows = indptr.size - 1
     # the kernel trusts its sizes: check them before it reads or writes
-    if z.shape[0] != cols or not z.dtype == a.dtype == buf.dtype:
+    if z.shape[0] != cols or not z.dtype == data.dtype == buf.dtype:
         raise ValueError("operand does not match the sparse operator")
     out = buf[: rows * z.shape[1]].reshape(rows, z.shape[1])
     out.fill(0.0)
-    csr_matvecs(rows, cols, z.shape[1], a.indptr, a.indices, a.data, z.ravel(), out.ravel())
+    csr_matvecs(rows, cols, z.shape[1], indptr, indices, data, z.ravel(), out.ravel())
     return out
 
 
-def _csr_matvec(a: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
-    """a @ v for a 1-D v by the kernel behind scipy's own CSR matvec, called
-    directly to skip the public product's dispatch (same bits, pinned by a
-    test in ``tests/test_sdp.py``)."""
-    rows, cols = a.shape
+def _matvec(kernel, shape: tuple, g: _Group, v: np.ndarray) -> np.ndarray:
+    """A group's operator (``csr_matvec``) or its transpose (``csc_matvec``,
+    on the same arrays), of the given shape, times a 1-D v."""
+    rows, cols = shape
     # the kernel trusts its sizes: check them before it reads
-    if v.shape != (cols,) or v.dtype != a.data.dtype:
+    if v.shape != (cols,) or v.dtype != g.data.dtype:
         raise ValueError("operand does not match the sparse operator")
     out = np.zeros(rows)
-    csr_matvec(rows, cols, a.indptr, a.indices, a.data, v, out)
+    kernel(rows, cols, g.indptr, g.indices, g.data, v, out)
     return out
-
-
-def _row_pointer(rows: np.ndarray, num_rows: int) -> np.ndarray:
-    """CSR row pointer of nonzeros sorted by row."""
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_rows))))
 
 
 def _block_groups(problem: SdpProblem) -> list:
@@ -260,16 +257,15 @@ def _block_groups(problem: SdpProblem) -> list:
         rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
         order = np.argsort(rows, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
-        op = sp.csr_matrix((vals, cols, _row_pointer(rows, m)), shape=(m, k * nb * nb))
         # the same nonzeros at rows (i, l, r), columns (l, c): still row-major
         block, r, c = cols // (nb * nb), cols // nb % nb, cols % nb
-        row_rows, row_cols = (rows * k + block) * nb + r, block * nb + c
-        row_ptr = _row_pointer(row_rows, m * k * nb)
-        row_op = sp.csr_matrix((vals, row_cols, row_ptr), shape=(m * k * nb, k * nb))
-        per_chunk = min(m, max(1, SCHUR_CHUNK_BYTES // (8 * k * nb * nb)))
-        chunks = tuple(row_op[j * k * nb : (j + per_chunk) * k * nb] for j in range(0, m, per_chunk))
-        work = np.empty((2, per_chunk * max(k * nb * nb, m)))
-        groups.append(_Group(tuple(blocks), nb, op, op.T.tocsr(), chunks, work))
+        # CSR row pointers: where each row's run of sorted row indices starts
+        row_ptr = np.searchsorted((rows * k + block) * nb + r, np.arange(m * k * nb + 1))
+        indptr, row_cols = np.searchsorted(rows, np.arange(m + 1)), block * nb + c
+        cells = k * nb * nb
+        per_chunk = min(m, max(1, SCHUR_CHUNK_BYTES // (8 * cells)))
+        work = np.empty((2, per_chunk * max(cells, m)))
+        groups.append(_Group(tuple(blocks), nb, (m, cells), indptr, cols, vals, row_ptr, row_cols, per_chunk, work))
     return groups
 
 
@@ -377,7 +373,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.sqrt(_inner(c, c)))
-    a_norms = np.sqrt(sum(np.asarray(g.op.multiply(g.op).sum(axis=1)).ravel() for g in groups))
+    a_sq = [np.zeros(m) for _ in groups]
+    for g, sq in zip(groups, a_sq):  # each row summed as scipy's own CSR row sums are
+        nonempty = np.flatnonzero(np.diff(g.indptr))
+        sq[nonempty] = np.add.reduceat(g.data * g.data, g.indptr[nonempty])
+    a_norms = np.sqrt(sum(a_sq))
     tau_p = max(1.0, np.sqrt(n), n * float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms))))
     tau_d = max(1.0, np.sqrt(n), norm_c, float(a_norms.max()))
     init_scale = max(tau_p, tau_d)

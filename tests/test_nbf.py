@@ -242,6 +242,9 @@ def test_certificate_json_round_trip(reference_trio):
         assert i <= j
         z[i, j] = z[j, i] = value
     assert np.array_equal(z, cert.z)
+    # in row-major order
+    cells = [(i, j) for i, j, _ in obj["z"]]
+    assert cells == sorted(cells)
 
 
 def test_headline_band(headline):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -331,14 +332,36 @@ def _stack_of_psd(rng, k, n):
     return np.stack([_random_psd(rng, n) for _ in range(k)])
 
 
+def asymmetric_tripartite_problem():
+    """The extremization of a seeded (3,3,2) functional that no party swap
+    fixes: one unreduced 64-block and 531 constraints, whose Schur
+    complement is assembled in 34 chunks at the default chunk size."""
+    structure = aqset.build_moment_structure(make_scenario(3, 3, 2))
+    rng = np.random.default_rng(7)
+    functional = BellFunctional(structure.scenario, rng.normal(size=structure.size))
+    return aqset.compile_extremize(structure, functional, "min").problem
+
+
+def _public_operators(group):
+    """The group's operator and its row view as scipy matrices, from its
+    arrays."""
+    m, cells = group.shape
+    k_n = cells // group.size
+    op = sp.csr_matrix((group.data, group.indices, group.indptr), shape=(m, cells))
+    rows = sp.csr_matrix((group.data, group.row_cols, group.row_ptr), shape=(m * k_n, k_n))
+    return op, rows
+
+
 def _public_schur(group, x, s_inv):
     """The Schur term by scipy's public products, one chunk at a time."""
+    op, rows = _public_operators(group)
+    m, cells = group.shape
+    k_n = cells // group.size
     s_stack = s_inv.reshape(-1, group.size)
-    cells = group.op.shape[1]
-    terms = [
-        group.op @ (x @ (rows @ s_stack).reshape(-1, *x.shape)).reshape(-1, cells).T
-        for rows in group.row_chunks
-    ]
+    terms = []
+    for start in range(0, m, group.per_chunk):
+        chunk = rows[start * k_n : (start + group.per_chunk) * k_n]
+        terms.append(op @ (x @ (chunk @ s_stack).reshape(-1, *x.shape)).reshape(-1, cells).T)
     return np.concatenate(terms, axis=1)
 
 
@@ -348,29 +371,67 @@ def test_schur_workspace_matches_public_products(monkeypatch, chunk_bytes):
     # kernel; a scipy release that changed that kernel would show up here
     monkeypatch.setattr(sdp, "SCHUR_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(5)
-    for seed, m in ((1, 8), (2, 13), (3, 20)):
-        groups = sdp._block_groups(random_feasible_problem((3, 1, 3, 2), m, seed))
-        for group in groups:
+    problems = [random_feasible_problem((3, 1, 3, 2), m, seed) for seed, m in ((1, 8), (2, 13), (3, 20))]
+    problems.append(asymmetric_tripartite_problem())
+    for problem in problems:
+        for group in sdp._block_groups(problem):
             k = len(group.blocks)
             # the solver's first X is a broadcast identity; later ones are dense
             start = np.broadcast_to(2.0 * np.eye(group.size), (k, group.size, group.size))
             for x in (start, _stack_of_psd(rng, k, group.size), _stack_of_psd(rng, k, group.size)):
                 s_inv = _stack_of_psd(rng, k, group.size)
                 assert np.array_equal(group.schur(x, s_inv), _public_schur(group, x, s_inv))
+    if chunk_bytes > 1:  # the default: many chunks, each of many constraints
+        (group,) = sdp._block_groups(problems[-1])
+        assert -(-group.shape[0] // group.per_chunk) == 34
 
 
 def test_group_products_match_public_products():
-    # apply and adjoint call scipy's private CSR matvec kernel; a scipy
-    # release that changed it would show up here
+    # apply and adjoint call scipy's private CSR and CSC matvec kernels; a
+    # scipy release that changed them would show up here
     rng = np.random.default_rng(6)
-    for dims, m, seed in (((3, 1, 3, 2), 8, 1), ((5, 4, 4), 13, 2), ((6,), 20, 3)):
-        for group in sdp._block_groups(random_feasible_problem(dims, m, seed)):
+    inputs = (((3, 1, 3, 2), 8, 1), ((5, 4, 4), 13, 2), ((6,), 20, 3))
+    problems = [random_feasible_problem(dims, m, seed) for dims, m, seed in inputs]
+    problems.append(asymmetric_tripartite_problem())
+    for problem in problems:
+        m = problem.num_constraints
+        for group in sdp._block_groups(problem):
             k, n = len(group.blocks), group.size
+            op, rows = _public_operators(group)
+            # the arrays hold the problem's constraints, in both views
+            stacks = np.stack([problem.a_stacks[l] for l in group.blocks], axis=1)
+            assert np.array_equal(op.toarray(), stacks.reshape(m, -1))
+            row_view = np.zeros((m, k, n, k, n))
+            for p in range(k):
+                row_view[:, p, :, p, :] = stacks[:, p]
+            assert np.array_equal(rows.toarray(), row_view.reshape(m * k * n, k * n))
             start = np.broadcast_to(2.0 * np.eye(n), (k, n, n))
             for z in (start, rng.normal(size=(k, n, n))):
-                assert np.array_equal(group.apply(z), group.op @ z.ravel())
+                assert np.array_equal(group.apply(z), op @ z.ravel())
             v = rng.normal(size=m)
-            assert np.array_equal(group.adjoint(v), (group.op_t @ v).reshape(k, n, n))
+            assert np.array_equal(group.adjoint(v), (op.T @ v).reshape(k, n, n))
+
+
+def test_singular_schur_complement_solves_with_jitter(monkeypatch):
+    # a repeated constraint makes the Schur complement singular, so plain
+    # Cholesky fails on most iterations; the factorization then retries
+    # with a diagonal shift instead of ending the solve
+    c, a = np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4)
+    single = solve(SdpProblem((4,), (c,), (a[None],), np.array([1.0])))
+    failed = []
+    cholesky = sdp._cholesky
+
+    def counting(mat):
+        chol = cholesky(mat)
+        if mat.shape == (2, 2):
+            failed.append(chol is None)
+        return chol
+
+    monkeypatch.setattr(sdp, "_cholesky", counting)
+    repeated = solve(SdpProblem((4,), (c,), (np.stack([a, a]),), np.array([1.0, 1.0])))
+    assert repeated.status == SdpStatus.OPTIMAL, repeated.message
+    assert any(failed)
+    assert abs(repeated.primal_objective - single.primal_objective) <= 1e-12
 
 
 def _reference_step(iterates, directions):
