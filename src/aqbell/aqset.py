@@ -54,7 +54,7 @@ class MomentStructure:
     scenario: Scenario
     classes: tuple  # canonical words (party-sorted letter tuples), identity () first
     # (N, N) class index per cell, -1 on orthogonal cells: the one stored form
-    # of the partition, read through class_sums, scatter and indicator_stack
+    # of the partition, read through class_sums, scatter and indicator_problem
     cell_class: np.ndarray
     monomial_class: np.ndarray  # (N,) class index of each basis monomial
 
@@ -221,19 +221,6 @@ def scatter(structure: MomentStructure, values: np.ndarray) -> np.ndarray:
     return np.append(values, 0.0)[structure.cell_class]
 
 
-def indicator_stack(structure: MomentStructure, class_row: np.ndarray, m: int) -> np.ndarray:
-    """(m, N, N) constraint stack whose row ``class_row[k]`` is the 0/1
-    indicator of class k; classes with ``class_row`` -1 get no row.  Every
-    cell belongs to at most one row, so one assignment fills the stack and no
-    second (m, N, N) array is made."""
-    n = structure.size
-    stack = np.zeros((m, n, n))
-    cell_row = np.append(class_row, -1)[structure.cell_class]
-    rows, cols = np.nonzero(cell_row >= 0)
-    stack[cell_row[rows, cols], rows, cols] = 1.0
-    return stack
-
-
 def objective_matrix(structure: MomentStructure, coeffs: np.ndarray) -> np.ndarray:
     """Scatter per-monomial objective coefficients onto their class cells, so
     that <result, Z> equals sum_g coeffs[g] * (class-g entry sum of Z)."""
@@ -267,28 +254,28 @@ def indicator_problem(
     merge into one row (the two averaged) and every block is projected onto
     the swap's symmetric and antisymmetric blocks.  Returns the problem and
     its :class:`SwapReduction`, or the unreduced problem and None; either
-    way :func:`solve_indicator` solves it.
+    way :func:`solve_indicator` solves it.  Both are built alike (the
+    unreduced one over the identity basis): cell (a, b) in constraint q adds
+    W[a, i] W[b, j] scale[i, j] / size[row[q]] to cell (i, j) of its row.
     """
     n, m = structure.size, len(b)
-    found = invariant_swap(structure, c_blocks, class_rows, b)
-    if found is None:
-        stacks = tuple(indicator_stack(structure, class_row, m) for class_row in class_rows)
-        return SdpProblem((n,) * len(class_rows), tuple(c_blocks), stacks, b), None
-
-    swap, image = found
+    swap, image = invariant_swap(structure, c_blocks, class_rows, b) or (None, np.arange(m))
+    bases = ((np.eye(n), np.ones((n, n))),) if swap is None else swap.blocks
     # merged rows are numbered by the smallest constraint they hold
     _, row = np.unique(np.minimum(image, np.arange(m)), return_inverse=True)
     size = np.bincount(row)
-    dims, cs, stacks = [], [], []
+    cs, triplets = [], []
     for c, class_row in zip(c_blocks, class_rows, strict=True):
-        merged = np.where(class_row >= 0, row[class_row], -1)
-        stack = indicator_stack(structure, merged, len(size)) / size[:, None, None]
-        for w, scale in swap.blocks:
-            dims.append(w.shape[1])
+        cell_row = np.append(np.where(class_row >= 0, row[class_row], -1), -1)[structure.cell_class]
+        for w, scale in bases:
+            mono, col = np.nonzero(w)  # each monomial is in at most one column, with sign +-1
+            rows = cell_row[np.ix_(mono, mono)]
+            i, j = np.nonzero(rows >= 0)
             cs.append(scale * (w.T @ c @ w))
-            stacks.append(scale * (w.T @ stack @ w))
-    problem = SdpProblem(tuple(dims), tuple(cs), tuple(stacks), np.bincount(row, weights=b) / size)
-    return problem, SwapReduction(swap, row, size)
+            values = w[mono[i], col[i]] * w[mono[j], col[j]] * scale[col[i], col[j]] / size[rows[i, j]]
+            triplets.append((rows[i, j], col[i] * w.shape[1] + col[j], values))
+    problem = SdpProblem(tuple(len(c) for c in cs), tuple(cs), tuple(triplets), np.bincount(row, weights=b) / size)
+    return problem, None if swap is None else SwapReduction(swap, row, size)
 
 
 def solve_indicator(

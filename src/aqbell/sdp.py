@@ -19,11 +19,12 @@ over the blocks, and a backtracked step is accepted only when every block
 factors.  Residuals, mu and the infeasibility rays are sums or extrema over
 the groups.
 
-The constraints enter the solver as one sparse operator per group, built
-once per solve from the nonzeros of its blocks and kept as plain arrays,
-with no scipy matrix object: one array of nonzeros, indexed by a CSR row
-pointer and column indices with one row per constraint over the vectorized
-cells of the group's blocks.  The same arrays are the CSC form of A^T, so A
+The constraints arrive as sparse (row, cell, value) triplets per block, and
+no solve densifies them.  Each group reads its blocks' triplets into one
+sparse operator, built once per solve and kept as plain arrays with no scipy
+matrix object: one array of nonzeros, indexed by a CSR row pointer and
+column indices with one row per constraint over the vectorized cells of the
+group's blocks.  The same arrays are the CSC form of A^T, so A
 and its adjoint each cost one O(nnz) pass of scipy's CSR or CSC matvec
 kernel, the kernels behind ``op @ v`` and ``op.T @ v``.  The Schur
 complement M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}> is summed over the
@@ -44,7 +45,7 @@ inverts the iterates' factors, ``dpotrs`` solves with the Schur factor, and
 ``dsyevr`` computes only the smallest eigenvalue of each step matrix.  A
 non-finite iterate is caught by the residual check, and a non-finite search
 direction by its step length (LAPACK reports it); either ends the solve as
-``numerical_trouble``.
+``numerical_trouble``, so numpy's overflow warnings are off inside it.
 """
 from __future__ import annotations
 
@@ -82,15 +83,17 @@ class SolverConfig:
 class SdpProblem:
     """Objective and equality constraints over block-diagonal symmetric X.
 
-    ``a_stacks[l]`` holds the block-l component of every constraint as an
-    (m, n_l, n_l) array; 1x1 blocks act as nonnegative scalar variables.
-    This dense per-block form is the input format only: :func:`solve` reads
-    its nonzeros into one sparse operator per group of equal-size blocks.
+    ``a_triplets[l]`` holds every constraint's block-l component as
+    ``(rows, cells, values)``: constraint ``rows[t]`` has ``values[t]`` at
+    cell ``cells[t]`` = r * n_l + c.  They are kept sorted by row and then
+    cell, with repeats summed and exact zeros dropped, and must be symmetric
+    (an entry without a mirror compares against 0).  1x1 blocks act as
+    nonnegative scalar variables.  ``a_stacks`` is their dense view.
     """
 
     block_dims: tuple
     c_blocks: tuple
-    a_stacks: tuple
+    a_triplets: tuple
     b: np.ndarray
 
     def __post_init__(self):
@@ -109,23 +112,28 @@ class SdpProblem:
         total = sum(dims)
         if m > total * total:
             raise ValueError("more constraints than matrix entries")
-        cs, stacks = [], []
-        for n_l, c, stack in zip(dims, self.c_blocks, self.a_stacks, strict=True):
+        cs, triplets = [], []
+        for n_l, c, triplet in zip(dims, self.c_blocks, self.a_triplets, strict=True):
             c = np.asarray(c, dtype=float)
-            stack = np.asarray(stack, dtype=float)
-            if c.shape != (n_l, n_l) or stack.shape != (m, n_l, n_l):
-                raise ValueError("block shapes do not match block_dims / b")
-            if not (np.all(np.isfinite(c)) and np.all(np.isfinite(stack))):
-                raise ValueError("objective and constraint blocks must be finite")
+            if c.shape != (n_l, n_l) or not np.all(np.isfinite(c)):
+                raise ValueError("objective blocks must be finite and match block_dims")
             if np.abs(c - c.T).max(initial=0.0) > 1e-12:
                 raise ValueError("objective blocks must be symmetric")
-            if np.abs(stack - stack.transpose(0, 2, 1)).max(initial=0.0) > 1e-12:
-                raise ValueError("constraint blocks must be symmetric")
             cs.append(c)
-            stacks.append(stack)
+            triplets.append(_canonical_triplets(n_l, m, *triplet))
         object.__setattr__(self, "c_blocks", tuple(cs))
-        object.__setattr__(self, "a_stacks", tuple(stacks))
+        object.__setattr__(self, "a_triplets", tuple(triplets))
         object.__setattr__(self, "b", b)
+
+    @property
+    def a_stacks(self) -> tuple:
+        """Read-only dense (m, n_l, n_l) constraint stacks, made on each
+        access for inspection; no solve reads them."""
+        stacks = tuple(np.zeros((self.b.size, n_l, n_l)) for n_l in self.block_dims)
+        for stack, (rows, cells, values) in zip(stacks, self.a_triplets):
+            stack.reshape(self.b.size, -1)[rows, cells] = values
+            stack.flags.writeable = False
+        return stacks
 
     @property
     def total_dim(self) -> int:
@@ -134,6 +142,29 @@ class SdpProblem:
     @property
     def num_constraints(self) -> int:
         return self.b.size
+
+
+def _canonical_triplets(n: int, m: int, rows, cells, values) -> tuple:
+    """An n x n block's constraint triplets in the form SdpProblem keeps;
+    ValueError unless they are in range, finite and symmetric."""
+    rows, cells = (np.asarray(v).astype(np.int64, casting="same_kind") for v in (rows, cells))
+    values = np.asarray(values, dtype=float)
+    if not (rows.ndim == cells.ndim == values.ndim == 1 and rows.size == cells.size == values.size):
+        raise ValueError("constraint triplets must be three vectors of equal length")
+    if np.any((rows < 0) | (rows >= m) | (cells < 0) | (cells >= n * n)):
+        raise ValueError("constraint triplets outside the problem")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("constraint values must be finite")
+    keys, at = np.unique(rows * (n * n) + cells, return_inverse=True)
+    sums = np.bincount(at, weights=values, minlength=keys.size)  # repeats summed in input order
+    keys, sums = keys[sums != 0.0], sums[sums != 0.0]
+    rows, cells = np.divmod(keys, n * n)
+    # each entry against its mirror (r, c) -> (c, r), or 0 where there is none
+    mirror = rows * (n * n) + cells % n * n + cells // n
+    at = np.searchsorted(keys, mirror).clip(max=max(keys.size - 1, 0))
+    if np.abs(sums - np.where(keys[at] == mirror, sums[at], 0.0)).max(initial=0.0) > 1e-12:
+        raise ValueError("constraint blocks must be symmetric")
+    return rows, cells, sums
 
 
 @dataclass(frozen=True)
@@ -248,14 +279,9 @@ def _block_groups(problem: SdpProblem) -> list:
     groups = []
     for nb, blocks in by_size.items():
         k = len(blocks)
-        parts = []
-        for p, l in enumerate(blocks):
-            flat = problem.a_stacks[l].reshape(m, -1)
-            i, cell = np.nonzero(flat)
-            parts.append((i, p * nb * nb + cell, flat[i, cell]))
-        # row-major order: by constraint, then block, then cell
+        parts = [(i, p * nb * nb + cell, v) for p, (i, cell, v) in enumerate(problem.a_triplets[l] for l in blocks)]
         rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
-        order = np.argsort(rows, kind="stable")
+        order = np.argsort(rows, kind="stable")  # row-major: by constraint, then block, then cell
         rows, cols, vals = rows[order], cols[order], vals[order]
         # the same nonzeros at rows (i, l, r), columns (l, c): still row-major
         block, r, c = cols // (nb * nb), cols // nb % nb, cols % nb
@@ -353,6 +379,7 @@ def _chol_with_jitter(mat: np.ndarray):
     return chol
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     cfg = config or SolverConfig()
     n = problem.total_dim
@@ -593,26 +620,20 @@ class CertificateReport:
 
 
 def check_certificate(problem: SdpProblem, solution: SdpSolution, tol: float = 1e-7) -> CertificateReport:
-    """Recompute all optimality residuals from scratch (plain per-block,
-    per-constraint loops over the problem's blocks, no shared state with
-    the solver) and report pass/fail."""
+    """Recompute all optimality residuals from scratch (per-block sums over
+    the problem's constraint triplets by ``np.bincount``, no shared state
+    with the solver) and report pass/fail."""
     if solution.status != SdpStatus.OPTIMAL:
         raise ValueError("certificate checking expects an optimal solution")
-    m = problem.num_constraints
     b, y = problem.b, solution.y
-    blocks = list(zip(problem.c_blocks, problem.a_stacks, solution.x_blocks, solution.s_blocks))
+    blocks = list(zip(problem.c_blocks, problem.a_triplets, solution.x_blocks, solution.s_blocks))
 
-    primal = []
-    for i in range(m):
-        lhs = sum(float(np.sum(stack[i] * xb)) for _, stack, xb, _ in blocks)
-        primal.append(abs(lhs - b[i]))
-    primal = float(np.max(primal)) / (1.0 + float(np.abs(b).max()))
+    lhs = sum(np.bincount(i, weights=v * np.ravel(xb)[cell], minlength=b.size) for _, (i, cell, v), xb, _ in blocks)
+    primal = float(np.max(np.abs(lhs - b))) / (1.0 + float(np.abs(b).max()))
 
     dual, c_max = [], []
-    for c, stack, _, sb in blocks:
-        dual_mat = c - sb
-        for i in range(m):
-            dual_mat = dual_mat - y[i] * stack[i]
+    for c, (i, cell, v), _, sb in blocks:
+        dual_mat = c - sb - np.bincount(cell, weights=y[i] * v, minlength=c.size).reshape(c.shape)
         dual.append(float(np.abs(dual_mat).max()))
         c_max.append(float(np.abs(c).max()))
     dual = float(np.max(dual)) / (1.0 + max(c_max))

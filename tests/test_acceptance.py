@@ -27,7 +27,14 @@ from aqbell.scenario import (
     load_json,
     make_scenario,
 )
-from aqbell.sdp import SdpProblem, SdpStatus, SolverConfig, solve
+from aqbell.sdp import SdpStatus, SolverConfig, solve
+from conftest import (
+    boundary_problem,
+    dual_infeasible_problem,
+    lambda_max_problem,
+    primal_infeasible_problem,
+    trace_problem,
+)
 from aqbell.seesaw import SeesawConfig, run
 
 TSIRELSON = (4.0 + 2.0 * math.sqrt(2.0)) / 8.0
@@ -164,26 +171,17 @@ def test_criterion_7_seesaw_random_budget():
 
 def test_criterion_8_solver_unit_suite():
     tight = SolverConfig(gap_tol=1e-10, feas_tol=1e-10)
-    a_offdiag = np.array([[0.0, 0.5], [0.5, 0.0]])
-    a_equal = np.diag([1.0, -1.0])
-    boundary = SdpProblem((2,), (np.diag([1.0, 0.0]),), (np.stack([a_offdiag, a_equal]),), np.array([1.0, 0.0]))
-    tracep = SdpProblem((2,), (np.eye(2),), (np.stack([np.diag([1.0, 0.0])]),), np.array([3.0]))
-    rng = np.random.default_rng(11)
-    sym = rng.normal(size=(3, 3))
-    sym = 0.5 * (sym + sym.T)
-    lam_max = SdpProblem((3,), (-sym,), (np.eye(3)[None, :, :],), np.array([1.0]))
-    infeas_p = SdpProblem((2,), (np.zeros((2, 2)),), (np.stack([np.diag([1.0, 0.0])]),), np.array([-1.0]))
-    infeas_d = SdpProblem((2,), (np.diag([-1.0, 0.0]),), (np.stack([np.diag([0.0, 1.0])]),), np.array([1.0]))
+    lam_max, sym = lambda_max_problem()
 
-    sol = solve(boundary, tight)
+    sol = solve(boundary_problem(), tight)
     assert sol.status == SdpStatus.OPTIMAL and abs(sol.primal_objective - 1.0) <= 1e-8
-    sol = solve(tracep, tight)
+    sol = solve(trace_problem(), tight)
     assert sol.status == SdpStatus.OPTIMAL and abs(sol.primal_objective - 3.0) <= 1e-8
     sol = solve(lam_max, tight)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(-sol.primal_objective - np.linalg.eigvalsh(sym).max()) <= 1e-8
-    assert solve(infeas_p).status == SdpStatus.PRIMAL_INFEASIBLE
-    assert solve(infeas_d).status == SdpStatus.DUAL_INFEASIBLE
+    assert solve(primal_infeasible_problem()).status == SdpStatus.PRIMAL_INFEASIBLE
+    assert solve(dual_infeasible_problem()).status == SdpStatus.DUAL_INFEASIBLE
     print("PASS criterion 8: five closed-form instances solved/classified at 1e-8")
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aqbell import aqset
 from aqbell.algebra import word_classes
 from aqbell.aqset import (
     aq_extremize,
@@ -9,7 +10,6 @@ from aqbell.aqset import (
     compile_extremize,
     constraint_residual,
     indicator_problem,
-    indicator_stack,
     party_swap,
     restrict_to_touched,
     scatter,
@@ -31,6 +31,7 @@ from aqbell.scenario import (
     unit_functional,
 )
 from aqbell.sdp import SdpProblem, check_certificate, solve
+from conftest import triplets
 
 TSIRELSON = (4.0 + 2.0 * np.sqrt(2.0)) / 8.0
 
@@ -308,12 +309,13 @@ def swap_permutation(scenario, p, q):
 def unreduced_problem(structure, target):
     """The one-block problem: one indicator row per non-identity class."""
     n, m = structure.size, len(structure.classes) - 1
-    stack = indicator_stack(structure, np.arange(m + 1) - 1, m)
+    # constraint k - 1 is the 0/1 indicator of class k
+    stack = (structure.cell_class == np.arange(1, m + 1)[:, None, None]).astype(float)
     b = np.zeros(m)
     b[structure.monomial_class[1:] - 1] = target[1:]
     c = np.zeros((n, n))
     c[0, 0] = 1.0
-    return SdpProblem((n,), (c,), (stack,), b)
+    return SdpProblem((n,), (c,), (triplets(stack),), b)
 
 
 def assert_matches_unreduced_solve(f, sense, ext, parties):
@@ -375,8 +377,9 @@ def test_slightly_asymmetric_composition_takes_unreduced_path(composed_w):
     assert compiled.problem.block_dims == (48,) and compiled.problem.num_constraints == 273
 
 
-def test_indicator_problem_reduces_only_swap_invariant_data(rng):
-    # two blocks on the (2,2,3) structure: m * sum_l n_l**3 = 3e6 passes the size rule
+def swap_invariant_two_block_data(rng):
+    """Two blocks on the (2,2,3) structure, with data that the swap of
+    parties 0 and 1 fixes: m * sum_l n_l**3 = 3e6 passes the size rule."""
     st = build_moment_structure(make_scenario(2, 2, 3))
     swap = party_swap(st, (0, 1))
     m = len(st.classes) - 1
@@ -388,6 +391,12 @@ def test_indicator_problem_reduces_only_swap_invariant_data(rng):
         a = rng.uniform(-1, 1, (st.size, st.size))
         a = a + a.T
         c_blocks.append(a + a[np.ix_(swap.perm, swap.perm)])
+    return st, c_blocks, class_rows, b
+
+
+def test_indicator_problem_reduces_only_swap_invariant_data(rng):
+    st, c_blocks, class_rows, b = swap_invariant_two_block_data(rng)
+    swap, m = party_swap(st, (0, 1)), len(b)
     problem, reduction = indicator_problem(st, c_blocks, class_rows, b)
     assert reduction is not None and reduction.swap.parties == (0, 1)
     assert len(problem.block_dims) == 4 and sum(problem.block_dims) == 2 * st.size
@@ -439,3 +448,47 @@ def test_generator_solves_stay_one_block(reference_trio, sense):
         assert ext.value == (compiled.target[0] - full.primal_objective) * (1 if sense == "min" else -1)
         assert np.array_equal(ext.solution.x_blocks[0], full.x_blocks[0])
         assert np.array_equal(ext.solution.y, full.y)
+
+
+@pytest.mark.parametrize("case", ["headline", "family", "two_block"])
+def test_reduced_constraints_match_dense_projection(case, composed_w, rng, monkeypatch):
+    # the reduced constraint blocks, exactly as the dense formula
+    # scale * (W^T (indicator / size) W) gives them, from the unreduced
+    # problem's class indicators summed over each merged row
+    if case == "headline":
+        restricted, _ = restrict_to_touched(composed_w)
+        st = build_moment_structure(restricted.scenario)
+
+        def build():
+            compiled = compile_extremize(st, restricted, "min")
+            return compiled.problem, compiled.reduction
+
+    elif case == "family":
+        # a swap-invariant family step: two generators on (2,3,2)
+        st = build_moment_structure(make_scenario(2, 3, 2))
+        perm = swap_permutation(st.scenario, 0, 1)
+        objectives = [o + o[perm] for o in rng.uniform(-1, 1, (2, st.size))]
+
+        def build():
+            return _cone_pair_problem(st, objectives)
+
+    else:
+        data = swap_invariant_two_block_data(rng)
+
+        def build():
+            return indicator_problem(*data)
+
+    problem, reduction = build()
+    assert reduction is not None
+    expected_dims = {"headline": (30, 18), "family": (10, 6) * 4, "two_block": (15, 10) * 2}[case]
+    assert problem.block_dims == expected_dims
+    monkeypatch.setattr(aqset, "SWAP_MIN_WORK", np.inf)
+    unreduced, none = build()
+    assert none is None
+    size = reduction.size
+    for l, indicators in enumerate(unreduced.a_stacks):
+        merged = np.zeros((len(size),) + indicators.shape[1:])
+        np.add.at(merged, reduction.row, indicators)
+        for s, (w, scale) in enumerate(reduction.swap.blocks):
+            expected = scale * (w.T @ (merged / size[:, None, None]) @ w)
+            assert np.array_equal(problem.a_stacks[2 * l + s], expected)

@@ -179,6 +179,21 @@ def test_verify_indeterminate_writes_report(reference_dir, tmp_path, monkeypatch
     assert results["failure"] == "numerical_trouble: stalled"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_overflow_exits_3_without_warnings(tmp_path):
+    # a coefficient near 1e300 overflows the solver's norms; the solve
+    # classifies the non-finite iterate itself, and numpy warns of nothing
+    huge = {
+        "scenario": {"parties": 2, "settings": [2, 2], "outcomes": 2},
+        "entries": [{"monomial": [[0, 0, 0]], "coeff": 1e300}],
+    }
+    save_json(tmp_path / "huge_coeff.json", huge)
+    assert run_cli("--out", tmp_path, "verify", tmp_path / "huge_coeff.json") == 3
+    results = load_json(tmp_path / "verify_report.json")["results"]
+    assert results["is_nbf"] is None
+    assert results["failure"] == "numerical_trouble: non-finite iterate"
+
+
 def test_compose_default_matches_library(tmp_path, composed_w):
     assert run_cli("--out", tmp_path, "compose") == 0
     written = functional_from_json(load_json(tmp_path / "composed.json"))

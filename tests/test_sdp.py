@@ -17,37 +17,16 @@ from aqbell.sdp import (
     check_certificate,
     solve,
 )
+from conftest import (
+    boundary_problem,
+    dual_infeasible_problem,
+    lambda_max_problem,
+    primal_infeasible_problem,
+    trace_problem,
+    triplets,
+)
 
 TIGHT = SolverConfig(gap_tol=1e-10, feas_tol=1e-10)
-
-
-def boundary_problem():
-    # min x s.t. [[x, 1], [1, x]] >= 0, posed in standard form
-    a_offdiag = np.array([[0.0, 0.5], [0.5, 0.0]])
-    a_equal = np.diag([1.0, -1.0])
-    return SdpProblem(
-        (2,), (np.diag([1.0, 0.0]),), (np.stack([a_offdiag, a_equal]),), np.array([1.0, 0.0])
-    )
-
-
-def trace_problem():
-    return SdpProblem((2,), (np.eye(2),), (np.stack([np.diag([1.0, 0.0])]),), np.array([3.0]))
-
-
-def lambda_max_problem():
-    rng = np.random.default_rng(11)
-    mat = rng.normal(size=(3, 3))
-    mat = 0.5 * (mat + mat.T)
-    problem = SdpProblem((3,), (-mat,), (np.eye(3)[None, :, :],), np.array([1.0]))
-    return problem, mat
-
-
-def primal_infeasible_problem():
-    return SdpProblem((2,), (np.zeros((2, 2)),), (np.stack([np.diag([1.0, 0.0])]),), np.array([-1.0]))
-
-
-def dual_infeasible_problem():
-    return SdpProblem((2,), (np.diag([-1.0, 0.0]),), (np.stack([np.diag([0.0, 1.0])]),), np.array([1.0]))
 
 
 def test_boundary_psd_instance():
@@ -135,7 +114,7 @@ def test_scaling_homogeneity(alpha):
     base = solve(problem, TIGHT)
 
     scaled_c = SdpProblem(
-        problem.block_dims, (alpha * problem.c_blocks[0],), problem.a_stacks, problem.b
+        problem.block_dims, (alpha * problem.c_blocks[0],), problem.a_triplets, problem.b
     )
     sol_c = solve(scaled_c, TIGHT)
     assert abs(sol_c.primal_objective - alpha * base.primal_objective) <= 1e-8 * abs(
@@ -145,7 +124,7 @@ def test_scaling_homogeneity(alpha):
         alpha * base.dual_objective
     ) + 1e-10
 
-    scaled_b = SdpProblem(problem.block_dims, problem.c_blocks, problem.a_stacks, alpha * problem.b)
+    scaled_b = SdpProblem(problem.block_dims, problem.c_blocks, problem.a_triplets, alpha * problem.b)
     sol_b = solve(scaled_b, TIGHT)
     assert abs(sol_b.primal_objective - alpha * base.primal_objective) <= 1e-8 * abs(
         alpha * base.primal_objective
@@ -161,7 +140,7 @@ def multiblock_problem():
         np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))]),
         np.stack([np.zeros((2, 2)), np.diag([0.0, 1.0])]),
     )
-    return SdpProblem((2, 2), (np.eye(2), np.eye(2)), stacks, np.array([2.0, 0.5]))
+    return SdpProblem((2, 2), (np.eye(2), np.eye(2)), tuple(map(triplets, stacks)), np.array([2.0, 0.5]))
 
 
 def test_multiblock_solve():
@@ -265,7 +244,7 @@ def random_feasible_problem(block_dims, m, seed):
     y0 = rng.normal(size=m)
     b = np.array([sum(np.sum(stack[i] * x) for stack, x in zip(stacks, x0)) for i in range(m)])
     c_blocks = tuple(s + np.einsum("i,ijk->jk", y0, stack) for s, stack in zip(s0, stacks))
-    return SdpProblem(tuple(block_dims), c_blocks, tuple(stacks), b)
+    return SdpProblem(tuple(block_dims), c_blocks, tuple(map(triplets, stacks)), b)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -296,7 +275,7 @@ def test_block_order_does_not_matter():
     permuted = SdpProblem(
         tuple(problem.block_dims[l] for l in perm),
         tuple(problem.c_blocks[l] for l in perm),
-        tuple(problem.a_stacks[l] for l in perm),
+        tuple(problem.a_triplets[l] for l in perm),
         problem.b,
     )
     sol, sol_p = solve(problem, TIGHT), solve(permuted, TIGHT)
@@ -417,7 +396,7 @@ def test_singular_schur_complement_solves_with_jitter(monkeypatch):
     # Cholesky fails on most iterations; the factorization then retries
     # with a diagonal shift instead of ending the solve
     c, a = np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4)
-    single = solve(SdpProblem((4,), (c,), (a[None],), np.array([1.0])))
+    single = solve(SdpProblem((4,), (c,), (triplets([a]),), np.array([1.0])))
     failed = []
     cholesky = sdp._cholesky
 
@@ -428,7 +407,7 @@ def test_singular_schur_complement_solves_with_jitter(monkeypatch):
         return chol
 
     monkeypatch.setattr(sdp, "_cholesky", counting)
-    repeated = solve(SdpProblem((4,), (c,), (np.stack([a, a]),), np.array([1.0, 1.0])))
+    repeated = solve(SdpProblem((4,), (c,), (triplets([a, a]),), np.array([1.0, 1.0])))
     assert repeated.status == SdpStatus.OPTIMAL, repeated.message
     assert any(failed)
     assert abs(repeated.primal_objective - single.primal_objective) <= 1e-12
@@ -517,13 +496,42 @@ def test_iteration_limit_reports_trouble(monkeypatch):
 
 
 def test_problem_validation():
+    zero = triplets(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.array([[0.0, 1.0], [0.0, 0.0]]),), (np.zeros((1, 2, 2)),), np.array([1.0]))
+        SdpProblem((2,), (np.array([[0.0, 1.0], [0.0, 0.0]]),), (zero,), np.array([1.0]))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.zeros((2, 2)),), (np.zeros((1, 2, 2)),), np.array([np.inf]))
+        SdpProblem((2,), (np.zeros((2, 2)),), (zero,), np.array([np.inf]))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.zeros((2, 2)),), (np.full((1, 2, 2), np.nan),), np.array([1.0]))
+        SdpProblem((2,), (np.zeros((2, 2)),), (triplets(np.full((1, 2, 2), np.nan)),), np.array([1.0]))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.diag([np.nan, 0.0]),), (np.zeros((1, 2, 2)),), np.array([1.0]))
+        SdpProblem((2,), (np.diag([np.nan, 0.0]),), (zero,), np.array([1.0]))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.zeros((2, 2)),), (np.zeros((0, 2, 2)),), np.array([]))
+        SdpProblem((2,), (np.zeros((2, 2)),), (zero,), np.array([]))
+
+    def build(rows, cells, values):
+        return SdpProblem((2,), (np.eye(2),), ((np.array(rows), np.array(cells), np.array(values)),), np.ones(2))
+
+    # unsorted, with repeats: cells 1 and 2 of row 0 mirror each other only
+    # once summed, and cell 0 of row 1 sums to an exact zero
+    problem = build([1, 0, 1, 0, 0, 1, 1], [3, 2, 3, 1, 1, 0, 0], [0.25, 1.0, 0.5, 0.5, 0.5, 2.0, -2.0])
+    ((rows, cells, values),) = problem.a_triplets
+    assert (rows.tolist(), cells.tolist(), values.tolist()) == ([0, 0, 1], [1, 2, 3], [1.0, 1.0, 0.75])
+    assert np.array_equal(problem.a_stacks[0], [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.75]]])
+    with pytest.raises(ValueError):  # the dense view is read-only
+        problem.a_stacks[0][0, 0, 0] = 1.0
+    for bad in (
+        ([-1], [0], [1.0]),  # negative row
+        ([2], [0], [1.0]),  # row past m
+        ([0], [-1], [1.0]),  # negative cell
+        ([0], [4], [1.0]),  # cell past n * n
+        ([0, 1], [0], [1.0]),  # unequal lengths
+        ([0], [0], [np.nan]),
+        ([0], [1], [1.0]),  # off-diagonal entry without its mirror
+        ([0, 0], [1, 2], [1.0, 1.0 + 4e-12]),  # mirror off by more than 1e-12
+    ):
+        with pytest.raises(ValueError):
+            build(*bad)
+    with pytest.raises(TypeError):  # a float index is not truncated
+        build([0.0], [0], [1.0])
+    # an asymmetry within 1e-12 passes, as it did for dense input
+    assert build([0], [1], [1e-13]).a_triplets[0][2].tolist() == [1e-13]
