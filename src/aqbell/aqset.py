@@ -7,7 +7,9 @@ Extremizing a Bell functional over the set is solved in certificate form:
 the semidefinite variable Z is a Gram matrix whose per-class entry sums
 reproduce the functional's coefficients, the objective min Z[0,0] yields the
 bound, and the dual multipliers are (minus) the optimal moment values, from
-which the extremal behavior is read off the first row.
+which the extremal behavior is read off the first row.  The moment matrix
+of the product-projector model is a strictly feasible dual slack, so every
+extremization starts there, on the solver's central path.
 
 The extremizer solves over only the settings the functional touches.  The
 set is closed under dropping a setting (a principal submatrix of Gamma) and
@@ -279,9 +281,11 @@ def indicator_problem(
 
 
 def solve_indicator(
-    problem: SdpProblem, reduction: SwapReduction | None, config: SolverConfig | None
+    problem: SdpProblem, reduction: SwapReduction | None, config: SolverConfig | None, y_start: np.ndarray | None = None
 ) -> tuple[SdpSolution, dict | None]:
-    """Solve a problem from :func:`indicator_problem` as the unreduced one.
+    """Solve a problem from :func:`indicator_problem` as the unreduced one,
+    from the solver's default start or from the strictly dual-feasible
+    ``y_start`` of the problem as posed (see :func:`sdp.solve`).
 
     Raises :class:`SolverFailureError` unless the solve is optimal.  A
     swap-reduced solve is re-embedded: each unreduced block
@@ -291,7 +295,7 @@ def solve_indicator(
     the block solve's.  Returns that solution and ``{"parties", "blocks",
     "constraints"}`` of the reduced problem, or the solution and None.
     """
-    solution = solve(problem, config)
+    solution = solve(problem, config, y_start=y_start)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
     if reduction is None:
@@ -333,6 +337,7 @@ class CompiledExtremize:
     problem: SdpProblem
     target: np.ndarray  # functional coefficients, negated for "max"
     reduction: SwapReduction | None  # how the problem was reduced by a party swap, if it was
+    y_start: np.ndarray  # strictly dual-feasible multipliers: the product-projector moments, negated
 
 
 def compile_extremize(structure: MomentStructure, functional: BellFunctional, sense: str) -> CompiledExtremize:
@@ -349,6 +354,13 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     term, which is not SDP data) poses it over the swap's symmetric and
     antisymmetric blocks, with one constraint per orbit of word classes: the
     class indicators and targets averaged over the orbit.
+
+    ``y_start`` is a strictly feasible point of the dual: y_k = -Gamma_k
+    for the product-projector moments Gamma (:func:`product_moments`) makes
+    the dual slack Gamma itself.  Gamma is invariant under every party
+    swap, so on a reduced problem, whose rows average their orbit's
+    constraints, row r takes the orbit's sum size_r * y_k and the slack is
+    Gamma's projection onto the swap's blocks.
     """
     if functional.scenario != structure.scenario:
         raise ScenarioMismatchError("functional and moment structure disagree on the scenario")
@@ -364,7 +376,10 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     pinned[structure.monomial_class] = target
     # constraint k - 1 pins class k
     problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:])
-    return CompiledExtremize(problem, target, reduction)
+    y_start = -product_moments(structure)[1:]
+    if reduction is not None:
+        y_start = np.bincount(reduction.row, weights=y_start)
+    return CompiledExtremize(problem, target, reduction, y_start)
 
 
 @dataclass(eq=False)
@@ -399,7 +414,7 @@ def aq_extremize(
     restricted, keep = restrict_to_touched(functional)
     structure = build_moment_structure(restricted.scenario)
     compiled = compile_extremize(structure, restricted, sense)
-    solution, reduction = solve_indicator(compiled.problem, compiled.reduction, config)
+    solution, reduction = solve_indicator(compiled.problem, compiled.reduction, config, compiled.y_start)
 
     bound = float(compiled.target[0] - solution.primal_objective)
     value = bound if sense == "min" else -bound
@@ -424,8 +439,9 @@ def aq_extremize(
     )
 
 
-def strictly_feasible_point(structure: MomentStructure) -> np.ndarray:
-    """Interior moment matrix from the product-projector model (one
+@lru_cache(maxsize=None)
+def product_moments(structure: MomentStructure) -> np.ndarray:
+    """Read-only per-class moments of the product-projector model (one
     d-dimensional tensor factor per setting per party): each word's moment
     is prod_k d^(-#distinct settings of party k in the word)."""
     d = structure.scenario.outcomes
@@ -438,7 +454,14 @@ def strictly_feasible_point(structure: MomentStructure) -> np.ndarray:
         for settings in per_party.values():
             value /= float(d) ** len(settings)
         values[idx] = value
-    return scatter(structure, values)
+    values.flags.writeable = False
+    return values
+
+
+def strictly_feasible_point(structure: MomentStructure) -> np.ndarray:
+    """Interior moment matrix of the product-projector model: the scatter
+    of :func:`product_moments`."""
+    return scatter(structure, product_moments(structure))
 
 
 def constraint_residual(structure: MomentStructure, gamma: np.ndarray) -> float:

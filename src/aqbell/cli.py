@@ -22,6 +22,7 @@ from .aqset import aq_extremize, build_moment_structure, constraint_residual, st
 from .errors import AqbellError, SolverFailureError
 from .nbf import (
     NbfFamily,
+    certificate_residual,
     certificate_to_json,
     compose,
     project_to_nbf,
@@ -86,6 +87,13 @@ def _result(value: float, tolerance: float) -> dict:
     return {"value": float(value), "tolerance": float(tolerance)}
 
 
+def _certificates(named) -> tuple[list, dict]:
+    """The (file name, JSON) artifacts of (file name, certificate) pairs,
+    and each certificate's ``nbf.certificate_residual`` by file name."""
+    artifacts = [(name, certificate_to_json(cert)) for name, cert in named]
+    return artifacts, {name: certificate_residual(cert) for name, cert in named}
+
+
 def _tol_ok(tol: float, positive: bool) -> bool:
     """Whether ``--tol`` is finite and > 0 (``positive``) or >= 0; says why not."""
     if np.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0):
@@ -104,16 +112,18 @@ def cmd_verify(args) -> int:
         _write_report(args, "verify", raw, {"tol": args.tol}, {"is_nbf": None, "failure": verdict.failure})
         print(f"numerical failure, verdict indeterminate: {verdict.failure}", file=sys.stderr)
         return EXIT_NUMERICAL
+    artifacts, residuals = _certificates((
+        ("lower_certificate.json", verdict.lower_certificate),
+        ("upper_certificate.json", verdict.upper_certificate),
+    ))
     results = {
         "is_nbf": verdict.is_nbf,
         "aq_min": _result(verdict.aq_min, args.tol),
         "aq_max": _result(verdict.aq_max, args.tol),
-        "certificates": ["lower_certificate.json", "upper_certificate.json"],
+        "certificates": list(residuals),
+        "certificate_residuals": residuals,
     }
-    _write_report(args, "verify", raw, {"tol": args.tol}, results, (
-        ("lower_certificate.json", certificate_to_json(verdict.lower_certificate)),
-        ("upper_certificate.json", certificate_to_json(verdict.upper_certificate)),
-    ))
+    _write_report(args, "verify", raw, {"tol": args.tol}, results, artifacts)
     print(f"is_nbf={verdict.is_nbf}  aq_min={verdict.aq_min:+.9f}  aq_max={verdict.aq_max:+.9f}")
     return EXIT_OK if verdict.is_nbf else EXIT_CLAIM_FAILS
 
@@ -125,15 +135,18 @@ def cmd_aq(args) -> int:
     functional = functional_from_json(raw)
     cfg = SolverConfig(gap_tol=args.tol)
     ext = aq_extremize(functional, args.sense, cfg)
+    artifacts, residuals = _certificates(((f"aq_{args.sense}_certificate.json", ext.certificate),))
     results = {
         "sense": args.sense,
         "value": _result(ext.value, ext.solution.residuals.gap),
         "solver_gap": ext.solution.residuals.gap,
+        "iterations": ext.solution.iterations,
         "reduction": ext.reduction,
+        "certificate_residuals": residuals,
     }
     _write_report(args, f"aq {args.sense}", raw, {"tol": args.tol}, results, (
         (f"aq_{args.sense}_behavior.json", behavior_to_json(ext.behavior)),
-        (f"aq_{args.sense}_certificate.json", certificate_to_json(ext.certificate)),
+        *artifacts,
     ))
     print(f"aq_{args.sense} = {ext.value:+.9f}")
     return EXIT_OK
@@ -177,13 +190,16 @@ def cmd_reproduce(args) -> int:
             return EXIT_CLAIM_FAILS
     composed = reference_composed_functional()
     ext = aq_extremize(composed, "min", cfg)
+    artifacts, residuals = _certificates((("reproduce_certificate.json", ext.certificate),))
     lo, hi = REPRODUCE_BAND
     results = {
         "minimum": _result(ext.value, ext.solution.residuals.gap),
         "band": [lo, hi],
         "in_band": bool(lo <= ext.value <= hi),
         "solver_gap": ext.solution.residuals.gap,
+        "iterations": ext.solution.iterations,
         "reduction": ext.reduction,
+        "certificate_residuals": residuals,
         "verdicts": {
             name: {
                 "is_nbf": verdict.is_nbf,
@@ -195,7 +211,7 @@ def cmd_reproduce(args) -> int:
     }
     _write_report(args, "reproduce", {"bundled": True}, {"tol": args.tol}, results, (
         ("reproduce_behavior.json", behavior_to_json(ext.behavior)),
-        ("reproduce_certificate.json", certificate_to_json(ext.certificate)),
+        *artifacts,
     ))
     print(f"min over the almost-quantum set: {ext.value:+.9f}  (band [{lo}, {hi}])")
     return EXIT_OK if ext.value <= hi else EXIT_CLAIM_FAILS

@@ -6,6 +6,13 @@ predictor-corrector steps in the HKM scaling direction, a dense Cholesky of
 the Schur complement, and fraction-to-boundary step control.  The dual pair
 is  max b.y  s.t.  S = C - sum_i y_i A_i >= 0.
 
+A solve starts at X = tau_p I, S = tau_d I, y = 0, or, when the caller
+knows a strictly dual-feasible y_0, at y_0, S_0 = C - sum_i y_0,i A_i and
+X_0 = tau_p S_0^{-1}.  That start is on the central path (X_0 S_0 = tau_p I)
+with no dual residual, so only primal feasibility and the gap are left to
+close; S_0 is taken from the problem's own data, and a y_0 whose S_0 does
+not factor is refused.
+
 The iterates X, S and S^{-1} are kept per block, never as one joint matrix
 (Borchers, CSDP, Optim. Methods Softw. 11, 1999).  Blocks of equal size form
 a group, stored as one (k, n_b, n_b) stack, so that products broadcast over
@@ -371,16 +378,24 @@ def _backtrack_psd(mats, directions, alpha: float):
 
 def _chol_with_jitter(mat: np.ndarray):
     chol = _cholesky(mat)
+    if chol is not None:
+        return chol
     scale = max(np.trace(mat) / mat.shape[0], 1.0)
     for attempt in range(3):
+        chol = _cholesky(mat + scale * 10.0 ** (-14 + 2 * attempt) * np.eye(mat.shape[0]))
         if chol is not None:
             break
-        chol = _cholesky(mat + scale * 10.0 ** (-14 + 2 * attempt) * np.eye(mat.shape[0]))
     return chol
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, config: SolverConfig | None = None, y_start: np.ndarray | None = None) -> SdpSolution:
+    """Solve ``problem`` from the default start X = tau_p I, S = tau_d I,
+    y = 0, or, given a strictly dual-feasible ``y_start``, from
+    y = y_start, S = C - sum_i y_i A_i and X = tau_p S^{-1}: a point of the
+    central path (X S = tau_p I) at which only the primal residual is left.
+    ValueError when ``y_start`` is not a finite m-vector or a block of that
+    S (or X) is not Cholesky-positive."""
     cfg = config or SolverConfig()
     n = problem.total_dim
     if n > DIM_GUARD:
@@ -409,11 +424,23 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     tau_d = max(1.0, np.sqrt(n), norm_c, float(a_norms.max()))
     init_scale = max(tau_p, tau_d)
 
-    eyes = [np.eye(g.size) for g in groups]
-    x = [tau_p * np.broadcast_to(e, (len(g.blocks),) + e.shape) for g, e in zip(groups, eyes)]
-    s = [tau_d * np.broadcast_to(e, (len(g.blocks),) + e.shape) for g, e in zip(groups, eyes)]
-    y = np.zeros(m)
-    inv_x, inv_s = _inverse_factors(x), _inverse_factors(s)
+    if y_start is None:
+        eyes = [np.eye(g.size) for g in groups]
+        x = [tau_p * np.broadcast_to(e, (len(g.blocks),) + e.shape) for g, e in zip(groups, eyes)]
+        s = [tau_d * np.broadcast_to(e, (len(g.blocks),) + e.shape) for g, e in zip(groups, eyes)]
+        y = np.zeros(m)
+        inv_x, inv_s = _inverse_factors(x), _inverse_factors(s)
+    else:
+        y = np.array(y_start, dtype=float)
+        if y.shape != (m,) or not np.all(np.isfinite(y)):
+            raise ValueError("y_start must be a finite vector with one entry per constraint")
+        s = [_sym(cg - ag) for cg, ag in zip(c, adjoint(y))]
+        inv_s = _inverse_factors(s)
+        # X = tau_p S^{-1} = tau_p L_s^{-T} L_s^{-1}, so that X S = tau_p I
+        x = None if inv_s is None else [_sym(tau_p * (h.transpose(0, 2, 1) @ h)) for h in inv_s]
+        inv_x = None if x is None else _inverse_factors(x)
+        if inv_x is None:
+            raise ValueError("y_start is not strictly dual feasible: C - A^T y_start does not factor")
 
     def residuals(x, y, s):
         rp = b - apply(x)

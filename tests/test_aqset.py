@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aqbell import aqset
+from aqbell import aqset, sdp
 from aqbell.algebra import word_classes
 from aqbell.aqset import (
     aq_extremize,
@@ -30,7 +30,7 @@ from aqbell.scenario import (
     to_collins_gisin,
     unit_functional,
 )
-from aqbell.sdp import SdpProblem, check_certificate, solve
+from aqbell.sdp import SdpProblem, SdpStatus, check_certificate, solve
 from conftest import triplets
 
 TSIRELSON = (4.0 + 2.0 * np.sqrt(2.0)) / 8.0
@@ -443,7 +443,7 @@ def test_generator_solves_stay_one_block(reference_trio, sense):
         assert np.array_equal(compiled.problem.a_stacks[0], problem.a_stacks[0])
         assert np.array_equal(compiled.problem.b, problem.b)
         ext = aq_extremize(f, sense)
-        full = solve(problem)
+        full = solve(problem, y_start=compiled.y_start)
         assert ext.reduction is None
         assert ext.value == (compiled.target[0] - full.primal_objective) * (1 if sense == "min" else -1)
         assert np.array_equal(ext.solution.x_blocks[0], full.x_blocks[0])
@@ -492,3 +492,66 @@ def test_reduced_constraints_match_dense_projection(case, composed_w, rng, monke
         for s, (w, scale) in enumerate(reduction.swap.blocks):
             expected = scale * (w.T @ (merged / size[:, None, None]) @ w)
             assert np.array_equal(problem.a_stacks[2 * l + s], expected)
+
+
+def compiled_case(case, composed_w):
+    """A compiled extremization: the headline, swap-reduced to 30 + 18, an
+    unreduced n=9 problem, or an unreduced n=125 one with three outcomes."""
+    if case == "headline":
+        f, _ = restrict_to_touched(composed_w)
+    else:
+        scenario = make_scenario(2, 2, 2) if case == "unreduced" else make_scenario(3, 2, 3)
+        f = BellFunctional(scenario, np.random.default_rng(7).normal(size=basis_size(scenario)))
+    st = build_moment_structure(f.scenario)
+    compiled = compile_extremize(st, f, "min")
+    dims = {"headline": (30, 18), "unreduced": (9,), "three_outcomes": (125,)}[case]
+    assert compiled.problem.block_dims == dims
+    return st, compiled
+
+
+@pytest.mark.parametrize("case", ["headline", "unreduced"])
+def test_extremization_starts_on_the_central_path(case, composed_w, monkeypatch):
+    # the start is exactly dual feasible, its slack is the product-projector
+    # moment matrix (projected onto the swap's blocks when reduced), and
+    # X S = tau_p I for the default start's tau_p
+    st, compiled = compiled_case(case, composed_w)
+    problem = compiled.problem
+    monkeypatch.setattr(sdp, "MAX_ITERS", 0)  # the solve returns its start
+    start = solve(problem, y_start=compiled.y_start)
+    tau_p = solve(problem).x_blocks[0][0, 0]  # the default start is X = tau_p I
+    assert np.array_equal(start.y, compiled.y_start)
+    assert start.trace[0]["dual_residual"] == 0.0
+    assert abs(start.trace[0]["mu"] - tau_p) <= 1e-12 * tau_p
+    for c, a, x, s in zip(problem.c_blocks, problem.a_stacks, start.x_blocks, start.s_blocks, strict=True):
+        assert np.abs(c - s - np.einsum("i,ijk->jk", start.y, a)).max() <= 1e-15
+        assert np.linalg.eigvalsh(s).min() > 0.0
+        assert np.abs(x @ s - tau_p * np.eye(len(s))).max() <= 1e-12 * tau_p
+    if compiled.reduction is None:
+        (gamma,) = start.s_blocks
+    else:
+        blocks = compiled.reduction.swap.blocks
+        gamma = sum(w @ (scale * s) @ w.T for (w, scale), s in zip(blocks, start.s_blocks, strict=True))
+    assert np.abs(gamma - strictly_feasible_point(st)).max() <= 1e-15
+
+
+def test_start_must_be_strictly_dual_feasible(composed_w):
+    _, compiled = compiled_case("headline", composed_w)
+    m = compiled.problem.num_constraints
+    # y = 0 leaves S = C = e_0 e_0^T, which is singular
+    with pytest.raises(ValueError, match="strictly dual feasible"):
+        solve(compiled.problem, y_start=np.zeros(m))
+    for bad in (compiled.y_start[1:], np.append(compiled.y_start[1:], np.nan)):
+        with pytest.raises(ValueError, match="finite vector"):
+            solve(compiled.problem, y_start=bad)
+
+
+@pytest.mark.parametrize("case", ["headline", "three_outcomes"])
+def test_central_start_saves_iterations(case, composed_w):
+    _, compiled = compiled_case(case, composed_w)
+    warm = solve(compiled.problem, y_start=compiled.y_start)
+    cold = solve(compiled.problem)
+    assert warm.status == cold.status == SdpStatus.OPTIMAL
+    assert warm.iterations < cold.iterations
+    # the two optima agree to the solver's relative gap tolerance
+    v, w = warm.primal_objective, cold.primal_objective
+    assert abs(v - w) <= 1e-8 * (1.0 + abs(v) + abs(w))

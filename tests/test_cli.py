@@ -165,8 +165,8 @@ def test_verify_indeterminate_writes_report(reference_dir, tmp_path, monkeypatch
 
     real_solve = aqset.solve
 
-    def stalled(problem, config):
-        solution = real_solve(problem, config)
+    def stalled(problem, config, y_start=None):
+        solution = real_solve(problem, config, y_start=y_start)
         return dataclasses.replace(solution, status=SdpStatus.NUMERICAL_TROUBLE, message="stalled")
 
     monkeypatch.setattr(aqset, "solve", stalled)
@@ -350,3 +350,25 @@ def test_reports_replayable(reference_dir, tmp_path_factory):
     rep_a.pop("wall_time_s")
     rep_b.pop("wall_time_s")
     assert rep_a == rep_b
+
+
+def test_reports_record_iterations_and_certificate_residuals(reference_dir, tmp_path):
+    # every certificate a report's command writes has its class-sum residual
+    # in the report, and aq and reproduce record the extremization's
+    # iteration count
+    first = reference_dir / "reference_first.json"
+    runs = {
+        "verify": (("verify", first), ["lower_certificate.json", "upper_certificate.json"]),
+        "aq_min": (("aq", "min", first), ["aq_min_certificate.json"]),
+        "reproduce": (("reproduce",), ["reproduce_certificate.json"]),
+    }
+    for name, (argv, certificates) in runs.items():
+        out = tmp_path / name
+        assert run_cli("--out", out, *argv) == 0, argv
+        results = load_json(out / f"{name}_report.json")["results"]
+        assert list(results["certificate_residuals"]) == certificates
+        assert all(0.0 <= r <= 1e-8 for r in results["certificate_residuals"].values()), results
+        assert all((out / c).exists() for c in certificates)
+        if name != "verify":
+            # a cold start takes 17 on the headline
+            assert 0 < results["iterations"] <= 15

@@ -106,8 +106,8 @@ def test_reduced_family_step_matches_unreduced(ref_family, reference_trio, headl
     assert check_certificate(full, embedded).passed
     real_solve = aqset.solve
 
-    def corrupting(problem, config):
-        solution = real_solve(problem, config)
+    def corrupting(problem, config, y_start=None):
+        solution = real_solve(problem, config, y_start=y_start)
         x_blocks = list(solution.x_blocks)
         x_blocks[2] = x_blocks[2] + 1e-3 * np.eye(len(x_blocks[2]))
         return dataclasses.replace(solution, x_blocks=x_blocks)
