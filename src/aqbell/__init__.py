@@ -16,7 +16,7 @@ from .scenario import (
     make_scenario,
     to_collins_gisin,
 )
-from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, check_certificate, solve
+from .sdp import SdpProblem, SdpSolution, SdpStatus, check_certificate, solve
 from .aqset import SosCertificate, aq_extremize, build_moment_structure, strictly_feasible_point
 from .nbf import (
     NbfFamily,
@@ -40,7 +40,6 @@ __all__ = [
     "SdpStatus",
     "SeesawConfig",
     "SeesawTrace",
-    "SolverConfig",
     "SosCertificate",
     "ToleranceConfig",
     "aq_extremize",

@@ -40,7 +40,7 @@ import numpy as np
 from . import algebra
 from .errors import ScenarioMismatchError, SizeGuardError, SolverFailureError
 from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis, from_collins_gisin
-from .sdp import SdpProblem, SdpSolution, SdpStatus, SolverConfig, solve
+from .sdp import GAP_TOL, SdpProblem, SdpSolution, SdpStatus, solve
 
 MAX_PARTIES = 3
 # m * sum_l n_l**3 of the unreduced problem below which its blocks solve
@@ -281,11 +281,12 @@ def indicator_problem(
 
 
 def solve_indicator(
-    problem: SdpProblem, reduction: SwapReduction | None, config: SolverConfig | None, y_start: np.ndarray | None = None
+    problem: SdpProblem, reduction: SwapReduction | None, gap_tol: float = GAP_TOL, y_start: np.ndarray | None = None
 ) -> tuple[SdpSolution, dict | None]:
     """Solve a problem from :func:`indicator_problem` as the unreduced one,
-    from the solver's default start or from the strictly dual-feasible
-    ``y_start`` of the problem as posed (see :func:`sdp.solve`).
+    to relative duality gap ``gap_tol``, from the solver's default start or
+    from the strictly dual-feasible ``y_start`` of the problem as posed (see
+    :func:`sdp.solve`).
 
     Raises :class:`SolverFailureError` unless the solve is optimal.  A
     swap-reduced solve is re-embedded: each unreduced block
@@ -295,7 +296,7 @@ def solve_indicator(
     the block solve's.  Returns that solution and ``{"parties", "blocks",
     "constraints"}`` of the reduced problem, or the solution and None.
     """
-    solution = solve(problem, config, y_start=y_start)
+    solution = solve(problem, gap_tol, y_start=y_start)
     if solution.status != SdpStatus.OPTIMAL:
         raise SolverFailureError(solution.status.value, solution.message, solution)
     if reduction is None:
@@ -393,11 +394,10 @@ class AqExtremum:
     reduction: dict | None
 
 
-def aq_extremize(
-    functional: BellFunctional, sense: str, config: SolverConfig | None = None
-) -> AqExtremum:
+def aq_extremize(functional: BellFunctional, sense: str, gap_tol: float = GAP_TOL) -> AqExtremum:
     """Extremal value of a functional over the almost-quantum set, with the
-    extremal behavior and the certificate matrix.
+    extremal behavior and the certificate matrix, solved to relative
+    duality gap ``gap_tol`` (see :func:`sdp.solve`).
 
     The SDP is solved over the settings the functional touches (see
     :func:`restrict_to_touched`), and ``solution`` is a solution of that
@@ -414,7 +414,7 @@ def aq_extremize(
     restricted, keep = restrict_to_touched(functional)
     structure = build_moment_structure(restricted.scenario)
     compiled = compile_extremize(structure, restricted, sense)
-    solution, reduction = solve_indicator(compiled.problem, compiled.reduction, config, compiled.y_start)
+    solution, reduction = solve_indicator(compiled.problem, compiled.reduction, gap_tol, compiled.y_start)
 
     bound = float(compiled.target[0] - solution.primal_objective)
     value = bound if sense == "min" else -bound

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -47,8 +48,8 @@ from .scenario import (
     make_scenario,
     save_json,
 )
-from .sdp import SolverConfig
-from .seesaw import SEESAW_SOLVER, SeesawConfig, run as seesaw_run, trace_to_json
+from .sdp import GAP_TOL
+from .seesaw import SeesawConfig, run as seesaw_run, trace_to_json
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILS = 1
@@ -133,8 +134,7 @@ def cmd_aq(args) -> int:
         return EXIT_INPUT_ERROR
     raw = load_json(args.functional)
     functional = functional_from_json(raw)
-    cfg = SolverConfig(gap_tol=args.tol)
-    ext = aq_extremize(functional, args.sense, cfg)
+    ext = aq_extremize(functional, args.sense, args.tol)
     artifacts, residuals = _certificates(((f"aq_{args.sense}_certificate.json", ext.certificate),))
     results = {
         "sense": args.sense,
@@ -175,10 +175,9 @@ def cmd_compose(args) -> int:
 def cmd_reproduce(args) -> int:
     if not _tol_ok(args.tol, positive=True):
         return EXIT_INPUT_ERROR
-    cfg = SolverConfig(gap_tol=args.tol)
     first, second, outer = reference_functionals()
     verdicts = {
-        name: verify_nbf(f, tol=COEFF_TOL, config=cfg)
+        name: verify_nbf(f, tol=COEFF_TOL, gap_tol=args.tol)
         for name, f in (("first", first), ("second", second), ("outer", outer))
     }
     for name, verdict in verdicts.items():
@@ -189,7 +188,7 @@ def cmd_reproduce(args) -> int:
             print(f"{name} functional is not normalized over the set", file=sys.stderr)
             return EXIT_CLAIM_FAILS
     composed = reference_composed_functional()
-    ext = aq_extremize(composed, "min", cfg)
+    ext = aq_extremize(composed, "min", args.tol)
     artifacts, residuals = _certificates((("reproduce_certificate.json", ext.certificate),))
     lo, hi = REPRODUCE_BAND
     results = {
@@ -271,7 +270,7 @@ def cmd_seesaw(args) -> int:
     trace = seesaw_run(cfg)
     reached = trace.best_value <= cfg.target_value
     results = {
-        "best_value": _result(trace.best_value, SEESAW_SOLVER.gap_tol),
+        "best_value": _result(trace.best_value, GAP_TOL),
         "best_restart": trace.best.index,
         "restarts_run": len(trace.outcomes),
         "failed_restarts": trace.failed_count,
@@ -339,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="test whether a functional is normalized over the set")
     p.add_argument("functional", help="functional JSON file")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=inspect.signature(verify_nbf).parameters["tol"].default)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("aq", help="extremize a functional over the almost-quantum set")
     p.add_argument("sense", choices=("min", "max"))
     p.add_argument("functional")
-    p.add_argument("--tol", type=float, default=1e-8, help="solver gap tolerance")
+    p.add_argument("--tol", type=float, default=GAP_TOL, help="solver gap tolerance")
     p.set_defaults(func=cmd_aq)
 
     p = sub.add_parser("compose", help="compose an outer functional with a two-outcome family")
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("reproduce", help="recompute the bundled composed functional's negative floor")
-    p.add_argument("--tol", type=float, default=1e-8, help="solver gap tolerance")
+    p.add_argument("--tol", type=float, default=GAP_TOL, help="solver gap tolerance")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("perturb", help="noise-robustness probe of the composed floor")
@@ -366,11 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seesaw", help="alternating search for violating blocks")
     seesaw_sub = p.add_subparsers(dest="seesaw_command", required=True)
     q = seesaw_sub.add_parser("run")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--restarts", type=int, default=20)
-    q.add_argument("--sweeps", type=int, default=60)
-    q.add_argument("--init", choices=("reference", "random"), default="reference")
-    q.add_argument("--target", type=float, default=-0.001)
+    defaults = SeesawConfig()
+    q.add_argument("--seed", type=int, default=defaults.seed)
+    q.add_argument("--restarts", type=int, default=defaults.restarts)
+    q.add_argument("--sweeps", type=int, default=defaults.max_sweeps)
+    q.add_argument("--init", choices=("reference", "random"), default=defaults.init_v)
+    q.add_argument("--target", type=float, default=defaults.target_value)
     q.set_defaults(func=cmd_seesaw)
 
     p = sub.add_parser("oracle", help="print the independent cross-check table")

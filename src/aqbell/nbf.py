@@ -29,7 +29,7 @@ from .scenario import (
     scenario_to_json,
     unit_functional,
 )
-from .sdp import SolverConfig
+from .sdp import GAP_TOL
 
 
 def certificate_residual(cert: SosCertificate) -> float:
@@ -59,14 +59,14 @@ class NbfVerdict:
     failure: str | None = None
 
 
-def verify_nbf(
-    functional: BellFunctional, tol: float = 1e-6, config: SolverConfig | None = None
-) -> NbfVerdict:
-    """Extremize both ways over the almost-quantum set and attach the
-    certificates.  The upper certificate bounds -W from below by -aq_max."""
+def verify_nbf(functional: BellFunctional, tol: float = 1e-6, gap_tol: float = GAP_TOL) -> NbfVerdict:
+    """Extremize both ways over the almost-quantum set, to relative duality
+    gap ``gap_tol``, and attach the certificates; normalized means both
+    bounds lie within ``tol`` of [0, 1].  The upper certificate bounds -W
+    from below by -aq_max."""
     try:
-        lower = aq_extremize(functional, "min", config)
-        upper = aq_extremize(functional, "max", config)
+        lower = aq_extremize(functional, "min", gap_tol)
+        upper = aq_extremize(functional, "max", gap_tol)
     except SolverFailureError as exc:
         return NbfVerdict(None, math.nan, math.nan, None, None, tol, failure=str(exc))
     return NbfVerdict(

@@ -260,12 +260,8 @@ def functional_from_table(scenario: Scenario, table) -> BellFunctional:
 
 def functional_from_terms(scenario: Scenario, terms: dict) -> BellFunctional:
     """Functional from a {monomial: coefficient} mapping (letters as triples)."""
-    index = basis(scenario).index
-    coeffs = np.zeros(len(index))
-    for mono, value in terms.items():
-        key = tuple(sorted(tuple(letter) for letter in mono))
-        coeffs[index[key]] += float(value)
-    return BellFunctional(scenario, coeffs)
+    entries = [{"monomial": mono, "coeff": value} for mono, value in terms.items()]
+    return BellFunctional(scenario, _vector_from_entries(scenario, entries))
 
 
 def representative_table(functional: BellFunctional) -> np.ndarray:
@@ -377,6 +373,11 @@ def _vector_from_entries(scenario, entries):
     values = np.zeros(len(index))
     for entry in entries:
         mono = tuple(sorted(tuple(json_index(i) for i in letter) for letter in entry["monomial"]))
+        if mono not in index:
+            raise ValueError(
+                f"monomial {[list(letter) for letter in mono]} is not in the basis of {scenario}: a basis monomial "
+                "has at most one letter per party, and the last outcome of each setting is not a basis letter"
+            )
         values[index[mono]] += json_number(entry["coeff"])
     return values
 

@@ -78,12 +78,8 @@ RAY_THRESHOLD = 1e8  # iterate norm, relative to the start, that signals an infe
 SCHUR_CHUNK_BYTES = 1 << 19  # X A S^{-1} products assembled at once, per group
 MAX_ITERS = 200  # iterations before an unconverged solve ends as numerical_trouble
 DIM_GUARD = 512  # largest total dimension solve accepts
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-9
+GAP_TOL = 1e-8  # default relative duality gap of an optimal solve
+FEAS_TOL = 1e-9  # relative primal and dual residuals of an optimal solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,14 +385,14 @@ def _chol_with_jitter(mat: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve(problem: SdpProblem, config: SolverConfig | None = None, y_start: np.ndarray | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | None = None) -> SdpSolution:
     """Solve ``problem`` from the default start X = tau_p I, S = tau_d I,
     y = 0, or, given a strictly dual-feasible ``y_start``, from
     y = y_start, S = C - sum_i y_i A_i and X = tau_p S^{-1}: a point of the
     central path (X S = tau_p I) at which only the primal residual is left.
-    ValueError when ``y_start`` is not a finite m-vector or a block of that
-    S (or X) is not Cholesky-positive."""
-    cfg = config or SolverConfig()
+    It is optimal at relative duality gap ``gap_tol`` and relative primal
+    and dual residuals ``FEAS_TOL``.  ValueError when ``y_start`` is not a
+    finite m-vector or a block of that S (or X) is not Cholesky-positive."""
     n = problem.total_dim
     if n > DIM_GUARD:
         raise SizeGuardError(f"total dimension {n} exceeds guard {DIM_GUARD}")
@@ -482,7 +478,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None, y_start: np.n
             message = "non-finite iterate"
             break
 
-        if rel.primal <= cfg.feas_tol and rel.dual <= cfg.feas_tol and rel.gap <= cfg.gap_tol:
+        if rel.primal <= FEAS_TOL and rel.dual <= FEAS_TOL and rel.gap <= gap_tol:
             status = SdpStatus.OPTIMAL
             message = "converged"
             break
@@ -577,7 +573,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None, y_start: np.n
             [xg + alpha_p * d for xg, d in zip(x, dx_aff)], [sg + alpha_d * d for sg, d in zip(s, ds_aff)]
         ) / n
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
-        if max(rel.primal, rel.dual) > cfg.feas_tol:
+        if max(rel.primal, rel.dual) > FEAS_TOL:
             # keep a sliver of centrality so complementarity cannot hit the
             # boundary before feasibility has converged
             sigma = max(sigma, 1e-3)

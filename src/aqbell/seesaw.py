@@ -7,7 +7,8 @@ the almost-quantum set, then the U generators over pairs of nonnegativity
 cones (each generator and its complement), then V likewise.  Every step is
 one SDP, so per-sweep values never increase once past the first sweep.
 Every step's SDP is posed by :func:`aqset.indicator_problem` and solved by
-:func:`aqset.solve_indicator`; ``aqset`` alone decides from that data
+:func:`aqset.solve_indicator` at the solver's default tolerances
+(``sdp.GAP_TOL``, ``sdp.FEAS_TOL``); ``aqset`` alone decides from that data
 whether to solve it over a party swap's symmetric and antisymmetric blocks.
 """
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .aqset import (
 from .errors import AqbellError, NoWorkError, SolverFailureError
 from .nbf import NbfFamily, compose, pair_boxes, reference_functionals
 from .scenario import (
+    EXTRACTION_TOL,
     Behavior,
     BellFunctional,
-    ToleranceConfig,
     behavior_from_table,
     behavior_to_json,
     functional_to_json,
@@ -41,16 +42,10 @@ from .scenario import (
 )
 # every step solves through aqset.solve_indicator; ``solve`` stays bound here
 # only because the benchmark's tracer test reads seesaw.solve
-from .sdp import SolverConfig, solve  # noqa: F401
+from .sdp import solve  # noqa: F401
 
-# tolerance for the synthetic two-party box assembled from solver output
-_STEP_TOL = ToleranceConfig(normalization=1e-6, negativity=1e-6, signalling=1e-6)
 STALL_SWEEPS = 3  # a restart stops when its last this-many sweeps together gain < improvement_threshold
 RANDOM_NOISE = 0.02  # init_v="random": noise radius around the bundled anchor
-# mid-iteration compositions can have degenerate optimal faces where
-# double precision cannot push the feasibility residual below ~1e-8;
-# values are governed by the gap tolerance and stay at 1e-8 quality
-SEESAW_SOLVER = SolverConfig(feas_tol=1e-7)
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ def step_behavior(fam: NbfFamily, outer: BellFunctional):
 
     Returns (behavior, value, reduction), the last as ``AqExtremum.reduction``.
     """
-    ext = aq_extremize(compose(outer, fam), "min", SEESAW_SOLVER)
+    ext = aq_extremize(compose(outer, fam), "min")
     return ext.behavior, ext.value, ext.reduction
 
 
@@ -149,7 +144,7 @@ def _solve_cone_pairs(structure, objectives):
     """Solve the cone-pair SDP and read each slot's generator back from its
     Z+ block.  Returns (generators, minimum, reduction), the last as
     ``AqExtremum.reduction``."""
-    solution, reduction = solve_indicator(*_cone_pair_problem(structure, objectives), SEESAW_SOLVER)
+    solution, reduction = solve_indicator(*_cone_pair_problem(structure, objectives))
     generators = [
         BellFunctional(structure.scenario, class_sums(structure, z_plus)[structure.monomial_class])
         for z_plus in solution.x_blocks[::2]
@@ -180,7 +175,7 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
     # the two-party box the outer functional sees: family outcome alpha on
     # one side, the third party's outcome c on the other
     table = np.einsum("xan,zcn->xzac", members, boxes)
-    objective = to_collins_gisin(behavior_from_table(outer.scenario, table, _STEP_TOL))
+    objective = to_collins_gisin(behavior_from_table(outer.scenario, table, EXTRACTION_TOL))
     (outer,), minimum, reduction = _solve_cone_pairs(build_moment_structure(outer.scenario), [objective])
     return fam, outer, minimum, reduction
 

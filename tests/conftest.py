@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from aqbell import aq_extremize, make_scenario
+from aqbell import aq_extremize, make_scenario, sdp
 from aqbell.nbf import reference_composed_functional, reference_family, reference_functionals
 from aqbell.sdp import SdpProblem
+
+TIGHT = 1e-10  # gap and feasibility tolerance of the closed-form solves
+
+
+def solve_tight(problem):
+    """``sdp.solve`` to relative duality gap and residuals TIGHT."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdp, "FEAS_TOL", TIGHT)
+        return sdp.solve(problem, TIGHT)
 
 
 def triplets(stack):

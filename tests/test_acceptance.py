@@ -27,12 +27,13 @@ from aqbell.scenario import (
     load_json,
     make_scenario,
 )
-from aqbell.sdp import SdpStatus, SolverConfig, solve
+from aqbell.sdp import SdpStatus, solve
 from conftest import (
     boundary_problem,
     dual_infeasible_problem,
     lambda_max_problem,
     primal_infeasible_problem,
+    solve_tight,
     trace_problem,
 )
 from aqbell.seesaw import SeesawConfig, run
@@ -170,14 +171,13 @@ def test_criterion_7_seesaw_random_budget():
 
 
 def test_criterion_8_solver_unit_suite():
-    tight = SolverConfig(gap_tol=1e-10, feas_tol=1e-10)
     lam_max, sym = lambda_max_problem()
 
-    sol = solve(boundary_problem(), tight)
+    sol = solve_tight(boundary_problem())
     assert sol.status == SdpStatus.OPTIMAL and abs(sol.primal_objective - 1.0) <= 1e-8
-    sol = solve(trace_problem(), tight)
+    sol = solve_tight(trace_problem())
     assert sol.status == SdpStatus.OPTIMAL and abs(sol.primal_objective - 3.0) <= 1e-8
-    sol = solve(lam_max, tight)
+    sol = solve_tight(lam_max)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(-sol.primal_objective - np.linalg.eigvalsh(sym).max()) <= 1e-8
     assert solve(primal_infeasible_problem()).status == SdpStatus.PRIMAL_INFEASIBLE

@@ -104,6 +104,21 @@ def test_verify_malformed_input(tmp_path):
         assert run_cli("--out", tmp_path, "aq", "min", typed) == 2, name
 
 
+def test_monomial_outside_the_basis_is_named(tmp_path, capsys):
+    # outcome 1 is the last of two: the Collins-Gisin basis has no such letter
+    path = tmp_path / "last_outcome.json"
+    save_json(path, {
+        "scenario": {"parties": 2, "settings": [2, 2], "outcomes": 2},
+        "entries": [{"monomial": [[0, 0, 1]], "coeff": 0.5}],
+    })
+    assert run_cli("--out", tmp_path, "verify", path) == 2
+    err = capsys.readouterr().err
+    assert "monomial [[0, 0, 1]] is not in the basis of Scenario(parties=2, settings=(2, 2), outcomes=2)" in err
+    assert "the last outcome of each setting is not a basis letter" in err
+    with pytest.raises(ValueError, match="last outcome of each setting"):
+        functional_from_terms(Scenario(2, (2, 2), 2), {((1, 1, 1),): 0.5})
+
+
 def test_unusable_out_is_an_input_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -300,11 +315,17 @@ def test_perturb_exploratory_regime(tmp_path):
     assert report["results"]["claim_holds"] is None
 
 
-def test_reproduce_tighter_tolerance(tmp_path, headline):
-    assert run_cli("--out", tmp_path, "reproduce", "--tol", "1e-9") == 0
-    report = load_json(tmp_path / "reproduce_report.json")
-    assert abs(report["results"]["minimum"]["value"] - headline.value) < 1e-7
-    assert report["results"]["solver_gap"] <= 1e-9
+@pytest.mark.parametrize("command", ["reproduce", "aq_min"])
+def test_reproduce_tighter_tolerance(reference_dir, tmp_path, headline, command):
+    # --tol sets the solver's gap on both commands that take it
+    if command == "reproduce":
+        argv, key = ("reproduce",), "minimum"
+    else:
+        argv, key = ("aq", "min", reference_dir / "reference_composed.json"), "value"
+    assert run_cli("--out", tmp_path, *argv, "--tol", "1e-9") == 0
+    results = load_json(tmp_path / f"{command}_report.json")["results"]
+    assert abs(results[key]["value"] - headline.value) < 1e-7
+    assert results["solver_gap"] <= 1e-9
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -13,7 +13,6 @@ from aqbell.scenario import BellFunctional, make_scenario
 from aqbell.sdp import (
     SdpProblem,
     SdpStatus,
-    SolverConfig,
     check_certificate,
     solve,
 )
@@ -22,28 +21,27 @@ from conftest import (
     dual_infeasible_problem,
     lambda_max_problem,
     primal_infeasible_problem,
+    solve_tight,
     trace_problem,
     triplets,
 )
 
-TIGHT = SolverConfig(gap_tol=1e-10, feas_tol=1e-10)
-
 
 def test_boundary_psd_instance():
-    sol = solve(boundary_problem(), TIGHT)
+    sol = solve_tight(boundary_problem())
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.primal_objective - 1.0) < 1e-8
 
 
 def test_trace_constrained_instance():
-    sol = solve(trace_problem(), TIGHT)
+    sol = solve_tight(trace_problem())
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.primal_objective - 3.0) < 1e-8
 
 
 def test_lambda_max_against_eigensolver():
     problem, mat = lambda_max_problem()
-    sol = solve(problem, TIGHT)
+    sol = solve_tight(problem)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(-sol.primal_objective - np.linalg.eigvalsh(mat).max()) < 1e-8
 
@@ -60,14 +58,14 @@ def test_dual_infeasible_classification():
 
 def test_certificate_check_passes():
     problem, _ = lambda_max_problem()
-    sol = solve(problem, TIGHT)
+    sol = solve_tight(problem)
     report = check_certificate(problem, sol)
     assert report.passed, str(report)
 
 
 def test_certificate_detects_primal_fault():
     problem = trace_problem()
-    sol = solve(problem, TIGHT)
+    sol = solve_tight(problem)
     sol.x_blocks[0] = sol.x_blocks[0] + 1e-3 * np.eye(2)
     report = check_certificate(problem, sol)
     assert not report.items[0].passed  # primal feasibility
@@ -75,7 +73,7 @@ def test_certificate_detects_primal_fault():
 
 def test_certificate_fails_nan_iterate():
     problem = trace_problem()
-    sol = solve(problem, TIGHT)
+    sol = solve_tight(problem)
     sol.x_blocks[0] = np.full((2, 2), np.nan)
     report = check_certificate(problem, sol)
     assert not report.items[0].passed  # primal feasibility
@@ -84,7 +82,7 @@ def test_certificate_fails_nan_iterate():
 
 def test_certificate_detects_dual_fault():
     problem = trace_problem()
-    sol = solve(problem, TIGHT)
+    sol = solve_tight(problem)
     sol.y = np.zeros_like(sol.y)
     report = check_certificate(problem, sol)
     assert not report.items[1].passed  # dual feasibility
@@ -94,15 +92,15 @@ def test_weak_duality_on_feasible_iterates():
     # once the iterate is (numerically) feasible, the primal objective must
     # dominate the dual one for a minimization in standard form
     for problem in (boundary_problem(), trace_problem(), lambda_max_problem()[0]):
-        sol = solve(problem, TIGHT)
+        sol = solve_tight(problem)
         for record in sol.trace:
             if max(record["primal_residual"], record["dual_residual"]) <= 1e-7:
                 assert record["primal_objective"] >= record["dual_objective"] - 1e-10
 
 
 def test_bitwise_reproducible_trace():
-    first = solve(boundary_problem(), TIGHT)
-    second = solve(boundary_problem(), TIGHT)
+    first = solve_tight(boundary_problem())
+    second = solve_tight(boundary_problem())
     assert len(first.trace) == len(second.trace)
     for a, b in zip(first.trace, second.trace):
         assert a == b
@@ -111,12 +109,12 @@ def test_bitwise_reproducible_trace():
 @pytest.mark.parametrize("alpha", [0.5, 10.0])
 def test_scaling_homogeneity(alpha):
     problem = trace_problem()
-    base = solve(problem, TIGHT)
+    base = solve_tight(problem)
 
     scaled_c = SdpProblem(
         problem.block_dims, (alpha * problem.c_blocks[0],), problem.a_triplets, problem.b
     )
-    sol_c = solve(scaled_c, TIGHT)
+    sol_c = solve_tight(scaled_c)
     assert abs(sol_c.primal_objective - alpha * base.primal_objective) <= 1e-8 * abs(
         alpha * base.primal_objective
     ) + 1e-10
@@ -125,7 +123,7 @@ def test_scaling_homogeneity(alpha):
     ) + 1e-10
 
     scaled_b = SdpProblem(problem.block_dims, problem.c_blocks, problem.a_triplets, alpha * problem.b)
-    sol_b = solve(scaled_b, TIGHT)
+    sol_b = solve_tight(scaled_b)
     assert abs(sol_b.primal_objective - alpha * base.primal_objective) <= 1e-8 * abs(
         alpha * base.primal_objective
     ) + 1e-10
@@ -144,14 +142,14 @@ def multiblock_problem():
 
 
 def test_multiblock_solve():
-    sol = solve(multiblock_problem(), TIGHT)
+    sol = solve_tight(multiblock_problem())
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.primal_objective - 2.5) < 1e-8
 
 
 def test_certificate_detects_faults_in_second_block():
     problem = multiblock_problem()
-    sol = solve(problem, TIGHT)
+    sol = solve_tight(problem)
     assert check_certificate(problem, sol).passed
     x_fault = dataclasses.replace(sol, x_blocks=[sol.x_blocks[0], sol.x_blocks[1] + 1e-3 * np.eye(2)])
     assert not check_certificate(problem, x_fault).items[0].passed  # primal feasibility
@@ -174,7 +172,7 @@ def test_non_finite_iterate_is_numerical_trouble(monkeypatch):
         return out
 
     monkeypatch.setattr(sdp, "_backtrack_psd", poisoned)
-    sol = solve(multiblock_problem(), TIGHT)
+    sol = solve_tight(multiblock_problem())
     assert len(calls) == 4  # the dual step of that iteration, then the check stops it
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "non-finite iterate"
@@ -195,7 +193,7 @@ def test_non_finite_direction_is_numerical_trouble(monkeypatch):
         return out
 
     monkeypatch.setattr(sdp, "dpotrs", poisoned)
-    sol = solve(multiblock_problem(), TIGHT)
+    sol = solve_tight(multiblock_problem())
     assert len(calls) == 3
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "non-finite search direction"
@@ -217,7 +215,7 @@ def test_solve_calls_no_numpy_eigensolver_or_cholesky(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    sol = solve(multiblock_problem(), TIGHT)
+    sol = solve_tight(multiblock_problem())
     assert sol.status == SdpStatus.OPTIMAL
     assert counts == {"eigvalsh": 0, "cholesky": 0}
 
@@ -278,7 +276,7 @@ def test_block_order_does_not_matter():
         tuple(problem.a_triplets[l] for l in perm),
         problem.b,
     )
-    sol, sol_p = solve(problem, TIGHT), solve(permuted, TIGHT)
+    sol, sol_p = solve_tight(problem), solve_tight(permuted)
     for prob, s in ((problem, sol), (permuted, sol_p)):
         assert s.status == SdpStatus.OPTIMAL, s.message
         report = check_certificate(prob, s)

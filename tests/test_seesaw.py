@@ -1,15 +1,16 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from aqbell import aqset, seesaw
+from aqbell import aqset, sdp, seesaw
 from aqbell.aqset import SWAP_TOL, build_moment_structure, party_swap, solve_indicator
-from aqbell.errors import NoWorkError
+from aqbell.errors import NoWorkError, NormalizationError
 from aqbell.nbf import compose, verify_nbf
-from aqbell.scenario import evaluate, functional_from_terms, make_scenario
-from aqbell.sdp import check_certificate
+from aqbell.scenario import Behavior, evaluate, functional_from_terms, make_scenario
+from aqbell.sdp import SdpStatus, check_certificate
 from aqbell.seesaw import (
     SeesawConfig,
     run,
@@ -102,7 +103,7 @@ def test_reduced_family_step_matches_unreduced(ref_family, reference_trio, headl
     full, none = seesaw._cone_pair_problem(structure, objectives)
     assert none is None and full.block_dims == (16,) * 4 and full.num_constraints == 200
 
-    embedded, _ = solve_indicator(problem, swap_reduction, seesaw.SEESAW_SOLVER)
+    embedded, _ = solve_indicator(problem, swap_reduction)
     assert check_certificate(full, embedded).passed
     real_solve = aqset.solve
 
@@ -114,7 +115,7 @@ def test_reduced_family_step_matches_unreduced(ref_family, reference_trio, headl
 
     # the one solve path re-embeds whatever the block solve returns
     monkeypatch.setattr(aqset, "solve", corrupting)
-    corrupted, _ = solve_indicator(problem, swap_reduction, seesaw.SEESAW_SOLVER)
+    corrupted, _ = solve_indicator(problem, swap_reduction)
     assert not check_certificate(full, corrupted).passed
 
 
@@ -136,6 +137,33 @@ def test_reference_sweeps_stay_on_the_reduced_path():
 def test_step_functionals_rejects_unknown_block(ref_family, reference_trio, headline):
     with pytest.raises(ValueError):
         step_functionals(headline.behavior, ref_family, reference_trio[2], "both")
+
+
+def test_outer_step_checks_its_box_at_the_extraction_tolerance(ref_family, reference_trio, headline):
+    # the two-party box read from p is held to scenario.EXTRACTION_TOL (1e-7)
+    p = headline.behavior
+    scaled = Behavior(p.scenario, p.table * (1.0 + 5e-7))
+    with pytest.raises(NormalizationError):
+        step_functionals(scaled, ref_family, reference_trio[2], "outer")
+
+
+def test_reference_steps_converge_at_the_default_tolerances(monkeypatch):
+    solutions = []
+    real = aqset.solve
+
+    def recording(*args, **kwargs):
+        solutions.append(real(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(aqset, "solve", recording)
+    cfg = SeesawConfig(restarts=1, max_sweeps=4, target_value=-math.inf, improvement_threshold=-math.inf, workers=1)
+    trace = run(cfg)
+    assert trace.failed_count == 0 and len(trace.best.sweep_values) == 4
+    assert len(solutions) == 3 * 4  # behaviour, family and outer step per sweep
+    for solution in solutions:
+        assert solution.status == SdpStatus.OPTIMAL
+        assert max(solution.residuals.primal, solution.residuals.dual) <= sdp.FEAS_TOL
+        assert solution.residuals.gap <= sdp.GAP_TOL
 
 
 def test_reference_run_monotone_and_reaches_target():
