@@ -53,9 +53,20 @@ inverts the iterates' factors, ``dpotrs`` solves with the Schur factor, and
 non-finite iterate is caught by the residual check, and a non-finite search
 direction by its step length (LAPACK reports it); either ends the solve as
 ``numerical_trouble``, so numpy's overflow warnings are off inside it.
+
+At the sizes this package solves (blocks of a few dozen rows), an
+iteration costs as much in interpreter overhead as in arithmetic, so the
+loop body does the arithmetic of the step and the checks that guard it and
+nothing else.  The predictor and the corrector share one Newton solve,
+``_newton``, defined at module level; step lengths, finiteness tests and
+residual norms are Python floats; sums over the groups start from the first
+group's term; and a backtracking candidate and a symmetrization each make
+one temporary.  Each keeps every floating-point operation's operands and
+order: they are choices of speed, and the iterates do not depend on them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -299,12 +310,26 @@ def _block_groups(problem: SdpProblem) -> list:
 
 
 def _sym(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (z + z.transpose(0, 2, 1))
+    out = z + z.transpose(0, 2, 1)
+    out *= 0.5
+    return out
 
 
 def _inner(us, vs) -> float:
-    """<U, V> summed over the groups' stacks."""
-    return sum(float(np.vdot(u, v)) for u, v in zip(us, vs))
+    """<U, V> summed over the groups' stacks, from the first group's term."""
+    total = float(np.vdot(us[0], vs[0]))
+    for i in range(1, len(us)):
+        total += float(np.vdot(us[i], vs[i]))
+    return total
+
+
+def _apply(groups, mats) -> np.ndarray:
+    """(<A_i, X>)_i for X given as per-group stacks, summed from the first
+    group's term."""
+    out = groups[0].apply(mats[0])
+    for i in range(1, len(groups)):
+        out += groups[i].apply(mats[i])
+    return out
 
 
 def _cholesky(mat: np.ndarray):
@@ -337,14 +362,15 @@ def _lambda_min(stacks) -> float:
     read from its lower triangle, and nothing else of their spectra.  NaN
     when a block is not finite: dsyevr then reports info 4 (and returns
     0.0), except for a 1x1 block, whose eigenvalue is the entry itself."""
-    lam = np.inf
+    lam = math.inf
     for stack in stacks:
         for w in stack:
             eig, _, _, _, info = dsyevr(w, compute_v=0, range="I", il=1, iu=1, lower=1)
-            if info != 0 or not np.isfinite(eig[0]):
-                return np.nan
-            lam = min(lam, eig[0])
-    return float(lam)
+            low = eig.item(0)
+            if info != 0 or not math.isfinite(low):
+                return math.nan
+            lam = min(lam, low)
+    return lam
 
 
 def _step_length(inverses, directions) -> float:
@@ -352,9 +378,23 @@ def _step_length(inverses, directions) -> float:
     Cholesky factors L^{-1} of P's blocks (both as per-group stacks): -1 over
     the smallest eigenvalue of L^{-1} D L^{-T}, inf when that is not
     negative, and NaN when a direction is not finite."""
-    lam = _lambda_min([h @ d @ h.transpose(0, 2, 1) for h, d in zip(inverses, directions)])
+    products = []
+    for h, d in zip(inverses, directions):
+        products.append(h @ d @ h.transpose(0, 2, 1))
+    lam = _lambda_min(products)
     # NaN compares false and passes through
-    return np.inf if lam >= -1e-14 else -1.0 / lam
+    return math.inf if lam >= -1e-14 else -1.0 / lam
+
+
+def _step_lengths(inv_x, inv_s, dx, ds):
+    """Fraction-to-boundary steps (alpha_p, alpha_d) for X and S, or None
+    for a non-finite direction (which min(1.0, nan) would turn into a full
+    step)."""
+    alpha_p = _step_length(inv_x, dx)
+    alpha_d = _step_length(inv_s, ds)
+    if math.isnan(alpha_p) or math.isnan(alpha_d):
+        return None
+    return min(1.0, STEP_FRACTION * alpha_p), min(1.0, STEP_FRACTION * alpha_d)
 
 
 def _backtrack_psd(mats, directions, alpha: float):
@@ -362,7 +402,11 @@ def _backtrack_psd(mats, directions, alpha: float):
     is Cholesky-positive; returns (new_stacks, their_inverse_factors,
     alpha_used) or None."""
     for _ in range(40):
-        candidate = [_sym(z + alpha * d) for z, d in zip(mats, directions)]
+        candidate = []
+        for z, d in zip(mats, directions):
+            step = alpha * d
+            step += z
+            candidate.append(_sym(step))
         inverses = _inverse_factors(candidate)
         if inverses is not None:
             return candidate, inverses, alpha
@@ -370,6 +414,38 @@ def _backtrack_psd(mats, directions, alpha: float):
         if alpha < 1e-16:
             break
     return None
+
+
+def _newton(groups, chol_m, b, rd, x, s_inv, x_rd_sinv, corr, sigma_mu: float):
+    """The HKM Newton direction (dy, dx, ds), from the lower Cholesky factor
+    of the Schur complement.  The predictor passes ``corr`` None and
+    ``sigma_mu`` 0.0; the corrector passes the second-order term
+    dX_aff dS_aff per group and the centring target sigma * mu."""
+    if corr is None:
+        rhs_mats = x_rd_sinv
+    else:
+        rhs_mats = []
+        for a, cg, sg in zip(x_rd_sinv, corr, s_inv):
+            rhs_mats.append(a + cg @ sg)
+    rhs = b + _apply(groups, rhs_mats)
+    if sigma_mu != 0.0:
+        rhs -= sigma_mu * _apply(groups, s_inv)
+    dy = dpotrs(chol_m.T, rhs, lower=0)[0]  # chol_m.T: the Fortran-order upper factor
+    ds, x_ds = [], []
+    for g, rg, xg in zip(groups, rd, x):
+        dsg = rg - g.adjoint(dy)
+        ds.append(dsg)
+        x_ds.append(xg @ dsg)
+    if corr is not None:
+        for p, cg in zip(x_ds, corr):
+            p += cg
+    dx = []
+    for xg, p, sg in zip(x, x_ds, s_inv):
+        d = -xg - p @ sg
+        if sigma_mu != 0.0:
+            d += sigma_mu * sg
+        dx.append(_sym(d))
+    return dy, dx, ds
 
 
 def _chol_with_jitter(mat: np.ndarray):
@@ -401,14 +477,6 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
     c = [np.stack([problem.c_blocks[l] for l in g.blocks]) for g in groups]
     b = problem.b.copy()
 
-    def apply(mats):
-        """(<A_i, X>)_i for X given as per-group stacks."""
-        return sum(g.apply(z) for g, z in zip(groups, mats))
-
-    def adjoint(v):
-        """sum_i v_i A_i as per-group stacks."""
-        return [g.adjoint(v) for g in groups]
-
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.sqrt(_inner(c, c)))
     a_sq = [np.zeros(m) for _ in groups]
@@ -430,7 +498,7 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
         y = np.array(y_start, dtype=float)
         if y.shape != (m,) or not np.all(np.isfinite(y)):
             raise ValueError("y_start must be a finite vector with one entry per constraint")
-        s = [_sym(cg - ag) for cg, ag in zip(c, adjoint(y))]
+        s = [_sym(cg - g.adjoint(y)) for g, cg in zip(groups, c)]
         inv_s = _inverse_factors(s)
         # X = tau_p S^{-1} = tau_p L_s^{-T} L_s^{-1}, so that X S = tau_p I
         x = None if inv_s is None else [_sym(tau_p * (h.transpose(0, 2, 1) @ h)) for h in inv_s]
@@ -439,51 +507,54 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
             raise ValueError("y_start is not strictly dual feasible: C - A^T y_start does not factor")
 
     def residuals(x, y, s):
-        rp = b - apply(x)
-        rd = [cg - sg - ag for cg, sg, ag in zip(c, s, adjoint(y))]
+        """The dual residual matrices, both objectives and the relative
+        primal, dual and gap residuals of an iterate."""
+        rp = b - _apply(groups, x)
+        rd = []
+        for g, cg, sg in zip(groups, c, s):
+            rd.append(cg - sg - g.adjoint(y))
         pobj = _inner(c, x)
         dobj = float(b @ y)
-        rel = Residuals(
-            primal=float(np.linalg.norm(rp)) / (1.0 + norm_b),
-            dual=float(np.sqrt(_inner(rd, rd))) / (1.0 + norm_c),
-            gap=abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
-        )
-        return rd, pobj, dobj, rel
+        primal = math.sqrt(float(rp @ rp)) / (1.0 + norm_b)
+        dual = math.sqrt(_inner(rd, rd)) / (1.0 + norm_c)
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        return rd, pobj, dobj, primal, dual, gap
 
     trace: list = []
     status = SdpStatus.NUMERICAL_TROUBLE
     message = f"no convergence within {MAX_ITERS} iterations"
     iterations = 0
-    best_score = np.inf
+    best_score = math.inf
     best_iterate = (x, y, s)  # iterates are replaced, never written in place
     stalled_since = 0
+    ray_bound = RAY_THRESHOLD * (1.0 + float(init_scale))
 
     for it in range(MAX_ITERS + 1):
         iterations = it
-        rd, pobj, dobj, rel = residuals(x, y, s)
+        rd, pobj, dobj, primal, dual, gap = residuals(x, y, s)
         mu = _inner(x, s) / n
         trace.append(
             {
                 "iteration": it,
                 "mu": mu,
-                "primal_residual": rel.primal,
-                "dual_residual": rel.dual,
-                "gap": rel.gap,
+                "primal_residual": primal,
+                "dual_residual": dual,
+                "gap": gap,
                 "primal_objective": pobj,
                 "dual_objective": dobj,
             }
         )
 
-        if not np.all(np.isfinite((rel.primal, rel.dual, rel.gap, mu))):
+        if not (math.isfinite(primal) and math.isfinite(dual) and math.isfinite(gap) and math.isfinite(mu)):
             message = "non-finite iterate"
             break
 
-        if rel.primal <= FEAS_TOL and rel.dual <= FEAS_TOL and rel.gap <= gap_tol:
+        if primal <= FEAS_TOL and dual <= FEAS_TOL and gap <= gap_tol:
             status = SdpStatus.OPTIMAL
             message = "converged"
             break
 
-        score = max(rel.primal, rel.dual, rel.gap)
+        score = max(primal, dual, gap)
         if score < 0.98 * best_score:
             best_score = score
             best_iterate = (x, y, s)
@@ -496,10 +567,10 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
                 break
 
         # divergence: look for an improving ray before giving up
-        y_norm = float(np.abs(y).max()) if m else 0.0
-        if y_norm > RAY_THRESHOLD * (1.0 + init_scale):
+        y_norm = float(np.abs(y).max())
+        if y_norm > ray_bound:
             ray = y / y_norm
-            s_ray = [-z for z in adjoint(ray)]
+            s_ray = [-g.adjoint(ray) for g in groups]
             eig_min = _lambda_min(s_ray)
             if b @ ray > 1e-3 and eig_min > -1e-6:
                 status = SdpStatus.PRIMAL_INFEASIBLE
@@ -509,10 +580,12 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
             else:
                 message = "diverging dual iterates"
             break
-        x_norm = max(float(np.abs(z).max()) for z in x)
-        if x_norm > RAY_THRESHOLD * (1.0 + init_scale):
+        x_norm = 0.0
+        for xg in x:
+            x_norm = max(x_norm, float(np.abs(xg).max()))
+        if x_norm > ray_bound:
             ray = [z / x_norm for z in x]
-            ray_feas = float(np.linalg.norm(apply(ray)))
+            ray_feas = float(np.linalg.norm(_apply(groups, ray)))
             if -_inner(c, ray) > 1e-3 and ray_feas < 1e-6:
                 status = SdpStatus.DUAL_INFEASIBLE
                 message = "primal improving ray found"
@@ -525,61 +598,47 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
             break
 
         # S^{-1} = L_s^{-T} L_s^{-1}, from the inverse factors that the four
-        # step lengths below reuse
-        s_inv = [h.transpose(0, 2, 1) @ h for h in inv_s]
+        # step lengths below reuse; the right-hand side term X R_d S^{-1}
+        s_inv, x_rd_sinv = [], []
+        for xg, rg, h in zip(x, rd, inv_s):
+            sg = h.transpose(0, 2, 1) @ h
+            s_inv.append(sg)
+            x_rd_sinv.append(xg @ rg @ sg)
 
         # Schur complement M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}>
-        schur = sum(g.schur(xg, sg) for g, xg, sg in zip(groups, x, s_inv))
-        schur = 0.5 * (schur + schur.T)
-        chol_m = _chol_with_jitter(schur)
+        schur = groups[0].schur(x[0], s_inv[0])
+        for i in range(1, len(groups)):
+            schur += groups[i].schur(x[i], s_inv[i])
+        sym = schur + schur.T
+        sym *= 0.5
+        chol_m = _chol_with_jitter(sym)
         if chol_m is None:
             message = "Schur complement factorization failed"
             break
 
-        x_rd_sinv = [xg @ rg @ sg for xg, rg, sg in zip(x, rd, s_inv)]
-
-        def newton(sigma_mu, corr):
-            corr = corr or [None] * len(groups)
-            rhs_mat = [a if cg is None else a + cg @ sg for a, cg, sg in zip(x_rd_sinv, corr, s_inv)]
-            rhs = b + apply(rhs_mat)
-            if sigma_mu != 0.0:
-                rhs = rhs - sigma_mu * apply(s_inv)
-            dy = dpotrs(chol_m.T, rhs, lower=0)[0]  # chol_m.T: the Fortran-order upper factor
-            ds = [rg - ag for rg, ag in zip(rd, adjoint(dy))]
-            dx = []
-            for xg, dsg, sg, cg in zip(x, ds, s_inv, corr):
-                d = -xg - (xg @ dsg if cg is None else xg @ dsg + cg) @ sg
-                if sigma_mu != 0.0:
-                    d = d + sigma_mu * sg
-                dx.append(_sym(d))
-            return dy, dx, ds
-
-        def step_lengths(dx, ds):
-            """Fraction-to-boundary steps for X and S, or None for a
-            non-finite direction (which min(1.0, nan) would turn into a full
-            step)."""
-            alphas = (_step_length(inv_x, dx), _step_length(inv_s, ds))
-            if any(np.isnan(a) for a in alphas):
-                return None
-            return [min(1.0, STEP_FRACTION * a) for a in alphas]
-
-        dy_aff, dx_aff, ds_aff = newton(0.0, None)
-        steps = step_lengths(dx_aff, ds_aff)
+        # Mehrotra predictor: the affine direction, its step lengths and the
+        # complementarity they would reach
+        _, dx_aff, ds_aff = _newton(groups, chol_m, b, rd, x, s_inv, x_rd_sinv, None, 0.0)
+        steps = _step_lengths(inv_x, inv_s, dx_aff, ds_aff)
         if steps is None:
             message = "non-finite search direction"
             break
         alpha_p, alpha_d = steps
-        mu_aff = _inner(
-            [xg + alpha_p * d for xg, d in zip(x, dx_aff)], [sg + alpha_d * d for sg, d in zip(s, ds_aff)]
-        ) / n
+        x_aff, s_aff, corr = [], [], []
+        for xg, sg, dxg, dsg in zip(x, s, dx_aff, ds_aff):
+            x_aff.append(xg + alpha_p * dxg)
+            s_aff.append(sg + alpha_d * dsg)
+            corr.append(dxg @ dsg)
+        mu_aff = _inner(x_aff, s_aff) / n
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
-        if max(rel.primal, rel.dual) > FEAS_TOL:
+        if max(primal, dual) > FEAS_TOL:
             # keep a sliver of centrality so complementarity cannot hit the
             # boundary before feasibility has converged
             sigma = max(sigma, 1e-3)
 
-        dy, dx, ds = newton(sigma * mu, [a @ d for a, d in zip(dx_aff, ds_aff)])
-        steps = step_lengths(dx, ds)
+        # corrector: centring and the second-order term dX_aff dS_aff
+        dy, dx, ds = _newton(groups, chol_m, b, rd, x, s_inv, x_rd_sinv, corr, sigma * mu)
+        steps = _step_lengths(inv_x, inv_s, dx, ds)
         if steps is None:
             message = "non-finite search direction"
             break
@@ -596,7 +655,7 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
         s, inv_s, alpha_d = s_new
         y = y + alpha_d * dy
 
-    _, pobj, dobj, rel = residuals(x, y, s)
+    _, pobj, dobj, primal, dual, gap = residuals(x, y, s)
     x_blocks, s_blocks = [None] * len(problem.block_dims), [None] * len(problem.block_dims)
     for g, xg, sg in zip(groups, x, s):
         for p, l in enumerate(g.blocks):
@@ -608,7 +667,7 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
         s_blocks=s_blocks,
         primal_objective=pobj,
         dual_objective=dobj,
-        residuals=rel,
+        residuals=Residuals(primal, dual, gap),
         iterations=iterations,
         trace=trace,
         message=message,

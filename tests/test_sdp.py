@@ -202,6 +202,113 @@ def test_non_finite_direction_is_numerical_trouble(monkeypatch):
         assert np.all(np.isfinite(block))
 
 
+def _failing_inverse_factors(monkeypatch, fails):
+    """Patch ``sdp._inverse_factors`` to report a block that does not factor
+    on every call whose 1-based index ``fails`` accepts; returns the list of
+    call indices."""
+    original = sdp._inverse_factors
+    calls = []
+
+    def patched(stacks):
+        calls.append(len(calls) + 1)
+        return None if fails(calls[-1]) else original(stacks)
+
+    monkeypatch.setattr(sdp, "_inverse_factors", patched)
+    return calls
+
+
+def test_backtracking_halves_a_step_that_does_not_factor(monkeypatch):
+    # calls 1 and 2 factor the default start; call 3 is the first primal
+    # candidate, which backtracking must halve and then accept
+    _failing_inverse_factors(monkeypatch, lambda call: call == 3)
+    original = sdp._backtrack_psd
+    steps = []
+
+    def recorded(mats, directions, alpha):
+        out = original(mats, directions, alpha)
+        steps.append((alpha, out[2]))
+        return out
+
+    monkeypatch.setattr(sdp, "_backtrack_psd", recorded)
+    sol = solve_tight(multiblock_problem())
+    assert steps[0][1] == 0.5 * steps[0][0]
+    assert all(used == alpha for alpha, used in steps[1:])
+    assert sol.status == SdpStatus.OPTIMAL, sol.message
+    assert abs(sol.primal_objective - 2.5) < 1e-8
+
+
+def test_backtracking_failure_is_numerical_trouble(monkeypatch):
+    # no candidate after the start factors: every halving is refused
+    calls = _failing_inverse_factors(monkeypatch, lambda call: call > 2)
+    sol = solve_tight(multiblock_problem())
+    assert len(calls) == 2 + 40 + 40  # the start, then the primal and dual steps' 40 tries each
+    assert sol.status == SdpStatus.NUMERICAL_TROUBLE
+    assert sol.message == "step backtracking failed"
+    assert sol.iterations == 0
+
+
+def test_schur_factorization_failure_is_numerical_trouble(monkeypatch):
+    # the trace problem's Schur complement is its only 1x1 matrix: refusing
+    # it defeats the plain Cholesky and all three jittered retries
+    original = sdp._cholesky
+    refused = []
+
+    def patched(mat):
+        if mat.shape == (1, 1):
+            refused.append(mat)
+            return None
+        return original(mat)
+
+    monkeypatch.setattr(sdp, "_cholesky", patched)
+    sol = solve_tight(trace_problem())
+    assert len(refused) == 4
+    assert sol.status == SdpStatus.NUMERICAL_TROUBLE
+    assert sol.message == "Schur complement factorization failed"
+    assert sol.iterations == 0
+
+
+def test_stalled_progress_returns_the_best_iterate(monkeypatch):
+    # steps too short to cut the worst residual by 2% in 30 iterations: the
+    # start stays the best iterate, and it is what the solve returns
+    monkeypatch.setattr(sdp, "STEP_FRACTION", 1e-9)
+    sol = solve_tight(boundary_problem())
+    assert sol.status == SdpStatus.NUMERICAL_TROUBLE
+    assert sol.message == "progress stalled"
+    assert sol.iterations == 30
+    start = sol.trace[0]
+    assert (sol.residuals.primal, sol.residuals.dual, sol.residuals.gap) == (
+        start["primal_residual"],
+        start["dual_residual"],
+        start["gap"],
+    )
+    assert sol.residuals != sdp.Residuals(
+        sol.trace[-1]["primal_residual"], sol.trace[-1]["dual_residual"], sol.trace[-1]["gap"]
+    )
+
+
+def test_diverging_dual_iterates_are_numerical_trouble(monkeypatch):
+    # any nonzero y crosses a zero threshold; from y_start = 0.5 the ray
+    # y / |y| raises b.y but leaves C - A^T y indefinite, so it is no
+    # certificate of primal infeasibility
+    monkeypatch.setattr(sdp, "RAY_THRESHOLD", 0.0)
+    sol = solve(trace_problem(), y_start=np.array([0.5]))
+    assert sol.status == SdpStatus.NUMERICAL_TROUBLE
+    assert sol.message == "diverging dual iterates"
+    assert sol.iterations == 0
+    assert sol.y.tolist() == [0.5]
+
+
+def test_diverging_primal_iterates_are_numerical_trouble(monkeypatch):
+    # the default start X = tau_p I crosses a zero threshold; its ray I is
+    # not in the null space of A, so it is no certificate of dual infeasibility
+    monkeypatch.setattr(sdp, "RAY_THRESHOLD", 0.0)
+    sol = solve(trace_problem())
+    assert sol.status == SdpStatus.NUMERICAL_TROUBLE
+    assert sol.message == "diverging primal iterates"
+    assert sol.iterations == 0
+    assert np.array_equal(sol.x_blocks[0], sol.x_blocks[0][0, 0] * np.eye(2))
+
+
 def test_solve_calls_no_numpy_eigensolver_or_cholesky(monkeypatch):
     # the loop factors each iterate once by LAPACK's dpotrf and reads only
     # the smallest eigenvalue of each step matrix, so a solve (here a
@@ -491,6 +598,8 @@ def test_iteration_limit_reports_trouble(monkeypatch):
     monkeypatch.setattr(sdp, "MAX_ITERS", 1)
     sol = solve(boundary_problem())
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
+    assert sol.message == "no convergence within 1 iterations"
+    assert sol.iterations == 1
 
 
 def test_problem_validation():
