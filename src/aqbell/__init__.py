@@ -16,7 +16,7 @@ from .scenario import (
     make_scenario,
     to_collins_gisin,
 )
-from .sdp import SdpProblem, SdpSolution, SdpStatus, check_certificate, solve
+from .sdp import SdpOperator, SdpProblem, SdpSolution, SdpStatus, check_certificate, solve
 from .aqset import SosCertificate, aq_extremize, build_moment_structure, strictly_feasible_point
 from .nbf import (
     NbfFamily,
@@ -35,6 +35,7 @@ __all__ = [
     "NbfFamily",
     "NbfVerdict",
     "Scenario",
+    "SdpOperator",
     "SdpProblem",
     "SdpSolution",
     "SdpStatus",

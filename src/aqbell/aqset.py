@@ -40,7 +40,7 @@ import numpy as np
 from . import algebra
 from .errors import ScenarioMismatchError, SizeGuardError, SolverFailureError
 from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis, from_collins_gisin
-from .sdp import GAP_TOL, SdpProblem, SdpSolution, SdpStatus, solve
+from .sdp import GAP_TOL, SdpOperator, SdpProblem, SdpSolution, SdpStatus, solve
 
 MAX_PARTIES = 3
 # m * sum_l n_l**3 of the unreduced problem below which its blocks solve
@@ -177,14 +177,14 @@ def party_swap(structure: MomentStructure, parties: tuple) -> PartySwap:
 
 def invariant_swap(
     structure: MomentStructure, c_blocks, class_rows, b: np.ndarray
-) -> tuple[PartySwap, np.ndarray] | None:
+) -> PartySwap | None:
     """The first transposition of two parties with equal settings counts
     that fixes the problem :func:`indicator_problem` poses from ``c_blocks``,
     ``class_rows`` and ``b``: every objective block under the monomial
     permutation and ``b`` under the constraint permutation the swap induces,
-    to within ``SWAP_TOL * max(1, |c|_inf, |b|_inf)``.  Returns the swap and
-    that constraint permutation, or None; None also when the unreduced
-    problem has m * sum_l n_l**3 below ``SWAP_MIN_WORK``."""
+    to within ``SWAP_TOL * max(1, |c|_inf, |b|_inf)``.  Returns the swap,
+    or None; None also when the unreduced problem has m * sum_l n_l**3
+    below ``SWAP_MIN_WORK``."""
     scenario = structure.scenario
     m = len(b)
     if m * len(class_rows) * structure.size**3 < SWAP_MIN_WORK:
@@ -194,18 +194,24 @@ def invariant_swap(
         if scenario.settings[parties[0]] != scenario.settings[parties[1]]:
             continue
         swap = party_swap(structure, parties)
-        # the constraint of class k goes to the constraint of k's image
-        image = np.arange(m)
-        for class_row in class_rows:
-            has_row = class_row >= 0
-            image[class_row[has_row]] = class_row[swap.image[has_row]]
-        for class_row in class_rows:
-            assert np.array_equal(np.append(image, -1)[class_row], class_row[swap.image])
+        image = _constraint_image(swap, class_rows, m)
         if np.abs(b[image] - b).max(initial=0.0) <= tol and all(
             np.abs(c[np.ix_(swap.perm, swap.perm)] - c).max() <= tol for c in c_blocks
         ):
-            return swap, image
+            return swap
     return None
+
+
+def _constraint_image(swap: PartySwap, class_rows, m: int) -> np.ndarray:
+    """The permutation of the m constraints that ``swap`` induces: the
+    constraint of class k goes to the constraint of k's image."""
+    image = np.arange(m)
+    for class_row in class_rows:
+        has_row = class_row >= 0
+        image[class_row[has_row]] = class_row[swap.image[has_row]]
+    for class_row in class_rows:
+        assert np.array_equal(np.append(image, -1)[class_row], class_row[swap.image])
+    return image
 
 
 def class_sums(structure: MomentStructure, mat: np.ndarray) -> np.ndarray:
@@ -243,6 +249,22 @@ class SwapReduction:
     size: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class _IndicatorOperator:
+    """What :func:`indicator_problem` builds once per structure, class rows
+    and swap: the constraint operator; ``bases``, the (W, scale) pair of
+    each block that one unreduced block becomes; the merged row ``row[q]``
+    of each unreduced constraint q and the number ``size[r]`` of
+    constraints merged into row r; and the :class:`SwapReduction`, or None.
+    Every array is read-only."""
+
+    operator: SdpOperator
+    bases: tuple
+    row: np.ndarray
+    size: np.ndarray
+    reduction: SwapReduction | None
+
+
 def indicator_problem(
     structure: MomentStructure, c_blocks, class_rows, b: np.ndarray
 ) -> tuple[SdpProblem, SwapReduction | None]:
@@ -256,28 +278,62 @@ def indicator_problem(
     merge into one row (the two averaged) and every block is projected onto
     the swap's symmetric and antisymmetric blocks.  Returns the problem and
     its :class:`SwapReduction`, or the unreduced problem and None; either
-    way :func:`solve_indicator` solves it.  Both are built alike (the
-    unreduced one over the identity basis): cell (a, b) in constraint q adds
-    W[a, i] W[b, j] scale[i, j] / size[row[q]] to cell (i, j) of its row.
+    way :func:`solve_indicator` solves it.
+
+    The constraints depend only on the structure, ``class_rows`` and the
+    swap, so their operator is built once per (structure, class rows, swap
+    parties or None) and kept for the life of the process
+    (:func:`_indicator_operator`); each call checks the data for a swap and
+    projects only the objective blocks and ``b``: c_l becomes
+    scale * (W^T c_l W) per basis (W, scale) of the swap, or the identity
+    basis when unreduced, and b_r the average of the b_q merged into row r.
     """
-    n, m = structure.size, len(b)
-    swap, image = invariant_swap(structure, c_blocks, class_rows, b) or (None, np.arange(m))
-    bases = ((np.eye(n), np.ones((n, n))),) if swap is None else swap.blocks
+    swap = invariant_swap(structure, c_blocks, class_rows, b)
+    rows_key = np.asarray(class_rows, dtype=np.int64).tobytes()
+    posed = _indicator_operator(structure, len(b), rows_key, None if swap is None else swap.parties)
+    cs = []
+    for c in c_blocks:
+        for w, scale in posed.bases:
+            cs.append(scale * (w.T @ c @ w))
+    problem = SdpProblem(posed.operator, tuple(cs), np.bincount(posed.row, weights=b) / posed.size)
+    return problem, posed.reduction
+
+
+@lru_cache(maxsize=None)
+def _indicator_operator(
+    structure: MomentStructure, m: int, class_rows: bytes, parties: tuple | None
+) -> _IndicatorOperator:
+    """The operator of :func:`indicator_problem` for m constraints, the class
+    rows given as the bytes of their int64 (blocks, classes) array, posed
+    over the swap of ``parties`` or, for None, unreduced.  Reduced and
+    unreduced operators are built alike (the unreduced one over the identity
+    basis): cell (a, b) in constraint q adds W[a, i] W[b, j] scale[i, j] /
+    size[row[q]] to cell (i, j) of its row."""
+    n = structure.size
+    class_rows = np.frombuffer(class_rows, dtype=np.int64).reshape(-1, len(structure.classes))
+    if parties is None:
+        swap, image = None, np.arange(m)
+        bases = ((np.eye(n), np.ones((n, n))),)
+    else:
+        swap = party_swap(structure, parties)
+        image, bases = _constraint_image(swap, class_rows, m), swap.blocks
     # merged rows are numbered by the smallest constraint they hold
     _, row = np.unique(np.minimum(image, np.arange(m)), return_inverse=True)
     size = np.bincount(row)
-    cs, triplets = [], []
-    for c, class_row in zip(c_blocks, class_rows, strict=True):
+    dims, triplets = [], []
+    for class_row in class_rows:
         cell_row = np.append(np.where(class_row >= 0, row[class_row], -1), -1)[structure.cell_class]
         for w, scale in bases:
             mono, col = np.nonzero(w)  # each monomial is in at most one column, with sign +-1
             rows = cell_row[np.ix_(mono, mono)]
             i, j = np.nonzero(rows >= 0)
-            cs.append(scale * (w.T @ c @ w))
             values = w[mono[i], col[i]] * w[mono[j], col[j]] * scale[col[i], col[j]] / size[rows[i, j]]
+            dims.append(w.shape[1])
             triplets.append((rows[i, j], col[i] * w.shape[1] + col[j], values))
-    problem = SdpProblem(tuple(len(c) for c in cs), tuple(cs), tuple(triplets), np.bincount(row, weights=b) / size)
-    return problem, None if swap is None else SwapReduction(swap, row, size)
+    for a in (row, size, *(a for basis in bases for a in basis)):
+        a.flags.writeable = False
+    reduction = None if swap is None else SwapReduction(swap, row, size)
+    return _IndicatorOperator(SdpOperator(tuple(dims), tuple(triplets), len(size)), bases, row, size, reduction)
 
 
 def solve_indicator(
@@ -354,14 +410,19 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     that fixes the pinned coefficients (the target without its constant
     term, which is not SDP data) poses it over the swap's symmetric and
     antisymmetric blocks, with one constraint per orbit of word classes: the
-    class indicators and targets averaged over the orbit.
+    class indicators and targets averaged over the orbit.  Only b depends
+    on the functional, so the operator is built once per structure and
+    swap, and the min and max of one functional share it; a call builds
+    ``target``, ``b`` and the objective's projection.
 
     ``y_start`` is a strictly feasible point of the dual: y_k = -Gamma_k
     for the product-projector moments Gamma (:func:`product_moments`) makes
     the dual slack Gamma itself.  Gamma is invariant under every party
     swap, so on a reduced problem, whose rows average their orbit's
     constraints, row r takes the orbit's sum size_r * y_k and the slack is
-    Gamma's projection onto the swap's blocks.
+    Gamma's projection onto the swap's blocks.  It depends only on the
+    structure and the reduction, so it is computed once per pair
+    (read-only).
     """
     if functional.scenario != structure.scenario:
         raise ScenarioMismatchError("functional and moment structure disagree on the scenario")
@@ -377,10 +438,17 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     pinned[structure.monomial_class] = target
     # constraint k - 1 pins class k
     problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:])
+    return CompiledExtremize(problem, target, reduction, _extremize_start(structure, reduction))
+
+
+@lru_cache(maxsize=None)
+def _extremize_start(structure: MomentStructure, reduction: SwapReduction | None) -> np.ndarray:
+    """The read-only ``y_start`` of :func:`compile_extremize`."""
     y_start = -product_moments(structure)[1:]
     if reduction is not None:
         y_start = np.bincount(reduction.row, weights=y_start)
-    return CompiledExtremize(problem, target, reduction, y_start)
+    y_start.flags.writeable = False
+    return y_start
 
 
 @dataclass(eq=False)

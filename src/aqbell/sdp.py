@@ -27,8 +27,11 @@ factors.  Residuals, mu and the infeasibility rays are sums or extrema over
 the groups.
 
 The constraints arrive as sparse (row, cell, value) triplets per block, and
-no solve densifies them.  Each group reads its blocks' triplets into one
-sparse operator, built once per solve and kept as plain arrays with no scipy
+no solve densifies them.  They form an :class:`SdpOperator`, built once
+and shared by every problem that poses the same constraints, which supplies
+only its objective C and right-hand side b (:class:`SdpProblem`).  The
+operator checks its triplets once and reads each group's blocks' triplets
+into one sparse operator, kept as plain read-only arrays with no scipy
 matrix object: one array of nonzeros, indexed by a CSR row pointer and
 column indices with one row per constraint over the vectorized cells of the
 group's blocks.  The same arrays are the CSC form of A^T, so A
@@ -39,17 +42,18 @@ groups (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997).  Within a
 group, a second row pointer over the same nonzeros views the operator as
 rows (j, l, r) over columns (l, c); its slice for a chunk of constraints j
 forms A_j^l S_l^{-1} in one sparse product, one broadcast product applies X,
-and the operator contracts the result while it is still in cache.  Each
-group owns a workspace, allocated once per solve, that every chunk's
-products are written into: arrays of chunk size allocated per iteration
-would be handed back to the OS and faulted in again, which costs small
-solves more than their arithmetic.  The public products take no output
-argument, so the solver calls scipy's sparse kernels (``csr_matvecs``,
-``csr_matvec`` and ``csc_matvec`` from ``scipy.sparse._sparsetools``) and
-its LAPACK without their validating wrappers, with the same bits (pinned by
-tests): ``dpotrf`` factors the iterates and the Schur complement, ``dtrtri``
-inverts the iterates' factors, ``dpotrs`` solves with the Schur factor, and
-``dsyevr`` computes only the smallest eigenvalue of each step matrix.  A
+and the operator contracts the result while it is still in cache.  Every
+chunk's products are written into a workspace that each solve allocates
+once per group, so the shared operator holds no mutable state; arrays of
+chunk size allocated per iteration would be handed back to the OS and
+faulted in again, which costs small solves more than their arithmetic.
+The public products take no output argument, so the solver calls scipy's
+sparse kernels (``csr_matvecs``, ``csr_matvec`` and ``csc_matvec`` from
+``scipy.sparse._sparsetools``) and its LAPACK without their validating
+wrappers, with the same bits (pinned by tests): ``dpotrf`` factors the
+iterates and the Schur complement, ``dtrtri`` inverts the iterates'
+factors, ``dpotrs`` solves with the Schur factor, and ``dsyevr`` computes
+only the smallest eigenvalue of each step matrix.  A
 non-finite iterate is caught by the residual check, and a non-finite search
 direction by its step length (LAPACK reports it); either ends the solve as
 ``numerical_trouble``, so numpy's overflow warnings are off inside it.
@@ -67,7 +71,7 @@ order: they are choices of speed, and the iterates do not depend on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -94,50 +98,96 @@ FEAS_TOL = 1e-9  # relative primal and dual residuals of an optimal solve
 
 
 @dataclass(frozen=True, eq=False)
-class SdpProblem:
-    """Objective and equality constraints over block-diagonal symmetric X.
+class SdpOperator:
+    """The m equality constraints over block-diagonal symmetric X, built
+    once and shared by every :class:`SdpProblem` that poses them.
 
     ``a_triplets[l]`` holds every constraint's block-l component as
     ``(rows, cells, values)``: constraint ``rows[t]`` has ``values[t]`` at
     cell ``cells[t]`` = r * n_l + c.  They are kept sorted by row and then
     cell, with repeats summed and exact zeros dropped, and must be symmetric
     (an entry without a mirror compares against 0).  1x1 blocks act as
-    nonnegative scalar variables.  ``a_stacks`` is their dense view.
+    nonnegative scalar variables.  ``groups`` holds the solver's form of the
+    same constraints, one :class:`_Group` per block size, and ``row_norms``
+    the Frobenius norm of each constraint.  Every array is read-only.
     """
 
     block_dims: tuple
-    c_blocks: tuple
     a_triplets: tuple
-    b: np.ndarray
+    m: int
+    groups: tuple = field(init=False, repr=False)
+    row_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.block_dims)
-        object.__setattr__(self, "block_dims", dims)
         if not dims or any(n < 1 for n in dims):
             raise ValueError("block dimensions must be positive")
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("b must be a vector")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("b must be finite")
-        m = b.size
+        m = int(self.m)
         if m < 1:
             raise ValueError("at least one constraint is required")
         total = sum(dims)
         if m > total * total:
             raise ValueError("more constraints than matrix entries")
-        cs, triplets = [], []
-        for n_l, c, triplet in zip(dims, self.c_blocks, self.a_triplets, strict=True):
+        triplets = tuple(
+            _canonical_triplets(n_l, m, *triplet) for n_l, triplet in zip(dims, self.a_triplets, strict=True)
+        )
+        groups = _block_groups(dims, triplets, m)
+        a_sq = [np.zeros(m) for _ in groups]
+        for g, sq in zip(groups, a_sq):  # each row summed as scipy's own CSR row sums are
+            nonempty = np.flatnonzero(np.diff(g.indptr))
+            sq[nonempty] = np.add.reduceat(g.data * g.data, g.indptr[nonempty])
+        row_norms = np.sqrt(sum(a_sq))
+        row_norms.flags.writeable = False
+        fields = {"block_dims": dims, "a_triplets": triplets, "m": m, "groups": groups, "row_norms": row_norms}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the operator's arrays: its triplets and its groups."""
+        arrays = [a for triplet in self.a_triplets for a in triplet] + [self.row_norms]
+        for g in self.groups:
+            arrays += [g.indptr, g.indices, g.data, g.row_ptr, g.row_cols]
+        return sum(a.nbytes for a in arrays)
+
+
+@dataclass(frozen=True, eq=False)
+class SdpProblem:
+    """Objective and right-hand side of one solve over an :class:`SdpOperator`:
+    min sum_l <c_blocks[l], X_l> s.t. <A_i, X> = b_i.  The block sizes,
+    constraint triplets and their dense view ``a_stacks`` are the
+    operator's."""
+
+    operator: SdpOperator
+    c_blocks: tuple
+    b: np.ndarray
+
+    def __post_init__(self):
+        b = np.asarray(self.b, dtype=float)
+        if b.ndim != 1:
+            raise ValueError("b must be a vector")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b must be finite")
+        if b.size != self.operator.m:
+            raise ValueError("b must have one entry per constraint of the operator")
+        cs = []
+        for n_l, c in zip(self.operator.block_dims, self.c_blocks, strict=True):
             c = np.asarray(c, dtype=float)
             if c.shape != (n_l, n_l) or not np.all(np.isfinite(c)):
                 raise ValueError("objective blocks must be finite and match block_dims")
             if np.abs(c - c.T).max(initial=0.0) > 1e-12:
                 raise ValueError("objective blocks must be symmetric")
             cs.append(c)
-            triplets.append(_canonical_triplets(n_l, m, *triplet))
         object.__setattr__(self, "c_blocks", tuple(cs))
-        object.__setattr__(self, "a_triplets", tuple(triplets))
         object.__setattr__(self, "b", b)
+
+    @property
+    def block_dims(self) -> tuple:
+        return self.operator.block_dims
+
+    @property
+    def a_triplets(self) -> tuple:
+        return self.operator.a_triplets
 
     @property
     def a_stacks(self) -> tuple:
@@ -158,9 +208,15 @@ class SdpProblem:
         return self.b.size
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _canonical_triplets(n: int, m: int, rows, cells, values) -> tuple:
-    """An n x n block's constraint triplets in the form SdpProblem keeps;
-    ValueError unless they are in range, finite and symmetric."""
+    """An n x n block's constraint triplets in the form SdpOperator keeps,
+    read-only; ValueError unless they are in range, finite and symmetric."""
     rows, cells = (np.asarray(v).astype(np.int64, casting="same_kind") for v in (rows, cells))
     values = np.asarray(values, dtype=float)
     if not (rows.ndim == cells.ndim == values.ndim == 1 and rows.size == cells.size == values.size):
@@ -178,7 +234,7 @@ def _canonical_triplets(n: int, m: int, rows, cells, values) -> tuple:
     at = np.searchsorted(keys, mirror).clip(max=max(keys.size - 1, 0))
     if np.abs(sums - np.where(keys[at] == mirror, sums[at], 0.0)).max(initial=0.0) > 1e-12:
         raise ValueError("constraint blocks must be symmetric")
-    return rows, cells, sums
+    return _read_only(rows, cells, sums)
 
 
 @dataclass(frozen=True)
@@ -212,7 +268,9 @@ class _Group:
     CSC form of its transpose, for the adjoint.  ``row_ptr`` and
     ``row_cols`` index them as the CSR form of the operator viewed as
     (m*k*n_b, k*n_b): row (i, l, r) is row r of A_i^l in block l's columns,
-    so that these rows times the stacked S_l^{-1} give every A_i^l S_l^{-1}."""
+    so that these rows times the stacked S_l^{-1} give every A_i^l S_l^{-1}.
+    The arrays are read-only and shared by every solve over the operator;
+    a solve's mutable state is the workspace it passes to ``schur``."""
 
     blocks: tuple
     size: int
@@ -222,8 +280,19 @@ class _Group:
     data: np.ndarray
     row_ptr: np.ndarray
     row_cols: np.ndarray
-    per_chunk: int  # constraints per chunk of the Schur assembly
-    work: np.ndarray  # (2, largest chunk product), written by schur only
+
+    @property
+    def per_chunk(self) -> int:
+        """Constraints per chunk of the Schur assembly, at the current
+        ``SCHUR_CHUNK_BYTES``."""
+        m, cells = self.shape
+        return min(m, max(1, SCHUR_CHUNK_BYTES // (8 * cells)))
+
+    def workspace(self) -> np.ndarray:
+        """A Schur workspace for one solve: two rows, each the size of a
+        chunk's largest product at ``per_chunk`` constraints per chunk."""
+        m, cells = self.shape
+        return np.empty((2, self.per_chunk * max(cells, m)))
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """(<A_i, Z>)_i over the group's blocks, for Z given as its stack."""
@@ -233,21 +302,23 @@ class _Group:
         """sum_i v_i A_i on the group's blocks, as a stack."""
         return _matvec(csc_matvec, self.shape[::-1], self, v).reshape(-1, self.size, self.size)
 
-    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+    def schur(self, x: np.ndarray, s_inv: np.ndarray, work: np.ndarray) -> np.ndarray:
         """The group's term of the Schur complement: column j holds
         sum_l <A_i^l, X_l A_j^l S_l^{-1}> for every i, assembled a chunk of
-        constraints j at a time.  Every chunk-size product is written into
-        ``work``: A S^{-1} into its first row, X A S^{-1} into its second,
-        then the C-order transpose that the contraction reads into the first
-        and the contraction itself into the second."""
+        constraints j at a time, as many as ``work`` (from :meth:`workspace`)
+        was sized for.  Every chunk-size product is written into ``work``:
+        A S^{-1} into its first row, X A S^{-1} into its second, then the
+        C-order transpose that the contraction reads into the first and the
+        contraction itself into the second."""
         m, cells = self.shape
         k_n = cells // self.size
+        per_chunk = work.shape[1] // max(cells, m)
         s_stack = s_inv.reshape(-1, self.size)
-        a_s, x_a_s = self.work
+        a_s, x_a_s = work
         out = np.empty((m, m))
-        for start in range(0, m, self.per_chunk):
+        for start in range(0, m, per_chunk):
             # the chunk's rows: a slice of row_ptr, whose offsets stay absolute
-            rows = self.row_ptr[start * k_n : (start + self.per_chunk) * k_n + 1]
+            rows = self.row_ptr[start * k_n : (start + per_chunk) * k_n + 1]
             width = (rows.size - 1) // k_n
             u = _csr_times_dense(rows, self.row_cols, self.data, k_n, s_stack, a_s)
             t = np.matmul(x, u.reshape(width, *x.shape), out=x_a_s[: u.size].reshape(width, *x.shape))
@@ -284,16 +355,15 @@ def _matvec(kernel, shape: tuple, g: _Group, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_groups(problem: SdpProblem) -> list:
+def _block_groups(block_dims: tuple, a_triplets: tuple, m: int) -> tuple:
     """Group the blocks by size, in order of first appearance."""
     by_size: dict = {}
-    for l, n_l in enumerate(problem.block_dims):
+    for l, n_l in enumerate(block_dims):
         by_size.setdefault(n_l, []).append(l)
-    m = problem.num_constraints
     groups = []
     for nb, blocks in by_size.items():
         k = len(blocks)
-        parts = [(i, p * nb * nb + cell, v) for p, (i, cell, v) in enumerate(problem.a_triplets[l] for l in blocks)]
+        parts = [(i, p * nb * nb + cell, v) for p, (i, cell, v) in enumerate(a_triplets[l] for l in blocks)]
         rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
         order = np.argsort(rows, kind="stable")  # row-major: by constraint, then block, then cell
         rows, cols, vals = rows[order], cols[order], vals[order]
@@ -302,11 +372,9 @@ def _block_groups(problem: SdpProblem) -> list:
         # CSR row pointers: where each row's run of sorted row indices starts
         row_ptr = np.searchsorted((rows * k + block) * nb + r, np.arange(m * k * nb + 1))
         indptr, row_cols = np.searchsorted(rows, np.arange(m + 1)), block * nb + c
-        cells = k * nb * nb
-        per_chunk = min(m, max(1, SCHUR_CHUNK_BYTES // (8 * cells)))
-        work = np.empty((2, per_chunk * max(cells, m)))
-        groups.append(_Group(tuple(blocks), nb, (m, cells), indptr, cols, vals, row_ptr, row_cols, per_chunk, work))
-    return groups
+        arrays = _read_only(indptr, cols, vals, row_ptr, row_cols)
+        groups.append(_Group(tuple(blocks), nb, (m, k * nb * nb), *arrays))
+    return tuple(groups)
 
 
 def _sym(z: np.ndarray) -> np.ndarray:
@@ -330,6 +398,22 @@ def _apply(groups, mats) -> np.ndarray:
     for i in range(1, len(groups)):
         out += groups[i].apply(mats[i])
     return out
+
+
+def _residuals(groups, c, b, norm_b: float, norm_c: float, x, y, s):
+    """The dual residual matrices, both objectives and the relative
+    primal, dual and gap residuals of an iterate, for the per-group objective
+    stacks ``c``, right-hand side ``b`` and their norms."""
+    rp = b - _apply(groups, x)
+    rd = []
+    for g, cg, sg in zip(groups, c, s):
+        rd.append(cg - sg - g.adjoint(y))
+    pobj = _inner(c, x)
+    dobj = float(b @ y)
+    primal = math.sqrt(float(rp @ rp)) / (1.0 + norm_b)
+    dual = math.sqrt(_inner(rd, rd)) / (1.0 + norm_c)
+    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    return rd, pobj, dobj, primal, dual, gap
 
 
 def _cholesky(mat: np.ndarray):
@@ -468,22 +552,22 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
     central path (X S = tau_p I) at which only the primal residual is left.
     It is optimal at relative duality gap ``gap_tol`` and relative primal
     and dual residuals ``FEAS_TOL``.  ValueError when ``y_start`` is not a
-    finite m-vector or a block of that S (or X) is not Cholesky-positive."""
+    finite m-vector or a block of that S (or X) is not Cholesky-positive.
+    The objectives and residuals reported are those of the returned
+    iterate: the last one the loop evaluated, or, when a stall or an
+    improving ray replaced it, an evaluation of the replacement."""
     n = problem.total_dim
     if n > DIM_GUARD:
         raise SizeGuardError(f"total dimension {n} exceeds guard {DIM_GUARD}")
     m = problem.num_constraints
-    groups = _block_groups(problem)
+    groups = problem.operator.groups
     c = [np.stack([problem.c_blocks[l] for l in g.blocks]) for g in groups]
     b = problem.b.copy()
+    works = [g.workspace() for g in groups]
 
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.sqrt(_inner(c, c)))
-    a_sq = [np.zeros(m) for _ in groups]
-    for g, sq in zip(groups, a_sq):  # each row summed as scipy's own CSR row sums are
-        nonempty = np.flatnonzero(np.diff(g.indptr))
-        sq[nonempty] = np.add.reduceat(g.data * g.data, g.indptr[nonempty])
-    a_norms = np.sqrt(sum(a_sq))
+    a_norms = problem.operator.row_norms
     tau_p = max(1.0, np.sqrt(n), n * float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms))))
     tau_d = max(1.0, np.sqrt(n), norm_c, float(a_norms.max()))
     init_scale = max(tau_p, tau_d)
@@ -506,20 +590,6 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
         if inv_x is None:
             raise ValueError("y_start is not strictly dual feasible: C - A^T y_start does not factor")
 
-    def residuals(x, y, s):
-        """The dual residual matrices, both objectives and the relative
-        primal, dual and gap residuals of an iterate."""
-        rp = b - _apply(groups, x)
-        rd = []
-        for g, cg, sg in zip(groups, c, s):
-            rd.append(cg - sg - g.adjoint(y))
-        pobj = _inner(c, x)
-        dobj = float(b @ y)
-        primal = math.sqrt(float(rp @ rp)) / (1.0 + norm_b)
-        dual = math.sqrt(_inner(rd, rd)) / (1.0 + norm_c)
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rd, pobj, dobj, primal, dual, gap
-
     trace: list = []
     status = SdpStatus.NUMERICAL_TROUBLE
     message = f"no convergence within {MAX_ITERS} iterations"
@@ -528,10 +598,11 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
     best_iterate = (x, y, s)  # iterates are replaced, never written in place
     stalled_since = 0
     ray_bound = RAY_THRESHOLD * (1.0 + float(init_scale))
+    moved = False  # whether an exit replaced the last evaluated iterate
 
     for it in range(MAX_ITERS + 1):
         iterations = it
-        rd, pobj, dobj, primal, dual, gap = residuals(x, y, s)
+        rd, pobj, dobj, primal, dual, gap = _residuals(groups, c, b, norm_b, norm_c, x, y, s)
         mu = _inner(x, s) / n
         trace.append(
             {
@@ -563,6 +634,7 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
             stalled_since += 1
             if stalled_since >= 30:
                 x, y, s = best_iterate
+                moved = True
                 message = "progress stalled"
                 break
 
@@ -577,6 +649,7 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
                 message = "dual improving ray found"
                 y = ray
                 s = s_ray
+                moved = True
             else:
                 message = "diverging dual iterates"
             break
@@ -590,6 +663,7 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
                 status = SdpStatus.DUAL_INFEASIBLE
                 message = "primal improving ray found"
                 x = ray
+                moved = True
             else:
                 message = "diverging primal iterates"
             break
@@ -606,9 +680,9 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
             x_rd_sinv.append(xg @ rg @ sg)
 
         # Schur complement M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}>
-        schur = groups[0].schur(x[0], s_inv[0])
+        schur = groups[0].schur(x[0], s_inv[0], works[0])
         for i in range(1, len(groups)):
-            schur += groups[i].schur(x[i], s_inv[i])
+            schur += groups[i].schur(x[i], s_inv[i], works[i])
         sym = schur + schur.T
         sym *= 0.5
         chol_m = _chol_with_jitter(sym)
@@ -655,7 +729,8 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
         s, inv_s, alpha_d = s_new
         y = y + alpha_d * dy
 
-    _, pobj, dobj, primal, dual, gap = residuals(x, y, s)
+    if moved:
+        _, pobj, dobj, primal, dual, gap = _residuals(groups, c, b, norm_b, norm_c, x, y, s)
     x_blocks, s_blocks = [None] * len(problem.block_dims), [None] * len(problem.block_dims)
     for g, xg, sg in zip(groups, x, s):
         for p, l in enumerate(g.blocks):

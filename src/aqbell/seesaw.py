@@ -6,8 +6,9 @@ Each sweep minimizes exactly over one block with the others fixed: p over
 the almost-quantum set, then the U generators over pairs of nonnegativity
 cones (each generator and its complement), then V likewise.  Every step is
 one SDP, so per-sweep values never increase once past the first sweep.
-Every step's SDP is posed by :func:`aqset.indicator_problem` and solved by
-:func:`aqset.solve_indicator` at the solver's default tolerances
+Every step's SDP is posed by :func:`aqset.indicator_problem`, which builds
+each step's constraint operator once and hands it to every later sweep, and
+solved by :func:`aqset.solve_indicator` at the solver's default tolerances
 (``sdp.GAP_TOL``, ``sdp.FEAS_TOL``); ``aqset`` alone decides from that data
 whether to solve it over a party swap's symmetric and antisymmetric blocks.
 """

@@ -3,7 +3,7 @@ import pytest
 
 from aqbell import aq_extremize, make_scenario, sdp
 from aqbell.nbf import reference_composed_functional, reference_family, reference_functionals
-from aqbell.sdp import SdpProblem
+from aqbell.sdp import SdpOperator, SdpProblem
 
 TIGHT = 1e-10  # gap and feasibility tolerance of the closed-form solves
 
@@ -17,10 +17,16 @@ def solve_tight(problem):
 
 def triplets(stack):
     """The (rows, cells, values) of a dense (m, n, n) constraint stack's
-    nonzeros, the constraint form SdpProblem takes."""
+    nonzeros, the constraint form SdpOperator takes."""
     flat = np.asarray(stack, dtype=float).reshape(len(stack), -1)
     rows, cells = np.nonzero(flat)
     return rows, cells, flat[rows, cells]
+
+
+def sdp_problem(block_dims, c_blocks, a_triplets, b):
+    """The problem over a new operator of the given blocks and triplets,
+    with one constraint per entry of b."""
+    return SdpProblem(SdpOperator(block_dims, a_triplets, len(b)), c_blocks, b)
 
 
 # five problems with closed-form answers
@@ -30,11 +36,11 @@ def boundary_problem():
     # min x s.t. [[x, 1], [1, x]] >= 0, posed in standard form
     a_offdiag = np.array([[0.0, 0.5], [0.5, 0.0]])
     a_equal = np.diag([1.0, -1.0])
-    return SdpProblem((2,), (np.diag([1.0, 0.0]),), (triplets([a_offdiag, a_equal]),), np.array([1.0, 0.0]))
+    return sdp_problem((2,), (np.diag([1.0, 0.0]),), (triplets([a_offdiag, a_equal]),), np.array([1.0, 0.0]))
 
 
 def trace_problem():
-    return SdpProblem((2,), (np.eye(2),), (triplets([np.diag([1.0, 0.0])]),), np.array([3.0]))
+    return sdp_problem((2,), (np.eye(2),), (triplets([np.diag([1.0, 0.0])]),), np.array([3.0]))
 
 
 def lambda_max_problem():
@@ -43,15 +49,15 @@ def lambda_max_problem():
     rng = np.random.default_rng(11)
     mat = rng.normal(size=(3, 3))
     mat = 0.5 * (mat + mat.T)
-    return SdpProblem((3,), (-mat,), (triplets([np.eye(3)]),), np.array([1.0])), mat
+    return sdp_problem((3,), (-mat,), (triplets([np.eye(3)]),), np.array([1.0])), mat
 
 
 def primal_infeasible_problem():
-    return SdpProblem((2,), (np.zeros((2, 2)),), (triplets([np.diag([1.0, 0.0])]),), np.array([-1.0]))
+    return sdp_problem((2,), (np.zeros((2, 2)),), (triplets([np.diag([1.0, 0.0])]),), np.array([-1.0]))
 
 
 def dual_infeasible_problem():
-    return SdpProblem((2,), (np.diag([-1.0, 0.0]),), (triplets([np.diag([0.0, 1.0])]),), np.array([1.0]))
+    return sdp_problem((2,), (np.diag([-1.0, 0.0]),), (triplets([np.diag([0.0, 1.0])]),), np.array([1.0]))
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from aqbell.aqset import (
     strictly_feasible_point,
 )
 from aqbell.errors import ScenarioMismatchError, SizeGuardError
-from aqbell.nbf import certificate_residual
+from aqbell.nbf import certificate_residual, random_wiring
 from aqbell.oracles import deterministic_range, normalized_chsh
 from aqbell.seesaw import _cone_pair_problem
 from aqbell.scenario import (
@@ -30,8 +32,8 @@ from aqbell.scenario import (
     to_collins_gisin,
     unit_functional,
 )
-from aqbell.sdp import SdpProblem, SdpStatus, check_certificate, solve
-from conftest import triplets
+from aqbell.sdp import SdpStatus, check_certificate, solve
+from conftest import sdp_problem, triplets
 
 TSIRELSON = (4.0 + 2.0 * np.sqrt(2.0)) / 8.0
 
@@ -315,7 +317,7 @@ def unreduced_problem(structure, target):
     b[structure.monomial_class[1:] - 1] = target[1:]
     c = np.zeros((n, n))
     c[0, 0] = 1.0
-    return SdpProblem((n,), (c,), (triplets(stack),), b)
+    return sdp_problem((n,), (c,), (triplets(stack),), b)
 
 
 def assert_matches_unreduced_solve(f, sense, ext, parties):
@@ -555,3 +557,103 @@ def test_central_start_saves_iterations(case, composed_w):
     # the two optima agree to the solver's relative gap tolerance
     v, w = warm.primal_objective, cold.primal_objective
     assert abs(v - w) <= 1e-8 * (1.0 + abs(v) + abs(w))
+
+
+def seed_one_verify_functionals(count):
+    """The first ``count`` functionals of the seed-1 verify batch: random
+    wirings plus uniform noise of 0.05 on every Collins-Gisin coefficient,
+    cycling through (2,2,2), (2,3,2) and (3,2,2) (n = 9, 16, 27)."""
+    rng = np.random.default_rng(1)
+    scenarios = [make_scenario(*spec) for spec in ((2, 2, 2), (2, 3, 2), (3, 2, 2))]
+    functionals = []
+    for i in range(count):
+        wiring = random_wiring(rng, scenarios[i % len(scenarios)])
+        noise = rng.uniform(-0.05, 0.05, wiring.coeffs.shape)
+        functionals.append(BellFunctional(wiring.scenario, wiring.coeffs + noise))
+    return functionals
+
+
+def clear_operator_cache():
+    aqset._indicator_operator.cache_clear()
+    aqset._extremize_start.cache_clear()
+
+
+def test_min_and_max_share_one_operator(composed_w, rng):
+    restricted, _ = restrict_to_touched(composed_w)
+    cases = [restricted] + seed_one_verify_functionals(3)
+    for f in cases:
+        st = build_moment_structure(f.scenario)
+        lower, upper = (compile_extremize(st, f, sense) for sense in ("min", "max"))
+        assert upper.problem.operator is lower.problem.operator
+        assert upper.reduction is lower.reduction and upper.y_start is lower.y_start
+        assert np.array_equal(upper.problem.b, -lower.problem.b)
+    # and every see-saw step over one structure shares one too
+    st = build_moment_structure(make_scenario(2, 3, 2))
+    first, _ = _cone_pair_problem(st, rng.uniform(-1, 1, (2, st.size)))
+    second, _ = _cone_pair_problem(st, rng.uniform(-1, 1, (2, st.size)))
+    assert second.operator is first.operator
+
+
+def test_reduced_and_unreduced_problems_do_not_share_an_operator(composed_w, rng):
+    restricted, _ = restrict_to_touched(composed_w)
+    st = build_moment_structure(restricted.scenario)
+    perm = swap_permutation(st.scenario, 0, 1)
+    moved = np.flatnonzero((perm != np.arange(st.size)) & (restricted.coeffs != 0.0))[0]
+    coeffs = restricted.coeffs.copy()
+    coeffs[moved] += 1e-9
+    reduced = compile_extremize(st, restricted, "min")
+    unreduced = compile_extremize(st, BellFunctional(st.scenario, coeffs), "min")
+    assert reduced.reduction is not None and unreduced.reduction is None
+    assert unreduced.problem.operator is not reduced.problem.operator
+    assert unreduced.problem.block_dims == (48,) and reduced.problem.block_dims == (30, 18)
+    assert len(unreduced.y_start) == 273 and len(reduced.y_start) == 156
+
+    st, c_blocks, class_rows, b = swap_invariant_two_block_data(rng)
+    image = party_swap(st, (0, 1)).image
+    b_off = b.copy()
+    b_off[np.flatnonzero(image[1:] != np.arange(1, len(b) + 1))[0]] += 1e-9
+    (reduced, with_swap), (unreduced, without) = (indicator_problem(st, c_blocks, class_rows, v) for v in (b, b_off))
+    assert with_swap is not None and without is None
+    assert unreduced.operator is not reduced.operator
+    assert indicator_problem(st, c_blocks, class_rows, b_off)[0].operator is unreduced.operator
+
+
+def test_operator_cache_keeps_every_bit():
+    # twelve seed-1 verify functionals over the three verify structures
+    functionals = seed_one_verify_functionals(12)
+
+    def extrema(fs):
+        out = {}
+        for f in fs:
+            for sense in ("min", "max"):
+                ext = aq_extremize(f, sense)
+                out[id(f), sense] = (ext.value.hex(), ext.solution.y.tobytes())
+        return out
+
+    cold = {}
+    for f in functionals:  # each functional's two solves on an empty cache
+        clear_operator_cache()
+        cold.update(extrema([f]))
+    clear_operator_cache()
+    warmed = extrema(functionals[::-1])
+    assert aqset._indicator_operator.cache_info().currsize == 3  # one operator per structure
+    assert extrema(functionals) == warmed == cold
+
+
+@pytest.mark.parametrize("case", ["headline", "verify"])
+def test_cache_hit_compile_allocates_less_than_its_operator(case, composed_w):
+    if case == "headline":
+        f, _ = restrict_to_touched(composed_w)
+    else:
+        (f,) = seed_one_verify_functionals(3)[2:]  # n = 27, m = 75
+    st = build_moment_structure(f.scenario)
+    operator = compile_extremize(st, f, "min").problem.operator
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        compiled = compile_extremize(st, f, "max")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert compiled.problem.operator is operator
+    assert peak < operator.nbytes

@@ -21,16 +21,42 @@ from conftest import (
     dual_infeasible_problem,
     lambda_max_problem,
     primal_infeasible_problem,
+    sdp_problem,
     solve_tight,
     trace_problem,
     triplets,
 )
 
 
+def fresh_residuals(problem, sol):
+    """The solver's residual evaluation run afresh on the iterate ``sol``
+    returns: both objectives and the primal, dual and gap residuals, each
+    as ``float.hex`` so that NaN compares equal to NaN."""
+    groups = problem.operator.groups
+
+    def stacks(blocks):
+        return [np.stack([blocks[l] for l in g.blocks]) for g in groups]
+
+    c = stacks(problem.c_blocks)
+    norm_b, norm_c = float(np.linalg.norm(problem.b)), float(np.sqrt(sdp._inner(c, c)))
+    args = (stacks(sol.x_blocks), sol.y, stacks(sol.s_blocks))
+    _, pobj, dobj, primal, dual, gap = sdp._residuals(groups, c, problem.b, norm_b, norm_c, *args)
+    return tuple(float(v).hex() for v in (pobj, dobj, primal, dual, gap))
+
+
+def assert_reports_its_iterate(problem, sol):
+    """The objectives and residuals a solve reports are those of the
+    iterate it returns, bit for bit, whichever exit it took."""
+    reported = (sol.primal_objective, sol.dual_objective, *dataclasses.astuple(sol.residuals))
+    assert tuple(float(v).hex() for v in reported) == fresh_residuals(problem, sol)
+
+
 def test_boundary_psd_instance():
-    sol = solve_tight(boundary_problem())
+    problem = boundary_problem()
+    sol = solve_tight(problem)
     assert sol.status == SdpStatus.OPTIMAL
     assert abs(sol.primal_objective - 1.0) < 1e-8
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_trace_constrained_instance():
@@ -47,13 +73,20 @@ def test_lambda_max_against_eigensolver():
 
 
 def test_primal_infeasible_classification():
-    sol = solve(primal_infeasible_problem())
+    problem = primal_infeasible_problem()
+    sol = solve(problem)
     assert sol.status == SdpStatus.PRIMAL_INFEASIBLE
+    # the returned iterate is the ray, not the last evaluated iterate
+    assert float(np.abs(sol.y).max()) == 1.0
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_dual_infeasible_classification():
-    sol = solve(dual_infeasible_problem())
+    problem = dual_infeasible_problem()
+    sol = solve(problem)
     assert sol.status == SdpStatus.DUAL_INFEASIBLE
+    assert float(np.abs(sol.x_blocks[0]).max()) == 1.0  # the ray
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_certificate_check_passes():
@@ -111,9 +144,7 @@ def test_scaling_homogeneity(alpha):
     problem = trace_problem()
     base = solve_tight(problem)
 
-    scaled_c = SdpProblem(
-        problem.block_dims, (alpha * problem.c_blocks[0],), problem.a_triplets, problem.b
-    )
+    scaled_c = SdpProblem(problem.operator, (alpha * problem.c_blocks[0],), problem.b)
     sol_c = solve_tight(scaled_c)
     assert abs(sol_c.primal_objective - alpha * base.primal_objective) <= 1e-8 * abs(
         alpha * base.primal_objective
@@ -122,7 +153,7 @@ def test_scaling_homogeneity(alpha):
         alpha * base.dual_objective
     ) + 1e-10
 
-    scaled_b = SdpProblem(problem.block_dims, problem.c_blocks, problem.a_triplets, alpha * problem.b)
+    scaled_b = SdpProblem(problem.operator, problem.c_blocks, alpha * problem.b)
     sol_b = solve_tight(scaled_b)
     assert abs(sol_b.primal_objective - alpha * base.primal_objective) <= 1e-8 * abs(
         alpha * base.primal_objective
@@ -138,7 +169,7 @@ def multiblock_problem():
         np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))]),
         np.stack([np.zeros((2, 2)), np.diag([0.0, 1.0])]),
     )
-    return SdpProblem((2, 2), (np.eye(2), np.eye(2)), tuple(map(triplets, stacks)), np.array([2.0, 0.5]))
+    return sdp_problem((2, 2), (np.eye(2), np.eye(2)), tuple(map(triplets, stacks)), np.array([2.0, 0.5]))
 
 
 def test_multiblock_solve():
@@ -172,10 +203,12 @@ def test_non_finite_iterate_is_numerical_trouble(monkeypatch):
         return out
 
     monkeypatch.setattr(sdp, "_backtrack_psd", poisoned)
-    sol = solve_tight(multiblock_problem())
+    problem = multiblock_problem()
+    sol = solve_tight(problem)
     assert len(calls) == 4  # the dual step of that iteration, then the check stops it
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "non-finite iterate"
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_non_finite_direction_is_numerical_trouble(monkeypatch):
@@ -193,13 +226,15 @@ def test_non_finite_direction_is_numerical_trouble(monkeypatch):
         return out
 
     monkeypatch.setattr(sdp, "dpotrs", poisoned)
-    sol = solve_tight(multiblock_problem())
+    problem = multiblock_problem()
+    sol = solve_tight(problem)
     assert len(calls) == 3
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "non-finite search direction"
     assert sol.iterations == 1
     for block in sol.x_blocks + sol.s_blocks:
         assert np.all(np.isfinite(block))
+    assert_reports_its_iterate(problem, sol)
 
 
 def _failing_inverse_factors(monkeypatch, fails):
@@ -240,11 +275,13 @@ def test_backtracking_halves_a_step_that_does_not_factor(monkeypatch):
 def test_backtracking_failure_is_numerical_trouble(monkeypatch):
     # no candidate after the start factors: every halving is refused
     calls = _failing_inverse_factors(monkeypatch, lambda call: call > 2)
-    sol = solve_tight(multiblock_problem())
+    problem = multiblock_problem()
+    sol = solve_tight(problem)
     assert len(calls) == 2 + 40 + 40  # the start, then the primal and dual steps' 40 tries each
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "step backtracking failed"
     assert sol.iterations == 0
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_schur_factorization_failure_is_numerical_trouble(monkeypatch):
@@ -260,20 +297,24 @@ def test_schur_factorization_failure_is_numerical_trouble(monkeypatch):
         return original(mat)
 
     monkeypatch.setattr(sdp, "_cholesky", patched)
-    sol = solve_tight(trace_problem())
+    problem = trace_problem()
+    sol = solve_tight(problem)
     assert len(refused) == 4
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "Schur complement factorization failed"
     assert sol.iterations == 0
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_stalled_progress_returns_the_best_iterate(monkeypatch):
     # steps too short to cut the worst residual by 2% in 30 iterations: the
     # start stays the best iterate, and it is what the solve returns
     monkeypatch.setattr(sdp, "STEP_FRACTION", 1e-9)
-    sol = solve_tight(boundary_problem())
+    problem = boundary_problem()
+    sol = solve_tight(problem)
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "progress stalled"
+    assert_reports_its_iterate(problem, sol)
     assert sol.iterations == 30
     start = sol.trace[0]
     assert (sol.residuals.primal, sol.residuals.dual, sol.residuals.gap) == (
@@ -291,22 +332,26 @@ def test_diverging_dual_iterates_are_numerical_trouble(monkeypatch):
     # y / |y| raises b.y but leaves C - A^T y indefinite, so it is no
     # certificate of primal infeasibility
     monkeypatch.setattr(sdp, "RAY_THRESHOLD", 0.0)
-    sol = solve(trace_problem(), y_start=np.array([0.5]))
+    problem = trace_problem()
+    sol = solve(problem, y_start=np.array([0.5]))
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "diverging dual iterates"
     assert sol.iterations == 0
     assert sol.y.tolist() == [0.5]
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_diverging_primal_iterates_are_numerical_trouble(monkeypatch):
     # the default start X = tau_p I crosses a zero threshold; its ray I is
     # not in the null space of A, so it is no certificate of dual infeasibility
     monkeypatch.setattr(sdp, "RAY_THRESHOLD", 0.0)
-    sol = solve(trace_problem())
+    problem = trace_problem()
+    sol = solve(problem)
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "diverging primal iterates"
     assert sol.iterations == 0
     assert np.array_equal(sol.x_blocks[0], sol.x_blocks[0][0, 0] * np.eye(2))
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_solve_calls_no_numpy_eigensolver_or_cholesky(monkeypatch):
@@ -349,7 +394,7 @@ def random_feasible_problem(block_dims, m, seed):
     y0 = rng.normal(size=m)
     b = np.array([sum(np.sum(stack[i] * x) for stack, x in zip(stacks, x0)) for i in range(m)])
     c_blocks = tuple(s + np.einsum("i,ijk->jk", y0, stack) for s, stack in zip(s0, stacks))
-    return SdpProblem(tuple(block_dims), c_blocks, tuple(map(triplets, stacks)), b)
+    return sdp_problem(tuple(block_dims), c_blocks, tuple(map(triplets, stacks)), b)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -377,7 +422,7 @@ def test_block_order_does_not_matter():
     # the blocks reorders the groups and the blocks within a group
     problem = random_feasible_problem((3, 1, 3, 2), 8, seed=7)
     perm = (3, 2, 1, 0)
-    permuted = SdpProblem(
+    permuted = sdp_problem(
         tuple(problem.block_dims[l] for l in perm),
         tuple(problem.c_blocks[l] for l in perm),
         tuple(problem.a_triplets[l] for l in perm),
@@ -451,22 +496,23 @@ def _public_schur(group, x, s_inv):
 
 @pytest.mark.parametrize("chunk_bytes", [sdp.SCHUR_CHUNK_BYTES, 1])
 def test_schur_workspace_matches_public_products(monkeypatch, chunk_bytes):
-    # schur writes into a reused workspace through scipy's private CSR
-    # kernel; a scipy release that changed that kernel would show up here
+    # schur writes into a solve's reused workspace through scipy's private
+    # CSR kernel; a scipy release that changed that kernel would show up here
     monkeypatch.setattr(sdp, "SCHUR_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(5)
     problems = [random_feasible_problem((3, 1, 3, 2), m, seed) for seed, m in ((1, 8), (2, 13), (3, 20))]
     problems.append(asymmetric_tripartite_problem())
     for problem in problems:
-        for group in sdp._block_groups(problem):
+        for group in problem.operator.groups:
             k = len(group.blocks)
+            work = group.workspace()  # one per solve, reused by every iteration
             # the solver's first X is a broadcast identity; later ones are dense
             start = np.broadcast_to(2.0 * np.eye(group.size), (k, group.size, group.size))
             for x in (start, _stack_of_psd(rng, k, group.size), _stack_of_psd(rng, k, group.size)):
                 s_inv = _stack_of_psd(rng, k, group.size)
-                assert np.array_equal(group.schur(x, s_inv), _public_schur(group, x, s_inv))
+                assert np.array_equal(group.schur(x, s_inv, work), _public_schur(group, x, s_inv))
     if chunk_bytes > 1:  # the default: many chunks, each of many constraints
-        (group,) = sdp._block_groups(problems[-1])
+        (group,) = problems[-1].operator.groups
         assert -(-group.shape[0] // group.per_chunk) == 34
 
 
@@ -479,7 +525,7 @@ def test_group_products_match_public_products():
     problems.append(asymmetric_tripartite_problem())
     for problem in problems:
         m = problem.num_constraints
-        for group in sdp._block_groups(problem):
+        for group in problem.operator.groups:
             k, n = len(group.blocks), group.size
             op, rows = _public_operators(group)
             # the arrays hold the problem's constraints, in both views
@@ -501,7 +547,7 @@ def test_singular_schur_complement_solves_with_jitter(monkeypatch):
     # Cholesky fails on most iterations; the factorization then retries
     # with a diagonal shift instead of ending the solve
     c, a = np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4)
-    single = solve(SdpProblem((4,), (c,), (triplets([a]),), np.array([1.0])))
+    single = solve(sdp_problem((4,), (c,), (triplets([a]),), np.array([1.0])))
     failed = []
     cholesky = sdp._cholesky
 
@@ -512,7 +558,7 @@ def test_singular_schur_complement_solves_with_jitter(monkeypatch):
         return chol
 
     monkeypatch.setattr(sdp, "_cholesky", counting)
-    repeated = solve(SdpProblem((4,), (c,), (triplets([a, a]),), np.array([1.0, 1.0])))
+    repeated = solve(sdp_problem((4,), (c,), (triplets([a, a]),), np.array([1.0, 1.0])))
     assert repeated.status == SdpStatus.OPTIMAL, repeated.message
     assert any(failed)
     assert abs(repeated.primal_objective - single.primal_objective) <= 1e-12
@@ -572,19 +618,39 @@ def test_schur_allocates_no_chunk_arrays():
     problem = aqset.compile_extremize(structure, functional, "min").problem
     m = problem.num_constraints
     assert (problem.block_dims, m) == ((27,), 75)
-    (group,) = sdp._block_groups(problem)
+    (group,) = problem.operator.groups
+    work = group.workspace()
     x, s_inv = _stack_of_psd(rng, 1, 27), _stack_of_psd(rng, 1, 27)
-    group.schur(x, s_inv)
+    group.schur(x, s_inv, work)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        group.schur(x, s_inv)
+        group.schur(x, s_inv, work)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the returned m x m matrix and small temporaries, not the 437 KB chunk
     # products that the allocating assembly made three of
     assert peak <= 3 * m * m * 8
+
+
+def test_operator_arrays_are_read_only():
+    # an operator is shared by every problem that poses its constraints, so
+    # none of its arrays can be written through a problem or a solve
+    problems = [random_feasible_problem((3, 1, 3, 2), 8, seed=1), asymmetric_tripartite_problem()]
+    for problem in problems:
+        operator = problem.operator
+        arrays = [a for triplet in operator.a_triplets for a in triplet] + [operator.row_norms]
+        for group in operator.groups:
+            arrays += [group.indptr, group.indices, group.data, group.row_ptr, group.row_cols]
+        assert operator.nbytes == sum(a.nbytes for a in arrays)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        # a solve leaves them as they were
+        before = [a.copy() for a in arrays]
+        solve(problem)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before, strict=True))
 
 
 def test_dimension_guard(monkeypatch):
@@ -596,27 +662,34 @@ def test_dimension_guard(monkeypatch):
 
 def test_iteration_limit_reports_trouble(monkeypatch):
     monkeypatch.setattr(sdp, "MAX_ITERS", 1)
-    sol = solve(boundary_problem())
+    problem = boundary_problem()
+    sol = solve(problem)
     assert sol.status == SdpStatus.NUMERICAL_TROUBLE
     assert sol.message == "no convergence within 1 iterations"
     assert sol.iterations == 1
+    assert_reports_its_iterate(problem, sol)
 
 
 def test_problem_validation():
     zero = triplets(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.array([[0.0, 1.0], [0.0, 0.0]]),), (zero,), np.array([1.0]))
+        sdp_problem((2,), (np.array([[0.0, 1.0], [0.0, 0.0]]),), (zero,), np.array([1.0]))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.zeros((2, 2)),), (zero,), np.array([np.inf]))
+        sdp_problem((2,), (np.zeros((2, 2)),), (zero,), np.array([np.inf]))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.zeros((2, 2)),), (triplets(np.full((1, 2, 2), np.nan)),), np.array([1.0]))
+        sdp_problem((2,), (np.zeros((2, 2)),), (triplets(np.full((1, 2, 2), np.nan)),), np.array([1.0]))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.diag([np.nan, 0.0]),), (zero,), np.array([1.0]))
+        sdp_problem((2,), (np.diag([np.nan, 0.0]),), (zero,), np.array([1.0]))
     with pytest.raises(ValueError):
-        SdpProblem((2,), (np.zeros((2, 2)),), (zero,), np.array([]))
+        sdp_problem((2,), (np.zeros((2, 2)),), (zero,), np.array([]))
+    operator = sdp_problem((2,), (np.zeros((2, 2)),), (zero,), np.array([1.0])).operator
+    with pytest.raises(ValueError):  # one entry of b per constraint of the operator
+        SdpProblem(operator, (np.zeros((2, 2)),), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):  # one objective block per operator block
+        SdpProblem(operator, (np.zeros((2, 2)),) * 2, np.array([1.0]))
 
     def build(rows, cells, values):
-        return SdpProblem((2,), (np.eye(2),), ((np.array(rows), np.array(cells), np.array(values)),), np.ones(2))
+        return sdp_problem((2,), (np.eye(2),), ((np.array(rows), np.array(cells), np.array(values)),), np.ones(2))
 
     # unsorted, with repeats: cells 1 and 2 of row 0 mirror each other only
     # once summed, and cell 0 of row 1 sums to an exact zero
