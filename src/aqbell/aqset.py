@@ -25,8 +25,10 @@ Z is block-diagonal in that basis, and the class sums of a word and of its
 swapped image agree, so a constraint and its swapped image merge into one.
 :func:`indicator_problem` poses every problem built from class-indicator
 rows this way when its data allow it (the extremization here and the
-see-saw's cone-pair steps), and :func:`solve_indicator`, the one solve of
-such a problem, maps the solution back into the unreduced problem.
+see-saw's cone-pair steps) and otherwise with its data as given, and
+:func:`solve_indicator`, the one solve of such a problem, maps a reduced
+solution back through its :class:`SwapReduction`.  Every array that a cache
+here keeps for the life of the process is read-only.
 """
 from __future__ import annotations
 
@@ -56,7 +58,8 @@ class MomentStructure:
     scenario: Scenario
     classes: tuple  # canonical words (party-sorted letter tuples), identity () first
     # (N, N) class index per cell, -1 on orthogonal cells: the one stored form
-    # of the partition, read through class_sums, scatter and indicator_problem
+    # of the partition, read through class_sums, scatter and indicator_problem;
+    # it and monomial_class are read-only
     cell_class: np.ndarray
     monomial_class: np.ndarray  # (N,) class index of each basis monomial
 
@@ -89,6 +92,7 @@ def build_moment_structure(scenario: Scenario) -> MomentStructure:
         if word in index:
             assert monomial_class[index[word]] == idx
 
+    cell_class.flags.writeable = monomial_class.flags.writeable = False
     return MomentStructure(
         scenario=scenario, classes=classes, cell_class=cell_class, monomial_class=monomial_class
     )
@@ -137,7 +141,8 @@ class PartySwap:
     that the orthonormal basis U = W diag(1/|w_c|) acts as
     U^T A U = scale * (W^T A W) and U Y U^T = W (scale * Y) W^T.  Every
     entry of W^T A W is a sum of at most four signed entries of A, so
-    blocks of 0/1 and 1/2 entries keep exact zeros.
+    blocks of 0/1 and 1/2 entries keep exact zeros.  Every array is
+    read-only.
     """
 
     parties: tuple
@@ -172,6 +177,8 @@ def party_swap(structure: MomentStructure, parties: tuple) -> PartySwap:
         w[cols, np.arange(len(cols))] = 1.0
         norm2 = (w != 0).sum(axis=0)
         blocks.append((w, 1.0 / np.sqrt(np.outer(norm2, norm2))))
+    for a in (perm, image, *(a for basis in blocks for a in basis)):
+        a.flags.writeable = False
     return PartySwap(parties, perm, image, tuple(blocks))
 
 
@@ -240,29 +247,14 @@ def objective_matrix(structure: MomentStructure, coeffs: np.ndarray) -> np.ndarr
 @dataclass(frozen=True, eq=False)
 class SwapReduction:
     """How :func:`indicator_problem` posed a problem over a party swap's
-    blocks: unreduced constraint r became row ``row[r]``, the average of the
-    ``size[row[r]]`` constraints merged into it, and unreduced block l became
-    blocks 2l (symmetric) and 2l + 1 (antisymmetric)."""
+    blocks: unreduced constraint q became row ``row[q]``, the average of the
+    ``size[row[q]]`` constraints merged into it, and unreduced block l became
+    blocks 2l (symmetric) and 2l + 1 (antisymmetric) over the (W, scale)
+    bases of ``swap.blocks``.  Every array is read-only."""
 
     swap: PartySwap
     row: np.ndarray
     size: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class _IndicatorOperator:
-    """What :func:`indicator_problem` builds once per structure, class rows
-    and swap: the constraint operator; ``bases``, the (W, scale) pair of
-    each block that one unreduced block becomes; the merged row ``row[q]``
-    of each unreduced constraint q and the number ``size[r]`` of
-    constraints merged into row r; and the :class:`SwapReduction`, or None.
-    Every array is read-only."""
-
-    operator: SdpOperator
-    bases: tuple
-    row: np.ndarray
-    size: np.ndarray
-    reduction: SwapReduction | None
 
 
 def indicator_problem(
@@ -277,38 +269,38 @@ def indicator_problem(
     optimum may be taken swap-invariant, so each constraint and its image
     merge into one row (the two averaged) and every block is projected onto
     the swap's symmetric and antisymmetric blocks.  Returns the problem and
-    its :class:`SwapReduction`, or the unreduced problem and None; either
-    way :func:`solve_indicator` solves it.
+    its :class:`SwapReduction`, or the unreduced problem, posed with
+    ``c_blocks`` and ``b`` as given, and None; either way
+    :func:`solve_indicator` solves it.
 
     The constraints depend only on the structure, ``class_rows`` and the
     swap, so their operator is built once per (structure, class rows, swap
     parties or None) and kept for the life of the process
-    (:func:`_indicator_operator`); each call checks the data for a swap and
-    projects only the objective blocks and ``b``: c_l becomes
-    scale * (W^T c_l W) per basis (W, scale) of the swap, or the identity
-    basis when unreduced, and b_r the average of the b_q merged into row r.
+    (:func:`_indicator_operator`); each call checks the data for a swap and,
+    when one is found, projects only the objective blocks and ``b``: c_l
+    becomes scale * (W^T c_l W) per basis (W, scale) of the swap, and b_r
+    the average of the b_q merged into row r.
     """
     swap = invariant_swap(structure, c_blocks, class_rows, b)
     rows_key = np.asarray(class_rows, dtype=np.int64).tobytes()
-    posed = _indicator_operator(structure, len(b), rows_key, None if swap is None else swap.parties)
-    cs = []
-    for c in c_blocks:
-        for w, scale in posed.bases:
-            cs.append(scale * (w.T @ c @ w))
-    problem = SdpProblem(posed.operator, tuple(cs), np.bincount(posed.row, weights=b) / posed.size)
-    return problem, posed.reduction
+    operator, reduction = _indicator_operator(structure, len(b), rows_key, None if swap is None else swap.parties)
+    if reduction is not None:
+        c_blocks = [scale * (w.T @ c @ w) for c in c_blocks for w, scale in swap.blocks]
+        b = np.bincount(reduction.row, weights=b) / reduction.size
+    return SdpProblem(operator, tuple(c_blocks), b), reduction
 
 
 @lru_cache(maxsize=None)
 def _indicator_operator(
     structure: MomentStructure, m: int, class_rows: bytes, parties: tuple | None
-) -> _IndicatorOperator:
+) -> tuple[SdpOperator, SwapReduction | None]:
     """The operator of :func:`indicator_problem` for m constraints, the class
     rows given as the bytes of their int64 (blocks, classes) array, posed
-    over the swap of ``parties`` or, for None, unreduced.  Reduced and
-    unreduced operators are built alike (the unreduced one over the identity
-    basis): cell (a, b) in constraint q adds W[a, i] W[b, j] scale[i, j] /
-    size[row[q]] to cell (i, j) of its row."""
+    over the swap of ``parties`` or, for None, unreduced; and the
+    :class:`SwapReduction` of the swap, or None.  Reduced and unreduced
+    operators are built alike (the unreduced one over the identity basis,
+    each constraint its own row): cell (a, b) in constraint q adds
+    W[a, i] W[b, j] scale[i, j] / size[row[q]] to cell (i, j) of its row."""
     n = structure.size
     class_rows = np.frombuffer(class_rows, dtype=np.int64).reshape(-1, len(structure.classes))
     if parties is None:
@@ -330,10 +322,9 @@ def _indicator_operator(
             values = w[mono[i], col[i]] * w[mono[j], col[j]] * scale[col[i], col[j]] / size[rows[i, j]]
             dims.append(w.shape[1])
             triplets.append((rows[i, j], col[i] * w.shape[1] + col[j], values))
-    for a in (row, size, *(a for basis in bases for a in basis)):
-        a.flags.writeable = False
+    row.flags.writeable = size.flags.writeable = False
     reduction = None if swap is None else SwapReduction(swap, row, size)
-    return _IndicatorOperator(SdpOperator(tuple(dims), tuple(triplets), len(size)), bases, row, size, reduction)
+    return SdpOperator(tuple(dims), tuple(triplets), len(size)), reduction
 
 
 def solve_indicator(

@@ -95,17 +95,7 @@ def _certificates(named) -> tuple[list, dict]:
     return artifacts, {name: certificate_residual(cert) for name, cert in named}
 
 
-def _tol_ok(tol: float, positive: bool) -> bool:
-    """Whether ``--tol`` is finite and > 0 (``positive``) or >= 0; says why not."""
-    if np.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0):
-        return True
-    print(f"--tol must be finite and {'>' if positive else '>='} 0, got {tol}", file=sys.stderr)
-    return False
-
-
 def cmd_verify(args) -> int:
-    if not _tol_ok(args.tol, positive=False):
-        return EXIT_INPUT_ERROR
     raw = load_json(args.functional)
     functional = functional_from_json(raw)
     verdict = verify_nbf(functional, tol=args.tol)
@@ -130,8 +120,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_aq(args) -> int:
-    if not _tol_ok(args.tol, positive=True):
-        return EXIT_INPUT_ERROR
     raw = load_json(args.functional)
     functional = functional_from_json(raw)
     ext = aq_extremize(functional, args.sense, args.tol)
@@ -173,8 +161,6 @@ def cmd_compose(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if not _tol_ok(args.tol, positive=True):
-        return EXIT_INPUT_ERROR
     first, second, outer = reference_functionals()
     verdicts = {
         name: verify_nbf(f, tol=COEFF_TOL, gap_tol=args.tol)

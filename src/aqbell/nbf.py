@@ -62,8 +62,11 @@ class NbfVerdict:
 def verify_nbf(functional: BellFunctional, tol: float = 1e-6, gap_tol: float = GAP_TOL) -> NbfVerdict:
     """Extremize both ways over the almost-quantum set, to relative duality
     gap ``gap_tol``, and attach the certificates; normalized means both
-    bounds lie within ``tol`` of [0, 1].  The upper certificate bounds -W
-    from below by -aq_max."""
+    bounds lie within ``tol`` of [0, 1], which must be finite and >= 0
+    (ValueError otherwise).  The upper certificate bounds -W from below by
+    -aq_max."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     try:
         lower = aq_extremize(functional, "min", gap_tol)
         upper = aq_extremize(functional, "max", gap_tol)

@@ -551,11 +551,14 @@ def solve(problem: SdpProblem, gap_tol: float = GAP_TOL, y_start: np.ndarray | N
     y = y_start, S = C - sum_i y_i A_i and X = tau_p S^{-1}: a point of the
     central path (X S = tau_p I) at which only the primal residual is left.
     It is optimal at relative duality gap ``gap_tol`` and relative primal
-    and dual residuals ``FEAS_TOL``.  ValueError when ``y_start`` is not a
-    finite m-vector or a block of that S (or X) is not Cholesky-positive.
+    and dual residuals ``FEAS_TOL``.  ValueError unless ``gap_tol`` is
+    finite and > 0, and when ``y_start`` is not a finite m-vector or a
+    block of that S (or X) is not Cholesky-positive.
     The objectives and residuals reported are those of the returned
     iterate: the last one the loop evaluated, or, when a stall or an
     improving ray replaced it, an evaluation of the replacement."""
+    if not (math.isfinite(gap_tol) and gap_tol > 0.0):
+        raise ValueError(f"gap_tol must be finite and > 0, got {gap_tol}")
     n = problem.total_dim
     if n > DIM_GUARD:
         raise SizeGuardError(f"total dimension {n} exceeds guard {DIM_GUARD}")

@@ -618,6 +618,25 @@ def test_reduced_and_unreduced_problems_do_not_share_an_operator(composed_w, rng
     assert indicator_problem(st, c_blocks, class_rows, b_off)[0].operator is unreduced.operator
 
 
+def test_cached_arrays_are_read_only(composed_w):
+    # structures, swaps, reductions and starts are kept for the life of the
+    # process and shared by every later solve, so none of their arrays can
+    # be written
+    restricted, _ = restrict_to_touched(composed_w)
+    (unreduced_f,) = seed_one_verify_functionals(1)
+    reduced, unreduced = (
+        compile_extremize(build_moment_structure(f.scenario), f, "min") for f in (restricted, unreduced_f)
+    )
+    assert reduced.reduction is not None and unreduced.reduction is None
+    reduction, st = reduced.reduction, build_moment_structure(restricted.scenario)
+    swap = reduction.swap
+    arrays = [st.cell_class, st.monomial_class, swap.perm, swap.image, reduction.row, reduction.size]
+    arrays += [a for basis in swap.blocks for a in basis] + [reduced.y_start, unreduced.y_start]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
 def test_operator_cache_keeps_every_bit():
     # twelve seed-1 verify functionals over the three verify structures
     functionals = seed_one_verify_functionals(12)

@@ -119,6 +119,13 @@ def test_verify_indeterminate_on_solver_failure(reference_trio, monkeypatch):
     assert verdict.failure
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_verify_rejects_out_of_range_tol(reference_trio, tol):
+    # a NaN tolerance used to fail both bound comparisons: is_nbf False
+    with pytest.raises(ValueError, match="tol must be finite"):
+        verify_nbf(reference_trio[0], tol=tol)
+
+
 def test_family_pairs_are_complete(reference_trio):
     wiring, second, _ = reference_trio
     fam = NbfFamily((wiring, second))

@@ -653,6 +653,21 @@ def test_operator_arrays_are_read_only():
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before, strict=True))
 
 
+@pytest.mark.parametrize("gap_tol", [np.nan, np.inf, 0.0, -1.0])
+def test_gap_tol_out_of_range_is_rejected(gap_tol, monkeypatch):
+    # the solver owns its tolerance rule and applies it before it factors a
+    # start; a NaN gap used to run to a failed step search
+    def started(*args):
+        raise AssertionError("solve started iterating")
+
+    monkeypatch.setattr(sdp, "_inverse_factors", started)
+    with pytest.raises(ValueError, match="gap_tol"):
+        solve(trace_problem(), gap_tol)
+    functional = BellFunctional(make_scenario(2, 2, 2), np.linspace(-1.0, 1.0, 9))
+    with pytest.raises(ValueError, match="gap_tol"):
+        aqset.aq_extremize(functional, "min", gap_tol)
+
+
 def test_dimension_guard(monkeypatch):
     problem = trace_problem()
     monkeypatch.setattr(sdp, "DIM_GUARD", 1)
