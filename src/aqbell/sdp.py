@@ -53,7 +53,14 @@ sparse kernels (``csr_matvecs``, ``csr_matvec`` and ``csc_matvec`` from
 wrappers, with the same bits (pinned by tests): ``dpotrf`` factors the
 iterates and the Schur complement, ``dtrtri`` inverts the iterates'
 factors, ``dpotrs`` solves with the Schur factor, and ``dsyevr`` computes
-only the smallest eigenvalue of each step matrix.  A
+only the smallest eigenvalue of each step matrix.  The seven kernels live
+in two compiled modules, ``scipy.sparse._sparsetools`` and
+``scipy.linalg._flapack``, that need only numpy; :func:`_scipy_extension`
+loads each from its file.  Importing them through their packages would run
+scipy's array-API layer, which reads every public attribute of numpy and so
+loads ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``: about 0.3 s of
+every start, more than numpy, the two modules and aqbell itself take
+together.  The kernels are the packages' own objects either way.  A
 non-finite iterate is caught by the residual check, and a non-finite search
 direction by its step length (LAPACK reports it); either ends the solve as
 ``numerical_trouble``, so numpy's overflow warnings are off inside it.
@@ -70,15 +77,49 @@ order: they are choices of speed, and the iterates do not depend on them.
 """
 from __future__ import annotations
 
+import importlib
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dtrtri
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_matvecs
+import scipy
 
 from .errors import SizeGuardError
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``scipy.<name>`` (``name`` such as
+    ``"linalg._flapack"``), loaded from its file under ``scipy.__path__``
+    without running its package's ``__init__``, and registered under its full
+    name, so that a later import of the package finds this same module (as
+    ``from scipy.linalg import _flapack`` does; the package does not bind it
+    as its attribute).  A module already imported is returned as it is, and
+    one whose file is not found is imported the ordinary way."""
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    package, _, leaf = name.rpartition(".")
+    for root in scipy.__path__:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, package, leaf + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(full, path)
+                module = module_from_spec(spec_from_loader(full, loader))
+                sys.modules[full] = module
+                loader.exec_module(module)
+                return module
+    return importlib.import_module(full)
+
+
+_flapack = _scipy_extension("linalg._flapack")
+_sparsetools = _scipy_extension("sparse._sparsetools")
+dpotrf, dpotrs, dsyevr, dtrtri = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsyevr, _flapack.dtrtri
+csc_matvec, csr_matvec, csr_matvecs = _sparsetools.csc_matvec, _sparsetools.csr_matvec, _sparsetools.csr_matvecs
 
 
 class SdpStatus(str, Enum):

@@ -15,7 +15,6 @@ whether to solve it over a party swap's symmetric and antisymmetric blocks.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
@@ -264,7 +263,12 @@ def run(cfg: SeesawConfig) -> SeesawTrace:
     children = np.random.SeedSequence(cfg.seed).spawn(restarts)
     # more processes than restarts would sit idle; one runs in this process
     workers = min(_resolve_workers(cfg), restarts)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: multiprocessing would cost every other start ~20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     run_each = map if pool is None else pool.map
     outcomes: list = []
     try:

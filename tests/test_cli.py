@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,3 +397,16 @@ def test_reports_record_iterations_and_certificate_residuals(reference_dir, tmp_
         if name != "verify":
             # a cold start takes 17 on the headline
             assert 0 < results["iterations"] <= 15
+
+
+def test_import_loads_no_scipy_package():
+    # aqbell.sdp loads scipy's two compiled kernel modules from their files:
+    # the scipy.linalg and scipy.sparse packages would also import numpy.f2py,
+    # numpy.testing and numpy.ma through scipy's array-API layer, about 0.3 s
+    # of every start, and only a see-saw pool needs multiprocessing
+    code = "import sys, aqbell.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(result.stdout.split())
+    assert {"scipy.linalg._flapack", "scipy.sparse._sparsetools"} <= loaded
+    assert not loaded & {"scipy.linalg", "scipy.sparse", "numpy.f2py", "numpy.testing", "concurrent.futures.process"}

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -730,3 +733,42 @@ def test_problem_validation():
         build([0.0], [0], [1.0])
     # an asymmetry within 1e-12 passes, as it did for dense input
     assert build([0], [1], [1e-13]).a_triplets[0][2].tolist() == [1e-13]
+
+
+_KERNELS = {
+    "linalg._flapack": ("dpotrf", "dpotrs", "dsyevr", "dtrtri"),
+    "sparse._sparsetools": ("csc_matvec", "csr_matvec", "csr_matvecs"),
+}
+
+
+def test_kernels_are_the_ones_scipy_exposes():
+    # sdp loads scipy's compiled modules without their packages; every solve
+    # keeps its bits because the kernels are the packages' own objects.  The
+    # packages find the modules sdp registered, but do not bind them as their
+    # attributes, so they are imported here by name
+    from scipy.linalg import lapack
+    from scipy.sparse import _sparsetools
+
+    for name in _KERNELS["linalg._flapack"]:
+        assert getattr(sdp, name) is getattr(lapack, name)
+    for name in _KERNELS["sparse._sparsetools"]:
+        assert getattr(sdp, name) is getattr(_sparsetools, name)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_unfound_extension_is_imported_the_ordinary_way(monkeypatch, name):
+    full = f"scipy.{name}"
+    monkeypatch.delitem(sys.modules, full)
+    monkeypatch.setattr(sdp, "EXTENSION_SUFFIXES", [])  # no file matches
+    imported = []
+
+    def import_module(module_name):
+        imported.append(module_name)
+        return importlib.import_module(module_name)
+
+    monkeypatch.setattr(sdp, "importlib", SimpleNamespace(import_module=import_module))
+    module = sdp._scipy_extension(name)
+    assert imported == [full]
+    assert module is sys.modules[full]
+    for kernel in _KERNELS[name]:
+        assert getattr(module, kernel) is getattr(sdp, kernel)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -226,7 +227,8 @@ class _RecordingPool:
 
 
 def test_pool_is_capped_at_the_restart_count(monkeypatch):
-    monkeypatch.setattr(seesaw, "ProcessPoolExecutor", _RecordingPool)
+    # run imports the pool class from concurrent.futures only when it builds one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     # a reference start runs one restart: no pool at all
     run(SeesawConfig(restarts=3, max_sweeps=1, init_v="reference", target_value=-1.0, workers=2))
