@@ -17,17 +17,24 @@ under re-adding one that always returns the last outcome (its basis letters
 are the zero operator, so Gamma only gains zero rows), hence the restricted
 problem has the same value and its solution re-embeds exactly.
 
-A problem whose data a transposition of two parties leaves unchanged is
-solved over the symmetric and antisymmetric combinations of the monomials
-(Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  The problem is then
-invariant under the swap, so an optimal Z may be taken swap-invariant; such a
-Z is block-diagonal in that basis, and the class sums of a word and of its
-swapped image agree, so a constraint and its swapped image merge into one.
+A problem whose data a group of relabellings leaves unchanged is solved
+over that group's isotypic blocks (Gatermann & Parrilo, J. Pure Appl.
+Algebra 192, 2004; Tavakoli, Rosset & Renou, PRL 122, 070501, 2019).  The
+groups used are generated by commuting involutions: a transposition of two
+parties with equal settings counts, and, for two outcomes, the joint
+outcome flip of a set of (party, setting) letters, which maps each flipped
+projector P to 1 - P.  A relabelling maps a monomial to a signed sum of
+monomials (the basis is closed under dropping letters), a word class to an
+integer combination of classes and a constraint row to a combination of
+rows, so the problem is judged in class coordinates, from its own data.
+An optimal Z may then be taken invariant; such a Z is block-diagonal over
+the characters of the group, and on it the rows satisfy exact relations,
+so one row per orbit of word classes determines the rest.
 :func:`indicator_problem` poses every problem built from class-indicator
 rows this way when its data allow it (the extremization here and the
 see-saw's cone-pair steps) and otherwise with its data as given, and
 :func:`solve_indicator`, the one solve of such a problem, maps a reduced
-solution back through its :class:`SwapReduction`.  Every array that a cache
+solution back through its :class:`Reduction`.  Every array that a cache
 here keeps for the life of the process is read-only.
 """
 from __future__ import annotations
@@ -35,20 +42,20 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import algebra
 from .errors import ScenarioMismatchError, SizeGuardError, SolverFailureError
 from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis, from_collins_gisin
-from .sdp import GAP_TOL, SdpOperator, SdpProblem, SdpSolution, SdpStatus, solve
+from .sdp import GAP_TOL, SdpOperator, SdpProblem, SdpSolution, SdpStatus, _read_only, solve
 
 MAX_PARTIES = 3
 # m * sum_l n_l**3 of the unreduced problem below which its blocks solve
-# faster than twice as many blocks of different sizes
-SWAP_MIN_WORK = 2_000_000
-# data mismatch under a party swap, relative to max(1, |c|_inf, |b|_inf), that
+# faster than the blocks of its symmetry reduction
+SYMMETRY_MIN_WORK = 2_000_000
+# data mismatch under a relabelling, relative to max(1, |c|_inf, |b|_inf), that
 # still counts as invariant (compose leaves ~1e-17)
 SWAP_TOL = 1e-12
 
@@ -129,96 +136,246 @@ def restrict_to_touched(functional: BellFunctional):
     return BellFunctional(restricted, functional.coeffs[index]), index
 
 
-@dataclass(frozen=True, eq=False)
-class PartySwap:
-    """A transposition of two parties, acting on a moment structure.
+def _sparse(rows, cols, values, width: int) -> tuple:
+    """Read-only ``(rows, cols, values)`` of a sparse matrix with ``width``
+    columns, repeats summed and zeros dropped."""
+    keys, at = np.unique(rows * width + cols, return_inverse=True)
+    sums = np.bincount(at, weights=values, minlength=len(keys))
+    nonzero = sums != 0.0
+    return _read_only(*np.divmod(keys[nonzero], width), sums[nonzero])
 
-    ``perm`` maps each basis monomial to its swapped image and ``image``
-    each word class to the class of its swapped image.  ``blocks`` holds,
-    for the symmetric and then the antisymmetric component, a matrix W whose
-    columns are e_i for a fixed monomial i and e_i + e_j, resp. e_i - e_j,
-    for a swapped pair, and the matrix ``scale`` of 1 / (|w_c| |w_c'|), so
-    that the orthonormal basis U = W diag(1/|w_c|) acts as
-    U^T A U = scale * (W^T A W) and U Y U^T = W (scale * Y) W^T.  Every
-    entry of W^T A W is a sum of at most four signed entries of A, so
-    blocks of 0/1 and 1/2 entries keep exact zeros.  Every array is
-    read-only.
-    """
 
-    parties: tuple
-    perm: np.ndarray
-    image: np.ndarray
-    blocks: tuple
+def _product(a: tuple, b: tuple, width: int) -> tuple:
+    """The product of two sparse matrices given as ``(rows, cols, values)``,
+    with ``width`` columns (and rows of b)."""
+    (i, k, x), (bk, j, y) = a, b
+    order = np.argsort(bk, kind="stable")
+    bk, j, y = bk[order], j[order], y[order]
+    ptr = np.searchsorted(bk, np.arange(width + 1))
+    counts = ptr[k + 1] - ptr[k]
+    at = np.repeat(np.arange(len(k)), counts)
+    inner = np.repeat(ptr[k], counts) + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return _sparse(i[at], j[inner], x[at] * y[inner], width)
 
 
 @lru_cache(maxsize=None)
-def party_swap(structure: MomentStructure, parties: tuple) -> PartySwap:
-    """The swap of two parties with equal settings counts."""
-    p, q = parties
-    index = basis(structure.scenario).index
-    rename = {p: q, q: p}
-    perm = np.array([
-        index[tuple(sorted((rename.get(k, k), x, a) for k, x, a in mono))] for mono in structure.basis
-    ])
-    # cell (i, j) goes to (perm i, perm j), so class k goes to the class there
-    labels = structure.cell_class
-    moved = labels[np.ix_(perm, perm)]
-    labelled = labels >= 0
-    image = np.empty(len(structure.classes), dtype=int)
-    image[labels[labelled]] = moved[labelled]
-    assert np.array_equal(np.append(image, -1)[labels], moved)
-
-    monomials = np.arange(structure.size)
-    blocks = []
-    for sign, first in ((1.0, monomials <= perm), (-1.0, monomials < perm)):
-        cols = np.flatnonzero(first)
-        w = np.zeros((structure.size, len(cols)))
-        w[perm[cols], np.arange(len(cols))] = sign
-        w[cols, np.arange(len(cols))] = 1.0
-        norm2 = (w != 0).sum(axis=0)
-        blocks.append((w, 1.0 / np.sqrt(np.outer(norm2, norm2))))
-    for a in (perm, image, *(a for basis in blocks for a in basis)):
-        a.flags.writeable = False
-    return PartySwap(parties, perm, image, tuple(blocks))
+def _monomial_map(structure: MomentStructure, generator: tuple) -> np.ndarray:
+    """The read-only N x N matrix T of a relabelling on the monomial basis:
+    the image of monomial i is sum_a T[a, i] u_a.  ``("swap", (p, q))``
+    renames parties p and q.  ``("flip", letters)``, for two outcomes,
+    exchanges the outcomes of each (party, setting) letter, so each flipped
+    projector P becomes 1 - P; it negates the correlators with an odd number
+    of flipped letters (:func:`_correlators`), so T = L diag(+-1) L^-1,
+    with integer entries."""
+    n = structure.size
+    kind, arg = generator
+    if kind == "swap":
+        record = basis(structure.scenario)
+        rename = {arg[0]: arg[1], arg[1]: arg[0]}
+        image = [record.index[tuple(sorted((rename.get(k, k), x, a) for k, x, a in mono))] for mono in record.monomials]
+        t = np.zeros((n, n))
+        t[image, np.arange(n)] = 1.0
+    else:
+        lam, lam_inv, bits = _correlators(structure.scenario)
+        starts = list(itertools.accumulate(structure.scenario.settings, initial=0))
+        odd = bits[:, [starts[p] + x for p, x in arg]].sum(axis=1) % 2
+        t = (lam * (1.0 - 2.0 * odd)) @ lam_inv
+    t.flags.writeable = False
+    return t
 
 
-def invariant_swap(
-    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray
-) -> PartySwap | None:
-    """The first transposition of two parties with equal settings counts
-    that fixes the problem :func:`indicator_problem` poses from ``c_blocks``,
-    ``class_rows`` and ``b``: every objective block under the monomial
-    permutation and ``b`` under the constraint permutation the swap induces,
-    to within ``SWAP_TOL * max(1, |c|_inf, |b|_inf)``.  Returns the swap,
-    or None; None also when the unreduced problem has m * sum_l n_l**3
-    below ``SWAP_MIN_WORK``."""
+@lru_cache(maxsize=None)
+def _class_map(structure: MomentStructure, generator: tuple) -> tuple:
+    """``(rows, cols, values)`` of the integer matrix M of a relabelling on
+    the word classes: the image of class k's word is sum_k' M[k', k] times
+    class k''s.  Column k is read at the class's first cell (i, j): cell
+    (a, b) adds T[a, i] T[b, j] to the class of (a, b)."""
+    t = _monomial_map(structure, generator)
+    n, n_classes = structure.size, len(structure.classes)
+    labels, first = np.unique(structure.cell_class, return_index=True)
+    i, j = np.divmod(first[labels >= 0], n)
+    col, row = np.nonzero(t.T)  # T's entries, column by column
+    value = t[row, col]
+    ptr = np.append(0, np.cumsum(np.bincount(col, minlength=n)))
+    count_j = ptr[j + 1] - ptr[j]
+    pairs = (ptr[i + 1] - ptr[i]) * count_j
+    k = np.repeat(np.arange(n_classes), pairs)
+    offset = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    at_i, at_j = ptr[i][k] + offset // count_j[k], ptr[j][k] + offset % count_j[k]
+    dest = structure.cell_class[row[at_i], row[at_j]]
+    keep = dest >= 0
+    return _sparse(dest[keep], k[keep], value[at_i[keep]] * value[at_j[keep]], n_classes)
+
+
+@lru_cache(maxsize=None)
+def _row_action(structure: MomentStructure, m: int, class_rows: bytes, generator: tuple) -> tuple | None:
+    """``(rows, cols, values)`` of the m x m matrix G by which a relabelling
+    acts on the rows of :func:`indicator_problem` (class rows given as the
+    bytes of their int64 array): pulled back through M, row r's class
+    indicators are sum_r' G[r, r'] times row r''s.  None when they are not
+    a combination of rows, that is when the rows' span is not invariant."""
+    flat = np.frombuffer(class_rows, dtype=np.int64)
+    k_to, k_from, value = _class_map(structure, generator)
+    # L M, the rows' indicators pulled back, as entries (row, block column)
+    blocks = np.arange(0, flat.size, len(structure.classes))[:, None]
+    r = flat[blocks + k_to]
+    has = r >= 0
+    r, col, v = _sparse(r[has], (blocks + k_from)[has], np.broadcast_to(value, has.shape)[has], flat.size)
+    target = flat[col]
+    members = np.flatnonzero(flat >= 0)
+    first = np.full(m, -1)
+    first[flat[members[::-1]]] = members[::-1]
+    if (first < 0).any() or (target < 0).any():
+        return None
+    # G is read at each row's first member; every member must repeat it:
+    # each entry of G once per member of its column's row
+    at_first = first[target] == col
+    g = _sparse(r[at_first], target[at_first], v[at_first], m)
+    keys = g[0] * m + g[1]
+    at = np.searchsorted(keys, r * m + target).clip(max=len(keys) - 1)
+    repeats = np.bincount(flat[members], minlength=m)[g[1]]
+    if not (np.array_equal(keys[at], r * m + target) and np.array_equal(g[2][at], v)):
+        return None
+    return g if np.array_equal(np.bincount(at, minlength=len(keys)), repeats) else None
+
+
+def _objective_shift(structure: MomentStructure, generators: tuple, rows: np.ndarray, values, m: int) -> tuple:
+    """The change of every block's objective class values c_l when they are
+    averaged over the group of ``generators`` (per generator,
+    c <- (c + M^T c) / 2), as the combination mu of the rows that it should
+    be, read at each row's last member; and the largest mismatch."""
+    averaged = values
+    for generator in generators:
+        k_to, k_from, w = _class_map(structure, generator)
+        pulled = [np.bincount(k_from, weights=w * c[k_to], minlength=len(c)) for c in averaged]
+        averaged = 0.5 * (averaged + np.array(pulled))
+    d = (averaged - values).ravel()
+    flat = rows.ravel()
+    mu = np.zeros(m)
+    mu[flat[flat >= 0]] = d[flat >= 0]
+    return mu, float(np.abs(d - np.append(mu, 0.0)[flat]).max(initial=0.0))
+
+
+@lru_cache(maxsize=None)
+def _correlators(scenario: Scenario) -> tuple:
+    """Read-only (L, L^-1, bits) for two outcomes: column j of L is the
+    monomial expansion of the correlator of monomial j's letters (each
+    projector P replaced by 2P - 1), and row j of the boolean ``bits`` marks
+    those letters, letter (p, x) in column x plus the settings of the
+    parties before p.  A flip multiplies that correlator by -1 per flipped
+    letter, so it acts on correlator coordinates by signs alone."""
+    table = basis(scenario).settings
+    row, col = table[:, None, :], table[None, :, :]
+    lam = np.where(col < 0, row < 0, 2.0 * (row == col) - (row < 0)).prod(axis=2)
+    lam_inv = np.where(col < 0, row < 0, 0.5 * ((row == col) + (row < 0))).prod(axis=2)
+    bits = np.zeros((len(table), sum(scenario.settings)), dtype=bool)
+    mono, party = np.nonzero(table >= 0)
+    bits[mono, np.cumsum((0,) + scenario.settings)[party] + table[mono, party]] = True
+    return _read_only(lam, lam_inv, bits)
+
+
+def _gf2_null_space(equations, width: int) -> list:
+    """A basis of the ``width``-bit vectors f with an even number of bits in
+    common with every equation (bit vectors as ints): GF(2) elimination to
+    reduced row echelon form, one solution per free bit."""
+    pivots: dict = {}  # pivot bit -> reduced equation
+    for code in equations:
+        for bit, row in pivots.items():
+            if code >> bit & 1:
+                code ^= row
+        if code:
+            bit = code.bit_length() - 1
+            for other, row in pivots.items():
+                if row >> bit & 1:
+                    pivots[other] = row ^ code
+            pivots[bit] = code
+    null = []
+    for free in range(width):
+        if free not in pivots:
+            null.append((1 << free) | sum(1 << bit for bit, row in pivots.items() if row >> free & 1))
+    return null
+
+
+def _flip_candidates(structure: MomentStructure, values, rows, b, tol: float, swap) -> list:
+    """Letter sets whose joint flip may fix the data of
+    :func:`indicator_problem`, each to be checked by :func:`invariant_group`.
+
+    Flips act on correlator coordinates by signs, so data that a flip fixes
+    has no correlator with an odd number of flipped letters: every nonzero
+    correlator gives one parity equation over GF(2), and the candidates are
+    a basis of the solutions, kept fixed by ``swap`` when one was found (so
+    that every generator commutes).  The data read are b on each block's
+    monomial classes, as polynomials, and the differences of consecutive
+    blocks' objective values there, as functionals: for the extremization
+    and the cone-pair steps, exactly what a flip must fix.
+    """
+    scenario = structure.scenario
+    lam, lam_inv, bits = _correlators(scenario)
+    mono_rows = rows[:, structure.monomial_class]
+    primal = np.where(mono_rows >= 0, b[mono_rows], 0.0) @ lam_inv.T
+    dual = np.diff(values[:, structure.monomial_class], axis=0) @ lam
+    nonzero = np.abs(np.vstack([primal, dual])).max(axis=0) > tol
+    equations = sorted(set((bits[nonzero] @ (1 << np.arange(bits.shape[1]))).tolist()))
+    starts = list(itertools.accumulate(scenario.settings, initial=0))
+    if swap is not None:
+        p, q = swap
+        equations += [(1 << starts[p] + x) | (1 << starts[q] + x) for x in range(scenario.settings[p])]
+    letters = [(p, x) for p, count in enumerate(scenario.settings) for x in range(count)]
+    return [
+        tuple(letter for bit, letter in enumerate(letters) if code >> bit & 1)
+        for code in _gf2_null_space(equations, len(letters))
+    ]
+
+
+def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndarray) -> tuple:
+    """Generators of a group of relabellings that fixes the problem
+    :func:`indicator_problem` poses from ``c_blocks``, ``class_rows`` and
+    ``b``, and the objective blocks' class values; ``()`` and None when the
+    unreduced problem has m * sum_l n_l**3 below ``SYMMETRY_MIN_WORK``, or
+    when an objective block is not constant on every word class.
+
+    A relabelling fixes the problem when, in class coordinates, the rows'
+    span is invariant under its class map M (:func:`_row_action`), b is
+    fixed by the induced row map G, and each block's objective class values
+    c_l are fixed by M^T up to a combination of the rows, all to within
+    ``SWAP_TOL * max(1, |c|_inf, |b|_inf)``.  The generators are the first
+    transposition of two parties with equal settings counts that passes
+    (in party-pair order), then, for two outcomes, the flips among
+    :func:`_flip_candidates` that pass.  They are commuting involutions, so
+    the group has order 2**len(generators)."""
     scenario = structure.scenario
     m = len(b)
-    if m * len(class_rows) * structure.size**3 < SWAP_MIN_WORK:
-        return None
+    if m * len(class_rows) * structure.size**3 < SYMMETRY_MIN_WORK:
+        return (), None
     tol = SWAP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)), *(float(np.abs(c).max()) for c in c_blocks))
-    for parties in itertools.combinations(range(scenario.parties), 2):
-        if scenario.settings[parties[0]] != scenario.settings[parties[1]]:
-            continue
-        swap = party_swap(structure, parties)
-        image = _constraint_image(swap, class_rows, m)
-        if np.abs(b[image] - b).max(initial=0.0) <= tol and all(
-            np.abs(c[np.ix_(swap.perm, swap.perm)] - c).max() <= tol for c in c_blocks
-        ):
-            return swap
-    return None
+    counts = np.bincount(structure.cell_class[structure.cell_class >= 0], minlength=len(structure.classes))
+    values = np.array([class_sums(structure, c) / counts for c in c_blocks])
+    if any(np.abs(scatter(structure, v) - c).max() > tol for v, c in zip(values, c_blocks)):
+        return (), None
+    rows = np.asarray(class_rows, dtype=np.int64)
+    rows_key = rows.tobytes()
 
+    def fixes(generator) -> bool:
+        action = _row_action(structure, m, rows_key, generator)
+        if action is None:
+            return False
+        r, c, v = action
+        if np.abs(np.bincount(r, weights=v * b[c], minlength=m) - b).max(initial=0.0) > tol:
+            return False
+        # the shift is half the change M^T c - c
+        return 2.0 * _objective_shift(structure, (generator,), rows, values, m)[1] <= tol
 
-def _constraint_image(swap: PartySwap, class_rows, m: int) -> np.ndarray:
-    """The permutation of the m constraints that ``swap`` induces: the
-    constraint of class k goes to the constraint of k's image."""
-    image = np.arange(m)
-    for class_row in class_rows:
-        has_row = class_row >= 0
-        image[class_row[has_row]] = class_row[swap.image[has_row]]
-    for class_row in class_rows:
-        assert np.array_equal(np.append(image, -1)[class_row], class_row[swap.image])
-    return image
+    swaps = (
+        ("swap", pair)
+        for pair in itertools.combinations(range(scenario.parties), 2)
+        if scenario.settings[pair[0]] == scenario.settings[pair[1]]
+    )
+    swap = next((g for g in swaps if fixes(g)), None)
+    generators = [] if swap is None else [swap]
+    if scenario.outcomes == 2:
+        candidates = _flip_candidates(structure, values, rows, b, tol, None if swap is None else swap[1])
+        generators += [g for g in (("flip", letters) for letters in candidates) if fixes(g)]
+    return tuple(generators), values
 
 
 def class_sums(structure: MomentStructure, mat: np.ndarray) -> np.ndarray:
@@ -245,90 +402,186 @@ def objective_matrix(structure: MomentStructure, coeffs: np.ndarray) -> np.ndarr
 
 
 @dataclass(frozen=True, eq=False)
-class SwapReduction:
-    """How :func:`indicator_problem` posed a problem over a party swap's
-    blocks: unreduced constraint q became row ``row[q]``, the average of the
-    ``size[row[q]]`` constraints merged into it, and unreduced block l became
-    blocks 2l (symmetric) and 2l + 1 (antisymmetric) over the (W, scale)
-    bases of ``swap.blocks``.  Every array is read-only."""
+class Symmetry:
+    """A group of relabellings, generated by the commuting involutions
+    ``generators``, as it reduces the problems :func:`indicator_problem`
+    poses over one structure and one set of class rows.
 
-    swap: PartySwap
-    row: np.ndarray
-    size: np.ndarray
+    Each element g acts on the monomials by T_g (:func:`_monomial_map`), and
+    an optimum may be taken with T_g Z T_g^T = Z for every g.  For each
+    character chi of the group with a nonempty block, ``bases`` holds
+    (W, scale, Q).  W's columns span the monomial combinations v with
+    T_g v = chi(g) v: column u is (1/|stab u|) sum_g chi(g) T_g e_u, exact
+    binary fractions with a leading 1 at u.  The solver sees them
+    normalized, U = W diag(1/|w_c|), through scale = 1 / (|w_c| |w_c'|), so
+    that U^T A U = scale * (W^T A W) and U Y U^T = W (scale * Y) W^T; Q is
+    the dual basis (Q_chi^T U_chi' = I if chi == chi', else 0).  An
+    invariant Z is sum_chi U X_chi U^T, so each unreduced block becomes one
+    block per character, and an invariant slack is sum_chi Q S_chi Q^T.
+
+    On invariant Z the rows' values are fixed by every row map G_g
+    (:func:`_row_action`), which is triangular in the words' degree with a
+    signed permutation on each degree, so the rows of one orbit of that
+    permutation whose stabilizer keeps every sign determine each other and
+    the rest; ``rows`` keeps the orbit's first (:func:`_representatives`;
+    no rank decision is made).  ``row_map`` holds (position in ``rows``,
+    row, value) of the rows' average (1/|G|) sum_g G_g restricted to
+    ``rows``, which maps the reduced multipliers back
+    (:func:`solve_indicator`).  Every array is read-only.
+    """
+
+    generators: tuple
+    bases: tuple
+    rows: np.ndarray
+    row_map: tuple
+    operator: SdpOperator
+
+    @property
+    def description(self) -> list:
+        """The generators as JSON: ``{"swap": [p, q]}`` or
+        ``{"flip": [[party, setting], ...]}``."""
+        return [{kind: [list(a) for a in arg] if kind == "flip" else list(arg)} for kind, arg in self.generators]
+
+
+@dataclass(frozen=True, eq=False)
+class Reduction:
+    """How :func:`indicator_problem` reduced one problem: its ``symmetry``
+    and ``y_offset``, the combination of rows by which averaging the
+    objective over the group moves it (unreduced multipliers are the
+    averaged rows' less this).  The array is read-only."""
+
+    symmetry: Symmetry
+    y_offset: np.ndarray
+
+
+def _representatives(average: tuple, degree: np.ndarray) -> np.ndarray:
+    """The indices u that a group average (sparse ``(rows, cols, values)``)
+    keeps: average[u, u] != 0 and average[u', u] == 0 for every u' < u of
+    the same degree.  An action triangular in the degree, with a signed
+    permutation on each degree, averages to |stab u| / |G| at (u, u) when
+    every element fixing u keeps its sign and to 0 otherwise, and at
+    (u', u) for u' != u of u's degree it is nonzero exactly on u's orbit:
+    so one index per orbit with consistent signs, the orbit's smallest."""
+    r, c, _ = average
+    fixed, shadowed = np.zeros(len(degree), dtype=bool), np.zeros(len(degree), dtype=bool)
+    fixed[r[r == c]] = True
+    shadowed[c[(r < c) & (degree[r] == degree[c])]] = True
+    return np.flatnonzero(fixed & ~shadowed)
+
+
+@lru_cache(maxsize=None)
+def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators: tuple) -> Symmetry | None:
+    """The :class:`Symmetry` of ``generators`` on m rows (class rows given as
+    the bytes of their int64 array), with the reduced problems' operator:
+    row r's cell (a, b) adds W[a, i] W[b, j] scale[i, j] to cell (i, j) of
+    its block per character.  Averages over the group are products over the
+    generators, (1/|G|) sum_g chi(g) T_g = prod_i (I + chi(g_i) T_i) / 2.
+    None when a row holds classes of different degrees (its action need not
+    be triangular in the degree)."""
+    n, n_classes = structure.size, len(structure.classes)
+    rows = np.frombuffer(class_rows, dtype=np.int64).reshape(-1, n_classes)
+    flat = rows.ravel()
+    members = flat >= 0
+    degree = np.array([len(word) for word in structure.classes])[np.arange(flat.size) % n_classes]
+    row_degree = np.zeros(m, dtype=int)
+    row_degree[flat[members]] = degree[members]
+    if not np.array_equal(row_degree[flat[members]], degree[members]):
+        return None
+    average = (np.arange(m), np.arange(m), np.ones(m))
+    for action in (_row_action(structure, m, class_rows, g) for g in generators):
+        r, c, v = _sparse(*(np.concatenate(pair) for pair in zip(average, _product(average, action, m))), m)
+        average = (r, c, 0.5 * v)
+    kept = _representatives(average, row_degree)
+    position = np.full(m + 1, -1)  # label -1 reads -1
+    position[kept] = np.arange(len(kept))
+    r, c, v = average
+    inside = position[r] >= 0
+    row_map = _read_only(position[r[inside]], c[inside], v[inside])
+
+    mono_degree = (basis(structure.scenario).settings >= 0).sum(axis=1)
+    bases = []
+    for character in range(1 << len(generators)):
+        p = np.eye(n)
+        for bit, g in enumerate(generators):
+            p = 0.5 * (p + (-1.0) ** (character >> bit & 1) * (_monomial_map(structure, g) @ p))
+        reps = _representatives((*np.nonzero(p), None), mono_degree)
+        if reps.size:
+            bases.append(p[:, reps] / p[reps, reps])  # leading entry 1 on u
+    assert sum(w.shape[1] for w in bases) == n
+    scales = [1.0 / np.linalg.norm(w, axis=0) for w in bases]
+    q = np.linalg.inv(np.hstack([w * d for w, d in zip(bases, scales)])).T
+    splits = np.cumsum([w.shape[1] for w in bases])[:-1]
+    bases = tuple(
+        _read_only(w, np.outer(d, d), np.ascontiguousarray(qc)) for w, d, qc in zip(bases, scales, np.hsplit(q, splits))
+    )
+
+    dims, triplets = [], []
+    for class_row in rows:
+        cell_row = position[np.append(class_row, -1)[structure.cell_class]]
+        for w, scale, _ in bases:
+            a, i = np.nonzero(w)
+            row = cell_row[np.ix_(a, a)]
+            x, y = np.nonzero(row >= 0)
+            dims.append(w.shape[1])
+            # exact sums of W's binary fractions first, then one rounding by scale
+            r, cell, value = _sparse(row[x, y], i[x] * w.shape[1] + i[y], w[a[x], i[x]] * w[a[y], i[y]], scale.size)
+            triplets.append((r, cell, value * scale.ravel()[cell]))
+    operator = SdpOperator(tuple(dims), tuple(triplets), len(kept))
+    kept.flags.writeable = False
+    return Symmetry(tuple(generators), bases, kept, row_map, operator)
 
 
 def indicator_problem(
     structure: MomentStructure, c_blocks, class_rows, b: np.ndarray
-) -> tuple[SdpProblem, SwapReduction | None]:
+) -> tuple[SdpProblem, Reduction | None]:
     """SDP over one N x N block Z_l per entry of ``class_rows``: minimize
     sum_l <c_l, Z_l> subject to, for every r, the sum over l of the entry
     sums of Z_l over the classes k with ``class_rows[l][k] == r`` equal to
     ``b[r]``.
 
-    When :func:`invariant_swap` finds a party swap that fixes this data, an
-    optimum may be taken swap-invariant, so each constraint and its image
-    merge into one row (the two averaged) and every block is projected onto
-    the swap's symmetric and antisymmetric blocks.  Returns the problem and
-    its :class:`SwapReduction`, or the unreduced problem, posed with
-    ``c_blocks`` and ``b`` as given, and None; either way
-    :func:`solve_indicator` solves it.
+    When :func:`invariant_group` finds relabellings that fix this data, an
+    optimum may be taken invariant under their group, so the problem is
+    posed over its :class:`Symmetry`: each block becomes one block per
+    character, c_l becomes W^T c_l W per basis W, and only the symmetry's
+    kept rows are posed, with their b.  Returns the problem and its
+    :class:`Reduction`, or the unreduced problem, posed with ``c_blocks``
+    and ``b`` as given, and None; either way :func:`solve_indicator` solves
+    it.
 
     The constraints depend only on the structure, ``class_rows`` and the
-    swap, so their operator is built once per (structure, class rows, swap
-    parties or None) and kept for the life of the process
-    (:func:`_indicator_operator`); each call checks the data for a swap and,
-    when one is found, projects only the objective blocks and ``b``: c_l
-    becomes scale * (W^T c_l W) per basis (W, scale) of the swap, and b_r
-    the average of the b_q merged into row r.
+    group, so their operator is built once per (structure, class rows,
+    generators or none) and kept for the life of the process
+    (:func:`_symmetry`, :func:`_indicator_operator`); a call judges its data
+    and projects only the objective blocks.
     """
-    swap = invariant_swap(structure, c_blocks, class_rows, b)
-    rows_key = np.asarray(class_rows, dtype=np.int64).tobytes()
-    operator, reduction = _indicator_operator(structure, len(b), rows_key, None if swap is None else swap.parties)
-    if reduction is not None:
-        c_blocks = [scale * (w.T @ c @ w) for c in c_blocks for w, scale in swap.blocks]
-        b = np.bincount(reduction.row, weights=b) / reduction.size
-    return SdpProblem(operator, tuple(c_blocks), b), reduction
+    rows = np.asarray(class_rows, dtype=np.int64)
+    rows_key, m = rows.tobytes(), len(b)
+    generators, values = invariant_group(structure, c_blocks, rows, b)
+    symmetry = _symmetry(structure, m, rows_key, generators) if generators else None
+    if symmetry is None:
+        return SdpProblem(_indicator_operator(structure, m, rows_key), tuple(c_blocks), b), None
+    offset, _ = _objective_shift(structure, generators, rows, values, m)
+    offset.flags.writeable = False
+    c_blocks = tuple(scale * (w.T @ c @ w) for c in c_blocks for w, scale, _ in symmetry.bases)
+    return SdpProblem(symmetry.operator, c_blocks, b[symmetry.rows]), Reduction(symmetry, offset)
 
 
 @lru_cache(maxsize=None)
-def _indicator_operator(
-    structure: MomentStructure, m: int, class_rows: bytes, parties: tuple | None
-) -> tuple[SdpOperator, SwapReduction | None]:
-    """The operator of :func:`indicator_problem` for m constraints, the class
-    rows given as the bytes of their int64 (blocks, classes) array, posed
-    over the swap of ``parties`` or, for None, unreduced; and the
-    :class:`SwapReduction` of the swap, or None.  Reduced and unreduced
-    operators are built alike (the unreduced one over the identity basis,
-    each constraint its own row): cell (a, b) in constraint q adds
-    W[a, i] W[b, j] scale[i, j] / size[row[q]] to cell (i, j) of its row."""
-    n = structure.size
-    class_rows = np.frombuffer(class_rows, dtype=np.int64).reshape(-1, len(structure.classes))
-    if parties is None:
-        swap, image = None, np.arange(m)
-        bases = ((np.eye(n), np.ones((n, n))),)
-    else:
-        swap = party_swap(structure, parties)
-        image, bases = _constraint_image(swap, class_rows, m), swap.blocks
-    # merged rows are numbered by the smallest constraint they hold
-    _, row = np.unique(np.minimum(image, np.arange(m)), return_inverse=True)
-    size = np.bincount(row)
-    dims, triplets = [], []
-    for class_row in class_rows:
-        cell_row = np.append(np.where(class_row >= 0, row[class_row], -1), -1)[structure.cell_class]
-        for w, scale in bases:
-            mono, col = np.nonzero(w)  # each monomial is in at most one column, with sign +-1
-            rows = cell_row[np.ix_(mono, mono)]
-            i, j = np.nonzero(rows >= 0)
-            values = w[mono[i], col[i]] * w[mono[j], col[j]] * scale[col[i], col[j]] / size[rows[i, j]]
-            dims.append(w.shape[1])
-            triplets.append((rows[i, j], col[i] * w.shape[1] + col[j], values))
-    row.flags.writeable = size.flags.writeable = False
-    reduction = None if swap is None else SwapReduction(swap, row, size)
-    return SdpOperator(tuple(dims), tuple(triplets), len(size)), reduction
+def _indicator_operator(structure: MomentStructure, m: int, class_rows: bytes) -> SdpOperator:
+    """The unreduced operator of :func:`indicator_problem` for m
+    constraints, the class rows given as the bytes of their int64 (blocks,
+    classes) array: every cell of a class in row r adds 1 to that row."""
+    rows = np.frombuffer(class_rows, dtype=np.int64).reshape(-1, len(structure.classes))
+    triplets = []
+    for class_row in rows:
+        cell_row = np.append(class_row, -1)[structure.cell_class].ravel()
+        cells = np.flatnonzero(cell_row >= 0)
+        triplets.append((cell_row[cells], cells, np.ones(len(cells))))
+    return SdpOperator((structure.size,) * len(rows), tuple(triplets), m)
 
 
 def solve_indicator(
-    problem: SdpProblem, reduction: SwapReduction | None, gap_tol: float = GAP_TOL, y_start: np.ndarray | None = None
+    problem: SdpProblem, reduction: Reduction | None, gap_tol: float = GAP_TOL, y_start: np.ndarray | None = None
 ) -> tuple[SdpSolution, dict | None]:
     """Solve a problem from :func:`indicator_problem` as the unreduced one,
     to relative duality gap ``gap_tol``, from the solver's default start or
@@ -336,11 +589,12 @@ def solve_indicator(
     :func:`sdp.solve`).
 
     Raises :class:`SolverFailureError` unless the solve is optimal.  A
-    swap-reduced solve is re-embedded: each unreduced block
-    X_l = U_s X_2l U_s^T + U_a X_2l+1 U_a^T, S likewise, and each
-    constraint's multiplier is its merged row's divided by the constraints
-    merged there; status, objectives, residuals, iterations and trace stay
-    the block solve's.  Returns that solution and ``{"parties", "blocks",
+    reduced solve is re-embedded: each unreduced block
+    X_l = sum_chi W_chi X_l,chi W_chi^T and S_l = sum_chi Q_chi S_l,chi Q_chi^T
+    (:class:`Symmetry`), and the multipliers of all rows are the reduced
+    ones through the averaged row map, less the reduction's ``y_offset``;
+    status, objectives, residuals, iterations and trace stay the block
+    solve's.  Returns that solution and ``{"generators", "blocks",
     "constraints"}`` of the reduced problem, or the solution and None.
     """
     solution = solve(problem, gap_tol, y_start=y_start)
@@ -349,21 +603,25 @@ def solve_indicator(
     if reduction is None:
         return solution, None
 
-    blocks = reduction.swap.blocks
+    symmetry = reduction.symmetry
+    per_block = len(symmetry.bases)
 
-    def embed(mats):
-        pairs = zip(mats[::2], mats[1::2], strict=True)
-        return [sum(w @ (scale * z) @ w.T for (w, scale), z in zip(blocks, pair)) for pair in pairs]
+    def embed(mats, primal):
+        return [
+            sum(
+                w @ (scale * z) @ w.T if primal else q @ z @ q.T
+                for (w, scale, q), z in zip(symmetry.bases, mats[l : l + per_block], strict=True)
+            )
+            for l in range(0, len(mats), per_block)
+        ]
 
-    row = reduction.row
+    at, row, value = symmetry.row_map
+    y = np.bincount(row, weights=value * solution.y[at], minlength=len(reduction.y_offset)) - reduction.y_offset
     embedded = dataclasses.replace(
-        solution,
-        x_blocks=embed(solution.x_blocks),
-        s_blocks=embed(solution.s_blocks),
-        y=solution.y[row] / reduction.size[row],
+        solution, x_blocks=embed(solution.x_blocks, True), s_blocks=embed(solution.s_blocks, False), y=y
     )
     return embedded, {
-        "parties": list(reduction.swap.parties),
+        "generators": symmetry.description,
         "blocks": list(problem.block_dims),
         "constraints": problem.num_constraints,
     }
@@ -384,7 +642,7 @@ class SosCertificate:
 class CompiledExtremize:
     problem: SdpProblem
     target: np.ndarray  # functional coefficients, negated for "max"
-    reduction: SwapReduction | None  # how the problem was reduced by a party swap, if it was
+    reduction: Reduction | None  # how the problem was reduced by a relabelling group, if it was
     y_start: np.ndarray  # strictly dual-feasible multipliers: the product-projector moments, negated
 
 
@@ -397,23 +655,22 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     The extremal value is target[0] - opt, and the dual slack at the
     optimum is the extremizing moment matrix itself.
 
-    The problem is built by :func:`indicator_problem`, so a party swap
-    that fixes the pinned coefficients (the target without its constant
-    term, which is not SDP data) poses it over the swap's symmetric and
-    antisymmetric blocks, with one constraint per orbit of word classes: the
-    class indicators and targets averaged over the orbit.  Only b depends
-    on the functional, so the operator is built once per structure and
-    swap, and the min and max of one functional share it; a call builds
+    The problem is built by :func:`indicator_problem`, so relabellings that
+    fix the pinned coefficients (the target without its constant term,
+    which is not SDP data) pose it over their group's blocks, with one
+    constraint per kept orbit of word classes.  Only b depends on the
+    functional, and the objective Z[0,0] is the same for every functional,
+    so the operator and the reduction are built once per structure and
+    group, and the min and max of one functional share them; a call builds
     ``target``, ``b`` and the objective's projection.
 
     ``y_start`` is a strictly feasible point of the dual: y_k = -Gamma_k
     for the product-projector moments Gamma (:func:`product_moments`) makes
-    the dual slack Gamma itself.  Gamma is invariant under every party
-    swap, so on a reduced problem, whose rows average their orbit's
-    constraints, row r takes the orbit's sum size_r * y_k and the slack is
-    Gamma's projection onto the swap's blocks.  It depends only on the
-    structure and the reduction, so it is computed once per pair
-    (read-only).
+    the dual slack Gamma itself.  Gamma is fixed by every relabelling, so on
+    a reduced problem the start is the reduced multipliers that
+    :func:`solve_indicator` maps back to y, and the slack is Gamma's
+    projection onto the group's blocks.  It depends only on the structure
+    and the group, so it is computed once per pair (read-only).
     """
     if functional.scenario != structure.scenario:
         raise ScenarioMismatchError("functional and moment structure disagree on the scenario")
@@ -429,28 +686,49 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     pinned[structure.monomial_class] = target
     # constraint k - 1 pins class k
     problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:])
-    return CompiledExtremize(problem, target, reduction, _extremize_start(structure, reduction))
+    reduction, y_start = _extremize_start(structure, None if reduction is None else reduction.symmetry)
+    return CompiledExtremize(problem, target, reduction, y_start)
 
 
 @lru_cache(maxsize=None)
-def _extremize_start(structure: MomentStructure, reduction: SwapReduction | None) -> np.ndarray:
-    """The read-only ``y_start`` of :func:`compile_extremize`."""
-    y_start = -product_moments(structure)[1:]
-    if reduction is not None:
-        y_start = np.bincount(reduction.row, weights=y_start)
+def _extremize_start(structure: MomentStructure, symmetry: Symmetry | None) -> tuple:
+    """The :class:`Reduction` of :func:`compile_extremize` over ``symmetry``
+    (None for none) and its read-only ``y_start``: on a reduced problem the
+    y_hat whose image G_bar[kept]^T y_hat - offset is -Gamma on the kept
+    rows, a triangular solve (:class:`Symmetry`)."""
+    y_start, reduction = -product_moments(structure)[1:], None
+    if symmetry is not None:
+        m, kept = len(y_start), symmetry.rows
+        objective = np.zeros((1, len(structure.classes)))
+        objective[0, 0] = 1.0
+        offset, _ = _objective_shift(structure, symmetry.generators, np.arange(m + 1)[None] - 1, objective, m)
+        reduction = Reduction(symmetry, *_read_only(offset))
+        position = np.full(m, -1)
+        position[kept] = np.arange(len(kept))
+        at, row, value = symmetry.row_map
+        inside = position[row] >= 0
+        square = np.zeros((len(kept), len(kept)))  # the row map's kept columns, triangular
+        square[at[inside], position[row[inside]]] = value[inside]
+        y_start = np.linalg.solve(square.T, y_start[kept] + offset[kept])
     y_start.flags.writeable = False
-    return y_start
+    return reduction, y_start
 
 
 @dataclass(eq=False)
 class AqExtremum:
     value: float
-    behavior: Behavior  # on the caller's scenario
     certificate: SosCertificate  # on the caller's scenario
     solution: SdpSolution  # of the one-block problem over the touched settings only
-    # the party swap the solve was reduced by: {"parties", "blocks",
-    # "constraints"}, or None for the one-block solve
+    # the relabelling group the solve was reduced by: {"generators",
+    # "blocks", "constraints"}, or None for the one-block solve
     reduction: dict | None
+    entries: np.ndarray = dataclasses.field(repr=False)  # the behavior's Collins-Gisin entries
+
+    @cached_property
+    def behavior(self) -> Behavior:
+        """The extremal behavior on the caller's scenario, built on first
+        read (checked by :func:`from_collins_gisin`)."""
+        return from_collins_gisin(self.certificate.scenario, self.entries, EXTRACTION_TOL)
 
 
 def aq_extremize(functional: BellFunctional, sense: str, gap_tol: float = GAP_TOL) -> AqExtremum:
@@ -460,15 +738,17 @@ def aq_extremize(functional: BellFunctional, sense: str, gap_tol: float = GAP_TO
 
     The SDP is solved over the settings the functional touches (see
     :func:`restrict_to_touched`), and ``solution`` is a solution of that
-    restricted problem.  When a party swap fixes the restricted functional
-    and the problem is large enough, the solve runs over two blocks (see
-    :func:`indicator_problem`), ``solution`` is its re-embedding and
-    ``reduction`` records the swapped parties, the block sizes and the
-    constraint count (:func:`solve_indicator`).
+    restricted problem.  When relabellings fix the restricted functional
+    and the problem is large enough, the solve runs over their group's
+    blocks (see :func:`indicator_problem`), ``solution`` is its
+    re-embedding and ``reduction`` records the group's generators, the
+    block sizes and the constraint count (:func:`solve_indicator`).
     ``behavior`` and ``certificate`` are re-embedded into the caller's
     scenario: the behavior's Collins-Gisin entries are 0 on monomials with a
     dropped letter (a dropped setting always returns the last outcome), and
-    the certificate's Gram matrix is 0 on their rows and columns.
+    the certificate's Gram matrix is 0 on their rows and columns.  The
+    behavior is built from ``entries`` on first read, so callers that read
+    only values and certificates never build it.
     """
     restricted, keep = restrict_to_touched(functional)
     structure = build_moment_structure(restricted.scenario)
@@ -482,20 +762,13 @@ def aq_extremize(functional: BellFunctional, sense: str, gap_tol: float = GAP_TO
     entries = np.zeros(n)
     # moments are the negated dual multipliers, read at the first row's classes
     entries[keep] = np.concatenate(([1.0], -solution.y))[structure.monomial_class]
-    behavior = from_collins_gisin(functional.scenario, entries, EXTRACTION_TOL)
 
     target = np.zeros(n)
     target[keep] = compiled.target
     z = np.zeros((n, n))
     z[np.ix_(keep, keep)] = solution.x_blocks[0]
     certificate = SosCertificate(scenario=functional.scenario, target=target, lam=bound, z=z)
-    return AqExtremum(
-        value=value,
-        behavior=behavior,
-        certificate=certificate,
-        solution=solution,
-        reduction=reduction,
-    )
+    return AqExtremum(value=value, certificate=certificate, solution=solution, reduction=reduction, entries=entries)
 
 
 @lru_cache(maxsize=None)

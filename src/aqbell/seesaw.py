@@ -10,7 +10,10 @@ Every step's SDP is posed by :func:`aqset.indicator_problem`, which builds
 each step's constraint operator once and hands it to every later sweep, and
 solved by :func:`aqset.solve_indicator` at the solver's default tolerances
 (``sdp.GAP_TOL``, ``sdp.FEAS_TOL``); ``aqset`` alone decides from that data
-whether to solve it over a party swap's symmetric and antisymmetric blocks.
+whether to solve it over the blocks of a group of relabellings (party swaps
+and outcome flips).  On the reference start both the behaviour step and the
+family step are reduced by the same group of order 4, so the family step's
+generators are exactly invariant and the next behaviour step keeps it.
 """
 from __future__ import annotations
 
@@ -63,9 +66,9 @@ class SeesawConfig:
 class RestartOutcome:
     index: int
     # (label, value, reduction) per block step: the label is "behavior",
-    # "family" or "outer", and the reduction is the party swap the step's
-    # solve was reduced by ({"parties", "blocks", "constraints"}, as
-    # AqExtremum.reduction) or None
+    # "family" or "outer", and the reduction is the relabelling group the
+    # step's solve was reduced by ({"generators", "blocks", "constraints"},
+    # as AqExtremum.reduction) or None
     steps: list = field(default_factory=list)
     family: NbfFamily | None = None
     outer: BellFunctional | None = None

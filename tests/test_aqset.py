@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,13 +13,12 @@ from aqbell.aqset import (
     compile_extremize,
     constraint_residual,
     indicator_problem,
-    party_swap,
     restrict_to_touched,
     scatter,
     strictly_feasible_point,
 )
 from aqbell.errors import ScenarioMismatchError, SizeGuardError
-from aqbell.nbf import certificate_residual, random_wiring
+from aqbell.nbf import certificate_residual, random_wiring, verify_nbf
 from aqbell.oracles import deterministic_range, normalized_chsh
 from aqbell.seesaw import _cone_pair_problem
 from aqbell.scenario import (
@@ -320,97 +320,177 @@ def unreduced_problem(structure, target):
     return sdp_problem((n,), (c,), (triplets(stack),), b)
 
 
-def assert_matches_unreduced_solve(f, sense, ext, parties):
-    """``ext`` was solved over the two blocks of the swap of ``parties``, and
-    is a solution of the one-block problem with the same value."""
+def assert_matches_unreduced_solve(f, sense, ext, generators):
+    """``ext`` was solved over the character blocks of the group of
+    ``generators``, and is a solution of the one-block problem with the same
+    value."""
     restricted, _ = restrict_to_touched(f)
     st = build_moment_structure(restricted.scenario)
     compiled = compile_extremize(st, restricted, sense)
+    assert compiled.reduction.symmetry.generators == generators
     assert ext.reduction == {
-        "parties": list(parties),
+        "generators": compiled.reduction.symmetry.description,
         "blocks": list(compiled.problem.block_dims),
         "constraints": compiled.problem.num_constraints,
     }
-    assert len(compiled.problem.block_dims) == 2 and sum(compiled.problem.block_dims) == st.size
+    assert len(compiled.problem.block_dims) == 2 ** len(generators)
+    assert sum(compiled.problem.block_dims) == st.size
     problem = unreduced_problem(st, compiled.target)
     full = solve(problem)
     bound = compiled.target[0] - full.primal_objective
     assert abs(ext.value - (bound if sense == "min" else -bound)) < 1e-8
     assert ext.solution.x_blocks[0].shape == (st.size, st.size)
     assert check_certificate(problem, ext.solution).passed
-    # the moments, hence the behavior, are invariant under the swap
-    perm = swap_permutation(st.scenario, *parties)
+    # the moments, hence the behavior, are invariant under every generator:
+    # T^T Gamma T = Gamma for its monomial map T (a permutation for a swap)
     gamma = scatter(st, np.concatenate(([1.0], -ext.solution.y)))
-    assert np.array_equal(gamma, gamma[np.ix_(perm, perm)])
+    for generator in generators:
+        t = aqset._monomial_map(st, generator)
+        assert np.abs(t.T @ gamma @ t - gamma).max() <= 1e-15
+        if generator[0] == "swap":
+            perm = swap_permutation(st.scenario, *generator[1])
+            assert np.array_equal(t[perm, np.arange(st.size)], np.ones(st.size))
     assert constraint_residual(st, gamma) < 1e-12
     assert certificate_residual(ext.certificate) <= 1e-8
+
+
+SWAP = ("swap", (0, 1))
+FLIP = ("flip", ((0, 1), (1, 1)))  # the joint outcome flip of A's and B's setting 1
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_reduced_extremum_of_reference_composition(composed_w, headline, sense):
     ext = headline if sense == "min" else aq_extremize(composed_w, sense)
-    assert ext.reduction == {"parties": [0, 1], "blocks": [30, 18], "constraints": 156}
-    assert_matches_unreduced_solve(composed_w, sense, ext, (0, 1))
+    assert ext.reduction == {
+        "generators": [{"swap": [0, 1]}, {"flip": [[0, 1], [1, 1]]}],
+        "blocks": [21, 9, 9, 9],
+        "constraints": 89,
+    }
+    assert_matches_unreduced_solve(composed_w, sense, ext, (SWAP, FLIP))
+
+
+def perturbed_composition(composed_w, monomial):
+    """The restricted composition with the coefficient of ``monomial``
+    (letters (party, setting, outcome)) moved by 1e-9."""
+    restricted, _ = restrict_to_touched(composed_w)
+    coeffs = restricted.coeffs.copy()
+    coeffs[basis(restricted.scenario).index[monomial]] += 1e-9
+    return BellFunctional(restricted.scenario, coeffs)
 
 
 def test_swap_bases_are_orthonormal(composed_w):
-    st = build_moment_structure(restrict_to_touched(composed_w)[0].scenario)
-    swap = party_swap(st, (0, 1))
-    assert np.array_equal(swap.perm, swap_permutation(st.scenario, 0, 1))
-    u = np.hstack([w / np.sqrt((w != 0).sum(axis=0)) for w, _ in swap.blocks])
+    # a coefficient that only the flip moves leaves the order-2 swap record,
+    # whose bases are orthogonal 0/+-1 columns e_i and e_i +- e_j
+    f = perturbed_composition(composed_w, ((0, 1, 0), (1, 1, 0)))
+    st = build_moment_structure(f.scenario)
+    compiled = compile_extremize(st, f, "min")
+    symmetry = compiled.reduction.symmetry
+    assert symmetry.generators == (SWAP,)
+    perm = swap_permutation(st.scenario, 0, 1)
+    assert np.array_equal(aqset._monomial_map(st, SWAP)[perm, np.arange(st.size)], np.ones(st.size))
+    u = np.hstack([w / np.linalg.norm(w, axis=0) for w, _, _ in symmetry.bases])
     np.testing.assert_allclose(u.T @ u, np.eye(st.size), atol=1e-15)
-    # symmetric columns are fixed by the swap, antisymmetric ones negated
-    for (w, scale), sign in zip(swap.blocks, (1.0, -1.0)):
-        assert np.array_equal(w[swap.perm], sign * w)
+    # symmetric columns are fixed by the swap, antisymmetric ones negated;
+    # U = W diag(1 / |w_c|) acts through scale = 1 / (|w_c| |w_c'|), and the
+    # dual basis of an orthonormal basis is itself
+    for (w, scale, q), sign in zip(symmetry.bases, (1.0, -1.0), strict=True):
+        assert set(np.unique(w)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(w[perm], sign * w)
         norms = np.linalg.norm(w, axis=0)
         np.testing.assert_allclose(scale, 1.0 / np.outer(norms, norms), rtol=1e-15)
+        np.testing.assert_allclose(q, w / norms, rtol=1e-15, atol=1e-16)
 
 
 def test_slightly_asymmetric_composition_takes_unreduced_path(composed_w):
     restricted, _ = restrict_to_touched(composed_w)
     st = build_moment_structure(restricted.scenario)
     assert compile_extremize(st, restricted, "min").reduction is not None
-    perm = swap_permutation(st.scenario, 0, 1)
-    moved = np.flatnonzero((perm != np.arange(st.size)) & (restricted.coeffs != 0.0))[0]
-    coeffs = restricted.coeffs.copy()
-    coeffs[moved] += 1e-9
-    compiled = compile_extremize(st, BellFunctional(st.scenario, coeffs), "min")
+    # A's setting-1 projector: the swap moves it to B's and the flip to 1 - A1
+    compiled = compile_extremize(st, perturbed_composition(composed_w, ((0, 1, 0),)), "min")
     assert compiled.reduction is None
     assert compiled.problem.block_dims == (48,) and compiled.problem.num_constraints == 273
 
 
+@pytest.mark.parametrize(
+    "monomial, generators, dims, rows",
+    [
+        # A1 B1: fixed by the swap, moved by the flip
+        (((0, 1, 0), (1, 1, 0)), (SWAP,), (30, 18), 156),
+        # A0: moved by the swap, fixed by the flip
+        (((0, 0, 0),), (FLIP,), (30, 18), 139),
+    ],
+)
+def test_one_broken_generator_leaves_the_other(composed_w, monomial, generators, dims, rows):
+    f = perturbed_composition(composed_w, monomial)
+    st = build_moment_structure(f.scenario)
+    compiled = compile_extremize(st, f, "min")
+    assert compiled.reduction.symmetry.generators == generators
+    assert compiled.problem.block_dims == dims and compiled.problem.num_constraints == rows
+    for sense in ("min", "max"):
+        assert_matches_unreduced_solve(f, sense, aq_extremize(f, sense), generators)
+
+
+def test_flip_candidates_are_checked_against_all_the_data(rng):
+    # data only on mixed words: no correlator of the monomial data is odd,
+    # so every single-letter flip is a candidate, and the full check in
+    # class coordinates must reject each one
+    st = build_moment_structure(make_scenario(3, 2, 2))
+    m = len(st.classes) - 1
+    class_rows = np.array([np.arange(m + 1) - 1] * 2)
+    mixed = np.setdiff1d(np.arange(1, m + 1), st.monomial_class)
+    b = np.zeros(m)
+    b[mixed - 1] = rng.uniform(-1, 1, len(mixed))
+    c_blocks = [np.zeros((st.size, st.size))] * 2
+    values = np.zeros((2, m + 1))
+    candidates = aqset._flip_candidates(st, values, class_rows, b, 1e-12, None)
+    assert sorted(candidates) == [((p, x),) for p in range(3) for x in range(2)]
+    generators, judged = aqset.invariant_group(st, c_blocks, class_rows, b)
+    assert generators == () and np.array_equal(judged, values)
+    problem, reduction = indicator_problem(st, c_blocks, class_rows, b)
+    assert reduction is None and problem.block_dims == (st.size,) * 2
+
+
+def swap_class_image(st, p, q):
+    """Class index of each word class's image when parties p and q swap."""
+    perm = swap_permutation(st.scenario, p, q)
+    labels = st.cell_class
+    image = np.empty(len(st.classes), dtype=int)
+    image[labels[labels >= 0]] = labels[np.ix_(perm, perm)][labels >= 0]
+    return image
+
+
 def swap_invariant_two_block_data(rng):
     """Two blocks on the (2,2,3) structure, with data that the swap of
-    parties 0 and 1 fixes: m * sum_l n_l**3 = 3e6 passes the size rule."""
+    parties 0 and 1 fixes: m * sum_l n_l**3 = 3e6 passes the size rule.
+    The objective blocks are constant on every word class, as the
+    reduction's judge requires."""
     st = build_moment_structure(make_scenario(2, 2, 3))
-    swap = party_swap(st, (0, 1))
+    image = swap_class_image(st, 0, 1)
     m = len(st.classes) - 1
     class_rows = (np.arange(m + 1) - 1,) * 2
     values = rng.uniform(-1, 1, m + 1)
-    b = (values + values[swap.image])[1:]
+    b = (values + values[image])[1:]
     c_blocks = []
     for _ in class_rows:
-        a = rng.uniform(-1, 1, (st.size, st.size))
-        a = a + a.T
-        c_blocks.append(a + a[np.ix_(swap.perm, swap.perm)])
+        v = rng.uniform(-1, 1, m + 1)
+        c_blocks.append(scatter(st, v + v[image]))
     return st, c_blocks, class_rows, b
 
 
 def test_indicator_problem_reduces_only_swap_invariant_data(rng):
     st, c_blocks, class_rows, b = swap_invariant_two_block_data(rng)
-    swap, m = party_swap(st, (0, 1)), len(b)
+    image, m = swap_class_image(st, 0, 1), len(b)
     problem, reduction = indicator_problem(st, c_blocks, class_rows, b)
-    assert reduction is not None and reduction.swap.parties == (0, 1)
+    assert reduction is not None and reduction.symmetry.generators == (("swap", (0, 1)),)
     assert len(problem.block_dims) == 4 and sum(problem.block_dims) == 2 * st.size
     assert problem.num_constraints < m
 
-    # one entry of b, or one cell of one objective block, moved off the symmetry
-    row = np.flatnonzero(swap.image[1:] != np.arange(1, m + 1))[0]
-    cell = np.flatnonzero(swap.perm != np.arange(st.size))[0]
+    # one entry of b, or one class of one objective block, moved off the symmetry
+    row = np.flatnonzero(image[1:] != np.arange(1, m + 1))[0]
     b_off = b.copy()
     b_off[row] += 1e-9
     c_off = [c.copy() for c in c_blocks]
-    c_off[1][cell, cell] += 1e-9
+    c_off[1][st.cell_class == row + 1] += 1e-9
     for cs, rhs in ((c_blocks, b_off), (c_off, b)):
         problem, reduction = indicator_problem(st, cs, class_rows, rhs)
         assert reduction is None
@@ -427,7 +507,7 @@ def test_three_party_functional_reduced_through_second_and_third(rng):
     coeffs = rng.uniform(-1, 1, basis_size(scn))
     f = BellFunctional(scn, 0.5 * (coeffs + coeffs[perm]))
     for sense in ("min", "max"):
-        assert_matches_unreduced_solve(f, sense, aq_extremize(f, sense), (1, 2))
+        assert_matches_unreduced_solve(f, sense, aq_extremize(f, sense), (("swap", (1, 2)),))
 
 
 @pytest.mark.parametrize("sense", ["min", "max"])
@@ -455,8 +535,8 @@ def test_generator_solves_stay_one_block(reference_trio, sense):
 @pytest.mark.parametrize("case", ["headline", "family", "two_block"])
 def test_reduced_constraints_match_dense_projection(case, composed_w, rng, monkeypatch):
     # the reduced constraint blocks, exactly as the dense formula
-    # scale * (W^T (indicator / size) W) gives them, from the unreduced
-    # problem's class indicators summed over each merged row
+    # scale * (W^T indicator W) gives them per character basis (W, scale),
+    # from the unreduced problem's class indicators of each kept row
     if case == "headline":
         restricted, _ = restrict_to_touched(composed_w)
         st = build_moment_structure(restricted.scenario)
@@ -482,22 +562,22 @@ def test_reduced_constraints_match_dense_projection(case, composed_w, rng, monke
 
     problem, reduction = build()
     assert reduction is not None
-    expected_dims = {"headline": (30, 18), "family": (10, 6) * 4, "two_block": (15, 10) * 2}[case]
+    expected_dims = {"headline": (21, 9, 9, 9), "family": (10, 6) * 4, "two_block": (15, 10) * 2}[case]
     assert problem.block_dims == expected_dims
-    monkeypatch.setattr(aqset, "SWAP_MIN_WORK", np.inf)
+    monkeypatch.setattr(aqset, "SYMMETRY_MIN_WORK", np.inf)
     unreduced, none = build()
     assert none is None
-    size = reduction.size
+    symmetry = reduction.symmetry
+    assert np.array_equal(problem.b, unreduced.b[symmetry.rows])
+    per_block = len(symmetry.bases)
     for l, indicators in enumerate(unreduced.a_stacks):
-        merged = np.zeros((len(size),) + indicators.shape[1:])
-        np.add.at(merged, reduction.row, indicators)
-        for s, (w, scale) in enumerate(reduction.swap.blocks):
-            expected = scale * (w.T @ (merged / size[:, None, None]) @ w)
-            assert np.array_equal(problem.a_stacks[2 * l + s], expected)
+        for s, (w, scale, _) in enumerate(symmetry.bases):
+            expected = scale * (w.T @ indicators[symmetry.rows] @ w)
+            assert np.array_equal(problem.a_stacks[per_block * l + s], expected)
 
 
 def compiled_case(case, composed_w):
-    """A compiled extremization: the headline, swap-reduced to 30 + 18, an
+    """A compiled extremization: the headline, reduced to 21 + 9 + 9 + 9, an
     unreduced n=9 problem, or an unreduced n=125 one with three outcomes."""
     if case == "headline":
         f, _ = restrict_to_touched(composed_w)
@@ -506,7 +586,7 @@ def compiled_case(case, composed_w):
         f = BellFunctional(scenario, np.random.default_rng(7).normal(size=basis_size(scenario)))
     st = build_moment_structure(f.scenario)
     compiled = compile_extremize(st, f, "min")
-    dims = {"headline": (30, 18), "unreduced": (9,), "three_outcomes": (125,)}[case]
+    dims = {"headline": (21, 9, 9, 9), "unreduced": (9,), "three_outcomes": (125,)}[case]
     assert compiled.problem.block_dims == dims
     return st, compiled
 
@@ -514,7 +594,7 @@ def compiled_case(case, composed_w):
 @pytest.mark.parametrize("case", ["headline", "unreduced"])
 def test_extremization_starts_on_the_central_path(case, composed_w, monkeypatch):
     # the start is exactly dual feasible, its slack is the product-projector
-    # moment matrix (projected onto the swap's blocks when reduced), and
+    # moment matrix (projected onto the group's blocks when reduced), and
     # X S = tau_p I for the default start's tau_p
     st, compiled = compiled_case(case, composed_w)
     problem = compiled.problem
@@ -531,8 +611,8 @@ def test_extremization_starts_on_the_central_path(case, composed_w, monkeypatch)
     if compiled.reduction is None:
         (gamma,) = start.s_blocks
     else:
-        blocks = compiled.reduction.swap.blocks
-        gamma = sum(w @ (scale * s) @ w.T for (w, scale), s in zip(blocks, start.s_blocks, strict=True))
+        bases = compiled.reduction.symmetry.bases
+        gamma = sum(q @ s @ q.T for (_, _, q), s in zip(bases, start.s_blocks, strict=True))
     assert np.abs(gamma - strictly_feasible_point(st)).max() <= 1e-15
 
 
@@ -597,19 +677,15 @@ def test_min_and_max_share_one_operator(composed_w, rng):
 def test_reduced_and_unreduced_problems_do_not_share_an_operator(composed_w, rng):
     restricted, _ = restrict_to_touched(composed_w)
     st = build_moment_structure(restricted.scenario)
-    perm = swap_permutation(st.scenario, 0, 1)
-    moved = np.flatnonzero((perm != np.arange(st.size)) & (restricted.coeffs != 0.0))[0]
-    coeffs = restricted.coeffs.copy()
-    coeffs[moved] += 1e-9
     reduced = compile_extremize(st, restricted, "min")
-    unreduced = compile_extremize(st, BellFunctional(st.scenario, coeffs), "min")
+    unreduced = compile_extremize(st, perturbed_composition(composed_w, ((0, 1, 0),)), "min")
     assert reduced.reduction is not None and unreduced.reduction is None
     assert unreduced.problem.operator is not reduced.problem.operator
-    assert unreduced.problem.block_dims == (48,) and reduced.problem.block_dims == (30, 18)
-    assert len(unreduced.y_start) == 273 and len(reduced.y_start) == 156
+    assert unreduced.problem.block_dims == (48,) and reduced.problem.block_dims == (21, 9, 9, 9)
+    assert len(unreduced.y_start) == 273 and len(reduced.y_start) == 89
 
     st, c_blocks, class_rows, b = swap_invariant_two_block_data(rng)
-    image = party_swap(st, (0, 1)).image
+    image = swap_class_image(st, 0, 1)
     b_off = b.copy()
     b_off[np.flatnonzero(image[1:] != np.arange(1, len(b) + 1))[0]] += 1e-9
     (reduced, with_swap), (unreduced, without) = (indicator_problem(st, c_blocks, class_rows, v) for v in (b, b_off))
@@ -619,9 +695,9 @@ def test_reduced_and_unreduced_problems_do_not_share_an_operator(composed_w, rng
 
 
 def test_cached_arrays_are_read_only(composed_w):
-    # structures, swaps, reductions and starts are kept for the life of the
-    # process and shared by every later solve, so none of their arrays can
-    # be written
+    # structures, relabelling maps, symmetries, reductions and starts are
+    # kept for the life of the process and shared by every later solve, so
+    # none of their arrays can be written
     restricted, _ = restrict_to_touched(composed_w)
     (unreduced_f,) = seed_one_verify_functionals(1)
     reduced, unreduced = (
@@ -629,9 +705,15 @@ def test_cached_arrays_are_read_only(composed_w):
     )
     assert reduced.reduction is not None and unreduced.reduction is None
     reduction, st = reduced.reduction, build_moment_structure(restricted.scenario)
-    swap = reduction.swap
-    arrays = [st.cell_class, st.monomial_class, swap.perm, swap.image, reduction.row, reduction.size]
-    arrays += [a for basis in swap.blocks for a in basis] + [reduced.y_start, unreduced.y_start]
+    symmetry = reduction.symmetry
+    arrays = [st.cell_class, st.monomial_class, symmetry.rows, *symmetry.row_map, reduction.y_offset]
+    arrays += [a for basis in symmetry.bases for a in basis] + [reduced.y_start, unreduced.y_start]
+    m = len(st.classes) - 1
+    rows = (np.arange(m + 1) - 1)[None].tobytes()
+    for generator in symmetry.generators:
+        arrays += [aqset._monomial_map(st, generator), *aqset._class_map(st, generator)]
+        arrays += [*aqset._row_action(st, m, rows, generator)]
+    arrays += [*aqset._correlators(st.scenario)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
@@ -676,3 +758,108 @@ def test_cache_hit_compile_allocates_less_than_its_operator(case, composed_w):
         tracemalloc.stop()
     assert compiled.problem.operator is operator
     assert peak < operator.nbytes
+
+
+def dense(entries, shape):
+    out = np.zeros(shape)
+    np.add.at(out, entries[:2], entries[2])
+    return out
+
+
+def test_class_maps_are_well_defined_involutive_and_commuting():
+    st = build_moment_structure(make_scenario(3, 3, 2))
+    n_classes = len(st.classes)
+    generators = [SWAP, FLIP, ("flip", ((2, 0),)), ("flip", ((0, 2), (1, 2), (2, 1)))]
+    maps = {}
+    for generator in generators:
+        t = aqset._monomial_map(st, generator)
+        assert np.array_equal(t @ t, np.eye(st.size))
+        m = dense(aqset._class_map(st, generator), (n_classes, n_classes))
+        # the map read at the first cell of each class is the one read at
+        # its second and third cells
+        for k, cells in enumerate(word_classes(st.scenario).values()):
+            for i, j in cells[1:3]:
+                column = np.zeros(n_classes)
+                np.add.at(column, st.cell_class, np.outer(t[:, i], t[:, j]))
+                assert np.array_equal(column, m[:, k])
+        assert np.array_equal(m @ m, np.eye(n_classes))
+        maps[generator] = m
+    for first, second in itertools.combinations(generators, 2):
+        assert np.array_equal(maps[first] @ maps[second], maps[second] @ maps[first])
+
+
+def test_row_rule_keeps_one_row_per_fixed_dimension(composed_w):
+    restricted, _ = restrict_to_touched(composed_w)
+    st = build_moment_structure(restricted.scenario)
+    compiled = compile_extremize(st, restricted, "min")
+    symmetry, m = compiled.reduction.symmetry, len(st.classes) - 1
+    assert symmetry.generators == (SWAP, FLIP)
+    rows = (np.arange(m + 1) - 1)[None].tobytes()
+    # the rows' average over the group, prod_i (I + G_i) / 2, projects onto
+    # the rows' values on invariant matrices: its trace is their dimension
+    average = np.eye(m)
+    for generator in symmetry.generators:
+        g = dense(aqset._row_action(st, m, rows, generator), (m, m))
+        assert np.array_equal(g @ g, np.eye(m))
+        average = 0.5 * (average + average @ g)
+    assert len(symmetry.rows) == round(np.trace(average)) == 89
+    # the kept rows determine those values, and b is one of them, so b
+    # agrees on every dropped row with what the kept rows imply
+    assert np.linalg.matrix_rank(average[symmetry.rows]) == 89
+    b = np.zeros(m + 1)
+    b[st.monomial_class] = compiled.target
+    assert np.abs(average @ b[1:] - b[1:]).max() <= 1e-15
+    assert np.array_equal(compiled.problem.b, b[1:][symmetry.rows])
+
+
+def test_group_bases_are_exact_and_dual(composed_w):
+    restricted, _ = restrict_to_touched(composed_w)
+    st = build_moment_structure(restricted.scenario)
+    symmetry = compile_extremize(st, restricted, "min").reduction.symmetry
+    maps = [aqset._monomial_map(st, g) for g in symmetry.generators]
+    characters = [(1, 1), (-1, 1), (1, -1), (-1, -1)]  # bit i of the block index: generator i odd
+    assert [w.shape[1] for w, _, _ in symmetry.bases] == [21, 9, 9, 9]
+    u = np.hstack([w * np.sqrt(np.diag(scale)) for w, scale, _ in symmetry.bases])
+    q = np.hstack([q for _, _, q in symmetry.bases])
+    np.testing.assert_allclose(q.T @ u, np.eye(st.size), atol=1e-14)
+    for (w, scale, _), chi in zip(symmetry.bases, characters, strict=True):
+        # T_g W = chi(g) W exactly, in binary fractions with a leading +-1
+        for t, sign in zip(maps, chi, strict=True):
+            assert np.array_equal(t @ w, sign * w)
+        assert np.array_equal(w * 4, np.round(w * 4)) and np.abs(w).max() == 1.0
+        norms = np.linalg.norm(w, axis=0)
+        np.testing.assert_allclose(scale, 1.0 / np.outer(norms, norms), rtol=1e-15)
+
+
+def symmetry_caches():
+    return (aqset._monomial_map, aqset._class_map, aqset._row_action, aqset._symmetry, aqset._correlators)
+
+
+def test_verify_pass_builds_no_symmetry_data():
+    # n = 9, 16 and 27 lie below the size rule, so no relabelling is judged
+    for cache in symmetry_caches():
+        cache.cache_clear()
+    for f in seed_one_verify_functionals(150):
+        verify_nbf(f)
+    assert [cache.cache_info().currsize for cache in symmetry_caches()] == [0] * 5
+
+
+def test_behavior_is_built_on_first_read(monkeypatch, rng):
+    calls = []
+    real = aqset.from_collins_gisin
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(aqset, "from_collins_gisin", counting)
+    for f in seed_one_verify_functionals(3):
+        verify_nbf(f)
+    assert calls == []
+    f = BellFunctional(make_scenario(2, 3, 2), rng.uniform(-1, 1, 16))
+    ext = aq_extremize(f, "min")
+    assert calls == []
+    behavior = ext.behavior
+    assert ext.behavior is behavior and len(calls) == 1
+    eager = real(f.scenario, ext.entries, aqset.EXTRACTION_TOL)
+    assert np.array_equal(behavior.table, eager.table)

@@ -344,9 +344,14 @@ def test_reproduce(tmp_path):
     value = report["results"]["minimum"]["value"]
     assert -0.0038 <= value <= -0.0028
     assert report["results"]["in_band"] is True
-    # the composition is solved over the symmetric and antisymmetric blocks
-    # of the swap of parties 0 and 1
-    assert report["results"]["reduction"] == {"parties": [0, 1], "blocks": [30, 18], "constraints": 156}
+    # the composition is solved over the four character blocks of the group
+    # generated by the swap of parties 0 and 1 and the joint outcome flip of
+    # their setting 1
+    assert report["results"]["reduction"] == {
+        "generators": [{"swap": [0, 1]}, {"flip": [[0, 1], [1, 1]]}],
+        "blocks": [21, 9, 9, 9],
+        "constraints": 89,
+    }
     assert (tmp_path / "reproduce_behavior.json").exists()
     assert (tmp_path / "reproduce_certificate.json").exists()
 
