@@ -34,8 +34,11 @@ so one row per orbit of word classes determines the rest.
 rows this way when its data allow it (the extremization here and the
 see-saw's cone-pair steps) and otherwise with its data as given, and
 :func:`solve_indicator`, the one solve of such a problem, maps a reduced
-solution back through its :class:`Reduction`.  Every array that a cache
-here keeps for the life of the process is read-only.
+solution back through its :class:`Reduction`.  A swap permutes the
+monomials, a flip does not, so flips are judged only for the
+extremization, whose start every relabelling fixes (see
+:func:`indicator_problem`).  Every array that a cache here keeps for the
+life of the process is read-only.
 """
 from __future__ import annotations
 
@@ -145,19 +148,6 @@ def _sparse(rows, cols, values, width: int) -> tuple:
     return _read_only(*np.divmod(keys[nonzero], width), sums[nonzero])
 
 
-def _product(a: tuple, b: tuple, width: int) -> tuple:
-    """The product of two sparse matrices given as ``(rows, cols, values)``,
-    with ``width`` columns (and rows of b)."""
-    (i, k, x), (bk, j, y) = a, b
-    order = np.argsort(bk, kind="stable")
-    bk, j, y = bk[order], j[order], y[order]
-    ptr = np.searchsorted(bk, np.arange(width + 1))
-    counts = ptr[k + 1] - ptr[k]
-    at = np.repeat(np.arange(len(k)), counts)
-    inner = np.repeat(ptr[k], counts) + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return _sparse(i[at], j[inner], x[at] * y[inner], width)
-
-
 @lru_cache(maxsize=None)
 def _monomial_map(structure: MomentStructure, generator: tuple) -> np.ndarray:
     """The read-only N x N matrix T of a relabelling on the monomial basis:
@@ -213,47 +203,24 @@ def _row_action(structure: MomentStructure, m: int, class_rows: bytes, generator
     acts on the rows of :func:`indicator_problem` (class rows given as the
     bytes of their int64 array): pulled back through M, row r's class
     indicators are sum_r' G[r, r'] times row r''s.  None when they are not
-    a combination of rows, that is when the rows' span is not invariant."""
+    a combination of rows, that is when the rows' span is not invariant.
+
+    The pulled-back entries are integers, and those of row r on the
+    members of row r' must all equal G[r, r'], their mean: exactly when
+    |r'| times their sum of squares is the square of their sum."""
     flat = np.frombuffer(class_rows, dtype=np.int64)
     k_to, k_from, value = _class_map(structure, generator)
-    # L M, the rows' indicators pulled back, as entries (row, block column)
     blocks = np.arange(0, flat.size, len(structure.classes))[:, None]
     r = flat[blocks + k_to]
     has = r >= 0
     r, col, v = _sparse(r[has], (blocks + k_from)[has], np.broadcast_to(value, has.shape)[has], flat.size)
-    target = flat[col]
-    members = np.flatnonzero(flat >= 0)
-    first = np.full(m, -1)
-    first[flat[members[::-1]]] = members[::-1]
-    if (first < 0).any() or (target < 0).any():
+    if (flat[col] < 0).any():
         return None
-    # G is read at each row's first member; every member must repeat it:
-    # each entry of G once per member of its column's row
-    at_first = first[target] == col
-    g = _sparse(r[at_first], target[at_first], v[at_first], m)
-    keys = g[0] * m + g[1]
-    at = np.searchsorted(keys, r * m + target).clip(max=len(keys) - 1)
-    repeats = np.bincount(flat[members], minlength=m)[g[1]]
-    if not (np.array_equal(keys[at], r * m + target) and np.array_equal(g[2][at], v)):
+    size = np.bincount(flat[flat >= 0], minlength=m)
+    (g_r, g_c, total), (_, _, square) = (_sparse(r, flat[col], x, m) for x in (v, v * v))
+    if len(total) != len(square) or not np.array_equal(size[g_c] * square, total * total):
         return None
-    return g if np.array_equal(np.bincount(at, minlength=len(keys)), repeats) else None
-
-
-def _objective_shift(structure: MomentStructure, generators: tuple, rows: np.ndarray, values, m: int) -> tuple:
-    """The change of every block's objective class values c_l when they are
-    averaged over the group of ``generators`` (per generator,
-    c <- (c + M^T c) / 2), as the combination mu of the rows that it should
-    be, read at each row's last member; and the largest mismatch."""
-    averaged = values
-    for generator in generators:
-        k_to, k_from, w = _class_map(structure, generator)
-        pulled = [np.bincount(k_from, weights=w * c[k_to], minlength=len(c)) for c in averaged]
-        averaged = 0.5 * (averaged + np.array(pulled))
-    d = (averaged - values).ravel()
-    flat = rows.ravel()
-    mu = np.zeros(m)
-    mu[flat[flat >= 0]] = d[flat >= 0]
-    return mu, float(np.abs(d - np.append(mu, 0.0)[flat]).max(initial=0.0))
+    return _read_only(g_r, g_c, total / size[g_c])
 
 
 @lru_cache(maxsize=None)
@@ -327,12 +294,12 @@ def _flip_candidates(structure: MomentStructure, values, rows, b, tol: float, sw
     ]
 
 
-def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndarray) -> tuple:
+def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndarray, flips: bool) -> tuple:
     """Generators of a group of relabellings that fixes the problem
     :func:`indicator_problem` poses from ``c_blocks``, ``class_rows`` and
-    ``b``, and the objective blocks' class values; ``()`` and None when the
-    unreduced problem has m * sum_l n_l**3 below ``SYMMETRY_MIN_WORK``, or
-    when an objective block is not constant on every word class.
+    ``b``; ``()`` when the unreduced problem has m * sum_l n_l**3 below
+    ``SYMMETRY_MIN_WORK``, or when an objective block is not constant on
+    every word class.
 
     A relabelling fixes the problem when, in class coordinates, the rows'
     span is invariant under its class map M (:func:`_row_action`), b is
@@ -340,20 +307,20 @@ def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndar
     c_l are fixed by M^T up to a combination of the rows, all to within
     ``SWAP_TOL * max(1, |c|_inf, |b|_inf)``.  The generators are the first
     transposition of two parties with equal settings counts that passes
-    (in party-pair order), then, for two outcomes, the flips among
-    :func:`_flip_candidates` that pass.  They are commuting involutions, so
-    the group has order 2**len(generators)."""
+    (in party-pair order), then, when ``flips`` is set and there are two
+    outcomes, the flips among :func:`_flip_candidates` that pass.  They are
+    commuting involutions, so the group has order 2**len(generators)."""
     scenario = structure.scenario
     m = len(b)
     if m * len(class_rows) * structure.size**3 < SYMMETRY_MIN_WORK:
-        return (), None
+        return ()
     tol = SWAP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)), *(float(np.abs(c).max()) for c in c_blocks))
     counts = np.bincount(structure.cell_class[structure.cell_class >= 0], minlength=len(structure.classes))
     values = np.array([class_sums(structure, c) / counts for c in c_blocks])
     if any(np.abs(scatter(structure, v) - c).max() > tol for v, c in zip(values, c_blocks)):
-        return (), None
+        return ()
     rows = np.asarray(class_rows, dtype=np.int64)
-    rows_key = rows.tobytes()
+    rows_key, flat = rows.tobytes(), rows.ravel()
 
     def fixes(generator) -> bool:
         action = _row_action(structure, m, rows_key, generator)
@@ -362,8 +329,13 @@ def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndar
         r, c, v = action
         if np.abs(np.bincount(r, weights=v * b[c], minlength=m) - b).max(initial=0.0) > tol:
             return False
-        # the shift is half the change M^T c - c
-        return 2.0 * _objective_shift(structure, (generator,), rows, values, m)[1] <= tol
+        # M^T c_l - c_l must be one combination mu of the rows in every block
+        k_to, k_from, w = _class_map(structure, generator)
+        change = np.ravel([np.bincount(k_from, weights=w * c_l[k_to], minlength=len(c_l)) - c_l for c_l in values])
+        mu = np.zeros(m + 1)
+        mu[flat] = change  # read at each row's last member
+        mu[-1] = 0.0  # classes outside every row keep their value
+        return np.abs(change - mu[flat]).max() <= tol
 
     swaps = (
         ("swap", pair)
@@ -372,10 +344,10 @@ def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndar
     )
     swap = next((g for g in swaps if fixes(g)), None)
     generators = [] if swap is None else [swap]
-    if scenario.outcomes == 2:
+    if flips and scenario.outcomes == 2:
         candidates = _flip_candidates(structure, values, rows, b, tol, None if swap is None else swap[1])
         generators += [g for g in (("flip", letters) for letters in candidates) if fixes(g)]
-    return tuple(generators), values
+    return tuple(generators)
 
 
 def class_sums(structure: MomentStructure, mat: np.ndarray) -> np.ndarray:
@@ -405,7 +377,7 @@ def objective_matrix(structure: MomentStructure, coeffs: np.ndarray) -> np.ndarr
 class Symmetry:
     """A group of relabellings, generated by the commuting involutions
     ``generators``, as it reduces the problems :func:`indicator_problem`
-    poses over one structure and one set of class rows.
+    poses over ``structure`` and the (blocks, classes) ``class_rows``.
 
     Each element g acts on the monomials by T_g (:func:`_monomial_map`), and
     an optimum may be taken with T_g Z T_g^T = Z for every g.  For each
@@ -424,17 +396,24 @@ class Symmetry:
     signed permutation on each degree, so the rows of one orbit of that
     permutation whose stabilizer keeps every sign determine each other and
     the rest; ``rows`` keeps the orbit's first (:func:`_representatives`;
-    no rank decision is made).  ``row_map`` holds (position in ``rows``,
-    row, value) of the rows' average (1/|G|) sum_g G_g restricted to
-    ``rows``, which maps the reduced multipliers back
-    (:func:`solve_indicator`).  Every array is read-only.
+    no rank decision is made).  ``operator`` poses kept row u, and its b,
+    times ``row_scale[u]``: the reduced row then has the Frobenius norm
+    sqrt(cells[u] / |orbit u|) of its orbit's average in the unreduced
+    problem, whatever the bases' normalization (``cells`` counts each row's
+    unreduced cells).  ``partner`` maps each row to its image under the
+    party swap among the generators, or to itself.  Every array is
+    read-only.
     """
 
     generators: tuple
     bases: tuple
     rows: np.ndarray
-    row_map: tuple
+    row_scale: np.ndarray
     operator: SdpOperator
+    structure: MomentStructure
+    class_rows: np.ndarray
+    cells: np.ndarray
+    partner: np.ndarray
 
     @property
     def description(self) -> list:
@@ -446,27 +425,31 @@ class Symmetry:
 @dataclass(frozen=True, eq=False)
 class Reduction:
     """How :func:`indicator_problem` reduced one problem: its ``symmetry``
-    and ``y_offset``, the combination of rows by which averaging the
-    objective over the group moves it (unreduced multipliers are the
-    averaged rows' less this).  The array is read-only."""
+    and the objective blocks as given, from which :func:`solve_indicator`
+    reads every row's multiplier."""
 
     symmetry: Symmetry
-    y_offset: np.ndarray
+    c_blocks: tuple
 
 
-def _representatives(average: tuple, degree: np.ndarray) -> np.ndarray:
-    """The indices u that a group average (sparse ``(rows, cols, values)``)
-    keeps: average[u, u] != 0 and average[u', u] == 0 for every u' < u of
-    the same degree.  An action triangular in the degree, with a signed
-    permutation on each degree, averages to |stab u| / |G| at (u, u) when
-    every element fixing u keeps its sign and to 0 otherwise, and at
-    (u', u) for u' != u of u's degree it is nonzero exactly on u's orbit:
-    so one index per orbit with consistent signs, the orbit's smallest."""
-    r, c, _ = average
-    fixed, shadowed = np.zeros(len(degree), dtype=bool), np.zeros(len(degree), dtype=bool)
-    fixed[r[r == c]] = True
-    shadowed[c[(r < c) & (degree[r] == degree[c])]] = True
-    return np.flatnonzero(fixed & ~shadowed)
+def _representatives(actions, degree: np.ndarray) -> tuple:
+    """The indices u that a group of commuting involutions keeps, and
+    |stab u| / |G| for each.  Each generator's action, as ``(rows, cols,
+    values)``, is triangular in the degree with a signed permutation on
+    each degree; composing those gives each element's signed permutation.
+    Kept are the orbits whose stabilizer keeps every sign (the others
+    average to 0), one index each, the orbit's smallest."""
+    size = len(degree)
+    image, sign = np.arange(size)[None], np.ones((1, size))
+    for r, c, v in actions:
+        lead = degree[r] == degree[c]
+        assert lead.sum() == size
+        p, s = np.empty(size, dtype=int), np.empty(size)
+        p[r[lead]], s[r[lead]] = c[lead], v[lead]
+        image, sign = np.vstack([image, image[:, p]]), np.vstack([sign, sign[:, p] * s])
+    fixed = image == np.arange(size)
+    kept = np.flatnonzero((image >= np.arange(size)).all(axis=0) & ~(fixed & (sign < 0)).any(axis=0))
+    return kept, fixed[:, kept].mean(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -474,37 +457,38 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
     """The :class:`Symmetry` of ``generators`` on m rows (class rows given as
     the bytes of their int64 array), with the reduced problems' operator:
     row r's cell (a, b) adds W[a, i] W[b, j] scale[i, j] to cell (i, j) of
-    its block per character.  Averages over the group are products over the
-    generators, (1/|G|) sum_g chi(g) T_g = prod_i (I + chi(g_i) T_i) / 2.
-    None when a row holds classes of different degrees (its action need not
-    be triangular in the degree)."""
+    its block per character.  The kept rows, and each character's kept
+    monomials, come from the generators' signed permutations
+    (:func:`_representatives`), each basis from the character's average
+    (1/|G|) sum_g chi(g) T_g = prod_i (I + chi(g_i) T_i) / 2.  None when a
+    row holds classes of different degrees (its action need not be
+    triangular in the degree)."""
     n, n_classes = structure.size, len(structure.classes)
     rows = np.frombuffer(class_rows, dtype=np.int64).reshape(-1, n_classes)
     flat = rows.ravel()
     members = flat >= 0
-    degree = np.array([len(word) for word in structure.classes])[np.arange(flat.size) % n_classes]
-    row_degree = np.zeros(m, dtype=int)
-    row_degree[flat[members]] = degree[members]
-    if not np.array_equal(row_degree[flat[members]], degree[members]):
+    class_degree = np.tile([len(word) for word in structure.classes], len(rows))[members]
+    degree = np.zeros(m, dtype=int)
+    degree[flat[members]] = class_degree
+    if not np.array_equal(degree[flat[members]], class_degree):
         return None
-    average = (np.arange(m), np.arange(m), np.ones(m))
-    for action in (_row_action(structure, m, class_rows, g) for g in generators):
-        r, c, v = _sparse(*(np.concatenate(pair) for pair in zip(average, _product(average, action, m))), m)
-        average = (r, c, 0.5 * v)
-    kept = _representatives(average, row_degree)
-    position = np.full(m + 1, -1)  # label -1 reads -1
-    position[kept] = np.arange(len(kept))
-    r, c, v = average
-    inside = position[r] >= 0
-    row_map = _read_only(position[r[inside]], c[inside], v[inside])
+    actions = [_row_action(structure, m, class_rows, g) for g in generators]
+    kept, stabilizer = _representatives(actions, degree)
+    partner = np.arange(m)
+    for (kind, _), (r, c, _) in zip(generators, actions):
+        if kind == "swap":  # a permutation of the rows
+            partner[r] = c
 
     mono_degree = (basis(structure.scenario).settings >= 0).sum(axis=1)
+    maps = [_monomial_map(structure, g) for g in generators]
+    entries = [(*np.nonzero(t), t[np.nonzero(t)]) for t in maps]
     bases = []
     for character in range(1 << len(generators)):
+        signs = [(-1.0) ** (character >> bit & 1) for bit in range(len(generators))]
+        reps, _ = _representatives([(a, i, sign * v) for (a, i, v), sign in zip(entries, signs)], mono_degree)
         p = np.eye(n)
-        for bit, g in enumerate(generators):
-            p = 0.5 * (p + (-1.0) ** (character >> bit & 1) * (_monomial_map(structure, g) @ p))
-        reps = _representatives((*np.nonzero(p), None), mono_degree)
+        for t, sign in zip(maps, signs):
+            p = 0.5 * (p + sign * (t @ p))
         if reps.size:
             bases.append(p[:, reps] / p[reps, reps])  # leading entry 1 on u
     assert sum(w.shape[1] for w in bases) == n
@@ -515,6 +499,8 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
         _read_only(w, np.outer(d, d), np.ascontiguousarray(qc)) for w, d, qc in zip(bases, scales, np.hsplit(q, splits))
     )
 
+    position = np.full(m + 1, -1)  # label -1 reads -1
+    position[kept] = np.arange(len(kept))
     dims, triplets = [], []
     for class_row in rows:
         cell_row = position[np.append(class_row, -1)[structure.cell_class]]
@@ -526,13 +512,18 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
             # exact sums of W's binary fractions first, then one rounding by scale
             r, cell, value = _sparse(row[x, y], i[x] * w.shape[1] + i[y], w[a[x], i[x]] * w[a[y], i[y]], scale.size)
             triplets.append((r, cell, value * scale.ravel()[cell]))
-    operator = SdpOperator(tuple(dims), tuple(triplets), len(kept))
-    kept.flags.writeable = False
-    return Symmetry(tuple(generators), bases, kept, row_map, operator)
+    counts = np.bincount(structure.cell_class[structure.cell_class >= 0], minlength=n_classes)
+    cells = np.bincount(flat[members], weights=np.tile(counts, len(rows))[members], minlength=m)
+    norms = np.sqrt(sum(np.bincount(r, weights=value * value, minlength=len(kept)) for r, _, value in triplets))
+    row_scale = np.sqrt(cells[kept] * stabilizer) / norms
+    triplets = tuple((r, cell, value * row_scale[r]) for r, cell, value in triplets)
+    operator = SdpOperator(tuple(dims), triplets, len(kept))
+    kept, row_scale, cells, partner = _read_only(kept, row_scale, cells, partner)
+    return Symmetry(tuple(generators), bases, kept, row_scale, operator, structure, rows, cells, partner)
 
 
 def indicator_problem(
-    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray
+    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray, flips: bool = False
 ) -> tuple[SdpProblem, Reduction | None]:
     """SDP over one N x N block Z_l per entry of ``class_rows``: minimize
     sum_l <c_l, Z_l> subject to, for every r, the sum over l of the entry
@@ -542,28 +533,31 @@ def indicator_problem(
     When :func:`invariant_group` finds relabellings that fix this data, an
     optimum may be taken invariant under their group, so the problem is
     posed over its :class:`Symmetry`: each block becomes one block per
-    character, c_l becomes W^T c_l W per basis W, and only the symmetry's
-    kept rows are posed, with their b.  Returns the problem and its
-    :class:`Reduction`, or the unreduced problem, posed with ``c_blocks``
-    and ``b`` as given, and None; either way :func:`solve_indicator` solves
-    it.
+    character, c_l becomes scale * (W^T c_l W) per basis, and only the
+    symmetry's kept rows are posed, with b[u] * row_scale[u].  Returns the
+    problem and its :class:`Reduction`, or the unreduced problem, posed with
+    ``c_blocks`` and ``b`` as given, and None; either way
+    :func:`solve_indicator` solves it.
 
-    The constraints depend only on the structure, ``class_rows`` and the
-    group, so their operator is built once per (structure, class rows,
+    Outcome flips are judged only when ``flips`` is set: a flip's monomial
+    map is not orthogonal, so it moves :func:`sdp.solve`'s default start
+    X = tau_p I, and where the optimum is not unique a flip-reduced solve
+    from there ends at another optimal point than the unreduced one (1.8e-6
+    away in the reference see-saw's first family step).  A start that every
+    relabelling fixes, as :func:`compile_extremize`'s, is the same point
+    either way.  The operator is built once per (structure, class rows,
     generators or none) and kept for the life of the process
-    (:func:`_symmetry`, :func:`_indicator_operator`); a call judges its data
-    and projects only the objective blocks.
+    (:func:`_symmetry`, :func:`_indicator_operator`).
     """
     rows = np.asarray(class_rows, dtype=np.int64)
     rows_key, m = rows.tobytes(), len(b)
-    generators, values = invariant_group(structure, c_blocks, rows, b)
+    generators = invariant_group(structure, c_blocks, rows, b, flips)
     symmetry = _symmetry(structure, m, rows_key, generators) if generators else None
     if symmetry is None:
         return SdpProblem(_indicator_operator(structure, m, rows_key), tuple(c_blocks), b), None
-    offset, _ = _objective_shift(structure, generators, rows, values, m)
-    offset.flags.writeable = False
-    c_blocks = tuple(scale * (w.T @ c @ w) for c in c_blocks for w, scale, _ in symmetry.bases)
-    return SdpProblem(symmetry.operator, c_blocks, b[symmetry.rows]), Reduction(symmetry, offset)
+    reduced = tuple(scale * (w.T @ c @ w) for c in c_blocks for w, scale, _ in symmetry.bases)
+    problem = SdpProblem(symmetry.operator, reduced, b[symmetry.rows] * symmetry.row_scale)
+    return problem, Reduction(symmetry, tuple(c_blocks))
 
 
 @lru_cache(maxsize=None)
@@ -590,12 +584,13 @@ def solve_indicator(
 
     Raises :class:`SolverFailureError` unless the solve is optimal.  A
     reduced solve is re-embedded: each unreduced block
-    X_l = sum_chi W_chi X_l,chi W_chi^T and S_l = sum_chi Q_chi S_l,chi Q_chi^T
-    (:class:`Symmetry`), and the multipliers of all rows are the reduced
-    ones through the averaged row map, less the reduction's ``y_offset``;
-    status, objectives, residuals, iterations and trace stay the block
-    solve's.  Returns that solution and ``{"generators", "blocks",
-    "constraints"}`` of the reduced problem, or the solution and None.
+    X_l = sum_chi U_chi X_l,chi U_chi^T and S_l = sum_chi Q_chi S_l,chi Q_chi^T
+    (:class:`Symmetry`), and, since C_l - S_l = sum_r y_r A_r,l, each row's
+    multiplier y_r is the mean of C_l - S_l over the row's cells (for the
+    objective blocks as given), averaged with its swap partner's; status,
+    objectives, residuals, iterations and trace stay the block solve's.
+    Returns that solution and ``{"generators", "blocks", "constraints"}``
+    of the reduced problem, or the solution and None.
     """
     solution = solve(problem, gap_tol, y_start=y_start)
     if solution.status != SdpStatus.OPTIMAL:
@@ -615,11 +610,12 @@ def solve_indicator(
             for l in range(0, len(mats), per_block)
         ]
 
-    at, row, value = symmetry.row_map
-    y = np.bincount(row, weights=value * solution.y[at], minlength=len(reduction.y_offset)) - reduction.y_offset
-    embedded = dataclasses.replace(
-        solution, x_blocks=embed(solution.x_blocks, True), s_blocks=embed(solution.s_blocks, False), y=y
-    )
+    s_blocks = embed(solution.s_blocks, False)
+    sums = np.ravel([class_sums(symmetry.structure, c - s) for c, s in zip(reduction.c_blocks, s_blocks)])
+    flat = symmetry.class_rows.ravel()
+    y = np.bincount(flat[flat >= 0], weights=sums[flat >= 0], minlength=len(symmetry.cells)) / symmetry.cells
+    y = 0.5 * (y + y[symmetry.partner])  # equal, bit for bit, on rows a swap exchanges
+    embedded = dataclasses.replace(solution, x_blocks=embed(solution.x_blocks, True), s_blocks=s_blocks, y=y)
     return embedded, {
         "generators": symmetry.description,
         "blocks": list(problem.block_dims),
@@ -667,10 +663,12 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     ``y_start`` is a strictly feasible point of the dual: y_k = -Gamma_k
     for the product-projector moments Gamma (:func:`product_moments`) makes
     the dual slack Gamma itself.  Gamma is fixed by every relabelling, so on
-    a reduced problem the start is the reduced multipliers that
-    :func:`solve_indicator` maps back to y, and the slack is Gamma's
-    projection onto the group's blocks.  It depends only on the structure
-    and the group, so it is computed once per pair (read-only).
+    a reduced problem the start is the reduced multipliers whose slack is
+    Gamma's projection onto the group's blocks, and X = tau_p Gamma^-1 is
+    the unreduced start (up to tau_p) for any group, so outcome flips are
+    judged here (see :func:`indicator_problem`).  The start depends only on
+    the structure and the group, so it is computed once per pair
+    (read-only).
     """
     if functional.scenario != structure.scenario:
         raise ScenarioMismatchError("functional and moment structure disagree on the scenario")
@@ -685,7 +683,7 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     pinned = np.zeros(m + 1)  # per class; the identity class is the objective
     pinned[structure.monomial_class] = target
     # constraint k - 1 pins class k
-    problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:])
+    problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:], flips=True)
     reduction, y_start = _extremize_start(structure, None if reduction is None else reduction.symmetry)
     return CompiledExtremize(problem, target, reduction, y_start)
 
@@ -693,25 +691,23 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
 @lru_cache(maxsize=None)
 def _extremize_start(structure: MomentStructure, symmetry: Symmetry | None) -> tuple:
     """The :class:`Reduction` of :func:`compile_extremize` over ``symmetry``
-    (None for none) and its read-only ``y_start``: on a reduced problem the
-    y_hat whose image G_bar[kept]^T y_hat - offset is -Gamma on the kept
-    rows, a triangular solve (:class:`Symmetry`)."""
-    y_start, reduction = -product_moments(structure)[1:], None
-    if symmetry is not None:
-        m, kept = len(y_start), symmetry.rows
-        objective = np.zeros((1, len(structure.classes)))
-        objective[0, 0] = 1.0
-        offset, _ = _objective_shift(structure, symmetry.generators, np.arange(m + 1)[None] - 1, objective, m)
-        reduction = Reduction(symmetry, *_read_only(offset))
-        position = np.full(m, -1)
-        position[kept] = np.arange(len(kept))
-        at, row, value = symmetry.row_map
-        inside = position[row] >= 0
-        square = np.zeros((len(kept), len(kept)))  # the row map's kept columns, triangular
-        square[at[inside], position[row[inside]]] = value[inside]
-        y_start = np.linalg.solve(square.T, y_start[kept] + offset[kept])
-    y_start.flags.writeable = False
-    return reduction, y_start
+    (None for none), whose objective is Z[0, 0], and its read-only
+    ``y_start``: -Gamma, or on a reduced problem the multipliers y_hat
+    whose slack C_hat - A_hat^T y_hat is scale * (W^T Gamma W) on every
+    basis, the least-squares solution of that consistent system."""
+    y_start = -product_moments(structure)[1:]
+    if symmetry is None:
+        return None, *_read_only(y_start)
+    c = np.zeros((structure.size, structure.size))
+    c[0, 0] = 1.0
+    slack = c - strictly_feasible_point(structure)
+    target = np.concatenate([(scale * (w.T @ slack @ w)).ravel() for w, scale, _ in symmetry.bases])
+    operator = symmetry.operator
+    a = np.zeros((operator.m, target.size))
+    offsets = itertools.accumulate((n * n for n in operator.block_dims), initial=0)
+    for offset, (r, cell, value) in zip(offsets, operator.a_triplets):
+        a[r, offset + cell] = value
+    return Reduction(symmetry, _read_only(c)), *_read_only(np.linalg.solve(a @ a.T, a @ target))
 
 
 @dataclass(eq=False)

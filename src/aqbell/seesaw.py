@@ -11,9 +11,12 @@ each step's constraint operator once and hands it to every later sweep, and
 solved by :func:`aqset.solve_indicator` at the solver's default tolerances
 (``sdp.GAP_TOL``, ``sdp.FEAS_TOL``); ``aqset`` alone decides from that data
 whether to solve it over the blocks of a group of relabellings (party swaps
-and outcome flips).  On the reference start both the behaviour step and the
-family step are reduced by the same group of order 4, so the family step's
-generators are exactly invariant and the next behaviour step keeps it.
+and, for the behaviour step, outcome flips).  On the reference start the
+first behaviour step is reduced by the swap of A and B and the joint flip
+of their setting 1, a group of order 4, and every family step and later
+behaviour step by the swap: a family step solves from the solver's default
+start, which a flip moves, so its generators are swap-invariant exactly
+but flip-invariant only to about the solver's gap.
 """
 from __future__ import annotations
 

@@ -344,12 +344,13 @@ def assert_matches_unreduced_solve(f, sense, ext, generators):
     # the moments, hence the behavior, are invariant under every generator:
     # T^T Gamma T = Gamma for its monomial map T (a permutation for a swap)
     gamma = scatter(st, np.concatenate(([1.0], -ext.solution.y)))
-    for generator in generators:
-        t = aqset._monomial_map(st, generator)
-        assert np.abs(t.T @ gamma @ t - gamma).max() <= 1e-15
-        if generator[0] == "swap":
-            perm = swap_permutation(st.scenario, *generator[1])
-            assert np.array_equal(t[perm, np.arange(st.size)], np.ones(st.size))
+    for kind, arg in generators:
+        if kind == "swap":
+            perm = swap_permutation(st.scenario, *arg)
+            assert np.array_equal(gamma, gamma[np.ix_(perm, perm)])
+        else:
+            t = aqset._monomial_map(st, (kind, arg))
+            assert np.abs(t.T @ gamma @ t - gamma).max() <= 1e-15
     assert constraint_residual(st, gamma) < 1e-12
     assert certificate_residual(ext.certificate) <= 1e-8
 
@@ -444,9 +445,8 @@ def test_flip_candidates_are_checked_against_all_the_data(rng):
     values = np.zeros((2, m + 1))
     candidates = aqset._flip_candidates(st, values, class_rows, b, 1e-12, None)
     assert sorted(candidates) == [((p, x),) for p in range(3) for x in range(2)]
-    generators, judged = aqset.invariant_group(st, c_blocks, class_rows, b)
-    assert generators == () and np.array_equal(judged, values)
-    problem, reduction = indicator_problem(st, c_blocks, class_rows, b)
+    assert aqset.invariant_group(st, c_blocks, class_rows, b, True) == ()
+    problem, reduction = indicator_problem(st, c_blocks, class_rows, b, flips=True)
     assert reduction is None and problem.block_dims == (st.size,) * 2
 
 
@@ -497,6 +497,26 @@ def test_indicator_problem_reduces_only_swap_invariant_data(rng):
         assert problem.block_dims == (st.size,) * 2 and problem.num_constraints == m
         assert np.array_equal(problem.b, rhs)
         assert all(np.array_equal(c, d) for c, d in zip(problem.c_blocks, cs, strict=True))
+
+
+def test_rows_whose_span_a_swap_moves_are_not_reduced(rng):
+    # merge a swap-fixed class into the row of a moved one: the swap pulls
+    # that row back to the fixed class plus the moved one's image, which is
+    # another row, so the rows' span is not invariant even with zero data
+    st, _, class_rows, _ = swap_invariant_two_block_data(rng)
+    image = swap_class_image(st, 0, 1)
+    fixed = np.flatnonzero(image[1:] == np.arange(1, len(image)))[0] + 1
+    moved = np.flatnonzero(image[1:] != np.arange(1, len(image)))[0] + 1
+    rows = np.array(class_rows)
+    assert aqset._row_action(st, len(st.classes) - 1, rows.tobytes(), SWAP) is not None
+    dropped = rows[0, fixed]
+    rows[:, fixed] = rows[:, moved]
+    rows[rows > dropped] -= 1  # renumber the rows left
+    m = rows.max() + 1
+    assert aqset._row_action(st, m, rows.tobytes(), SWAP) is None
+    c_blocks = [np.zeros((st.size, st.size))] * 2
+    problem, reduction = indicator_problem(st, c_blocks, rows, np.zeros(m))
+    assert reduction is None and problem.num_constraints == m
 
 
 def test_three_party_functional_reduced_through_second_and_third(rng):
@@ -555,10 +575,10 @@ def test_reduced_constraints_match_dense_projection(case, composed_w, rng, monke
             return _cone_pair_problem(st, objectives)
 
     else:
-        data = swap_invariant_two_block_data(rng)
+        st, *data = swap_invariant_two_block_data(rng)
 
         def build():
-            return indicator_problem(*data)
+            return indicator_problem(st, *data)
 
     problem, reduction = build()
     assert reduction is not None
@@ -568,12 +588,21 @@ def test_reduced_constraints_match_dense_projection(case, composed_w, rng, monke
     unreduced, none = build()
     assert none is None
     symmetry = reduction.symmetry
-    assert np.array_equal(problem.b, unreduced.b[symmetry.rows])
+    row_scale = symmetry.row_scale
+    assert np.array_equal(problem.b, unreduced.b[symmetry.rows] * row_scale)
     per_block = len(symmetry.bases)
     for l, indicators in enumerate(unreduced.a_stacks):
         for s, (w, scale, _) in enumerate(symmetry.bases):
-            expected = scale * (w.T @ indicators[symmetry.rows] @ w)
+            expected = scale * (w.T @ indicators[symmetry.rows] @ w) * row_scale[:, None, None]
             assert np.array_equal(problem.a_stacks[per_block * l + s], expected)
+    # each kept row has the norm of its swap orbit's average, unreduced: the
+    # flip moves no word class at the top degree, so it has no larger orbits
+    class_rows, image = symmetry.class_rows, swap_class_image(st, 0, 1)
+    partner = np.empty(len(unreduced.b), dtype=int)
+    partner[class_rows[class_rows >= 0]] = class_rows[:, image][class_rows >= 0]
+    orbit = 1 + (partner[symmetry.rows] != symmetry.rows)
+    expected_norms = unreduced.operator.row_norms[symmetry.rows] / np.sqrt(orbit)
+    np.testing.assert_allclose(problem.operator.row_norms, expected_norms, rtol=1e-14)
 
 
 def compiled_case(case, composed_w):
@@ -706,7 +735,8 @@ def test_cached_arrays_are_read_only(composed_w):
     assert reduced.reduction is not None and unreduced.reduction is None
     reduction, st = reduced.reduction, build_moment_structure(restricted.scenario)
     symmetry = reduction.symmetry
-    arrays = [st.cell_class, st.monomial_class, symmetry.rows, *symmetry.row_map, reduction.y_offset]
+    arrays = [st.cell_class, st.monomial_class, symmetry.rows, symmetry.row_scale, symmetry.class_rows]
+    arrays += [symmetry.cells, symmetry.partner, *reduction.c_blocks]
     arrays += [a for basis in symmetry.bases for a in basis] + [reduced.y_start, unreduced.y_start]
     m = len(st.classes) - 1
     rows = (np.arange(m + 1) - 1)[None].tobytes()
@@ -809,7 +839,7 @@ def test_row_rule_keeps_one_row_per_fixed_dimension(composed_w):
     b = np.zeros(m + 1)
     b[st.monomial_class] = compiled.target
     assert np.abs(average @ b[1:] - b[1:]).max() <= 1e-15
-    assert np.array_equal(compiled.problem.b, b[1:][symmetry.rows])
+    assert np.array_equal(compiled.problem.b, b[1:][symmetry.rows] * symmetry.row_scale)
 
 
 def test_group_bases_are_exact_and_dual(composed_w):
