@@ -6,12 +6,14 @@ within one party, projectors of the same setting are idempotent (same
 outcome) or orthogonal (different outcomes).  Products of at most one
 letter per party, with the last outcome of every setting dropped, form the
 monomial basis used throughout the package (:func:`aqbell.scenario.basis`).
-The product of two basis monomials reduces to a *canonical word* with at
-most two letters per party, identified with its adjoint (because all
-objectives and constraints are real, a word and its adjoint always share
-one moment value).
+A product of letters of any length reduces to a *canonical word*, identified
+with its adjoint (because all objectives and constraints are real, a word
+and its adjoint always share one moment value); the product of two basis
+monomials has at most two letters per party.
 """
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .scenario import basis
 
@@ -32,28 +34,24 @@ def adjoint(letters: tuple) -> tuple:
 
 
 def canonicalize(u: Monomial, v: Monomial) -> tuple | None:
-    """Canonical form of the product (adjoint of u) * v: a party-sorted
-    letter tuple (``()`` is the identity), or None when the product vanishes.
+    """Canonical form of the product u * v of two letter sequences of any
+    length: a party-sorted letter tuple (``()`` is the identity), or None
+    when the product vanishes.  Basis monomials are self-adjoint, so for
+    them this is the word of moment-matrix cell (u, v), (adjoint of u) * v.
 
-    Basis monomials are self-adjoint, so this is the reduction of u * v:
-    letters commute across parties into party-sorted order; within a party,
-    two letters with the same setting merge by idempotence (same outcome) or
-    kill the word (different outcomes).  The representative is the
-    lexicographically smaller of the reduced word and its adjoint.
+    Letters commute across parties into party-sorted order (a stable sort);
+    within a party, a letter with the setting of the last kept letter merges
+    into it by idempotence (same outcome) or kills the word (different
+    outcomes).  The representative is the lexicographically smaller of the
+    reduced word and its adjoint.
     """
-    merged: dict[int, list] = {}
-    for letter in u + v:
-        merged.setdefault(letter[0], []).append(letter)
     word = []
-    for party in sorted(merged):
-        seq = merged[party]
-        # one letter per party per monomial, so at most two letters meet here
-        assert len(seq) <= 2
-        if len(seq) == 2 and seq[0][1] == seq[1][1]:
-            if seq[0][2] != seq[1][2]:
+    for letter in sorted(u + v, key=itemgetter(0)):
+        if word and word[-1][:2] == letter[:2]:
+            if word[-1][2] != letter[2]:
                 return None
-            seq = seq[:1]
-        word.extend(seq)
+        else:
+            word.append(letter)
     word = tuple(word)
     return min(word, adjoint(word))
 

@@ -23,10 +23,13 @@ Algebra 192, 2004; Tavakoli, Rosset & Renou, PRL 122, 070501, 2019).  The
 groups used are generated by commuting involutions: a transposition of two
 parties with equal settings counts, and, for two outcomes, the joint
 outcome flip of a set of (party, setting) letters, which maps each flipped
-projector P to 1 - P.  A relabelling maps a monomial to a signed sum of
-monomials (the basis is closed under dropping letters), a word class to an
-integer combination of classes and a constraint row to a combination of
-rows, so the problem is judged in class coordinates, from its own data.
+projector P to 1 - P.  One rule (:func:`_relabel`) maps a word to signed
+words: a swap renames the two parties, a flip expands each flipped letter
+P as 1 - P.  Read over the basis (closed under dropping letters) it maps a
+monomial to a signed sum of monomials, read over the classes it maps a
+word class to an integer combination of classes, and a constraint row maps
+to a combination of rows, so the problem is judged in class coordinates,
+from its own data.
 An optimal Z may then be taken invariant; such a Z is block-diagonal over
 the characters of the group, and on it the rows satisfy exact relations,
 so one row per orbit of word classes determines the rest.
@@ -46,6 +49,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,6 +76,7 @@ class MomentStructure:
     # it and monomial_class are read-only
     cell_class: np.ndarray
     monomial_class: np.ndarray  # (N,) class index of each basis monomial
+    class_size: np.ndarray  # cells per class, in class order (read-only)
 
     @property
     def basis(self) -> tuple:
@@ -102,10 +107,9 @@ def build_moment_structure(scenario: Scenario) -> MomentStructure:
         if word in index:
             assert monomial_class[index[word]] == idx
 
-    cell_class.flags.writeable = monomial_class.flags.writeable = False
-    return MomentStructure(
-        scenario=scenario, classes=classes, cell_class=cell_class, monomial_class=monomial_class
-    )
+    class_size = np.bincount(cell_class[cell_class >= 0], minlength=len(classes))
+    _read_only(cell_class, monomial_class, class_size)
+    return MomentStructure(scenario, classes, cell_class, monomial_class, class_size)
 
 
 def restrict_to_touched(functional: BellFunctional):
@@ -148,28 +152,37 @@ def _sparse(rows, cols, values, width: int) -> tuple:
     return _read_only(*np.divmod(keys[nonzero], width), sums[nonzero])
 
 
+def _relabel(words: tuple, generator: tuple) -> tuple:
+    """``(rows, cols, values)`` of the integer matrix R by which a
+    relabelling maps ``words``, a list closed under it, onto signed sums of
+    them: the image of words[k] is sum_k' R[k', k] words[k'], each image
+    word looked up as itself or its adjoint.  ``("swap", (p, q))`` renames
+    parties p and q and re-sorts the letters stably by party.
+    ``("flip", letters)``, for two outcomes, exchanges the outcomes of each
+    (party, setting) letter, so each flipped projector P expands as 1 - P."""
+    index = {algebra.adjoint(word): k for k, word in enumerate(words)} | {word: k for k, word in enumerate(words)}
+    kind, arg = generator
+    rename = dict(zip(arg, reversed(arg))) if kind == "swap" else {}
+    flipped = set(arg) if kind == "flip" else set()
+    rows, cols, values = [], [], []
+    for k, word in enumerate(words):
+        terms = [(1.0, ())]
+        for party, setting, outcome in sorted(((rename.get(p, p), x, a) for p, x, a in word), key=itemgetter(0)):
+            grown = [(sign, image + ((party, setting, outcome),)) for sign, image in terms]
+            terms = [(-sign, image) for sign, image in grown] + terms if (party, setting) in flipped else grown
+        rows += [index[image] for _, image in terms]
+        cols += [k] * len(terms)
+        values += [sign for sign, _ in terms]
+    return _sparse(np.array(rows), np.array(cols), np.array(values), len(words))
+
+
 @lru_cache(maxsize=None)
 def _monomial_map(structure: MomentStructure, generator: tuple) -> np.ndarray:
-    """The read-only N x N matrix T of a relabelling on the monomial basis:
-    the image of monomial i is sum_a T[a, i] u_a.  ``("swap", (p, q))``
-    renames parties p and q.  ``("flip", letters)``, for two outcomes,
-    exchanges the outcomes of each (party, setting) letter, so each flipped
-    projector P becomes 1 - P; it negates the correlators with an odd number
-    of flipped letters (:func:`_correlators`), so T = L diag(+-1) L^-1,
-    with integer entries."""
-    n = structure.size
-    kind, arg = generator
-    if kind == "swap":
-        record = basis(structure.scenario)
-        rename = {arg[0]: arg[1], arg[1]: arg[0]}
-        image = [record.index[tuple(sorted((rename.get(k, k), x, a) for k, x, a in mono))] for mono in record.monomials]
-        t = np.zeros((n, n))
-        t[image, np.arange(n)] = 1.0
-    else:
-        lam, lam_inv, bits = _correlators(structure.scenario)
-        starts = list(itertools.accumulate(structure.scenario.settings, initial=0))
-        odd = bits[:, [starts[p] + x for p, x in arg]].sum(axis=1) % 2
-        t = (lam * (1.0 - 2.0 * odd)) @ lam_inv
+    """The read-only N x N matrix T of a relabelling on the monomial basis
+    (:func:`_relabel`): the image of monomial i is sum_a T[a, i] u_a."""
+    rows, cols, values = _relabel(structure.basis, generator)
+    t = np.zeros((structure.size, structure.size))
+    t[rows, cols] = values
     t.flags.writeable = False
     return t
 
@@ -177,24 +190,9 @@ def _monomial_map(structure: MomentStructure, generator: tuple) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _class_map(structure: MomentStructure, generator: tuple) -> tuple:
     """``(rows, cols, values)`` of the integer matrix M of a relabelling on
-    the word classes: the image of class k's word is sum_k' M[k', k] times
-    class k''s.  Column k is read at the class's first cell (i, j): cell
-    (a, b) adds T[a, i] T[b, j] to the class of (a, b)."""
-    t = _monomial_map(structure, generator)
-    n, n_classes = structure.size, len(structure.classes)
-    labels, first = np.unique(structure.cell_class, return_index=True)
-    i, j = np.divmod(first[labels >= 0], n)
-    col, row = np.nonzero(t.T)  # T's entries, column by column
-    value = t[row, col]
-    ptr = np.append(0, np.cumsum(np.bincount(col, minlength=n)))
-    count_j = ptr[j + 1] - ptr[j]
-    pairs = (ptr[i + 1] - ptr[i]) * count_j
-    k = np.repeat(np.arange(n_classes), pairs)
-    offset = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-    at_i, at_j = ptr[i][k] + offset // count_j[k], ptr[j][k] + offset % count_j[k]
-    dest = structure.cell_class[row[at_i], row[at_j]]
-    keep = dest >= 0
-    return _sparse(dest[keep], k[keep], value[at_i[keep]] * value[at_j[keep]], n_classes)
+    the word classes (:func:`_relabel`): the image of class k's word is
+    sum_k' M[k', k] times class k''s."""
+    return _relabel(structure.classes, generator)
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +313,7 @@ def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndar
     if m * len(class_rows) * structure.size**3 < SYMMETRY_MIN_WORK:
         return ()
     tol = SWAP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)), *(float(np.abs(c).max()) for c in c_blocks))
-    counts = np.bincount(structure.cell_class[structure.cell_class >= 0], minlength=len(structure.classes))
-    values = np.array([class_sums(structure, c) / counts for c in c_blocks])
+    values = np.array([class_sums(structure, c) / structure.class_size for c in c_blocks])
     if any(np.abs(scatter(structure, v) - c).max() > tol for v, c in zip(values, c_blocks)):
         return ()
     rows = np.asarray(class_rows, dtype=np.int64)
@@ -512,8 +509,7 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
             # exact sums of W's binary fractions first, then one rounding by scale
             r, cell, value = _sparse(row[x, y], i[x] * w.shape[1] + i[y], w[a[x], i[x]] * w[a[y], i[y]], scale.size)
             triplets.append((r, cell, value * scale.ravel()[cell]))
-    counts = np.bincount(structure.cell_class[structure.cell_class >= 0], minlength=n_classes)
-    cells = np.bincount(flat[members], weights=np.tile(counts, len(rows))[members], minlength=m)
+    cells = np.bincount(flat[members], weights=np.tile(structure.class_size, len(rows))[members], minlength=m)
     norms = np.sqrt(sum(np.bincount(r, weights=value * value, minlength=len(kept)) for r, _, value in triplets))
     row_scale = np.sqrt(cells[kept] * stabilizer) / norms
     triplets = tuple((r, cell, value * row_scale[r]) for r, cell, value in triplets)
@@ -702,11 +698,7 @@ def _extremize_start(structure: MomentStructure, symmetry: Symmetry | None) -> t
     c[0, 0] = 1.0
     slack = c - strictly_feasible_point(structure)
     target = np.concatenate([(scale * (w.T @ slack @ w)).ravel() for w, scale, _ in symmetry.bases])
-    operator = symmetry.operator
-    a = np.zeros((operator.m, target.size))
-    offsets = itertools.accumulate((n * n for n in operator.block_dims), initial=0)
-    for offset, (r, cell, value) in zip(offsets, operator.a_triplets):
-        a[r, offset + cell] = value
+    a = np.hstack([stack.reshape(len(stack), -1) for stack in symmetry.operator.a_stacks])
     return Reduction(symmetry, _read_only(c)), *_read_only(np.linalg.solve(a @ a.T, a @ target))
 
 

@@ -1,5 +1,6 @@
 """Independent cross-checks: vertex enumeration, explicit quantum models and
-numerically built trace moment matrices.
+numerically built trace moment matrices, whose entries are products of
+per-party traces of explicit operators.
 
 Everything here is deliberately brute force and shares no code path with the
 compiler or the solver; tests sandwich the SDP results between these values.
@@ -132,22 +133,6 @@ def three_setting_pair_model() -> QuantumModel:
     return planar_qubit_model(make_scenario(2, 3, 2), angles, state)
 
 
-def ghz_model() -> QuantumModel:
-    """A fixed three-qubit GHZ model on the (3,3,2) scenario."""
-    state = np.zeros(8)
-    state[0] = state[7] = 1.0 / math.sqrt(2.0)
-    angles = [[0.0, 0.7, 1.9], [0.3, 1.2, 2.4], [0.9, 1.7, 2.8]]
-    return planar_qubit_model(make_scenario(3, 3, 2), angles, state)
-
-
-def product_model() -> QuantumModel:
-    """Uncorrelated two-qubit model (product state)."""
-    state = np.zeros(4)
-    state[0] = 1.0
-    angles = [[0.0, math.pi / 2.0], [0.4, 1.8]]
-    return planar_qubit_model(make_scenario(2, 2, 2), angles, state)
-
-
 def normalized_chsh() -> BellFunctional:
     """The CHSH expression rescaled to land in [0, 1] on no-signalling boxes:
     (4 + CHSH) / 8.  Classical range is [1/4, 3/4]; the quantum maximum is
@@ -165,11 +150,11 @@ def normalized_chsh() -> BellFunctional:
 
 def trace_moment_matrix(structure: MomentStructure) -> np.ndarray:
     """Moment matrix of the explicit product-projector model, built from
-    dense tensor products and plain matrix traces (no counting shortcuts)."""
+    explicit operators and plain matrix traces (no counting shortcuts).  The
+    operators are tensor products over the parties, and the trace of a
+    tensor product is the product of its parties' traces."""
     scenario = structure.scenario
     d = scenario.outcomes
-    party_dims = [d**m for m in scenario.settings]
-    total_dim = math.prod(party_dims)
 
     def letter_operator(party, setting, outcome):
         ket = np.zeros((d, 1))
@@ -178,16 +163,15 @@ def trace_moment_matrix(structure: MomentStructure) -> np.ndarray:
         factors = [proj if x == setting else np.eye(d) for x in range(scenario.settings[party])]
         return functools.reduce(np.kron, factors)
 
-    mono_ops = np.empty((structure.size, total_dim * total_dim))
-    for idx, mono in enumerate(structure.basis):
-        per_party = []
-        for party in range(scenario.parties):
-            op = np.eye(party_dims[party])
+    traces = np.ones((structure.size, structure.size))
+    for party, count in enumerate(scenario.settings):
+        party_ops = np.empty((structure.size, d ** (2 * count)))
+        for idx, mono in enumerate(structure.basis):
+            op = np.eye(d**count)
             for letter in mono:
                 if letter[0] == party:
                     op = op @ letter_operator(*letter)
-            per_party.append(op)
-        mono_ops[idx] = functools.reduce(np.kron, per_party).ravel()
-
-    # tr(P Q) = sum(P * Q^T) and every monomial operator here is symmetric
-    return (mono_ops @ mono_ops.T) / float(total_dim)
+            party_ops[idx] = op.ravel()
+        # tr(P Q) = sum(P * Q^T) and every operator here is symmetric
+        traces *= party_ops @ party_ops.T
+    return traces / float(d ** sum(scenario.settings))

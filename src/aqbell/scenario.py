@@ -302,21 +302,6 @@ def enumerate_deterministic(scenario: Scenario) -> list:
     return vertices
 
 
-@lru_cache(maxsize=None)
-def _vertex_stack(scenario: Scenario) -> np.ndarray:
-    vertices = enumerate_deterministic(scenario)
-    return np.stack([v.table.ravel() for v in vertices])
-
-
-def random_local_behavior(scenario: Scenario, rng: np.random.Generator) -> Behavior:
-    """Random mixture of deterministic vertices (these span the
-    no-signalling subspace, so they exercise every CG coordinate)."""
-    stack = _vertex_stack(scenario)
-    weights = rng.random(stack.shape[0])
-    weights /= weights.sum()
-    return behavior_from_table(scenario, (weights @ stack).reshape(scenario.table_shape))
-
-
 # ---------------------------------------------------------------------------
 # JSON schema
 #

@@ -191,6 +191,16 @@ class SdpOperator:
             arrays += [g.indptr, g.indices, g.data, g.row_ptr, g.row_cols]
         return sum(a.nbytes for a in arrays)
 
+    @property
+    def a_stacks(self) -> tuple:
+        """Read-only dense (m, n_l, n_l) constraint stacks, made on each
+        access; no solve reads them."""
+        stacks = tuple(np.zeros((self.m, n_l, n_l)) for n_l in self.block_dims)
+        for stack, (rows, cells, values) in zip(stacks, self.a_triplets):
+            stack.reshape(self.m, -1)[rows, cells] = values
+            stack.flags.writeable = False
+        return stacks
+
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
@@ -232,13 +242,7 @@ class SdpProblem:
 
     @property
     def a_stacks(self) -> tuple:
-        """Read-only dense (m, n_l, n_l) constraint stacks, made on each
-        access for inspection; no solve reads them."""
-        stacks = tuple(np.zeros((self.b.size, n_l, n_l)) for n_l in self.block_dims)
-        for stack, (rows, cells, values) in zip(stacks, self.a_triplets):
-            stack.reshape(self.b.size, -1)[rows, cells] = values
-            stack.flags.writeable = False
-        return stacks
+        return self.operator.a_stacks
 
     @property
     def total_dim(self) -> int:

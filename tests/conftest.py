@@ -1,8 +1,13 @@
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from aqbell import aq_extremize, make_scenario, sdp
 from aqbell.nbf import reference_composed_functional, reference_family, reference_functionals
+from aqbell.oracles import QuantumModel, planar_qubit_model
+from aqbell.scenario import Behavior, Scenario, behavior_from_table, enumerate_deterministic
 from aqbell.sdp import SdpOperator, SdpProblem
 
 TIGHT = 1e-10  # gap and feasibility tolerance of the closed-form solves
@@ -96,10 +101,35 @@ def headline(composed_w):
     return aq_extremize(composed_w, "min")
 
 
-def random_mixture(scenario, rng):
-    from aqbell.scenario import random_local_behavior
+@lru_cache(maxsize=None)
+def _vertex_stack(scenario: Scenario) -> np.ndarray:
+    vertices = enumerate_deterministic(scenario)
+    return np.stack([v.table.ravel() for v in vertices])
 
-    return random_local_behavior(scenario, rng)
+
+def random_local_behavior(scenario: Scenario, rng: np.random.Generator) -> Behavior:
+    """Random mixture of deterministic vertices (these span the
+    no-signalling subspace, so they exercise every CG coordinate)."""
+    stack = _vertex_stack(scenario)
+    weights = rng.random(stack.shape[0])
+    weights /= weights.sum()
+    return behavior_from_table(scenario, (weights @ stack).reshape(scenario.table_shape))
+
+
+def ghz_model() -> QuantumModel:
+    """A fixed three-qubit GHZ model on the (3,3,2) scenario."""
+    state = np.zeros(8)
+    state[0] = state[7] = 1.0 / math.sqrt(2.0)
+    angles = [[0.0, 0.7, 1.9], [0.3, 1.2, 2.4], [0.9, 1.7, 2.8]]
+    return planar_qubit_model(make_scenario(3, 3, 2), angles, state)
+
+
+def product_model() -> QuantumModel:
+    """Uncorrelated two-qubit model (product state)."""
+    state = np.zeros(4)
+    state[0] = 1.0
+    angles = [[0.0, math.pi / 2.0], [0.4, 1.8]]
+    return planar_qubit_model(make_scenario(2, 2, 2), angles, state)
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from aqbell.cli import main
 from aqbell.nbf import certificate_residual, verify_nbf
 from aqbell.oracles import (
     deterministic_range,
-    ghz_model,
     normalized_chsh,
     quantum_value,
     three_setting_pair_model,
@@ -31,6 +30,7 @@ from aqbell.sdp import SdpStatus, solve
 from conftest import (
     boundary_problem,
     dual_infeasible_problem,
+    ghz_model,
     lambda_max_problem,
     primal_infeasible_problem,
     solve_tight,

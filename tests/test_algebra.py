@@ -115,6 +115,19 @@ def test_canonicalize_matches_reference_engine():
                 assert expected == reduced
 
 
+def test_canonicalize_matches_reference_engine_on_longer_words():
+    # up to four letters, three or four of them from one party, with two
+    # outcome labels per setting so that letters can merge or vanish
+    letters = [(0, x, a) for x in range(2) for a in range(2)] + [(1, 0, a) for a in range(2)]
+    checked = 0
+    for length in (3, 4):
+        for word in itertools.product(letters, repeat=length):
+            assert canonicalize((), word) == _engine_reduce(word)
+            assert canonicalize(word[:1], word[1:]) == _engine_reduce(word)
+            checked += sum(letter[0] == 0 for letter in word) >= 3
+    assert checked
+
+
 def test_reference_engine_orthogonality_case():
     scn = make_scenario(2, 2, 3)
     monomials = basis(scn).monomials

@@ -62,6 +62,7 @@ def test_structure_class_example(scn222):
     for j in range(st.size):
         assert st.cell_class[0, j] == st.monomial_class[j]
         assert st.cell_class[j, j] == st.monomial_class[j]
+    assert list(st.class_size) == [(st.cell_class == k).sum() for k in range(len(st.classes))]
 
 
 @pytest.mark.parametrize("spec, slots", [((2, 2, 2), 2), ((2, 3, 2), 2), ((3, 3, 2), 1), ((2, 2, 3), 2)])
@@ -735,7 +736,7 @@ def test_cached_arrays_are_read_only(composed_w):
     assert reduced.reduction is not None and unreduced.reduction is None
     reduction, st = reduced.reduction, build_moment_structure(restricted.scenario)
     symmetry = reduction.symmetry
-    arrays = [st.cell_class, st.monomial_class, symmetry.rows, symmetry.row_scale, symmetry.class_rows]
+    arrays = [st.cell_class, st.monomial_class, st.class_size, symmetry.rows, symmetry.row_scale, symmetry.class_rows]
     arrays += [symmetry.cells, symmetry.partner, *reduction.c_blocks]
     arrays += [a for basis in symmetry.bases for a in basis] + [reduced.y_start, unreduced.y_start]
     m = len(st.classes) - 1

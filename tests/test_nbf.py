@@ -23,10 +23,10 @@ from aqbell.scenario import (
     enumerate_deterministic,
     evaluate,
     functional_from_terms,
-    random_local_behavior,
     representative_table,
     unit_functional,
 )
+from conftest import random_local_behavior
 
 
 def test_reference_coefficients(reference_trio, scn232, scn222):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,8 @@ from aqbell.aqset import build_moment_structure, constraint_residual, strictly_f
 from aqbell.oracles import (
     behavior_from_model,
     deterministic_range,
-    ghz_model,
     normalized_chsh,
     planar_qubit_model,
-    product_model,
     quantum_model,
     quantum_value,
     three_setting_pair_model,
@@ -26,6 +25,7 @@ from aqbell.scenario import (
     to_collins_gisin,
     unit_functional,
 )
+from conftest import ghz_model, product_model
 
 TSIRELSON = (4.0 + 2.0 * math.sqrt(2.0)) / 8.0
 
@@ -94,6 +94,19 @@ def test_trace_matrix_agrees_with_counting_formula(nmd):
     assert constraint_residual(structure, numeric) < 1e-12
     assert np.linalg.eigvalsh(numeric).min() > 0.0
     assert numeric[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_trace_matrix_builds_no_full_space_operator():
+    # one monomial operator on the whole (3,3,2) space is 512 x 512 doubles
+    # (2.1 MB), and the stack of all 64 of them 134 MB
+    structure = build_moment_structure(make_scenario(3, 3, 2))
+    tracemalloc.start()
+    try:
+        trace_moment_matrix(structure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_trace_matrix_entry_example(scn222):

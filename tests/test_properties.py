@@ -12,9 +12,9 @@ from aqbell.scenario import (
     basis,
     basis_size,
     from_collins_gisin,
-    random_local_behavior,
     to_collins_gisin,
 )
+from conftest import random_local_behavior
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -41,6 +41,25 @@ def test_canonical_word_is_shared_by_adjoint_and_swapped_product(scn, data):
     if structure is not None:
         assert structure.cell_class[i, j] == structure.cell_class[j, i]
         assert (structure.cell_class[i, j] < 0) == (word is None)
+
+
+@st.composite
+def words(draw):
+    """A letter sequence of any length over a drawn scenario, outcomes
+    included, so that same-setting letters merge or vanish."""
+    scn = draw(scenarios(parties=(1, 2), settings_range=(1, 2)))
+    letter = st.tuples(st.integers(0, scn.parties - 1), st.integers(0, 1), st.integers(0, scn.outcomes - 1))
+    return tuple(l for l in draw(st.lists(letter, max_size=8)) if l[1] < scn.settings[l[0]])
+
+
+@PROPERTY
+@given(words())
+def test_reducer_is_idempotent_and_adjoint_invariant(word):
+    reduced = canonicalize((), word)
+    assert canonicalize((), word[::-1]) == reduced  # the adjoint reverses the letters
+    if reduced is not None:
+        assert canonicalize((), reduced) == reduced
+        assert canonicalize(reduced, ()) == reduced
 
 
 @PROPERTY

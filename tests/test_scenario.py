@@ -24,10 +24,10 @@ from aqbell.scenario import (
     functional_from_terms,
     functional_to_json,
     make_scenario,
-    random_local_behavior,
     to_collins_gisin,
     unit_functional,
 )
+from conftest import random_local_behavior
 
 
 def uniform_behavior(scn):
