@@ -38,8 +38,10 @@ rows this way when its data allow it (the extremization here and the
 see-saw's cone-pair steps) and otherwise with its data as given, and
 :func:`solve_indicator`, the one solve of such a problem, maps a reduced
 solution back through its :class:`Reduction`.  A swap permutes the
-monomials, a flip does not, so flips are judged only for the
-extremization, whose start every relabelling fixes (see
+monomials, a flip does not, so a problem is reduced by its flips only when
+its solve starts from a point every relabelling fixes (the extremization);
+one solved from :func:`sdp.solve`'s default start is reduced by the swap
+alone and its re-embedded solution averaged over the flips (see
 :func:`indicator_problem`).  Every array that a cache here keeps for the
 life of the process is read-only.
 """
@@ -292,7 +294,7 @@ def _flip_candidates(structure: MomentStructure, values, rows, b, tol: float, sw
     ]
 
 
-def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndarray, flips: bool) -> tuple:
+def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndarray) -> tuple:
     """Generators of a group of relabellings that fixes the problem
     :func:`indicator_problem` poses from ``c_blocks``, ``class_rows`` and
     ``b``; ``()`` when the unreduced problem has m * sum_l n_l**3 below
@@ -305,8 +307,8 @@ def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndar
     c_l are fixed by M^T up to a combination of the rows, all to within
     ``SWAP_TOL * max(1, |c|_inf, |b|_inf)``.  The generators are the first
     transposition of two parties with equal settings counts that passes
-    (in party-pair order), then, when ``flips`` is set and there are two
-    outcomes, the flips among :func:`_flip_candidates` that pass.  They are
+    (in party-pair order), then, when there are two outcomes, the flips
+    among :func:`_flip_candidates` that pass.  They are
     commuting involutions, so the group has order 2**len(generators)."""
     scenario = structure.scenario
     m = len(b)
@@ -341,7 +343,7 @@ def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndar
     )
     swap = next((g for g in swaps if fixes(g)), None)
     generators = [] if swap is None else [swap]
-    if flips and scenario.outcomes == 2:
+    if scenario.outcomes == 2:
         candidates = _flip_candidates(structure, values, rows, b, tol, None if swap is None else swap[1])
         generators += [g for g in (("flip", letters) for letters in candidates) if fixes(g)]
     return tuple(generators)
@@ -414,18 +416,25 @@ class Symmetry:
 
     @property
     def description(self) -> list:
-        """The generators as JSON: ``{"swap": [p, q]}`` or
-        ``{"flip": [[party, setting], ...]}``."""
-        return [{kind: [list(a) for a in arg] if kind == "flip" else list(arg)} for kind, arg in self.generators]
+        return _describe(self.generators)
+
+
+def _describe(generators) -> list:
+    """Relabellings as JSON: ``{"swap": [p, q]}`` or
+    ``{"flip": [[party, setting], ...]}``."""
+    return [{kind: [list(a) for a in arg] if kind == "flip" else list(arg)} for kind, arg in generators]
 
 
 @dataclass(frozen=True, eq=False)
 class Reduction:
-    """How :func:`indicator_problem` reduced one problem: its ``symmetry``
-    and the objective blocks as given, from which :func:`solve_indicator`
-    reads every row's multiplier."""
+    """How :func:`indicator_problem` reduced one problem: its ``symmetry``,
+    the flips over whose group :func:`solve_indicator` averages the
+    re-embedded solution (``averaged``, commuting with the symmetry's
+    generators), and the objective blocks as given, from which it reads
+    every row's multiplier."""
 
     symmetry: Symmetry
+    averaged: tuple
     c_blocks: tuple
 
 
@@ -519,7 +528,7 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
 
 
 def indicator_problem(
-    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray, flips: bool = False
+    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray, invariant_start: bool = False
 ) -> tuple[SdpProblem, Reduction | None]:
     """SDP over one N x N block Z_l per entry of ``class_rows``: minimize
     sum_l <c_l, Z_l> subject to, for every r, the sum over l of the entry
@@ -528,32 +537,39 @@ def indicator_problem(
 
     When :func:`invariant_group` finds relabellings that fix this data, an
     optimum may be taken invariant under their group, so the problem is
-    posed over its :class:`Symmetry`: each block becomes one block per
+    posed over a :class:`Symmetry`: each block becomes one block per
     character, c_l becomes scale * (W^T c_l W) per basis, and only the
     symmetry's kept rows are posed, with b[u] * row_scale[u].  Returns the
     problem and its :class:`Reduction`, or the unreduced problem, posed with
     ``c_blocks`` and ``b`` as given, and None; either way
     :func:`solve_indicator` solves it.
 
-    Outcome flips are judged only when ``flips`` is set: a flip's monomial
-    map is not orthogonal, so it moves :func:`sdp.solve`'s default start
-    X = tau_p I, and where the optimum is not unique a flip-reduced solve
-    from there ends at another optimal point than the unreduced one (1.8e-6
-    away in the reference see-saw's first family step).  A start that every
-    relabelling fixes, as :func:`compile_extremize`'s, is the same point
-    either way.  The operator is built once per (structure, class rows,
-    generators or none) and kept for the life of the process
-    (:func:`_symmetry`, :func:`_indicator_operator`).
+    ``invariant_start`` says whether the solve starts from a point that
+    every relabelling fixes, as :func:`compile_extremize`'s does; then the
+    symmetry is the whole group's.  Otherwise the solve starts from
+    :func:`sdp.solve`'s default X = tau_p I, which a flip moves (its
+    monomial map is not orthogonal), and where the optimum is not unique a
+    flip-reduced solve from there ends at another optimal point than the
+    unreduced one (1.8e-6 away in the reference see-saw's first family
+    step).  So the symmetry is the swap's alone (the trivial group's, with
+    the unreduced blocks and rows, when only flips were found), and the
+    flips are left to the :class:`Reduction`: the data are invariant, so
+    the average of the re-embedded optimum over their group is an optimal
+    point of the same problem, and a flip-invariant one.  The operator is
+    built once per (structure, class rows, generators or none) and kept for
+    the life of the process (:func:`_symmetry`, :func:`_indicator_operator`).
     """
     rows = np.asarray(class_rows, dtype=np.int64)
     rows_key, m = rows.tobytes(), len(b)
-    generators = invariant_group(structure, c_blocks, rows, b, flips)
-    symmetry = _symmetry(structure, m, rows_key, generators) if generators else None
+    generators = invariant_group(structure, c_blocks, rows, b)
+    averaged = () if invariant_start else tuple(g for g in generators if g[0] == "flip")
+    reduced_by = tuple(g for g in generators if g not in averaged)
+    symmetry = _symmetry(structure, m, rows_key, reduced_by) if generators else None
     if symmetry is None:
         return SdpProblem(_indicator_operator(structure, m, rows_key), tuple(c_blocks), b), None
     reduced = tuple(scale * (w.T @ c @ w) for c in c_blocks for w, scale, _ in symmetry.bases)
     problem = SdpProblem(symmetry.operator, reduced, b[symmetry.rows] * symmetry.row_scale)
-    return problem, Reduction(symmetry, tuple(c_blocks))
+    return problem, Reduction(symmetry, averaged, tuple(c_blocks))
 
 
 @lru_cache(maxsize=None)
@@ -581,12 +597,16 @@ def solve_indicator(
     Raises :class:`SolverFailureError` unless the solve is optimal.  A
     reduced solve is re-embedded: each unreduced block
     X_l = sum_chi U_chi X_l,chi U_chi^T and S_l = sum_chi Q_chi S_l,chi Q_chi^T
-    (:class:`Symmetry`), and, since C_l - S_l = sum_r y_r A_r,l, each row's
-    multiplier y_r is the mean of C_l - S_l over the row's cells (for the
-    objective blocks as given), averaged with its swap partner's; status,
-    objectives, residuals, iterations and trace stay the block solve's.
-    Returns that solution and ``{"generators", "blocks", "constraints"}``
-    of the reduced problem, or the solution and None.
+    (:class:`Symmetry`), then, for each flip the reduction averages over,
+    with its monomial map T (:func:`_monomial_map`),
+    X_l <- (X_l + T X_l T^T) / 2 and S_l <- (S_l + T^T S_l T) / 2.  Since
+    C_l - S_l = sum_r y_r A_r,l, each row's multiplier y_r is the mean of
+    C_l - S_l over the row's cells (for the objective blocks as given),
+    averaged with its swap partner's; status, objectives, residuals,
+    iterations and trace stay the block solve's.  Returns that solution and
+    ``{"generators", "blocks", "constraints"}`` of the reduced problem, with
+    ``"averaged"`` (the flips, described as the generators) when the
+    solution was averaged, or the solution and None.
     """
     solution = solve(problem, gap_tol, y_start=y_start)
     if solution.status != SdpStatus.OPTIMAL:
@@ -606,17 +626,23 @@ def solve_indicator(
             for l in range(0, len(mats), per_block)
         ]
 
-    s_blocks = embed(solution.s_blocks, False)
+    x_blocks, s_blocks = embed(solution.x_blocks, True), embed(solution.s_blocks, False)
+    for t in (_monomial_map(symmetry.structure, g) for g in reduction.averaged):
+        x_blocks = [0.5 * (x + t @ x @ t.T) for x in x_blocks]
+        s_blocks = [0.5 * (s + t.T @ s @ t) for s in s_blocks]
     sums = np.ravel([class_sums(symmetry.structure, c - s) for c, s in zip(reduction.c_blocks, s_blocks)])
     flat = symmetry.class_rows.ravel()
     y = np.bincount(flat[flat >= 0], weights=sums[flat >= 0], minlength=len(symmetry.cells)) / symmetry.cells
     y = 0.5 * (y + y[symmetry.partner])  # equal, bit for bit, on rows a swap exchanges
-    embedded = dataclasses.replace(solution, x_blocks=embed(solution.x_blocks, True), s_blocks=s_blocks, y=y)
-    return embedded, {
+    embedded = dataclasses.replace(solution, x_blocks=x_blocks, s_blocks=s_blocks, y=y)
+    record = {
         "generators": symmetry.description,
         "blocks": list(problem.block_dims),
         "constraints": problem.num_constraints,
     }
+    if reduction.averaged:
+        record["averaged"] = _describe(reduction.averaged)
+    return embedded, record
 
 
 @dataclass(eq=False)
@@ -661,10 +687,10 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     the dual slack Gamma itself.  Gamma is fixed by every relabelling, so on
     a reduced problem the start is the reduced multipliers whose slack is
     Gamma's projection onto the group's blocks, and X = tau_p Gamma^-1 is
-    the unreduced start (up to tau_p) for any group, so outcome flips are
-    judged here (see :func:`indicator_problem`).  The start depends only on
-    the structure and the group, so it is computed once per pair
-    (read-only).
+    the unreduced start (up to tau_p) for any group, so the problem is
+    reduced by its outcome flips too (see :func:`indicator_problem`).  The
+    start depends only on the structure and the group, so it is computed
+    once per pair (read-only).
     """
     if functional.scenario != structure.scenario:
         raise ScenarioMismatchError("functional and moment structure disagree on the scenario")
@@ -679,7 +705,7 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     pinned = np.zeros(m + 1)  # per class; the identity class is the objective
     pinned[structure.monomial_class] = target
     # constraint k - 1 pins class k
-    problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:], flips=True)
+    problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:], invariant_start=True)
     reduction, y_start = _extremize_start(structure, None if reduction is None else reduction.symmetry)
     return CompiledExtremize(problem, target, reduction, y_start)
 
@@ -699,7 +725,7 @@ def _extremize_start(structure: MomentStructure, symmetry: Symmetry | None) -> t
     slack = c - strictly_feasible_point(structure)
     target = np.concatenate([(scale * (w.T @ slack @ w)).ravel() for w, scale, _ in symmetry.bases])
     a = np.hstack([stack.reshape(len(stack), -1) for stack in symmetry.operator.a_stacks])
-    return Reduction(symmetry, _read_only(c)), *_read_only(np.linalg.solve(a @ a.T, a @ target))
+    return Reduction(symmetry, (), _read_only(c)), *_read_only(np.linalg.solve(a @ a.T, a @ target))
 
 
 @dataclass(eq=False)

@@ -173,7 +173,7 @@ def cmd_reproduce(args) -> int:
         if not verdict.is_nbf:
             print(f"{name} functional is not normalized over the set", file=sys.stderr)
             return EXIT_CLAIM_FAILS
-    composed = reference_composed_functional()
+    composed = compose(outer, NbfFamily((first, second)))
     ext = aq_extremize(composed, "min", args.tol)
     artifacts, residuals = _certificates((("reproduce_certificate.json", ext.certificate),))
     lo, hi = REPRODUCE_BAND

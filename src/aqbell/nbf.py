@@ -235,15 +235,10 @@ def reference_functionals():
     return first, second, outer
 
 
-def reference_family() -> NbfFamily:
-    first, second, _ = reference_functionals()
-    return NbfFamily((first, second))
-
-
 def reference_composed_functional() -> BellFunctional:
     """Composition of the bundled trio on the uniform (3,3,2) scenario."""
-    _, _, outer = reference_functionals()
-    return compose(outer, reference_family())
+    first, second, outer = reference_functionals()
+    return compose(outer, NbfFamily((first, second)))
 
 
 def matrix_to_triplets(mat: np.ndarray) -> list:

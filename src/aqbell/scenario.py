@@ -18,6 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -410,6 +411,10 @@ def functional_from_json(obj: dict) -> BellFunctional:
 
 
 def save_json(path, obj) -> None:
+    # an existing file is removed, not truncated: on ext4 (auto_da_alloc) a
+    # truncate-and-rewrite starts writeback at close, and the next rewrite of
+    # the same file waits for it
+    Path(path).unlink(missing_ok=True)
     # one unindented dumps: only that form runs the C encoder
     with open(path, "w") as fh:
         fh.write(json.dumps(obj) + "\n")

@@ -11,12 +11,12 @@ each step's constraint operator once and hands it to every later sweep, and
 solved by :func:`aqset.solve_indicator` at the solver's default tolerances
 (``sdp.GAP_TOL``, ``sdp.FEAS_TOL``); ``aqset`` alone decides from that data
 whether to solve it over the blocks of a group of relabellings (party swaps
-and, for the behaviour step, outcome flips).  On the reference start the
-first behaviour step is reduced by the swap of A and B and the joint flip
-of their setting 1, a group of order 4, and every family step and later
-behaviour step by the swap: a family step solves from the solver's default
-start, which a flip moves, so its generators are swap-invariant exactly
-but flip-invariant only to about the solver's gap.
+and outcome flips).  On the reference start every behaviour step is reduced
+by the swap of A and B and the joint flip of their setting 1, a group of
+order 4.  Every family step is reduced by the swap alone, since it solves
+from the solver's default start, which a flip moves, and its solution is
+averaged over the flip, so its generators are invariant under the whole
+group to roundoff and the next behaviour step is judged invariant again.
 """
 from __future__ import annotations
 
@@ -122,7 +122,9 @@ def _cone_pair_problem(structure, objectives):
     """SDP over pairs of cone blocks [Z+_s, Z-_s]: the class sums of Z+_s
     define generator s, Z-_s pins its complement, and the objective couples
     linearly to the generators' coefficients.  Returns (problem, reduction)
-    from :func:`aqset.indicator_problem`."""
+    from :func:`aqset.indicator_problem`, posed for a solve from the
+    default start, so the solution is averaged over the flips that fix the
+    data."""
     n = structure.size
     n_slots = len(objectives)
     # rows: each block's vanishing mixed-word sums, then per slot one row per

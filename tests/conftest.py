@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aqbell import aq_extremize, make_scenario, sdp
-from aqbell.nbf import reference_composed_functional, reference_family, reference_functionals
+from aqbell.nbf import NbfFamily, reference_composed_functional, reference_functionals
 from aqbell.oracles import QuantumModel, planar_qubit_model
 from aqbell.scenario import Behavior, Scenario, behavior_from_table, enumerate_deterministic
 from aqbell.sdp import SdpOperator, SdpProblem
@@ -86,8 +86,9 @@ def reference_trio():
 
 
 @pytest.fixture(scope="session")
-def ref_family():
-    return reference_family()
+def ref_family(reference_trio):
+    first, second, _ = reference_trio
+    return NbfFamily((first, second))
 
 
 @pytest.fixture(scope="session")

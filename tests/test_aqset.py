@@ -446,8 +446,8 @@ def test_flip_candidates_are_checked_against_all_the_data(rng):
     values = np.zeros((2, m + 1))
     candidates = aqset._flip_candidates(st, values, class_rows, b, 1e-12, None)
     assert sorted(candidates) == [((p, x),) for p in range(3) for x in range(2)]
-    assert aqset.invariant_group(st, c_blocks, class_rows, b, True) == ()
-    problem, reduction = indicator_problem(st, c_blocks, class_rows, b, flips=True)
+    assert aqset.invariant_group(st, c_blocks, class_rows, b) == ()
+    problem, reduction = indicator_problem(st, c_blocks, class_rows, b, invariant_start=True)
     assert reduction is None and problem.block_dims == (st.size,) * 2
 
 

@@ -23,7 +23,9 @@ from aqbell.scenario import (
     functional_from_table,
     functional_from_terms,
     functional_to_json,
+    load_json,
     make_scenario,
+    save_json,
     to_collins_gisin,
     unit_functional,
 )
@@ -246,6 +248,14 @@ def test_functional_json_round_trip(scn232, rng):
     back = functional_from_json(json.loads(blob))
     assert np.array_equal(back.coeffs, f.coeffs)
     assert back.scenario == f.scenario
+
+
+def test_save_json_replaces_a_longer_file(tmp_path):
+    path = tmp_path / "blob.json"
+    save_json(path, {"entries": list(range(100))})
+    save_json(path, {"entries": [1]})
+    assert path.read_text() == '{"entries": [1]}\n'
+    assert load_json(path) == {"entries": [1]}
 
 
 def test_functional_json_full_format(scn222):

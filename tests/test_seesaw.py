@@ -96,11 +96,15 @@ def test_reduced_family_step_matches_unreduced(ref_family, reference_trio, headl
     structure, objectives = seen[0]
     problem, swap_reduction = seesaw._cone_pair_problem(structure, objectives)
     # the flip fixes this step's data too, but a cone-pair step solves from
-    # the default start, which a flip moves, so only the swap is judged
+    # the default start, which a flip moves, so it is reduced by the swap
+    # alone and its solution averaged over the flip
+    assert swap_reduction.symmetry.generators == (SWAP_GENERATOR,)
+    assert swap_reduction.averaged == (FLIP_GENERATOR,)
     with monkeypatch.context() as patch:
-        patch.setattr(seesaw, "indicator_problem", functools.partial(aqset.indicator_problem, flips=True))
+        patch.setattr(seesaw, "indicator_problem", functools.partial(aqset.indicator_problem, invariant_start=True))
         flipped, group_reduction = seesaw._cone_pair_problem(structure, objectives)
-    assert group_reduction.symmetry.generators == (("swap", (0, 1)), ("flip", ((0, 1), (1, 1))))
+    assert group_reduction.symmetry.generators == (SWAP_GENERATOR, FLIP_GENERATOR)
+    assert group_reduction.averaged == ()
     assert flipped.block_dims == (7, 3, 3, 3) * 4 and flipped.num_constraints == 66
 
     # the same step with the size rule forced off solves the 4 x 16 blocks
@@ -129,30 +133,100 @@ def test_reduced_family_step_matches_unreduced(ref_family, reference_trio, headl
     assert not check_certificate(full, corrupted).passed
 
 
-SWAP = [{"swap": [0, 1]}]
-REFERENCE_BEHAVIOR_REDUCTIONS = [
-    # sweep 1: the reference family and outer functional are fixed by the
-    # swap and the joint flip of A's and B's setting 1
-    {"generators": SWAP + [{"flip": [[0, 1], [1, 1]]}], "blocks": [21, 9, 9, 9], "constraints": 89},
-    # later sweeps: a swap-reduced family step leaves its generators
-    # flip-symmetric only to about the solver's gap, above SWAP_TOL
-    {"generators": SWAP, "blocks": [30, 18], "constraints": 156},
-]
-REFERENCE_FAMILY_REDUCTION = {"generators": SWAP, "blocks": [10, 6] * 4, "constraints": 116}
+SWAP_GENERATOR = ("swap", (0, 1))
+FLIP_GENERATOR = ("flip", ((0, 1), (1, 1)))  # the joint outcome flip of A's and B's setting 1
+SWAP, FLIP = [{"swap": [0, 1]}], [{"flip": [[0, 1], [1, 1]]}]
+# every sweep: the family and outer functional are fixed by the swap and
+# the flip, the first by construction, later ones because each family
+# step's solution is averaged over the flip
+REFERENCE_BEHAVIOR_REDUCTION = {"generators": SWAP + FLIP, "blocks": [21, 9, 9, 9], "constraints": 89}
+REFERENCE_FAMILY_REDUCTION = {"generators": SWAP, "averaged": FLIP, "blocks": [10, 6] * 4, "constraints": 116}
+
+
+def reference_family_step(headline, ref_family, reference_trio, monkeypatch):
+    """The (structure, objectives) that sweep 1's family step solves."""
+    seen = []
+    real = seesaw._solve_cone_pairs
+
+    def recording(structure, objectives):
+        seen.append((structure, objectives))
+        return real(structure, objectives)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(seesaw, "_solve_cone_pairs", recording)
+        step_functionals(headline.behavior, ref_family, reference_trio[2], "family")
+    return seen[0]
+
+
+def test_averaged_family_solution_is_certified(ref_family, reference_trio, headline, monkeypatch):
+    structure, objectives = reference_family_step(headline, ref_family, reference_trio, monkeypatch)
+    problem, reduction = seesaw._cone_pair_problem(structure, objectives)
+    solution, record = solve_indicator(problem, reduction)
+    assert record == REFERENCE_FAMILY_REDUCTION
+    flip = aqset._monomial_map(structure, FLIP_GENERATOR)
+    for x in solution.x_blocks:
+        assert np.abs(flip @ x @ flip.T - x).max() <= 1e-15 * max(1.0, np.abs(x).max())
+    # the average is a certified optimum of the unreduced 4 x 16 problem,
+    # with the block solve's objective
+    monkeypatch.setattr(aqset, "SYMMETRY_MIN_WORK", np.inf)
+    full, none = seesaw._cone_pair_problem(structure, objectives)
+    assert none is None and full.block_dims == (16,) * 4
+    assert check_certificate(full, solution).passed
+    objective = sum(float(np.sum(c * x)) for c, x in zip(full.c_blocks, solution.x_blocks, strict=True))
+    assert abs(objective - solution.primal_objective) <= 1e-12 * abs(solution.primal_objective)
+
+
+def moved_objectives(objectives, structure, *monomials):
+    """``objectives`` with the coefficient of each of ``monomials`` moved by
+    1e-9.  An objective pairs with class sums, so a relabelling with
+    monomial map T fixes it when T^T fixes it."""
+    moved = np.array(objectives)
+    moved[:, [basis(structure.scenario).index[monomial] for monomial in monomials]] += 1e-9
+    return moved
+
+
+def test_family_step_the_flip_does_not_fix_is_not_averaged(ref_family, reference_trio, headline, monkeypatch):
+    structure, objectives = reference_family_step(headline, ref_family, reference_trio, monkeypatch)
+    # A1 + B1: fixed by the swap, moved by the flip
+    moved = moved_objectives(objectives, structure, ((0, 1, 0),), ((1, 1, 0),))
+    problem, reduction = seesaw._cone_pair_problem(structure, moved)
+    assert reduction.symmetry.generators == (SWAP_GENERATOR,) and reduction.averaged == ()
+    _, record = solve_indicator(problem, reduction)
+    assert record == {"generators": SWAP, "blocks": [10, 6] * 4, "constraints": 116}
+
+
+def test_flips_without_a_swap_average_the_unreduced_problem(ref_family, reference_trio, headline, monkeypatch):
+    structure, objectives = reference_family_step(headline, ref_family, reference_trio, monkeypatch)
+    # A2 B0: moved by the swap, fixed by the flip
+    moved = moved_objectives(objectives, structure, ((0, 2, 0), (1, 0, 0)))
+    problem, reduction = seesaw._cone_pair_problem(structure, moved)
+    assert reduction.symmetry.generators == () and FLIP_GENERATOR in reduction.averaged
+    assert problem.block_dims == (16,) * 4 and problem.num_constraints == 200
+    solution, record = solve_indicator(problem, reduction)
+    assert record["generators"] == [] and record["blocks"] == [16] * 4
+    for generator in reduction.averaged:
+        t = aqset._monomial_map(structure, generator)
+        for x in solution.x_blocks:
+            assert np.abs(t @ x @ t.T - x).max() <= 1e-15 * max(1.0, np.abs(x).max())
+    assert check_certificate(problem, solution).passed
 
 
 def test_reference_sweeps_stay_on_the_reduced_path():
     record = basis(make_scenario(2, 3, 2))
     perm = [record.index[tuple(sorted((1 - k, x, a) for k, x, a in mono))] for mono in record.monomials]
+    flip = aqset._monomial_map(aqset.build_moment_structure(make_scenario(2, 3, 2)), FLIP_GENERATOR)
     fam, outer = seesaw._initial_blocks(np.random.default_rng(0), "reference")
     for sweep in range(4):
         behavior, _, reduction = step_behavior(fam, outer)
-        assert reduction == REFERENCE_BEHAVIOR_REDUCTIONS[min(sweep, 1)]
+        assert reduction == REFERENCE_BEHAVIOR_REDUCTION
         fam, outer, _, reduction = step_functionals(behavior, fam, outer, "family")
         assert reduction == REFERENCE_FAMILY_REDUCTION
-        # the generators are class sums of a swap-invariant Gram matrix
+        # the generators are class sums of a Gram matrix invariant under the
+        # swap and, once averaged, under the flip
         for g in fam.generators:
-            assert np.abs(g.coeffs[perm] - g.coeffs).max() <= SWAP_TOL * max(1.0, np.abs(g.coeffs).max())
+            tol = SWAP_TOL * max(1.0, np.abs(g.coeffs).max())
+            assert np.abs(g.coeffs[perm] - g.coeffs).max() <= tol
+            assert np.abs(flip @ g.coeffs - g.coeffs).max() <= tol
         fam, outer, _, reduction = step_functionals(behavior, fam, outer, "outer")
         assert reduction is None
 
@@ -302,5 +376,5 @@ def test_trace_json(ref_family):
     assert [value for label, value in steps if label == "outer"] == blob["restarts"][0]["sweep_values"]
     reductions = blob["restarts"][0]["step_reductions"]
     assert reductions == [r for _, _, r in trace.best.steps]
-    assert [r and r["blocks"] for r in reductions] == [[21, 9, 9, 9], [10, 6] * 4, None, [30, 18], [10, 6] * 4, None]
+    assert reductions == [REFERENCE_BEHAVIOR_REDUCTION, REFERENCE_FAMILY_REDUCTION, None] * cfg.max_sweeps
     json.dumps(blob, allow_nan=False)
