@@ -23,13 +23,13 @@ Algebra 192, 2004; Tavakoli, Rosset & Renou, PRL 122, 070501, 2019).  The
 groups used are generated by commuting involutions: a transposition of two
 parties with equal settings counts, and, for two outcomes, the joint
 outcome flip of a set of (party, setting) letters, which maps each flipped
-projector P to 1 - P.  One rule (:func:`_relabel`) maps a word to signed
-words: a swap renames the two parties, a flip expands each flipped letter
-P as 1 - P.  Read over the basis (closed under dropping letters) it maps a
-monomial to a signed sum of monomials, read over the classes it maps a
-word class to an integer combination of classes, and a constraint row maps
-to a combination of rows, so the problem is judged in class coordinates,
-from its own data.
+projector P to 1 - P.  One rule (:func:`_class_map`) maps a word class to
+an integer combination of classes: a swap renames the two parties, a flip
+expands each flipped letter P as 1 - P.  The basis is closed under
+dropping letters, so on the monomials' own classes it is the map of
+monomials to signed sums of monomials, and a constraint row maps to a
+combination of rows, so the problem is judged in class coordinates, from
+its own data.
 An optimal Z may then be taken invariant; such a Z is block-diagonal over
 the characters of the group, and on it the rows satisfy exact relations,
 so one row per orbit of word classes determines the rest.
@@ -57,8 +57,8 @@ import numpy as np
 
 from . import algebra
 from .errors import ScenarioMismatchError, SizeGuardError, SolverFailureError
-from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis, from_collins_gisin
-from .sdp import GAP_TOL, SdpOperator, SdpProblem, SdpSolution, SdpStatus, _read_only, solve
+from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis, basis_size, from_collins_gisin
+from .sdp import DIM_GUARD, GAP_TOL, SdpOperator, SdpProblem, SdpSolution, SdpStatus, _read_only, solve
 
 MAX_PARTIES = 3
 # m * sum_l n_l**3 of the unreduced problem below which its blocks solve
@@ -154,14 +154,16 @@ def _sparse(rows, cols, values, width: int) -> tuple:
     return _read_only(*np.divmod(keys[nonzero], width), sums[nonzero])
 
 
-def _relabel(words: tuple, generator: tuple) -> tuple:
-    """``(rows, cols, values)`` of the integer matrix R by which a
-    relabelling maps ``words``, a list closed under it, onto signed sums of
-    them: the image of words[k] is sum_k' R[k', k] words[k'], each image
-    word looked up as itself or its adjoint.  ``("swap", (p, q))`` renames
+@lru_cache(maxsize=None)
+def _class_map(structure: MomentStructure, generator: tuple) -> tuple:
+    """``(rows, cols, values)`` of the integer matrix M by which a
+    relabelling maps the word classes onto signed sums of them: the image of
+    class k's word is sum_k' M[k', k] times class k''s, each image word
+    looked up as itself or its adjoint.  ``("swap", (p, q))`` renames
     parties p and q and re-sorts the letters stably by party.
     ``("flip", letters)``, for two outcomes, exchanges the outcomes of each
     (party, setting) letter, so each flipped projector P expands as 1 - P."""
+    words = structure.classes
     index = {algebra.adjoint(word): k for k, word in enumerate(words)} | {word: k for k, word in enumerate(words)}
     kind, arg = generator
     rename = dict(zip(arg, reversed(arg))) if kind == "swap" else {}
@@ -180,21 +182,18 @@ def _relabel(words: tuple, generator: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _monomial_map(structure: MomentStructure, generator: tuple) -> np.ndarray:
-    """The read-only N x N matrix T of a relabelling on the monomial basis
-    (:func:`_relabel`): the image of monomial i is sum_a T[a, i] u_a."""
-    rows, cols, values = _relabel(structure.basis, generator)
+    """The read-only N x N matrix T of a relabelling on the monomial basis:
+    the image of monomial i is sum_a T[a, i] u_a.  The basis is closed
+    under dropping letters, so T is the class map M (:func:`_class_map`) on
+    the monomials' own classes."""
+    k_to, k_from, value = _class_map(structure, generator)
+    monomial = np.full(len(structure.classes), -1)
+    monomial[structure.monomial_class] = np.arange(structure.size)
+    on_basis = monomial[k_from] >= 0
     t = np.zeros((structure.size, structure.size))
-    t[rows, cols] = values
+    t[monomial[k_to[on_basis]], monomial[k_from[on_basis]]] = value[on_basis]
     t.flags.writeable = False
     return t
-
-
-@lru_cache(maxsize=None)
-def _class_map(structure: MomentStructure, generator: tuple) -> tuple:
-    """``(rows, cols, values)`` of the integer matrix M of a relabelling on
-    the word classes (:func:`_relabel`): the image of class k's word is
-    sum_k' M[k', k] times class k''s."""
-    return _relabel(structure.classes, generator)
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +281,9 @@ def _flip_candidates(structure: MomentStructure, values, rows, b, tol: float, sw
     primal = np.where(mono_rows >= 0, b[mono_rows], 0.0) @ lam_inv.T
     dual = np.diff(values[:, structure.monomial_class], axis=0) @ lam
     nonzero = np.abs(np.vstack([primal, dual])).max(axis=0) > tol
-    equations = sorted(set((bits[nonzero] @ (1 << np.arange(bits.shape[1]))).tolist()))
+    # Python ints, so that no letter past bit 63 drops out
+    codes = np.packbits(bits[nonzero], axis=1, bitorder="little")
+    equations = sorted({int.from_bytes(code.tobytes(), "little") for code in codes})
     starts = list(itertools.accumulate(scenario.settings, initial=0))
     if swap is not None:
         p, q = swap
@@ -294,12 +295,11 @@ def _flip_candidates(structure: MomentStructure, values, rows, b, tol: float, sw
     ]
 
 
-def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndarray) -> tuple:
+def invariant_group(structure: MomentStructure, values: np.ndarray, class_rows, b: np.ndarray) -> tuple:
     """Generators of a group of relabellings that fixes the problem
-    :func:`indicator_problem` poses from ``c_blocks``, ``class_rows`` and
-    ``b``; ``()`` when the unreduced problem has m * sum_l n_l**3 below
-    ``SYMMETRY_MIN_WORK``, or when an objective block is not constant on
-    every word class.
+    :func:`indicator_problem` poses from the (blocks, classes) objective
+    class ``values``, ``class_rows`` and ``b``; ``()`` when the unreduced
+    problem has m * sum_l n_l**3 below ``SYMMETRY_MIN_WORK``.
 
     A relabelling fixes the problem when, in class coordinates, the rows'
     span is invariant under its class map M (:func:`_row_action`), b is
@@ -314,10 +314,7 @@ def invariant_group(structure: MomentStructure, c_blocks, class_rows, b: np.ndar
     m = len(b)
     if m * len(class_rows) * structure.size**3 < SYMMETRY_MIN_WORK:
         return ()
-    tol = SWAP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)), *(float(np.abs(c).max()) for c in c_blocks))
-    values = np.array([class_sums(structure, c) / structure.class_size for c in c_blocks])
-    if any(np.abs(scatter(structure, v) - c).max() > tol for v, c in zip(values, c_blocks)):
-        return ()
+    tol = SWAP_TOL * max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(values).max()))
     rows = np.asarray(class_rows, dtype=np.int64)
     rows_key, flat = rows.tobytes(), rows.ravel()
 
@@ -362,14 +359,6 @@ def scatter(structure: MomentStructure, values: np.ndarray) -> np.ndarray:
     orthogonal cells; the adjoint of :func:`class_sums`."""
     # label -1 picks the appended zero
     return np.append(values, 0.0)[structure.cell_class]
-
-
-def objective_matrix(structure: MomentStructure, coeffs: np.ndarray) -> np.ndarray:
-    """Scatter per-monomial objective coefficients onto their class cells, so
-    that <result, Z> equals sum_g coeffs[g] * (class-g entry sum of Z)."""
-    values = np.zeros(len(structure.classes))
-    values[structure.monomial_class] = coeffs
-    return scatter(structure, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,12 +517,13 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
 
 
 def indicator_problem(
-    structure: MomentStructure, c_blocks, class_rows, b: np.ndarray, invariant_start: bool = False
+    structure: MomentStructure, values: np.ndarray, class_rows, b: np.ndarray, invariant_start: bool = False
 ) -> tuple[SdpProblem, Reduction | None]:
     """SDP over one N x N block Z_l per entry of ``class_rows``: minimize
-    sum_l <c_l, Z_l> subject to, for every r, the sum over l of the entry
-    sums of Z_l over the classes k with ``class_rows[l][k] == r`` equal to
-    ``b[r]``.
+    sum_l <c_l, Z_l>, c_l carrying ``values[l, k]`` on every cell of class
+    k (:func:`scatter`; ``values`` is a (blocks, classes) array), subject
+    to, for every r, the sum over l of the entry sums of Z_l over the
+    classes k with ``class_rows[l][k] == r`` equal to ``b[r]``.
 
     When :func:`invariant_group` finds relabellings that fix this data, an
     optimum may be taken invariant under their group, so the problem is
@@ -541,7 +531,7 @@ def indicator_problem(
     character, c_l becomes scale * (W^T c_l W) per basis, and only the
     symmetry's kept rows are posed, with b[u] * row_scale[u].  Returns the
     problem and its :class:`Reduction`, or the unreduced problem, posed with
-    ``c_blocks`` and ``b`` as given, and None; either way
+    the blocks c_l and ``b`` as given, and None; either way
     :func:`solve_indicator` solves it.
 
     ``invariant_start`` says whether the solve starts from a point that
@@ -561,15 +551,16 @@ def indicator_problem(
     """
     rows = np.asarray(class_rows, dtype=np.int64)
     rows_key, m = rows.tobytes(), len(b)
-    generators = invariant_group(structure, c_blocks, rows, b)
+    c_blocks = tuple(scatter(structure, v) for v in values)
+    generators = invariant_group(structure, values, rows, b)
     averaged = () if invariant_start else tuple(g for g in generators if g[0] == "flip")
     reduced_by = tuple(g for g in generators if g not in averaged)
     symmetry = _symmetry(structure, m, rows_key, reduced_by) if generators else None
     if symmetry is None:
-        return SdpProblem(_indicator_operator(structure, m, rows_key), tuple(c_blocks), b), None
+        return SdpProblem(_indicator_operator(structure, m, rows_key), c_blocks, b), None
     reduced = tuple(scale * (w.T @ c @ w) for c in c_blocks for w, scale, _ in symmetry.bases)
     problem = SdpProblem(symmetry.operator, reduced, b[symmetry.rows] * symmetry.row_scale)
-    return problem, Reduction(symmetry, averaged, tuple(c_blocks))
+    return problem, Reduction(symmetry, averaged, c_blocks)
 
 
 @lru_cache(maxsize=None)
@@ -698,14 +689,13 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     target = functional.coeffs if sense == "min" else -functional.coeffs
 
-    n = structure.size
     m = len(structure.classes) - 1
-    c = np.zeros((n, n))
-    c[0, 0] = 1.0
     pinned = np.zeros(m + 1)  # per class; the identity class is the objective
     pinned[structure.monomial_class] = target
-    # constraint k - 1 pins class k
-    problem, reduction = indicator_problem(structure, (c,), (np.arange(m + 1) - 1,), pinned[1:], invariant_start=True)
+    # constraint k - 1 pins class k, and Z[0, 0] is the identity class
+    problem, reduction = indicator_problem(
+        structure, np.eye(1, m + 1), (np.arange(m + 1) - 1,), pinned[1:], invariant_start=True
+    )
     reduction, y_start = _extremize_start(structure, None if reduction is None else reduction.symmetry)
     return CompiledExtremize(problem, target, reduction, y_start)
 
@@ -762,9 +752,12 @@ def aq_extremize(functional: BellFunctional, sense: str, gap_tol: float = GAP_TO
     dropped letter (a dropped setting always returns the last outcome), and
     the certificate's Gram matrix is 0 on their rows and columns.  The
     behavior is built from ``entries`` on first read, so callers that read
-    only values and certificates never build it.
+    only values and certificates never build it.  A restricted basis larger
+    than ``sdp.DIM_GUARD`` is refused before its word classes are built.
     """
     restricted, keep = restrict_to_touched(functional)
+    if basis_size(restricted.scenario) > DIM_GUARD:
+        raise SizeGuardError(f"total dimension {basis_size(restricted.scenario)} exceeds guard {DIM_GUARD}")
     structure = build_moment_structure(restricted.scenario)
     compiled = compile_extremize(structure, restricted, sense)
     solution, reduction = solve_indicator(compiled.problem, compiled.reduction, gap_tol, compiled.y_start)

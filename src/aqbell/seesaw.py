@@ -31,7 +31,6 @@ from .aqset import (
     build_moment_structure,
     class_sums,
     indicator_problem,
-    objective_matrix,
     solve_indicator,
 )
 from .errors import AqbellError, NoWorkError, SolverFailureError
@@ -141,11 +140,10 @@ def _cone_pair_problem(structure, objectives):
         class_rows.append(class_row)
     b = np.zeros(m)
     b[pinned::n] = 1.0
-    c_blocks = []
-    for slot in range(n_slots):
-        c_blocks.append(objective_matrix(structure, objectives[slot]))
-        c_blocks.append(np.zeros((n, n)))
-    return indicator_problem(structure, c_blocks, class_rows, b)
+    # the objective is on each pair's Z+ block, at its monomials' classes
+    values = np.zeros((n_blocks, len(structure.classes)))
+    values[::2, structure.monomial_class] = objectives
+    return indicator_problem(structure, values, class_rows, b)
 
 
 def _solve_cone_pairs(structure, objectives):

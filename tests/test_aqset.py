@@ -442,13 +442,43 @@ def test_flip_candidates_are_checked_against_all_the_data(rng):
     mixed = np.setdiff1d(np.arange(1, m + 1), st.monomial_class)
     b = np.zeros(m)
     b[mixed - 1] = rng.uniform(-1, 1, len(mixed))
-    c_blocks = [np.zeros((st.size, st.size))] * 2
     values = np.zeros((2, m + 1))
     candidates = aqset._flip_candidates(st, values, class_rows, b, 1e-12, None)
     assert sorted(candidates) == [((p, x),) for p in range(3) for x in range(2)]
-    assert aqset.invariant_group(st, c_blocks, class_rows, b) == ()
-    problem, reduction = indicator_problem(st, c_blocks, class_rows, b, invariant_start=True)
+    assert aqset.invariant_group(st, values, class_rows, b) == ()
+    problem, reduction = indicator_problem(st, values, class_rows, b, invariant_start=True)
     assert reduction is None and problem.block_dims == (st.size,) * 2
+
+
+def test_flip_search_reads_letters_past_bit_63():
+    # B has 70 settings, so B69 is letter 70 of 71: the functional
+    # sum_y c_y P(B_y) + E[A0 B69] (y < 69) is fixed by the joint flip of A0
+    # and B69 alone, and that parity equation spans bits 0 and 70
+    scenario = Scenario(2, (1, 70), 2)
+    st = build_moment_structure(scenario)
+    terms = {((1, y, 0),): c for y, c in enumerate(np.random.default_rng(5).uniform(0.5, 1.5, 69))}
+    correlator = {(): 1.0, ((0, 0, 0),): -2.0, ((1, 69, 0),): -2.0, ((0, 0, 0), (1, 69, 0)): 4.0}
+    f = functional_from_terms(scenario, terms | correlator)
+    m = len(st.classes) - 1
+    pinned = np.zeros(m + 1)
+    pinned[st.monomial_class] = f.coeffs
+    generators = aqset.invariant_group(st, np.eye(1, m + 1), (np.arange(m + 1) - 1,), pinned[1:])
+    assert generators == (("flip", ((0, 0), (1, 69))),)
+
+
+def test_oversized_extremization_is_refused_before_word_classes(monkeypatch):
+    # every setting of a random (2,24,2) functional is touched: n = 625
+    # exceeds sdp.DIM_GUARD, and the refusal must not wait for the solve
+    scenario = make_scenario(2, 24, 2)
+    f = BellFunctional(scenario, np.random.default_rng(3).normal(size=basis_size(scenario)))
+    assert basis_size(scenario) > sdp.DIM_GUARD
+
+    def built(_):
+        raise AssertionError("word classes built before the size guard")
+
+    monkeypatch.setattr(aqset.algebra, "word_classes", built)
+    with pytest.raises(SizeGuardError, match="exceeds guard"):
+        aq_extremize(f, "min")
 
 
 def swap_class_image(st, p, q):
@@ -463,25 +493,24 @@ def swap_class_image(st, p, q):
 def swap_invariant_two_block_data(rng):
     """Two blocks on the (2,2,3) structure, with data that the swap of
     parties 0 and 1 fixes: m * sum_l n_l**3 = 3e6 passes the size rule.
-    The objective blocks are constant on every word class, as the
-    reduction's judge requires."""
+    Each block's objective is given by its class values."""
     st = build_moment_structure(make_scenario(2, 2, 3))
     image = swap_class_image(st, 0, 1)
     m = len(st.classes) - 1
     class_rows = (np.arange(m + 1) - 1,) * 2
     values = rng.uniform(-1, 1, m + 1)
     b = (values + values[image])[1:]
-    c_blocks = []
+    c_values = []
     for _ in class_rows:
         v = rng.uniform(-1, 1, m + 1)
-        c_blocks.append(scatter(st, v + v[image]))
-    return st, c_blocks, class_rows, b
+        c_values.append(v + v[image])
+    return st, np.array(c_values), class_rows, b
 
 
 def test_indicator_problem_reduces_only_swap_invariant_data(rng):
-    st, c_blocks, class_rows, b = swap_invariant_two_block_data(rng)
+    st, c_values, class_rows, b = swap_invariant_two_block_data(rng)
     image, m = swap_class_image(st, 0, 1), len(b)
-    problem, reduction = indicator_problem(st, c_blocks, class_rows, b)
+    problem, reduction = indicator_problem(st, c_values, class_rows, b)
     assert reduction is not None and reduction.symmetry.generators == (("swap", (0, 1)),)
     assert len(problem.block_dims) == 4 and sum(problem.block_dims) == 2 * st.size
     assert problem.num_constraints < m
@@ -490,14 +519,14 @@ def test_indicator_problem_reduces_only_swap_invariant_data(rng):
     row = np.flatnonzero(image[1:] != np.arange(1, m + 1))[0]
     b_off = b.copy()
     b_off[row] += 1e-9
-    c_off = [c.copy() for c in c_blocks]
-    c_off[1][st.cell_class == row + 1] += 1e-9
-    for cs, rhs in ((c_blocks, b_off), (c_off, b)):
+    c_off = c_values.copy()
+    c_off[1, row + 1] += 1e-9
+    for cs, rhs in ((c_values, b_off), (c_off, b)):
         problem, reduction = indicator_problem(st, cs, class_rows, rhs)
         assert reduction is None
         assert problem.block_dims == (st.size,) * 2 and problem.num_constraints == m
         assert np.array_equal(problem.b, rhs)
-        assert all(np.array_equal(c, d) for c, d in zip(problem.c_blocks, cs, strict=True))
+        assert all(np.array_equal(c, scatter(st, v)) for c, v in zip(problem.c_blocks, cs, strict=True))
 
 
 def test_rows_whose_span_a_swap_moves_are_not_reduced(rng):
@@ -515,8 +544,8 @@ def test_rows_whose_span_a_swap_moves_are_not_reduced(rng):
     rows[rows > dropped] -= 1  # renumber the rows left
     m = rows.max() + 1
     assert aqset._row_action(st, m, rows.tobytes(), SWAP) is None
-    c_blocks = [np.zeros((st.size, st.size))] * 2
-    problem, reduction = indicator_problem(st, c_blocks, rows, np.zeros(m))
+    c_values = np.zeros((2, len(st.classes)))
+    problem, reduction = indicator_problem(st, c_values, rows, np.zeros(m))
     assert reduction is None and problem.num_constraints == m
 
 
@@ -714,14 +743,14 @@ def test_reduced_and_unreduced_problems_do_not_share_an_operator(composed_w, rng
     assert unreduced.problem.block_dims == (48,) and reduced.problem.block_dims == (21, 9, 9, 9)
     assert len(unreduced.y_start) == 273 and len(reduced.y_start) == 89
 
-    st, c_blocks, class_rows, b = swap_invariant_two_block_data(rng)
+    st, c_values, class_rows, b = swap_invariant_two_block_data(rng)
     image = swap_class_image(st, 0, 1)
     b_off = b.copy()
     b_off[np.flatnonzero(image[1:] != np.arange(1, len(b) + 1))[0]] += 1e-9
-    (reduced, with_swap), (unreduced, without) = (indicator_problem(st, c_blocks, class_rows, v) for v in (b, b_off))
+    (reduced, with_swap), (unreduced, without) = (indicator_problem(st, c_values, class_rows, v) for v in (b, b_off))
     assert with_swap is not None and without is None
     assert unreduced.operator is not reduced.operator
-    assert indicator_problem(st, c_blocks, class_rows, b_off)[0].operator is unreduced.operator
+    assert indicator_problem(st, c_values, class_rows, b_off)[0].operator is unreduced.operator
 
 
 def test_cached_arrays_are_read_only(composed_w):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -156,6 +157,78 @@ def reference_family_step(headline, ref_family, reference_trio, monkeypatch):
         patch.setattr(seesaw, "_solve_cone_pairs", recording)
         step_functionals(headline.behavior, ref_family, reference_trio[2], "family")
     return seen[0]
+
+
+def signed_permutations(maps, degree) -> list:
+    """Every element of the group that the dense commuting involutions
+    ``maps`` generate, composed from them, as the signed permutation it
+    carries between indices of equal degree: (image, sign) per column."""
+    size = len(degree)
+    elements = []
+    for chosen in itertools.product((False, True), repeat=len(maps)):
+        element = np.eye(size)
+        for t in itertools.compress(maps, chosen):
+            element = t @ element
+        lead = np.where(np.equal.outer(degree, degree), element, 0.0)
+        assert np.array_equal(np.count_nonzero(lead, axis=0), np.ones(size))
+        image = np.abs(lead).argmax(axis=0)
+        sign = lead[image, np.arange(size)]
+        assert np.array_equal(np.abs(sign), np.ones(size))
+        elements.append((image, sign))
+    return elements
+
+
+def orbit_representatives(maps, degree) -> list:
+    """The smallest index of each orbit whose stabilizer keeps every sign."""
+    elements = signed_permutations(maps, degree)
+    return [
+        u
+        for u in range(len(degree))
+        if u == min(image[u] for image, _ in elements) and all(s[u] > 0 for image, s in elements if image[u] == u)
+    ]
+
+
+@pytest.mark.parametrize("case", ["headline", "family"])
+def test_kept_rows_and_monomials_match_a_dense_reference(
+    case, composed_w, headline, ref_family, reference_trio, monkeypatch
+):
+    # the kept rows, and each character's leading monomials, against the
+    # group's elements composed from the dense row maps G and monomial maps T
+    if case == "headline":
+        restricted, _ = aqset.restrict_to_touched(composed_w)
+        structure = aqset.build_moment_structure(restricted.scenario)
+        symmetry = aqset.compile_extremize(structure, restricted, "min").reduction.symmetry
+    else:
+        structure, objectives = reference_family_step(headline, ref_family, reference_trio, monkeypatch)
+        symmetry = seesaw._cone_pair_problem(structure, objectives)[1].symmetry
+    dims = [w.shape[1] for w, _, _ in symmetry.bases]
+    assert (len(symmetry.rows), dims) == {"headline": (89, [21, 9, 9, 9]), "family": (116, [10, 6])}[case]
+
+    class_rows, m = symmetry.class_rows, len(symmetry.cells)
+    flat = class_rows.ravel()
+    row_degree = np.zeros(m, dtype=int)
+    row_degree[flat[flat >= 0]] = np.tile([len(word) for word in structure.classes], len(class_rows))[flat >= 0]
+    row_maps = []
+    for generator in symmetry.generators:
+        r, c, v = aqset._row_action(structure, m, class_rows.tobytes(), generator)
+        row_maps.append(np.zeros((m, m)))
+        np.add.at(row_maps[-1], (r, c), v)
+    assert list(symmetry.rows) == orbit_representatives(row_maps, row_degree)
+
+    degree = (basis(structure.scenario).settings >= 0).sum(axis=1)
+    maps = [aqset._monomial_map(structure, g) for g in symmetry.generators]
+    expected = []
+    for character in range(1 << len(maps)):
+        signs = [(-1.0) ** (character >> bit & 1) for bit in range(len(maps))]
+        kept = orbit_representatives([sign * t for sign, t in zip(signs, maps)], degree)
+        expected += [kept] if kept else []
+    leading = []
+    for w, _, _ in symmetry.bases:
+        # each column's leading 1: the first of its top-degree entries
+        tops = [np.flatnonzero(col * (degree == degree[col != 0].max()))[0] for col in w.T]
+        assert np.array_equal(w[tops, np.arange(w.shape[1])], np.ones(w.shape[1]))
+        leading.append(tops)
+    assert leading == expected
 
 
 def test_averaged_family_solution_is_certified(ref_family, reference_trio, headline, monkeypatch):
