@@ -34,9 +34,9 @@ An optimal Z may then be taken invariant; such a Z is block-diagonal over
 the characters of the group, and on it the rows satisfy exact relations,
 so one row per orbit of word classes determines the rest.
 :func:`indicator_problem` poses every problem built from class-indicator
-rows this way when its data allow it (the extremization here and the
-see-saw's cone-pair steps) and otherwise with its data as given, and
-:func:`solve_indicator`, the one solve of such a problem, maps a reduced
+rows (the extremization here and the see-saw's cone-pair steps) this way,
+over the trivial group, with its data as given, when nothing reduces it,
+and :func:`solve_indicator`, the one solve of such a problem, maps a reduced
 solution back through its :class:`Reduction`.  A swap permutes the
 monomials, a flip does not, so a problem is reduced by its flips only when
 its solve starts from a point every relabelling fixes (the extremization);
@@ -58,7 +58,7 @@ import numpy as np
 from . import algebra
 from .errors import ScenarioMismatchError, SizeGuardError, SolverFailureError
 from .scenario import EXTRACTION_TOL, Behavior, BellFunctional, Scenario, basis, basis_size, from_collins_gisin
-from .sdp import DIM_GUARD, GAP_TOL, SdpOperator, SdpProblem, SdpSolution, SdpStatus, _read_only, solve
+from .sdp import DIM_GUARD, GAP_TOL, SdpOperator, SdpProblem, SdpSolution, SdpStatus, _read_only, _sparse, solve
 
 MAX_PARTIES = 3
 # m * sum_l n_l**3 of the unreduced problem below which its blocks solve
@@ -78,7 +78,7 @@ class MomentStructure:
     # it and monomial_class are read-only
     cell_class: np.ndarray
     monomial_class: np.ndarray  # (N,) class index of each basis monomial
-    class_size: np.ndarray  # cells per class, in class order (read-only)
+    class_size: np.ndarray  # cells per class, in class order, as floats (read-only)
 
     @property
     def basis(self) -> tuple:
@@ -109,7 +109,8 @@ def build_moment_structure(scenario: Scenario) -> MomentStructure:
         if word in index:
             assert monomial_class[index[word]] == idx
 
-    class_size = np.bincount(cell_class[cell_class >= 0], minlength=len(classes))
+    labels = cell_class[cell_class >= 0]
+    class_size = np.bincount(labels, weights=np.ones(labels.size), minlength=len(classes))
     _read_only(cell_class, monomial_class, class_size)
     return MomentStructure(scenario, classes, cell_class, monomial_class, class_size)
 
@@ -143,15 +144,6 @@ def restrict_to_touched(functional: BellFunctional):
         return functional, index
     restricted = Scenario(scenario.parties, tuple(settings), scenario.outcomes)
     return BellFunctional(restricted, functional.coeffs[index]), index
-
-
-def _sparse(rows, cols, values, width: int) -> tuple:
-    """Read-only ``(rows, cols, values)`` of a sparse matrix with ``width``
-    columns, repeats summed and zeros dropped."""
-    keys, at = np.unique(rows * width + cols, return_inverse=True)
-    sums = np.bincount(at, weights=values, minlength=len(keys))
-    nonzero = sums != 0.0
-    return _read_only(*np.divmod(keys[nonzero], width), sums[nonzero])
 
 
 @lru_cache(maxsize=None)
@@ -403,10 +395,6 @@ class Symmetry:
     cells: np.ndarray
     partner: np.ndarray
 
-    @property
-    def description(self) -> list:
-        return _describe(self.generators)
-
 
 def _describe(generators) -> list:
     """Relabellings as JSON: ``{"swap": [p, q]}`` or
@@ -435,6 +423,8 @@ def _representatives(actions, degree: np.ndarray) -> tuple:
     Kept are the orbits whose stabilizer keeps every sign (the others
     average to 0), one index each, the orbit's smallest."""
     size = len(degree)
+    if not actions:  # the trivial group: every index is its own orbit
+        return np.arange(size), np.ones(size)
     image, sign = np.arange(size)[None], np.ones((1, size))
     for r, c, v in actions:
         lead = degree[r] == degree[c]
@@ -455,9 +445,11 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
     its block per character.  The kept rows, and each character's kept
     monomials, come from the generators' signed permutations
     (:func:`_representatives`), each basis from the character's average
-    (1/|G|) sum_g chi(g) T_g = prod_i (I + chi(g_i) T_i) / 2.  None when a
-    row holds classes of different degrees (its action need not be
-    triangular in the degree)."""
+    (1/|G|) sum_g chi(g) T_g = prod_i (I + chi(g_i) T_i) / 2.  The trivial
+    group's (no generators) is the unreduced problem: one basis W = Q = I
+    with scale 1, every row kept with row_scale 1.  None when there are
+    generators and a row holds classes of different degrees (their action
+    need not be triangular in the degree)."""
     n, n_classes = structure.size, len(structure.classes)
     rows = np.frombuffer(class_rows, dtype=np.int64).reshape(-1, n_classes)
     flat = rows.ravel()
@@ -465,7 +457,7 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
     class_degree = np.tile([len(word) for word in structure.classes], len(rows))[members]
     degree = np.zeros(m, dtype=int)
     degree[flat[members]] = class_degree
-    if not np.array_equal(degree[flat[members]], class_degree):
+    if generators and not np.array_equal(degree[flat[members]], class_degree):
         return None
     actions = [_row_action(structure, m, class_rows, g) for g in generators]
     kept, stabilizer = _representatives(actions, degree)
@@ -488,7 +480,8 @@ def _symmetry(structure: MomentStructure, m: int, class_rows: bytes, generators:
             bases.append(p[:, reps] / p[reps, reps])  # leading entry 1 on u
     assert sum(w.shape[1] for w in bases) == n
     scales = [1.0 / np.linalg.norm(w, axis=0) for w in bases]
-    q = np.linalg.inv(np.hstack([w * d for w, d in zip(bases, scales)])).T
+    u = np.hstack([w * d for w, d in zip(bases, scales)])
+    q = np.linalg.inv(u).T if generators else u  # I, the trivial group's, without LAPACK
     splits = np.cumsum([w.shape[1] for w in bases])[:-1]
     bases = tuple(
         _read_only(w, np.outer(d, d), np.ascontiguousarray(qc)) for w, d, qc in zip(bases, scales, np.hsplit(q, splits))
@@ -525,13 +518,15 @@ def indicator_problem(
     to, for every r, the sum over l of the entry sums of Z_l over the
     classes k with ``class_rows[l][k] == r`` equal to ``b[r]``.
 
-    When :func:`invariant_group` finds relabellings that fix this data, an
-    optimum may be taken invariant under their group, so the problem is
-    posed over a :class:`Symmetry`: each block becomes one block per
-    character, c_l becomes scale * (W^T c_l W) per basis, and only the
-    symmetry's kept rows are posed, with b[u] * row_scale[u].  Returns the
-    problem and its :class:`Reduction`, or the unreduced problem, posed with
-    the blocks c_l and ``b`` as given, and None; either way
+    Every problem is posed over a :class:`Symmetry`.  When
+    :func:`invariant_group` finds relabellings that fix this data, an
+    optimum may be taken invariant under their group, so each block becomes
+    one block per character, c_l becomes scale * (W^T c_l W) per basis, and
+    only the symmetry's kept rows are posed, with b[u] * row_scale[u].
+    Otherwise, or when its rows mix degrees, the symmetry is the trivial
+    group's, whose operator is the unreduced one, and c_l and ``b`` are
+    posed as given.  Returns the problem and its :class:`Reduction`, None
+    when nothing is reduced or averaged; either way
     :func:`solve_indicator` solves it.
 
     ``invariant_start`` says whether the solve starts from a point that
@@ -546,8 +541,8 @@ def indicator_problem(
     flips are left to the :class:`Reduction`: the data are invariant, so
     the average of the re-embedded optimum over their group is an optimal
     point of the same problem, and a flip-invariant one.  The operator is
-    built once per (structure, class rows, generators or none) and kept for
-    the life of the process (:func:`_symmetry`, :func:`_indicator_operator`).
+    built once per (structure, class rows, generators) and kept for the
+    life of the process (:func:`_symmetry`).
     """
     rows = np.asarray(class_rows, dtype=np.int64)
     rows_key, m = rows.tobytes(), len(b)
@@ -555,26 +550,12 @@ def indicator_problem(
     generators = invariant_group(structure, values, rows, b)
     averaged = () if invariant_start else tuple(g for g in generators if g[0] == "flip")
     reduced_by = tuple(g for g in generators if g not in averaged)
-    symmetry = _symmetry(structure, m, rows_key, reduced_by) if generators else None
-    if symmetry is None:
-        return SdpProblem(_indicator_operator(structure, m, rows_key), c_blocks, b), None
+    symmetry = _symmetry(structure, m, rows_key, reduced_by) or _symmetry(structure, m, rows_key, ())
+    if not symmetry.generators:
+        return SdpProblem(symmetry.operator, c_blocks, b), Reduction(symmetry, averaged, c_blocks) if averaged else None
     reduced = tuple(scale * (w.T @ c @ w) for c in c_blocks for w, scale, _ in symmetry.bases)
     problem = SdpProblem(symmetry.operator, reduced, b[symmetry.rows] * symmetry.row_scale)
     return problem, Reduction(symmetry, averaged, c_blocks)
-
-
-@lru_cache(maxsize=None)
-def _indicator_operator(structure: MomentStructure, m: int, class_rows: bytes) -> SdpOperator:
-    """The unreduced operator of :func:`indicator_problem` for m
-    constraints, the class rows given as the bytes of their int64 (blocks,
-    classes) array: every cell of a class in row r adds 1 to that row."""
-    rows = np.frombuffer(class_rows, dtype=np.int64).reshape(-1, len(structure.classes))
-    triplets = []
-    for class_row in rows:
-        cell_row = np.append(class_row, -1)[structure.cell_class].ravel()
-        cells = np.flatnonzero(cell_row >= 0)
-        triplets.append((cell_row[cells], cells, np.ones(len(cells))))
-    return SdpOperator((structure.size,) * len(rows), tuple(triplets), m)
 
 
 def solve_indicator(
@@ -627,7 +608,7 @@ def solve_indicator(
     y = 0.5 * (y + y[symmetry.partner])  # equal, bit for bit, on rows a swap exchanges
     embedded = dataclasses.replace(solution, x_blocks=x_blocks, s_blocks=s_blocks, y=y)
     record = {
-        "generators": symmetry.description,
+        "generators": _describe(symmetry.generators),
         "blocks": list(problem.block_dims),
         "constraints": problem.num_constraints,
     }

@@ -346,12 +346,15 @@ def scenario_from_json(obj: dict) -> Scenario:
     return Scenario(json_index(obj["parties"]), settings, json_index(obj["outcomes"]))
 
 
-def _entries_from_vector(scenario, values):
-    entries = []
-    for mono, value in zip(basis(scenario).monomials, values):
-        if value != 0.0:
-            entries.append({"monomial": [list(letter) for letter in mono], "coeff": float(value)})
-    return entries
+def _collins_gisin_json(scenario, values) -> dict:
+    """A Collins-Gisin vector over ``scenario`` as JSON, one entry per
+    nonzero value."""
+    entries = [
+        {"monomial": [list(letter) for letter in mono], "coeff": float(value)}
+        for mono, value in zip(basis(scenario).monomials, values)
+        if value != 0.0
+    ]
+    return {"scenario": scenario_to_json(scenario), "format": "collins_gisin", "entries": entries}
 
 
 def _vector_from_entries(scenario, entries):
@@ -383,21 +386,11 @@ def _table_from_full_entries(scenario, entries):
 
 
 def behavior_to_json(behavior: Behavior) -> dict:
-    scenario = behavior.scenario
-    return {
-        "scenario": scenario_to_json(scenario),
-        "format": "collins_gisin",
-        "entries": _entries_from_vector(scenario, to_collins_gisin(behavior)),
-    }
+    return _collins_gisin_json(behavior.scenario, to_collins_gisin(behavior))
 
 
 def functional_to_json(functional: BellFunctional) -> dict:
-    scenario = functional.scenario
-    return {
-        "scenario": scenario_to_json(scenario),
-        "format": "collins_gisin",
-        "entries": _entries_from_vector(scenario, functional.coeffs),
-    }
+    return _collins_gisin_json(functional.scenario, functional.coeffs)
 
 
 def functional_from_json(obj: dict) -> BellFunctional:

@@ -270,16 +270,24 @@ def _canonical_triplets(n: int, m: int, rows, cells, values) -> tuple:
         raise ValueError("constraint triplets outside the problem")
     if not np.all(np.isfinite(values)):
         raise ValueError("constraint values must be finite")
-    keys, at = np.unique(rows * (n * n) + cells, return_inverse=True)
-    sums = np.bincount(at, weights=values, minlength=keys.size)  # repeats summed in input order
-    keys, sums = keys[sums != 0.0], sums[sums != 0.0]
-    rows, cells = np.divmod(keys, n * n)
+    rows, cells, sums = _sparse(rows, cells, values, n * n)
+    keys = rows * (n * n) + cells
     # each entry against its mirror (r, c) -> (c, r), or 0 where there is none
     mirror = rows * (n * n) + cells % n * n + cells // n
     at = np.searchsorted(keys, mirror).clip(max=max(keys.size - 1, 0))
     if np.abs(sums - np.where(keys[at] == mirror, sums[at], 0.0)).max(initial=0.0) > 1e-12:
         raise ValueError("constraint blocks must be symmetric")
-    return _read_only(rows, cells, sums)
+    return rows, cells, sums
+
+
+def _sparse(rows, cols, values, width: int) -> tuple:
+    """Read-only ``(rows, cols, values)`` of a sparse matrix with ``width``
+    columns, sorted by row and then column, repeats summed in input order and
+    zeros dropped."""
+    keys, at = np.unique(rows * width + cols, return_inverse=True)
+    sums = np.bincount(at, weights=values, minlength=len(keys))
+    nonzero = sums != 0.0
+    return _read_only(*np.divmod(keys[nonzero], width), sums[nonzero])
 
 
 @dataclass(frozen=True)

@@ -330,7 +330,7 @@ def assert_matches_unreduced_solve(f, sense, ext, generators):
     compiled = compile_extremize(st, restricted, sense)
     assert compiled.reduction.symmetry.generators == generators
     assert ext.reduction == {
-        "generators": compiled.reduction.symmetry.description,
+        "generators": aqset._describe(compiled.reduction.symmetry.generators),
         "blocks": list(compiled.problem.block_dims),
         "constraints": compiled.problem.num_constraints,
     }
@@ -549,6 +549,44 @@ def test_rows_whose_span_a_swap_moves_are_not_reduced(rng):
     assert reduction is None and problem.num_constraints == m
 
 
+def test_rows_of_mixed_degree_fall_back_to_the_trivial_group():
+    # merge A0 with A0B1 into one row and B0 with A1B0 into another: the swap
+    # maps one row onto the other and, with zero data, passes the judge, but
+    # its action on rows of mixed degree need not be triangular in the degree
+    st = build_moment_structure(make_scenario(2, 2, 3))
+    index = {word: k for k, word in enumerate(st.classes)}
+    row = np.arange(len(st.classes)) - 1  # row k - 1 pins class k
+    for word, merged in ((((0, 0, 0),), ((0, 0, 0), (1, 1, 0))), (((1, 0, 0),), ((0, 1, 0), (1, 0, 0)))):
+        row[index[merged]] = row[index[word]]
+    row[1:] = np.unique(row[1:], return_inverse=True)[1]  # renumber the rows left
+    rows, m = np.array([row, row]), row.max() + 1
+    c_values = np.zeros((2, len(st.classes)))
+    assert m == 94 and aqset.invariant_group(st, c_values, rows, np.zeros(m)) == (SWAP,)
+    assert aqset._symmetry(st, m, rows.tobytes(), (SWAP,)) is None
+    problem, reduction = indicator_problem(st, c_values, rows, np.zeros(m))
+    assert reduction is None
+    assert problem.block_dims == (25, 25) and problem.num_constraints == 94
+
+
+def test_gf2_null_space_matches_brute_force():
+    # random unsorted systems, with repeats and zero equations, against every
+    # vector of their width
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        width = int(rng.integers(1, 11))
+        equations = [int(e) for e in rng.integers(0, 1 << width, rng.integers(0, 9))]
+        null = aqset._gf2_null_space(equations, width)
+        vectors = np.arange(1 << width)
+        bits = [np.array(v, dtype=np.int64)[:, None] >> np.arange(width) & 1 for v in (vectors, equations)]
+        solutions = set(vectors[(bits[0] @ bits[1].T % 2 == 0).all(axis=1)].tolist())
+        span = {0}
+        for v in null:
+            assert v in solutions  # an even overlap with every equation
+            span |= {s ^ v for s in span}
+        # independent, and width - rank of them: they span every solution
+        assert len(span) == 1 << len(null) == len(solutions)
+
+
 def test_three_party_functional_reduced_through_second_and_third(rng):
     # parties 0 and 1 differ in settings count, so only the swap of 1 and 2
     # can apply
@@ -713,7 +751,7 @@ def seed_one_verify_functionals(count):
 
 
 def clear_operator_cache():
-    aqset._indicator_operator.cache_clear()
+    aqset._symmetry.cache_clear()
     aqset._extremize_start.cache_clear()
 
 
@@ -797,7 +835,7 @@ def test_operator_cache_keeps_every_bit():
         cold.update(extrema([f]))
     clear_operator_cache()
     warmed = extrema(functionals[::-1])
-    assert aqset._indicator_operator.cache_info().currsize == 3  # one operator per structure
+    assert aqset._symmetry.cache_info().currsize == 3  # one operator per structure
     assert extrema(functionals) == warmed == cold
 
 
@@ -896,12 +934,20 @@ def symmetry_caches():
 
 
 def test_verify_pass_builds_no_symmetry_data():
-    # n = 9, 16 and 27 lie below the size rule, so no relabelling is judged
+    # n = 9, 16 and 27 lie below the size rule, so no relabelling is judged,
+    # and each structure's problem is posed over the trivial group
     for cache in symmetry_caches():
         cache.cache_clear()
     for f in seed_one_verify_functionals(150):
         verify_nbf(f)
-    assert [cache.cache_info().currsize for cache in symmetry_caches()] == [0] * 5
+    assert [cache.cache_info().currsize for cache in symmetry_caches()] == [0, 0, 0, 3, 0]
+    for spec in ((2, 2, 2), (2, 3, 2), (3, 2, 2)):
+        st = build_moment_structure(make_scenario(*spec))
+        m = len(st.classes) - 1
+        hits = aqset._symmetry.cache_info().hits
+        assert aqset._symmetry(st, m, (np.arange(m + 1) - 1)[None].tobytes(), ()).generators == ()
+        assert aqset._symmetry.cache_info().hits == hits + 1
+    assert aqset._symmetry.cache_info().currsize == 3
 
 
 def test_behavior_is_built_on_first_read(monkeypatch, rng):
