@@ -546,7 +546,8 @@ def indicator_problem(
     """
     rows = np.asarray(class_rows, dtype=np.int64)
     rows_key, m = rows.tobytes(), len(b)
-    c_blocks = tuple(scatter(structure, v) for v in values)
+    # read-only: the returned Reduction holds them, and may share them with the problem
+    c_blocks = _read_only(*(scatter(structure, v) for v in values))
     generators = invariant_group(structure, values, rows, b)
     averaged = () if invariant_start else tuple(g for g in generators if g[0] == "flip")
     reduced_by = tuple(g for g in generators if g not in averaged)
@@ -650,9 +651,10 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     which is not SDP data) pose it over their group's blocks, with one
     constraint per kept orbit of word classes.  Only b depends on the
     functional, and the objective Z[0,0] is the same for every functional,
-    so the operator and the reduction are built once per structure and
-    group, and the min and max of one functional share them; a call builds
-    ``target``, ``b`` and the objective's projection.
+    so the operator and the start are built once per structure and group,
+    and the min and max of one functional share them; a call builds
+    ``target``, ``b``, the objective's projection and the
+    :class:`Reduction` that :func:`indicator_problem` returns.
 
     ``y_start`` is a strictly feasible point of the dual: y_k = -Gamma_k
     for the product-projector moments Gamma (:func:`product_moments`) makes
@@ -677,26 +679,27 @@ def compile_extremize(structure: MomentStructure, functional: BellFunctional, se
     problem, reduction = indicator_problem(
         structure, np.eye(1, m + 1), (np.arange(m + 1) - 1,), pinned[1:], invariant_start=True
     )
-    reduction, y_start = _extremize_start(structure, None if reduction is None else reduction.symmetry)
+    y_start = _extremize_start(structure, None if reduction is None else reduction.symmetry)
     return CompiledExtremize(problem, target, reduction, y_start)
 
 
 @lru_cache(maxsize=None)
-def _extremize_start(structure: MomentStructure, symmetry: Symmetry | None) -> tuple:
-    """The :class:`Reduction` of :func:`compile_extremize` over ``symmetry``
-    (None for none), whose objective is Z[0, 0], and its read-only
-    ``y_start``: -Gamma, or on a reduced problem the multipliers y_hat
-    whose slack C_hat - A_hat^T y_hat is scale * (W^T Gamma W) on every
-    basis, the least-squares solution of that consistent system."""
-    y_start = -product_moments(structure)[1:]
+def _extremize_start(structure: MomentStructure, symmetry: Symmetry | None) -> np.ndarray:
+    """The read-only ``y_start`` of :func:`compile_extremize` over
+    ``symmetry`` (None for none), whose objective is Z[0, 0]: -Gamma, or on
+    a reduced problem the multipliers y_hat whose slack
+    C_hat - A_hat^T y_hat is scale * (W^T Gamma W) on every basis, the
+    least-squares solution of that consistent system."""
     if symmetry is None:
-        return None, *_read_only(y_start)
-    c = np.zeros((structure.size, structure.size))
-    c[0, 0] = 1.0
-    slack = c - strictly_feasible_point(structure)
-    target = np.concatenate([(scale * (w.T @ slack @ w)).ravel() for w, scale, _ in symmetry.bases])
-    a = np.hstack([stack.reshape(len(stack), -1) for stack in symmetry.operator.a_stacks])
-    return Reduction(symmetry, (), _read_only(c)), *_read_only(np.linalg.solve(a @ a.T, a @ target))
+        y_start = -product_moments(structure)[1:]
+    else:
+        c = np.zeros((structure.size, structure.size))
+        c[0, 0] = 1.0
+        slack = c - strictly_feasible_point(structure)
+        target = np.concatenate([(scale * (w.T @ slack @ w)).ravel() for w, scale, _ in symmetry.bases])
+        a = np.hstack([stack.reshape(len(stack), -1) for stack in symmetry.operator.a_stacks])
+        y_start = np.linalg.solve(a @ a.T, a @ target)
+    return _read_only(y_start)[0]
 
 
 @dataclass(eq=False)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import inspect
 import json
 import sys
@@ -51,6 +50,16 @@ from .scenario import (
 from .sdp import GAP_TOL
 from .seesaw import SeesawConfig, run as seesaw_run, trace_to_json
 
+# the interpreter's own SHA-256, as random.py takes its sha512: hashlib would
+# load OpenSSL's libcrypto (3.5 MB resident) for the same digests
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 EXIT_OK = 0
 EXIT_CLAIM_FAILS = 1
 EXIT_INPUT_ERROR = 2
@@ -63,7 +72,7 @@ PERTURB_FLOOR = -0.002
 
 
 def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+    return sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
 def _write_report(args, command: str, inputs, config, results, artifacts=()) -> None:

@@ -56,14 +56,17 @@ factors, ``dpotrs`` solves with the Schur factor, and ``dsyevr`` computes
 only the smallest eigenvalue of each step matrix.  The seven kernels live
 in two compiled modules, ``scipy.sparse._sparsetools`` and
 ``scipy.linalg._flapack``, that need only numpy; :func:`_scipy_extension`
-loads each from its file.  Importing them through their packages would run
-scipy's array-API layer, which reads every public attribute of numpy and so
-loads ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``: about 0.3 s of
-every start, more than numpy, the two modules and aqbell itself take
-together.  The kernels are the packages' own objects either way.  A
-non-finite iterate is caught by the residual check, and a non-finite search
-direction by its step length (LAPACK reports it); either ends the solve as
-``numerical_trouble``, so numpy's overflow warnings are off inside it.
+loads each from its file, in the directory ``importlib.util.find_spec``
+names for scipy, so not even ``scipy/__init__`` runs (it loads
+``scipy._lib``, about 1 MB resident).  Importing them through their
+packages would run scipy's array-API layer, which reads every public
+attribute of numpy and so loads ``numpy.f2py``, ``numpy.testing`` and
+``numpy.ma``: about 0.3 s of every start, more than numpy, the two modules
+and aqbell itself take together.  The kernels are the packages' own
+objects either way.  A non-finite iterate is caught by the residual check,
+and a non-finite search direction by its step length (LAPACK reports it);
+either ends the solve as ``numerical_trouble``, so numpy's overflow
+warnings are off inside it.
 
 At the sizes this package solves (blocks of a few dozen rows), an
 iteration costs as much in interpreter overhead as in arithmetic, so the
@@ -84,27 +87,29 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
-import scipy
 
 from .errors import SizeGuardError
 
 
 def _scipy_extension(name: str):
     """scipy's compiled module ``scipy.<name>`` (``name`` such as
-    ``"linalg._flapack"``), loaded from its file under ``scipy.__path__``
-    without running its package's ``__init__``, and registered under its full
-    name, so that a later import of the package finds this same module (as
+    ``"linalg._flapack"``), loaded from its file under the directory that
+    ``find_spec("scipy")`` names, without running scipy's ``__init__`` or
+    its package's, and registered under its full name, so that a later
+    import of the package finds this same module (as
     ``from scipy.linalg import _flapack`` does; the package does not bind it
     as its attribute).  A module already imported is returned as it is, and
-    one whose file is not found is imported the ordinary way."""
+    one whose file is not found is imported the ordinary way, which raises
+    ``ModuleNotFoundError`` when there is no scipy."""
     full = f"scipy.{name}"
     if full in sys.modules:
         return sys.modules[full]
     package, _, leaf = name.rpartition(".")
-    for root in scipy.__path__:
+    spec = find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
         for suffix in EXTENSION_SUFFIXES:
             path = os.path.join(root, package, leaf + suffix)
             if os.path.isfile(path):

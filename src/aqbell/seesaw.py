@@ -128,7 +128,10 @@ def _cone_pair_problem(structure, objectives):
     n_slots = len(objectives)
     # rows: each block's vanishing mixed-word sums, then per slot one row per
     # monomial tying the pair's class sums to the unit functional
-    mixed = np.setdiff1d(np.arange(len(structure.classes)), structure.monomial_class)
+    # a mask, not np.setdiff1d, whose np.unique loads numpy.ma
+    is_mixed = np.ones(len(structure.classes), dtype=bool)
+    is_mixed[structure.monomial_class] = False
+    mixed = np.flatnonzero(is_mixed)
     n_blocks = 2 * n_slots
     pinned = n_blocks * len(mixed)
     m = pinned + n_slots * n
@@ -189,7 +192,7 @@ def step_functionals(p: Behavior, fam: NbfFamily, outer: BellFunctional, free: s
 # --- initialization ----------------------------------------------------------
 
 
-def _initial_blocks(rng: np.random.Generator, init_v: str):
+def _initial_blocks(rng: np.random.Generator | None, init_v: str):
     """"reference" starts at the bundled point (deterministic monotone
     refinement).  "random" draws every block coefficient uniformly within
     ``RANDOM_NOISE`` of the bundled anchor: uninformed starts (wiring mixtures,
@@ -199,7 +202,7 @@ def _initial_blocks(rng: np.random.Generator, init_v: str):
     set, and at the deterministic plateau centers it never does.  The
     negative pocket is about 3e-3 deep, which bounds the useful
     randomization radius; restarts outside the pocket stall at zero and are
-    reported as misses."""
+    reported as misses.  A reference start draws nothing, so ``rng`` may be None."""
     if init_v not in ("reference", "random"):
         raise ValueError(f"unknown init_v {init_v!r}")
     blocks = reference_functionals()  # first, second, outer
@@ -215,7 +218,7 @@ def _initial_blocks(rng: np.random.Generator, init_v: str):
 
 
 def _run_restart(index: int, seed_seq, cfg: SeesawConfig) -> RestartOutcome:
-    rng = np.random.default_rng(seed_seq)
+    rng = None if seed_seq is None else np.random.default_rng(seed_seq)
     fam, outer = _initial_blocks(rng, cfg.init_v)
     outcome = RestartOutcome(index)
     try:
@@ -266,7 +269,8 @@ def run(cfg: SeesawConfig) -> SeesawTrace:
         raise NoWorkError(f"seesaw run needs at least one sweep, got {cfg.max_sweeps}")
     # a reference start ignores its seed: a second restart would repeat the first
     restarts = 1 if cfg.init_v == "reference" else cfg.restarts
-    children = np.random.SeedSequence(cfg.seed).spawn(restarts)
+    # only a random start draws, so a reference one never loads numpy.random
+    children = np.random.SeedSequence(cfg.seed).spawn(restarts) if cfg.init_v == "random" else repeat(None)
     # more processes than restarts would sit idle; one runs in this process
     workers = min(_resolve_workers(cfg), restarts)
     pool = None

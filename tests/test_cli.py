@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aqbell import cli
 from aqbell.cli import main
 from aqbell.scenario import (
     Scenario,
@@ -404,14 +407,59 @@ def test_reports_record_iterations_and_certificate_residuals(reference_dir, tmp_
             assert 0 < results["iterations"] <= 15
 
 
-def test_import_loads_no_scipy_package():
-    # aqbell.sdp loads scipy's two compiled kernel modules from their files:
-    # the scipy.linalg and scipy.sparse packages would also import numpy.f2py,
-    # numpy.testing and numpy.ma through scipy's array-API layer, about 0.3 s
-    # of every start, and only a see-saw pool needs multiprocessing
-    code = "import sys, aqbell.cli; print(' '.join(sys.modules))"
+def fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's
+    package; its stdout."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(result.stdout.split())
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy_package():
+    # aqbell.sdp loads scipy's two compiled kernel modules from their files,
+    # found without running scipy/__init__ (which loads scipy._lib): the
+    # scipy.linalg and scipy.sparse packages would also import numpy.f2py,
+    # numpy.testing and numpy.ma through scipy's array-API layer, about 0.3 s
+    # of every start, and only a see-saw pool needs multiprocessing.  Digests
+    # use the interpreter's own SHA-256, so OpenSSL (_hashlib) stays out
+    loaded = set(fresh_python("import sys, aqbell.cli; print(' '.join(sys.modules))").split())
     assert {"scipy.linalg._flapack", "scipy.sparse._sparsetools"} <= loaded
-    assert not loaded & {"scipy.linalg", "scipy.sparse", "numpy.f2py", "numpy.testing", "concurrent.futures.process"}
+    assert not loaded & {
+        "scipy.linalg", "scipy.sparse", "scipy._lib", "numpy.f2py", "numpy.testing", "concurrent.futures.process",
+        "_hashlib",
+    }
+
+
+def test_runs_load_only_what_they_use(tmp_path):
+    # reproduce and a reference see-saw draw no random numbers and hash
+    # without OpenSSL, so numpy.random (and, through secrets, _hashlib) and
+    # numpy.ma (which np.setdiff1d's np.unique loads) stay out; a random
+    # start loads numpy.random and repeats its sweep values for a fixed seed
+    code = f"""
+import sys
+from aqbell import cli, seesaw
+assert cli.main(["--out", {str(tmp_path)!r}, "reproduce"]) == 0
+seesaw.run(seesaw.SeesawConfig(restarts=1, max_sweeps=1, target_value=-1.0))
+print(sorted({{"_hashlib", "numpy.random", "numpy.ma"}} & set(sys.modules)))
+cfg = seesaw.SeesawConfig(restarts=1, max_sweeps=1, seed=5, init_v="random", target_value=-1.0)
+first, again = (seesaw.run(cfg).best.sweep_values for _ in range(2))
+print("numpy.random" in sys.modules, first == again)
+"""
+    assert fresh_python(code).splitlines()[-2:] == ["[]", "True True"]
+
+
+def test_digest_is_the_sha256_prefix(reference_dir):
+    # the interpreter's own SHA-256 and hashlib's (the fallback when the
+    # interpreter has none) give every report the same digests
+    objects = [{"bundled": True}, {"tol": 1e-8}, load_json(reference_dir / "reference_first.json")]
+    expected = [
+        hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16] for obj in objects
+    ]
+    assert [cli._digest(obj) for obj in objects] == expected
+    code = f"""
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from aqbell import cli
+assert cli.sha256 is hashlib.sha256
+print(json.dumps([cli._digest(obj) for obj in json.loads({json.dumps(objects)!r})]))
+"""
+    assert json.loads(fresh_python(code)) == expected

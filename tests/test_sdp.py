@@ -1,7 +1,10 @@
 import dataclasses
 import importlib
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -772,3 +775,13 @@ def test_unfound_extension_is_imported_the_ordinary_way(monkeypatch, name):
     assert module is sys.modules[full]
     for kernel in _KERNELS[name]:
         assert getattr(module, kernel) is getattr(sdp, kernel)
+
+
+def test_missing_scipy_is_a_module_not_found_error():
+    # sdp finds scipy's directory without importing scipy; when there is no
+    # scipy, the ordinary import of the kernel module reports it
+    code = "import sys; sys.modules['scipy'] = None; import aqbell.sdp"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    last = result.stderr.splitlines()[-1]
+    assert result.returncode == 1 and last.startswith("ModuleNotFoundError") and "scipy" in last, result.stderr
