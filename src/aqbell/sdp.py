@@ -19,12 +19,13 @@ a group, stored as one (k, n_b, n_b) stack, so that products broadcast over
 the group.  Each iterate is factored once: backtracking inverts the
 Cholesky factor L of every block of the X and S it accepts, so that
 S^{-1} = L_s^{-T} L_s^{-1}, and each of the iteration's four step lengths
-is one product L^{-1} D L^{-T} per group and its smallest eigenvalue per
-block, the step rule of CSDP and SDPT3 (Toh, Todd & Tutuncu, Optim.
-Methods Softw. 11, 1999).  A step length is the minimum
-over the blocks, and a backtracked step is accepted only when every block
-factors.  Residuals, mu and the infeasibility rays are sums or extrema over
-the groups.
+is one product L^{-1} D L^{-T} per group and the smallest eigenvalue of
+its blocks, the step rule of CSDP and SDPT3 (Toh, Todd & Tutuncu, Optim.
+Methods Softw. 11, 1999): one eigensolver call per block for a single
+block, and one for all the blocks of a larger group.  A step length is
+the minimum over the blocks, and a backtracked step is accepted only when
+every block factors.  Residuals, mu and the infeasibility rays are sums or
+extrema over the groups.
 
 The constraints arrive as sparse (row, cell, value) triplets per block, and
 no solve densifies them.  They form an :class:`SdpOperator`, built once
@@ -39,34 +40,45 @@ and its adjoint each cost one O(nnz) pass of scipy's CSR or CSC matvec
 kernel, the kernels behind ``op @ v`` and ``op.T @ v``.  The Schur
 complement M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}> is summed over the
 groups (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997).  Within a
-group, a second row pointer over the same nonzeros views the operator as
-rows (j, l, r) over columns (l, c); its slice for a chunk of constraints j
-forms A_j^l S_l^{-1} in one sparse product, one broadcast product applies X,
-and the operator contracts the result while it is still in cache.  Every
-chunk's products are written into a workspace that each solve allocates
-once per group, so the shared operator holds no mutable state; arrays of
-chunk size allocated per iteration would be handed back to the OS and
-faulted in again, which costs small solves more than their arithmetic.
+group, a second row pointer views the operator as rows of each block of
+each constraint over columns (l, c); its slice for a chunk of constraints j
+forms A_j^l S_l^{-1} in one sparse product, a product applies X, and the
+operator contracts the result while it is still in cache.  A single
+block's rows are (j, r), over the same nonzeros, and X is applied per
+constraint, one small GEMM each: at n_b >= 27 one wide GEMM is no faster.
+A group of several blocks has rows (l, r, j) within each chunk, over its
+own permuted copy of the nonzeros, so that a chunk's A_j^l S_l^{-1} is one
+n_b x (width n_b) matrix per block and X is applied by k GEMMs instead of
+k * width; its chunk width is part of that layout, fixed when the operator
+is built.  Every chunk's products are written into a workspace that each
+solve allocates once per group, so the shared operator holds no mutable
+state; arrays of chunk size allocated per iteration would be handed back
+to the OS and faulted in again, which costs small solves more than their
+arithmetic.
 The public products take no output argument, so the solver calls scipy's
 sparse kernels (``csr_matvecs``, ``csr_matvec`` and ``csc_matvec`` from
 ``scipy.sparse._sparsetools``) and its LAPACK without their validating
 wrappers, with the same bits (pinned by tests): ``dpotrf`` factors the
 iterates and the Schur complement, ``dtrtri`` inverts the iterates'
 factors, ``dpotrs`` solves with the Schur factor, and ``dsyevr`` computes
-only the smallest eigenvalue of each step matrix.  The seven kernels live
-in two compiled modules, ``scipy.sparse._sparsetools`` and
-``scipy.linalg._flapack``, that need only numpy; :func:`_scipy_extension`
-loads each from its file, in the directory ``importlib.util.find_spec``
-names for scipy, so not even ``scipy/__init__`` runs (it loads
-``scipy._lib``, about 1 MB resident).  Importing them through their
-packages would run scipy's array-API layer, which reads every public
-attribute of numpy and so loads ``numpy.f2py``, ``numpy.testing`` and
-``numpy.ma``: about 0.3 s of every start, more than numpy, the two modules
-and aqbell itself take together.  The kernels are the packages' own
-objects either way.  A non-finite iterate is caught by the residual check,
-and a non-finite search direction by its step length (LAPACK reports it);
-either ends the solve as ``numerical_trouble``, so numpy's overflow
-warnings are off inside it.
+only the smallest eigenvalue of a single block's step matrix.  The step
+matrices of a group of several blocks go to numpy's compiled eigensolver
+gufunc, ``numpy.linalg._umath_linalg.eigvalsh_lo`` (the kernel of
+``np.linalg.eigvalsh(a, "L")``), in one call that returns every spectrum.
+The seven scipy kernels live in two compiled modules,
+``scipy.sparse._sparsetools`` and ``scipy.linalg._flapack``, that need
+only numpy; :func:`_scipy_extension` loads each from its file, in the
+directory ``importlib.util.find_spec`` names for scipy, so not even
+``scipy/__init__`` runs (it loads ``scipy._lib``, about 1 MB resident).
+Importing them through their packages would run scipy's array-API layer,
+which reads every public attribute of numpy and so loads ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``: about 0.3 s of every start, more than
+numpy, the two modules and aqbell itself take together.  The kernels are
+the packages' own objects either way.  A non-finite iterate is caught by
+the residual check, and a non-finite search direction by its step length
+(LAPACK reports it, or a finiteness test before the gufunc); either ends
+the solve as ``numerical_trouble``, so numpy's overflow warnings are off
+inside it.
 
 At the sizes this package solves (blocks of a few dozen rows), an
 iteration costs as much in interpreter overhead as in arithmetic, so the
@@ -90,6 +102,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import SizeGuardError
 
@@ -125,6 +138,7 @@ _flapack = _scipy_extension("linalg._flapack")
 _sparsetools = _scipy_extension("sparse._sparsetools")
 dpotrf, dpotrs, dsyevr, dtrtri = _flapack.dpotrf, _flapack.dpotrs, _flapack.dsyevr, _flapack.dtrtri
 csc_matvec, csr_matvec, csr_matvecs = _sparsetools.csc_matvec, _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+eigvalsh_lo = _umath_linalg.eigvalsh_lo  # the gufunc behind np.linalg.eigvalsh(a, "L")
 
 
 class SdpStatus(str, Enum):
@@ -194,6 +208,8 @@ class SdpOperator:
         arrays = [a for triplet in self.a_triplets for a in triplet] + [self.row_norms]
         for g in self.groups:
             arrays += [g.indptr, g.indices, g.data, g.row_ptr, g.row_cols]
+            if g.row_data is not g.data:
+                arrays.append(g.row_data)
         return sum(a.nbytes for a in arrays)
 
     @property
@@ -323,32 +339,33 @@ class _Group:
     ``data`` holds the nonzeros of the operator, of ``shape`` (m, k*n_b*n_b):
     row i holds A_i^l for every block l of the group, vectorized row-major.
     ``indptr`` and ``indices`` index them as its CSR form, which is also the
-    CSC form of its transpose, for the adjoint.  ``row_ptr`` and
-    ``row_cols`` index them as the CSR form of the operator viewed as
-    (m*k*n_b, k*n_b): row (i, l, r) is row r of A_i^l in block l's columns,
-    so that these rows times the stacked S_l^{-1} give every A_i^l S_l^{-1}.
-    The arrays are read-only and shared by every solve over the operator;
-    a solve's mutable state is the workspace it passes to ``schur``."""
+    CSC form of its transpose, for the adjoint.  The Schur assembly takes
+    ``per_chunk`` constraints at a time, a width fixed from
+    ``SCHUR_CHUNK_BYTES`` when the operator is built.  ``row_ptr``,
+    ``row_cols`` and ``row_data`` are the CSR form of the operator viewed
+    as rows (i, l, r) over block l's columns (l, c), so that these rows
+    times the stacked S_l^{-1} give every A_i^l S_l^{-1}.  A single
+    block's rows are in (i, r) order over ``data`` itself.  Several blocks'
+    rows are in (chunk, l, r, j) order, j the constraints of the chunk,
+    over a permuted copy of the nonzeros, so that a chunk's A_j^l S_l^{-1}
+    is one n_b x (width*n_b) matrix per block.  The arrays are read-only
+    and shared by every solve over the operator; a solve's mutable state
+    is the workspace it passes to ``schur``."""
 
     blocks: tuple
     size: int
     shape: tuple
+    per_chunk: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     row_ptr: np.ndarray
     row_cols: np.ndarray
-
-    @property
-    def per_chunk(self) -> int:
-        """Constraints per chunk of the Schur assembly, at the current
-        ``SCHUR_CHUNK_BYTES``."""
-        m, cells = self.shape
-        return min(m, max(1, SCHUR_CHUNK_BYTES // (8 * cells)))
+    row_data: np.ndarray
 
     def workspace(self) -> np.ndarray:
         """A Schur workspace for one solve: two rows, each the size of a
-        chunk's largest product at ``per_chunk`` constraints per chunk."""
+        chunk's largest product."""
         m, cells = self.shape
         return np.empty((2, self.per_chunk * max(cells, m)))
 
@@ -363,25 +380,30 @@ class _Group:
     def schur(self, x: np.ndarray, s_inv: np.ndarray, work: np.ndarray) -> np.ndarray:
         """The group's term of the Schur complement: column j holds
         sum_l <A_i^l, X_l A_j^l S_l^{-1}> for every i, assembled a chunk of
-        constraints j at a time, as many as ``work`` (from :meth:`workspace`)
-        was sized for.  Every chunk-size product is written into ``work``:
-        A S^{-1} into its first row, X A S^{-1} into its second, then the
-        C-order transpose that the contraction reads into the first and the
-        contraction itself into the second."""
+        ``per_chunk`` constraints j at a time.  Every chunk-size product is
+        written into ``work`` (from :meth:`workspace`): A S^{-1} into its
+        first row, X A S^{-1} into its second, then the C-order transpose
+        that the contraction reads into the first and the contraction
+        itself into the second.  X is applied by one product per
+        (constraint, block) pair for a single block, and by one product per
+        block for several."""
         m, cells = self.shape
-        k_n = cells // self.size
-        per_chunk = work.shape[1] // max(cells, m)
-        s_stack = s_inv.reshape(-1, self.size)
+        k, n = len(self.blocks), self.size
+        s_stack = s_inv.reshape(-1, n)
         a_s, x_a_s = work
         out = np.empty((m, m))
-        for start in range(0, m, per_chunk):
+        for start in range(0, m, self.per_chunk):
+            width = min(self.per_chunk, m - start)
             # the chunk's rows: a slice of row_ptr, whose offsets stay absolute
-            rows = self.row_ptr[start * k_n : (start + per_chunk) * k_n + 1]
-            width = (rows.size - 1) // k_n
-            u = _csr_times_dense(rows, self.row_cols, self.data, k_n, s_stack, a_s)
-            t = np.matmul(x, u.reshape(width, *x.shape), out=x_a_s[: u.size].reshape(width, *x.shape))
-            t_c = a_s[: t.size].reshape(cells, width)
-            t_c[...] = t.reshape(width, cells).T
+            rows = self.row_ptr[start * k * n : (start + width) * k * n + 1]
+            u = _csr_times_dense(rows, self.row_cols, self.row_data, k * n, s_stack, a_s)
+            t_c = a_s[: u.size].reshape(cells, width)
+            if k == 1:
+                t = np.matmul(x, u.reshape(width, *x.shape), out=x_a_s[: u.size].reshape(width, *x.shape))
+                t_c[...] = t.reshape(width, cells).T
+            else:
+                t = np.matmul(x, u.reshape(k, n, width * n), out=x_a_s[: u.size].reshape(k, n, width * n))
+                t_c.reshape(k, n, n, width)[...] = t.reshape(k, n, width, n).transpose(0, 1, 3, 2)
             out[:, start : start + width] = _csr_times_dense(self.indptr, self.indices, self.data, cells, t_c, x_a_s)
         return out
 
@@ -421,17 +443,26 @@ def _block_groups(block_dims: tuple, a_triplets: tuple, m: int) -> tuple:
     groups = []
     for nb, blocks in by_size.items():
         k = len(blocks)
+        per_chunk = min(m, max(1, SCHUR_CHUNK_BYTES // (8 * k * nb * nb)))
         parts = [(i, p * nb * nb + cell, v) for p, (i, cell, v) in enumerate(a_triplets[l] for l in blocks)]
         rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
         order = np.argsort(rows, kind="stable")  # row-major: by constraint, then block, then cell
         rows, cols, vals = rows[order], cols[order], vals[order]
-        # the same nonzeros at rows (i, l, r), columns (l, c): still row-major
+        # the same nonzeros at rows (i, l, r), columns (l, c)
         block, r, c = cols // (nb * nb), cols // nb % nb, cols % nb
+        if k == 1:  # rows (i, r): still row-major
+            row, row_vals = rows * nb + r, vals
+        else:  # rows (chunk, l, r, j): j counts from the chunk's first constraint
+            first = rows - rows % per_chunk
+            width = np.minimum(per_chunk, m - first)
+            row = first * k * nb + (block * nb + r) * width + rows - first
+            order = np.argsort(row, kind="stable")  # keeps each row's cells in order
+            row, row_vals, block, c = row[order], vals[order], block[order], c[order]
         # CSR row pointers: where each row's run of sorted row indices starts
-        row_ptr = np.searchsorted((rows * k + block) * nb + r, np.arange(m * k * nb + 1))
+        row_ptr = np.searchsorted(row, np.arange(m * k * nb + 1))
         indptr, row_cols = np.searchsorted(rows, np.arange(m + 1)), block * nb + c
-        arrays = _read_only(indptr, cols, vals, row_ptr, row_cols)
-        groups.append(_Group(tuple(blocks), nb, (m, k * nb * nb), *arrays))
+        arrays = _read_only(indptr, cols, vals, row_ptr, row_cols, row_vals)
+        groups.append(_Group(tuple(blocks), nb, (m, k * nb * nb), per_chunk, *arrays))
     return tuple(groups)
 
 
@@ -501,17 +532,23 @@ def _inverse_factors(stacks):
 
 def _lambda_min(stacks) -> float:
     """Smallest eigenvalue over per-group stacks of symmetric blocks, each
-    read from its lower triangle, and nothing else of their spectra.  NaN
-    when a block is not finite: dsyevr then reports info 4 (and returns
-    0.0), except for a 1x1 block, whose eigenvalue is the entry itself."""
+    read from its lower triangle; NaN when a block is not finite.  A single
+    block's comes from dsyevr, which computes nothing else of its spectrum
+    and reports a non-finite block by info 4 (returning 0.0), or, for a 1x1
+    block, by the entry itself.  A stack of several blocks gets every
+    spectrum from one call of numpy's eigvalsh gufunc, made only once all
+    its entries are found finite: LAPACK can return finite eigenvalues for
+    a NaN diagonal, and numpy would warn of a block that fails."""
     lam = math.inf
     for stack in stacks:
-        for w in stack:
-            eig, _, _, _, info = dsyevr(w, compute_v=0, range="I", il=1, iu=1, lower=1)
-            low = eig.item(0)
-            if info != 0 or not math.isfinite(low):
-                return math.nan
-            lam = min(lam, low)
+        if len(stack) > 1:
+            low = float(eigvalsh_lo(stack).min()) if np.isfinite(stack).all() else math.nan
+        else:
+            eig, _, _, _, info = dsyevr(stack[0], compute_v=0, range="I", il=1, iu=1, lower=1)
+            low = eig.item(0) if info == 0 else math.nan
+        if not math.isfinite(low):
+            return math.nan
+        lam = min(lam, low)
     return lam
 
 

@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from aqbell import aq_extremize, make_scenario, sdp
+from aqbell import aq_extremize, make_scenario, sdp, seesaw
 from aqbell.nbf import NbfFamily, reference_composed_functional, reference_functionals
 from aqbell.oracles import QuantumModel, planar_qubit_model
 from aqbell.scenario import Behavior, Scenario, behavior_from_table, enumerate_deterministic
@@ -100,6 +100,21 @@ def composed_w():
 def headline(composed_w):
     """Shared minimum of the composed functional over the tripartite set."""
     return aq_extremize(composed_w, "min")
+
+
+def reference_family_step(headline, ref_family, reference_trio, monkeypatch):
+    """The (structure, objectives) that sweep 1's family step solves."""
+    seen = []
+    real = seesaw._solve_cone_pairs
+
+    def recording(structure, objectives):
+        seen.append((structure, objectives))
+        return real(structure, objectives)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(seesaw, "_solve_cone_pairs", recording)
+        seesaw.step_functionals(headline.behavior, ref_family, reference_trio[2], "family")
+    return seen[0]
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 import dataclasses
 import importlib
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqbell import aqset, sdp
+from aqbell import aqset, sdp, seesaw
 from aqbell.errors import SizeGuardError
 from aqbell.scenario import BellFunctional, make_scenario
 from aqbell.sdp import (
@@ -27,6 +29,7 @@ from conftest import (
     dual_infeasible_problem,
     lambda_max_problem,
     primal_infeasible_problem,
+    reference_family_step,
     sdp_problem,
     solve_tight,
     trace_problem,
@@ -362,10 +365,12 @@ def test_diverging_primal_iterates_are_numerical_trouble(monkeypatch):
 
 def test_solve_calls_no_numpy_eigensolver_or_cholesky(monkeypatch):
     # the loop factors each iterate once by LAPACK's dpotrf and reads only
-    # the smallest eigenvalue of each step matrix, so a solve (here a
-    # feasible one, which finds no ray) never reaches numpy's decompositions
-    counts = {"eigvalsh": 0, "cholesky": 0}
-    for name in counts:
+    # the smallest eigenvalue of each step matrix: by dsyevr for a single
+    # block, and by one call of numpy's eigvalsh gufunc for a group of
+    # several, four step lengths per iteration.  A solve (here a feasible
+    # one, which finds no ray) never reaches numpy's public decompositions
+    counts = {"eigvalsh": 0, "cholesky": 0, "gufunc": 0}
+    for name in ("eigvalsh", "cholesky"):
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -373,9 +378,24 @@ def test_solve_calls_no_numpy_eigensolver_or_cholesky(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    sol = solve_tight(multiblock_problem())
-    assert sol.status == SdpStatus.OPTIMAL
-    assert counts == {"eigvalsh": 0, "cholesky": 0}
+    gufunc = sdp.eigvalsh_lo
+
+    def counted_gufunc(stack):
+        counts["gufunc"] += 1
+        return gufunc(stack)
+
+    monkeypatch.setattr(sdp, "eigvalsh_lo", counted_gufunc)
+    single = [trace_problem(), random_feasible_problem((3, 1, 2), 5, seed=4)]
+    multi = [multiblock_problem(), random_feasible_problem((3, 1, 3, 2), 8, seed=1)]
+    for problem in single + multi:
+        groups = sum(len(g.blocks) > 1 for g in problem.operator.groups)
+        assert groups == (problem in multi)
+        before = counts["gufunc"]
+        sol = solve_tight(problem)
+        assert sol.status == SdpStatus.OPTIMAL
+        calls = counts["gufunc"] - before
+        assert (calls > 0) == (problem in multi) and calls <= 4 * sol.iterations * groups
+    assert (counts["eigvalsh"], counts["cholesky"]) == (0, 0)
 
 
 def _random_psd(rng, n):
@@ -455,8 +475,13 @@ def test_block_order_does_not_matter():
 def test_schur_chunking_keeps_every_bit(monkeypatch):
     problem = random_feasible_problem((3, 1, 3, 2), 8, seed=3)
     whole = solve(problem)
-    monkeypatch.setattr(sdp, "SCHUR_CHUNK_BYTES", 1)  # one constraint per chunk
-    chunked = solve(problem)
+    # the chunk width is part of a multi-block group's row layout, fixed when
+    # its operator is built: a fresh one, one constraint per chunk
+    monkeypatch.setattr(sdp, "SCHUR_CHUNK_BYTES", 1)
+    operator = _fresh_operator(problem)
+    (group,) = [g for g in operator.groups if len(g.blocks) > 1]
+    assert group.per_chunk == 1 < group.shape[0]
+    chunked = solve(SdpProblem(operator, problem.c_blocks, problem.b))
     assert chunked.trace == whole.trace
     assert np.array_equal(chunked.y, whole.y)
     for a, b in zip(chunked.x_blocks + chunked.s_blocks, whole.x_blocks + whole.s_blocks):
@@ -483,21 +508,42 @@ def _public_operators(group):
     m, cells = group.shape
     k_n = cells // group.size
     op = sp.csr_matrix((group.data, group.indices, group.indptr), shape=(m, cells))
-    rows = sp.csr_matrix((group.data, group.row_cols, group.row_ptr), shape=(m * k_n, k_n))
+    rows = sp.csr_matrix((group.row_data, group.row_cols, group.row_ptr), shape=(m * k_n, k_n))
     return op, rows
 
 
 def _public_schur(group, x, s_inv):
-    """The Schur term by scipy's public products, one chunk at a time."""
+    """The Schur term by scipy's public products, one chunk at a time, over
+    either row view: a single block's rows (j, r), several blocks' rows
+    (l, r, j) within each chunk."""
     op, rows = _public_operators(group)
     m, cells = group.shape
-    k_n = cells // group.size
-    s_stack = s_inv.reshape(-1, group.size)
+    k, n = len(group.blocks), group.size
     terms = []
     for start in range(0, m, group.per_chunk):
-        chunk = rows[start * k_n : (start + group.per_chunk) * k_n]
-        terms.append(op @ (x @ (chunk @ s_stack).reshape(-1, *x.shape)).reshape(-1, cells).T)
+        width = min(group.per_chunk, m - start)
+        a_s = rows[start * k * n : (start + width) * k * n] @ s_inv.reshape(-1, n)
+        if k == 1:
+            t = (x @ a_s.reshape(width, k, n, n)).reshape(width, cells).T
+        else:
+            t = (x @ a_s.reshape(k, n, width * n)).reshape(k, n, width, n).transpose(0, 1, 3, 2).reshape(cells, width)
+        terms.append(op @ t)
     return np.concatenate(terms, axis=1)
+
+
+def _fresh_operator(problem):
+    """A new operator of the problem's constraints, laid out at the current
+    SCHUR_CHUNK_BYTES (the operators of aqset's problems are cached)."""
+    return sdp.SdpOperator(problem.block_dims, problem.a_triplets, problem.num_constraints)
+
+
+def _schur_inputs(rng, group):
+    """The X and S^{-1} stacks a Schur test assembles with: the solver's
+    first X, a broadcast identity, and two dense ones."""
+    k, n = len(group.blocks), group.size
+    start = np.broadcast_to(2.0 * np.eye(n), (k, n, n))
+    for x in (start, _stack_of_psd(rng, k, n), _stack_of_psd(rng, k, n)):
+        yield x, _stack_of_psd(rng, k, n)
 
 
 @pytest.mark.parametrize("chunk_bytes", [sdp.SCHUR_CHUNK_BYTES, 1])
@@ -509,17 +555,64 @@ def test_schur_workspace_matches_public_products(monkeypatch, chunk_bytes):
     problems = [random_feasible_problem((3, 1, 3, 2), m, seed) for seed, m in ((1, 8), (2, 13), (3, 20))]
     problems.append(asymmetric_tripartite_problem())
     for problem in problems:
-        for group in problem.operator.groups:
-            k = len(group.blocks)
+        for group in _fresh_operator(problem).groups:
             work = group.workspace()  # one per solve, reused by every iteration
-            # the solver's first X is a broadcast identity; later ones are dense
-            start = np.broadcast_to(2.0 * np.eye(group.size), (k, group.size, group.size))
-            for x in (start, _stack_of_psd(rng, k, group.size), _stack_of_psd(rng, k, group.size)):
-                s_inv = _stack_of_psd(rng, k, group.size)
+            for x, s_inv in _schur_inputs(rng, group):
                 assert np.array_equal(group.schur(x, s_inv, work), _public_schur(group, x, s_inv))
     if chunk_bytes > 1:  # the default: many chunks, each of many constraints
-        (group,) = problems[-1].operator.groups
+        (group,) = _fresh_operator(problems[-1]).groups
         assert -(-group.shape[0] // group.per_chunk) == 34
+
+
+def headline_problem(composed_w):
+    """The headline extremization: a 21-block and a group of three 9-blocks,
+    89 constraints."""
+    restricted, _ = aqset.restrict_to_touched(composed_w)
+    structure = aqset.build_moment_structure(restricted.scenario)
+    return aqset.compile_extremize(structure, restricted, "min").problem
+
+
+def family_problem(headline, ref_family, reference_trio, monkeypatch):
+    """Sweep 1's family step of the reference see-saw: groups of four
+    10-blocks and four 6-blocks, 116 constraints."""
+    return seesaw._cone_pair_problem(*reference_family_step(headline, ref_family, reference_trio, monkeypatch))[0]
+
+
+def _einsum_schur(a, x, s_inv):
+    """sum_l <A_i^l, X_l A_j^l S_l^{-1}> for constraint stacks a of shape
+    (m, k, n, n), by einsum."""
+    return np.einsum("ilrc,jlrc->ij", a, np.einsum("lrs,jlst,ltc->jlrc", x, a, s_inv, optimize=True))
+
+
+@pytest.mark.parametrize("chunk_bytes", [sdp.SCHUR_CHUNK_BYTES, 1])
+def test_schur_matches_an_einsum_reference(
+    monkeypatch, chunk_bytes, composed_w, headline, ref_family, reference_trio
+):
+    # M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}> from the dense constraint
+    # stacks, by einsum, sharing no index arithmetic with either row view.
+    # Entries whose terms cancel carry more than 1e-12 of relative rounding
+    # in either sum, so each entry's error is bounded by 1e-12 times the sum
+    # of its terms' absolute values
+    problems = [
+        random_feasible_problem((3, 1, 3, 2), 8, seed=1),
+        family_problem(headline, ref_family, reference_trio, monkeypatch),
+        headline_problem(composed_w),
+    ]
+    monkeypatch.setattr(sdp, "SCHUR_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(9)
+    shapes = set()
+    for problem in problems:
+        a_stacks = problem.a_stacks
+        for group in _fresh_operator(problem).groups:
+            shapes.add((len(group.blocks), group.size))
+            if chunk_bytes == 1:
+                assert group.per_chunk == 1
+            a = np.stack([a_stacks[l] for l in group.blocks], axis=1)  # (m, k, n, n)
+            work = group.workspace()
+            for x, s_inv in _schur_inputs(rng, group):
+                error = np.abs(group.schur(x, s_inv, work) - _einsum_schur(a, x, s_inv))
+                assert np.all(error <= 1e-12 * _einsum_schur(np.abs(a), np.abs(x), np.abs(s_inv)))
+    assert {(2, 3), (1, 1), (1, 2), (4, 10), (4, 6), (1, 21), (3, 9)} <= shapes
 
 
 def test_group_products_match_public_products():
@@ -540,6 +633,10 @@ def test_group_products_match_public_products():
             row_view = np.zeros((m, k, n, k, n))
             for p in range(k):
                 row_view[:, p, :, p, :] = stacks[:, p]
+            row_view = row_view.reshape(m, k * n, k * n)
+            if k > 1:  # rows (l, r, j) within each chunk
+                chunks = range(0, m, group.per_chunk)
+                row_view = np.concatenate([row_view[j : j + group.per_chunk].transpose(1, 0, 2) for j in chunks], 1)
             assert np.array_equal(rows.toarray(), row_view.reshape(m * k * n, k * n))
             start = np.broadcast_to(2.0 * np.eye(n), (k, n, n))
             for z in (start, rng.normal(size=(k, n, n))):
@@ -600,6 +697,28 @@ def test_step_length_matches_full_eigensolver(n):
     assert np.isnan(sdp._step_length(inverses, directions))
 
 
+@pytest.mark.parametrize("n", [1, 6, 9, 10])
+def test_stacked_lambda_min_matches_per_block_dsyevr(n):
+    # a stack of several blocks is solved by one gufunc call; its minimum is
+    # the one the per-block dsyevr calls give, up to the last bits
+    rng = np.random.default_rng(n)
+    for k in (2, 3, 4):
+        for _ in range(3):
+            stack = sdp._sym(rng.normal(size=(k, n, n)))
+            per_block = min(sdp.dsyevr(w, compute_v=0, range="I", il=1, iu=1, lower=1)[0][0] for w in stack)
+            assert abs(sdp._lambda_min([stack]) - per_block) <= 1e-13 * abs(per_block)
+            # with a single block beside it, as in a solve's per-group stacks
+            assert abs(sdp._lambda_min([stack[:1], stack]) - per_block) <= 1e-13 * abs(per_block)
+        # a non-finite entry of any block gives NaN, and no warning
+        for bad in (np.inf, np.nan):
+            for pos in ((0, 0), (n - 1, 0)):
+                poisoned = stack.copy()
+                poisoned[k - 1][pos] = poisoned[k - 1][pos[::-1]] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert math.isnan(sdp._lambda_min([poisoned]))
+
+
 def test_cholesky_helper_matches_numpy():
     rng = np.random.default_rng(8)
     for n in (1, 2, 9, 30, 156):
@@ -616,28 +735,33 @@ def test_cholesky_helper_matches_numpy():
         assert sdp._cholesky(indefinite) is None
 
 
-def test_schur_allocates_no_chunk_arrays():
-    # the verify-size problem: one 27x27 block, 75 constraints, one chunk
-    structure = aqset.build_moment_structure(make_scenario(3, 2, 2))
+def test_schur_allocates_no_chunk_arrays(headline, ref_family, reference_trio, monkeypatch):
+    # the verify-size problem: one 27x27 block, 75 constraints, one chunk;
+    # and the family step's group of four 10x10 blocks, 116 constraints,
+    # one chunk
     rng = np.random.default_rng(0)
+    structure = aqset.build_moment_structure(make_scenario(3, 2, 2))
     functional = BellFunctional(structure.scenario, rng.normal(size=structure.size))
-    problem = aqset.compile_extremize(structure, functional, "min").problem
-    m = problem.num_constraints
-    assert (problem.block_dims, m) == ((27,), 75)
-    (group,) = problem.operator.groups
-    work = group.workspace()
-    x, s_inv = _stack_of_psd(rng, 1, 27), _stack_of_psd(rng, 1, 27)
-    group.schur(x, s_inv, work)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
+    verify = aqset.compile_extremize(structure, functional, "min").problem
+    family = family_problem(headline, ref_family, reference_trio, monkeypatch)
+    for problem, shape in ((verify, (1, 27, 75)), (family, (4, 10, 116))):
+        group = problem.operator.groups[0]
+        m, k, n = problem.num_constraints, len(group.blocks), group.size
+        assert (k, n, m) == shape and group.per_chunk == m
+        work = group.workspace()
+        x, s_inv = _stack_of_psd(rng, k, n), _stack_of_psd(rng, k, n)
         group.schur(x, s_inv, work)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the returned m x m matrix and small temporaries, not the 437 KB chunk
-    # products that the allocating assembly made three of
-    assert peak <= 3 * m * m * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            group.schur(x, s_inv, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the returned m x m matrix and small temporaries, not the chunk
+        # products (437 KB for the 27-block) that the allocating assembly
+        # made three of
+        assert peak <= 3 * m * m * 8
 
 
 def test_operator_arrays_are_read_only():
@@ -649,6 +773,10 @@ def test_operator_arrays_are_read_only():
         arrays = [a for triplet in operator.a_triplets for a in triplet] + [operator.row_norms]
         for group in operator.groups:
             arrays += [group.indptr, group.indices, group.data, group.row_ptr, group.row_cols]
+            # a multi-block group's row view reads its own permuted copy
+            assert (group.row_data is group.data) == (len(group.blocks) == 1)
+            if len(group.blocks) > 1:
+                arrays.append(group.row_data)
         assert operator.nbytes == sum(a.nbytes for a in arrays)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -756,6 +884,19 @@ def test_kernels_are_the_ones_scipy_exposes():
         assert getattr(sdp, name) is getattr(lapack, name)
     for name in _KERNELS["sparse._sparsetools"]:
         assert getattr(sdp, name) is getattr(_sparsetools, name)
+
+
+def test_eigensolver_gufunc_is_numpys_own():
+    # multi-block step lengths call numpy's compiled eigvalsh kernel, reading
+    # the lower triangle, without np.linalg.eigvalsh's wrapper
+    from numpy.linalg import _umath_linalg
+
+    assert sdp.eigvalsh_lo is _umath_linalg.eigvalsh_lo
+    rng = np.random.default_rng(12)
+    for k, n in ((2, 1), (4, 6), (4, 10), (3, 9), (2, 30)):
+        stack = rng.normal(size=(k, n, n))  # its upper triangle is not read
+        assert np.array_equal(sdp.eigvalsh_lo(stack), np.linalg.eigvalsh(stack, "L"))
+        assert np.array_equal(sdp.eigvalsh_lo(stack), np.linalg.eigvalsh(np.tril(stack)))
 
 
 @pytest.mark.parametrize("name", sorted(_KERNELS))

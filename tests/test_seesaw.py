@@ -20,6 +20,7 @@ from aqbell.seesaw import (
     step_behavior,
     step_functionals,
 )
+from conftest import reference_family_step
 
 
 def test_step_behavior_reference_point(ref_family, reference_trio, headline):
@@ -142,21 +143,6 @@ SWAP, FLIP = [{"swap": [0, 1]}], [{"flip": [[0, 1], [1, 1]]}]
 # step's solution is averaged over the flip
 REFERENCE_BEHAVIOR_REDUCTION = {"generators": SWAP + FLIP, "blocks": [21, 9, 9, 9], "constraints": 89}
 REFERENCE_FAMILY_REDUCTION = {"generators": SWAP, "averaged": FLIP, "blocks": [10, 6] * 4, "constraints": 116}
-
-
-def reference_family_step(headline, ref_family, reference_trio, monkeypatch):
-    """The (structure, objectives) that sweep 1's family step solves."""
-    seen = []
-    real = seesaw._solve_cone_pairs
-
-    def recording(structure, objectives):
-        seen.append((structure, objectives))
-        return real(structure, objectives)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(seesaw, "_solve_cone_pairs", recording)
-        step_functionals(headline.behavior, ref_family, reference_trio[2], "family")
-    return seen[0]
 
 
 def signed_permutations(maps, degree) -> list:
