@@ -40,17 +40,17 @@ and its adjoint each cost one O(nnz) pass of scipy's CSR or CSC matvec
 kernel, the kernels behind ``op @ v`` and ``op.T @ v``.  The Schur
 complement M_ij = sum_l <A_i^l, X_l A_j^l S_l^{-1}> is summed over the
 groups (Fujisawa, Kojima & Nakata, Math. Program. 79, 1997).  Within a
-group, a second row pointer views the operator as rows of each block of
-each constraint over columns (l, c); its slice for a chunk of constraints j
-forms A_j^l S_l^{-1} in one sparse product, a product applies X, and the
-operator contracts the result while it is still in cache.  A single
-block's rows are (j, r), over the same nonzeros, and X is applied per
-constraint, one small GEMM each: at n_b >= 27 one wide GEMM is no faster.
-A group of several blocks has rows (l, r, j) within each chunk, over its
-own permuted copy of the nonzeros, so that a chunk's A_j^l S_l^{-1} is one
-n_b x (width n_b) matrix per block and X is applied by k GEMMs instead of
-k * width; its chunk width is part of that layout, fixed when the operator
-is built.  Every chunk's products are written into a workspace that each
+group, a second row pointer views the operator, over a copy of the
+nonzeros in that order, as rows of each block of each constraint over
+columns (l, c); its slice for a chunk of constraints j forms A_j^l S_l^{-1}
+in one sparse product, a product applies X, and the operator contracts the
+result while it is still in cache.  A group whose constraints fit in one
+chunk has rows (l, r, j), so that its A_j^l S_l^{-1} is one n_b x (m n_b)
+matrix per block and X is applied by k GEMMs instead of k * m.  A group
+cut into chunks has rows (j, l, r) and X is applied per constraint and
+block: for a single block, one wide GEMM over a full chunk measured slower
+than the chunk's small ones.  The layout is fixed when the operator is
+built.  Every chunk's products are written into a workspace that each
 solve allocates once per group, so the shared operator holds no mutable
 state; arrays of chunk size allocated per iteration would be handed back
 to the OS and faulted in again, which costs small solves more than their
@@ -207,9 +207,7 @@ class SdpOperator:
         """Bytes of the operator's arrays: its triplets and its groups."""
         arrays = [a for triplet in self.a_triplets for a in triplet] + [self.row_norms]
         for g in self.groups:
-            arrays += [g.indptr, g.indices, g.data, g.row_ptr, g.row_cols]
-            if g.row_data is not g.data:
-                arrays.append(g.row_data)
+            arrays += [g.indptr, g.indices, g.data, g.row_ptr, g.row_cols, g.row_data]
         return sum(a.nbytes for a in arrays)
 
     @property
@@ -343,14 +341,13 @@ class _Group:
     ``per_chunk`` constraints at a time, a width fixed from
     ``SCHUR_CHUNK_BYTES`` when the operator is built.  ``row_ptr``,
     ``row_cols`` and ``row_data`` are the CSR form of the operator viewed
-    as rows (i, l, r) over block l's columns (l, c), so that these rows
-    times the stacked S_l^{-1} give every A_i^l S_l^{-1}.  A single
-    block's rows are in (i, r) order over ``data`` itself.  Several blocks'
-    rows are in (chunk, l, r, j) order, j the constraints of the chunk,
-    over a permuted copy of the nonzeros, so that a chunk's A_j^l S_l^{-1}
-    is one n_b x (width*n_b) matrix per block.  The arrays are read-only
-    and shared by every solve over the operator; a solve's mutable state
-    is the workspace it passes to ``schur``."""
+    as rows of block l of constraint i over block l's columns (l, c), so
+    that these rows times the stacked S_l^{-1} give every A_i^l S_l^{-1}.
+    The rows are in (i, l, r) order when the group is cut into chunks, and
+    in (l, r, i) order when all m constraints are one chunk, so that its
+    A_i^l S_l^{-1} is one n_b x (m*n_b) matrix per block.  The arrays are
+    read-only and shared by every solve over the operator; a solve's
+    mutable state is the workspace it passes to ``schur``."""
 
     blocks: tuple
     size: int
@@ -385,8 +382,8 @@ class _Group:
         first row, X A S^{-1} into its second, then the C-order transpose
         that the contraction reads into the first and the contraction
         itself into the second.  X is applied by one product per
-        (constraint, block) pair for a single block, and by one product per
-        block for several."""
+        (constraint, block) pair when the group is cut into chunks, and by
+        one product per block when it is one chunk."""
         m, cells = self.shape
         k, n = len(self.blocks), self.size
         s_stack = s_inv.reshape(-1, n)
@@ -398,12 +395,12 @@ class _Group:
             rows = self.row_ptr[start * k * n : (start + width) * k * n + 1]
             u = _csr_times_dense(rows, self.row_cols, self.row_data, k * n, s_stack, a_s)
             t_c = a_s[: u.size].reshape(cells, width)
-            if k == 1:
+            if self.per_chunk < m:  # rows (j, l, r): one product per constraint and block
                 t = np.matmul(x, u.reshape(width, *x.shape), out=x_a_s[: u.size].reshape(width, *x.shape))
                 t_c[...] = t.reshape(width, cells).T
-            else:
-                t = np.matmul(x, u.reshape(k, n, width * n), out=x_a_s[: u.size].reshape(k, n, width * n))
-                t_c.reshape(k, n, n, width)[...] = t.reshape(k, n, width, n).transpose(0, 1, 3, 2)
+            else:  # rows (l, r, j): one product per block
+                t = np.matmul(x, u.reshape(k, n, m * n), out=x_a_s[: u.size].reshape(k, n, m * n))
+                t_c.reshape(k, n, n, m)[...] = t.reshape(k, n, m, n).transpose(0, 1, 3, 2)
             out[:, start : start + width] = _csr_times_dense(self.indptr, self.indices, self.data, cells, t_c, x_a_s)
         return out
 
@@ -448,16 +445,14 @@ def _block_groups(block_dims: tuple, a_triplets: tuple, m: int) -> tuple:
         rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
         order = np.argsort(rows, kind="stable")  # row-major: by constraint, then block, then cell
         rows, cols, vals = rows[order], cols[order], vals[order]
-        # the same nonzeros at rows (i, l, r), columns (l, c)
+        # the same nonzeros at rows (i, l, r) or (l, r, i), columns (l, c)
         block, r, c = cols // (nb * nb), cols // nb % nb, cols % nb
-        if k == 1:  # rows (i, r): still row-major
-            row, row_vals = rows * nb + r, vals
-        else:  # rows (chunk, l, r, j): j counts from the chunk's first constraint
-            first = rows - rows % per_chunk
-            width = np.minimum(per_chunk, m - first)
-            row = first * k * nb + (block * nb + r) * width + rows - first
-            order = np.argsort(row, kind="stable")  # keeps each row's cells in order
-            row, row_vals, block, c = row[order], vals[order], block[order], c[order]
+        if per_chunk < m:  # cut into chunks: row-major, as the nonzeros are
+            row = (rows * k + block) * nb + r
+        else:  # one chunk: one n_b x (m*n_b) matrix of A_i^l S_l^{-1} per block
+            row = (block * nb + r) * m + rows
+        order = np.argsort(row, kind="stable")  # keeps each row's cells in order
+        row, row_vals, block, c = row[order], vals[order], block[order], c[order]
         # CSR row pointers: where each row's run of sorted row indices starts
         row_ptr = np.searchsorted(row, np.arange(m * k * nb + 1))
         indptr, row_cols = np.searchsorted(rows, np.arange(m + 1)), block * nb + c

@@ -475,7 +475,7 @@ def test_block_order_does_not_matter():
 def test_schur_chunking_keeps_every_bit(monkeypatch):
     problem = random_feasible_problem((3, 1, 3, 2), 8, seed=3)
     whole = solve(problem)
-    # the chunk width is part of a multi-block group's row layout, fixed when
+    # whether a group is cut into chunks decides its row layout, fixed when
     # its operator is built: a fresh one, one constraint per chunk
     monkeypatch.setattr(sdp, "SCHUR_CHUNK_BYTES", 1)
     operator = _fresh_operator(problem)
@@ -514,8 +514,8 @@ def _public_operators(group):
 
 def _public_schur(group, x, s_inv):
     """The Schur term by scipy's public products, one chunk at a time, over
-    either row view: a single block's rows (j, r), several blocks' rows
-    (l, r, j) within each chunk."""
+    either row view: rows (j, l, r) for a group cut into chunks, rows
+    (l, r, j) for a group assembled in one."""
     op, rows = _public_operators(group)
     m, cells = group.shape
     k, n = len(group.blocks), group.size
@@ -523,10 +523,10 @@ def _public_schur(group, x, s_inv):
     for start in range(0, m, group.per_chunk):
         width = min(group.per_chunk, m - start)
         a_s = rows[start * k * n : (start + width) * k * n] @ s_inv.reshape(-1, n)
-        if k == 1:
+        if group.per_chunk < m:
             t = (x @ a_s.reshape(width, k, n, n)).reshape(width, cells).T
         else:
-            t = (x @ a_s.reshape(k, n, width * n)).reshape(k, n, width, n).transpose(0, 1, 3, 2).reshape(cells, width)
+            t = (x @ a_s.reshape(k, n, m * n)).reshape(k, n, m, n).transpose(0, 1, 3, 2).reshape(cells, m)
         terms.append(op @ t)
     return np.concatenate(terms, axis=1)
 
@@ -634,9 +634,8 @@ def test_group_products_match_public_products():
             for p in range(k):
                 row_view[:, p, :, p, :] = stacks[:, p]
             row_view = row_view.reshape(m, k * n, k * n)
-            if k > 1:  # rows (l, r, j) within each chunk
-                chunks = range(0, m, group.per_chunk)
-                row_view = np.concatenate([row_view[j : j + group.per_chunk].transpose(1, 0, 2) for j in chunks], 1)
+            if group.per_chunk == m:  # one chunk: rows (l, r, j)
+                row_view = row_view.transpose(1, 0, 2)
             assert np.array_equal(rows.toarray(), row_view.reshape(m * k * n, k * n))
             start = np.broadcast_to(2.0 * np.eye(n), (k, n, n))
             for z in (start, rng.normal(size=(k, n, n))):
@@ -772,11 +771,7 @@ def test_operator_arrays_are_read_only():
         operator = problem.operator
         arrays = [a for triplet in operator.a_triplets for a in triplet] + [operator.row_norms]
         for group in operator.groups:
-            arrays += [group.indptr, group.indices, group.data, group.row_ptr, group.row_cols]
-            # a multi-block group's row view reads its own permuted copy
-            assert (group.row_data is group.data) == (len(group.blocks) == 1)
-            if len(group.blocks) > 1:
-                arrays.append(group.row_data)
+            arrays += [group.indptr, group.indices, group.data, group.row_ptr, group.row_cols, group.row_data]
         assert operator.nbytes == sum(a.nbytes for a in arrays)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
